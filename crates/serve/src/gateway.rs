@@ -1,13 +1,14 @@
 //! The sharded worker-pool gateway.
 
 use crate::config::{GatewayConfig, OverloadPolicy};
+use crate::handoff::{self, Pending, Promise, Queue};
 use crate::store::SignatureStore;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use psigene_http::HttpRequest;
 use psigene_rulesets::Verdict;
 use psigene_telemetry::insight::{ExemplarBuffer, FinishedTrace, TraceContext, Tracer};
-use psigene_telemetry::{Counter, Histogram};
+use psigene_telemetry::{Counter, Gauge, Histogram};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -24,7 +25,7 @@ enum Job {
         id: u64,
         request: HttpRequest,
         submitted: Instant,
-        reply: Sender<Verdict>,
+        reply: Promise<Verdict>,
         /// Span tree for the sampled minority; `None` costs nothing.
         trace: Option<TraceContext>,
     },
@@ -37,7 +38,7 @@ enum Job {
         base_id: u64,
         requests: Vec<HttpRequest>,
         submitted: Instant,
-        reply: Sender<Vec<Verdict>>,
+        reply: Promise<Vec<Verdict>>,
         /// One trace for the whole batch (batches are one queue slot
         /// and one engine call; per-request spans would multiply the
         /// reply allocation, not the insight).
@@ -64,6 +65,7 @@ struct Metrics {
     shed: Arc<Counter>,
     batches: Arc<Counter>,
     traces: Arc<Counter>,
+    worker_panics: Arc<Counter>,
     latency: Arc<Histogram>,
     local_submitted: AtomicU64,
     local_served: AtomicU64,
@@ -71,14 +73,14 @@ struct Metrics {
 }
 
 impl Metrics {
-    fn new() -> Metrics {
-        let telemetry = psigene_telemetry::global();
+    fn new(telemetry: &psigene_telemetry::Registry) -> Metrics {
         Metrics {
             submitted: telemetry.counter("serve.submitted"),
             served: telemetry.counter("serve.served"),
             shed: telemetry.counter("serve.shed"),
             batches: telemetry.counter("serve.batches"),
             traces: telemetry.counter("serve.traces"),
+            worker_panics: telemetry.counter("serve.worker_panics"),
             latency: telemetry.histogram("serve.latency_ns"),
             local_submitted: AtomicU64::new(0),
             local_served: AtomicU64::new(0),
@@ -94,7 +96,10 @@ impl Metrics {
     fn account_served(&self, n: u64, since_submit: std::time::Duration) {
         self.served.add(n);
         self.local_served.fetch_add(n, Ordering::Relaxed);
-        self.latency.record_duration(since_submit);
+        // One observation per request, as `serve.served` counts them:
+        // the latency SLO divides one by the other.
+        let ns = u64::try_from(since_submit.as_nanos()).unwrap_or(u64::MAX);
+        self.latency.record_n(ns, n);
     }
 
     fn account_shed(&self, n: u64) {
@@ -116,8 +121,8 @@ pub struct GatewayStats {
 }
 
 struct Shard {
-    tx: Sender<Job>,
-    depth: Arc<psigene_telemetry::Gauge>,
+    queue: Arc<Queue<Job>>,
+    depth: Arc<Gauge>,
 }
 
 /// The concurrent detection gateway: N worker shards, each owning a
@@ -139,12 +144,23 @@ struct Shard {
 ///
 /// ```text
 /// submit()/submit_batch()        worker shard i
-///   round-robin shard pick  ──►  recv → store.current() → evaluate
-///   (Block: blocking send;        └─► reply channel → Ticket::wait
-///    Shed: try all shards,
-///    answer Overloaded when
-///    every queue is full)
+///   round-robin shard pick  ──►  take → store.engine_for(id) → evaluate
+///   (Block: push, waiting at       └─► one-shot reply → Ticket::wait
+///    the bound; Shed: try all
+///    shards, answer Overloaded
+///    when every queue is full)
 /// ```
+///
+/// A shard's bound counts every job accepted and not yet finished,
+/// the one in the worker's hands included, so under `Shed` exactly
+/// `queue_capacity` jobs per shard are admitted ahead of a stalled
+/// worker.
+///
+/// A panic while serving a job fails that job's ticket
+/// ([`Verdict::Overloaded`] in the policy's failure direction), is
+/// counted in `serve.worker_panics`, and the worker carries on. Should
+/// a worker exit all the same, its shard refuses new jobs and the
+/// tickets of the queued ones resolve the same way.
 ///
 /// Dropping or [`Gateway::shutdown`]-ing the gateway closes the
 /// queues; workers drain every job already accepted (so every
@@ -171,49 +187,40 @@ pub struct Gateway {
 /// Pending verdict for one submitted request.
 #[must_use = "wait() on the ticket to get the verdict"]
 pub struct Ticket {
-    inner: TicketInner<Verdict>,
+    reply: Pending<Verdict>,
+    fail_open: bool,
 }
 
 /// Pending verdicts for one submitted batch.
 #[must_use = "wait() on the ticket to get the verdicts"]
 pub struct BatchTicket {
-    inner: TicketInner<Vec<Verdict>>,
+    reply: Pending<Vec<Verdict>>,
+    fail_open: bool,
     len: usize,
 }
 
-enum TicketInner<T> {
-    /// Answered at submission time (shed).
-    Ready(T),
-    /// In flight on some shard.
-    Pending { rx: Receiver<T>, fail_open: bool },
-}
-
 impl Ticket {
-    /// Blocks until the verdict arrives. If the owning worker died
-    /// (its reply channel disconnected) the request counts as
-    /// unevaluated and resolves in the policy's failure direction.
+    /// Blocks until the verdict arrives. If the job was dropped
+    /// without a reply (shed at submission, the worker panicked
+    /// serving it, or exited with it still queued) the request counts
+    /// as unevaluated and resolves in the policy's failure direction.
     pub fn wait(self) -> Verdict {
-        match self.inner {
-            TicketInner::Ready(v) => v,
-            TicketInner::Pending { rx, fail_open } => {
-                rx.recv().unwrap_or(Verdict::Overloaded { fail_open })
-            }
-        }
+        self.reply.wait().unwrap_or(Verdict::Overloaded {
+            fail_open: self.fail_open,
+        })
     }
 }
 
 impl BatchTicket {
-    /// Blocks until the batch's verdicts arrive (same disconnect
+    /// Blocks until the batch's verdicts arrive (same dropped-job
     /// semantics as [`Ticket::wait`], applied to the whole batch).
     pub fn wait(self) -> Vec<Verdict> {
-        match self.inner {
-            TicketInner::Ready(v) => v,
-            TicketInner::Pending { rx, fail_open } => rx.recv().unwrap_or_else(|_| {
-                (0..self.len)
-                    .map(|_| Verdict::Overloaded { fail_open })
-                    .collect()
-            }),
-        }
+        let unevaluated = Verdict::Overloaded {
+            fail_open: self.fail_open,
+        };
+        self.reply
+            .wait()
+            .unwrap_or_else(|| vec![unevaluated; self.len])
     }
 }
 
@@ -222,36 +229,30 @@ impl Gateway {
     pub fn start(store: Arc<SignatureStore>, config: GatewayConfig) -> Gateway {
         let nshards = config.shards.max(1);
         let capacity = config.queue_capacity.max(1);
-        let metrics = Arc::new(Metrics::new());
         let telemetry = psigene_telemetry::global();
+        let metrics = Arc::new(Metrics::new(telemetry));
         let exemplars = Arc::new(Mutex::new(ExemplarBuffer::new(EXEMPLAR_CAPACITY)));
         let mut shards = Vec::with_capacity(nshards);
         let mut workers = Vec::with_capacity(nshards);
         for i in 0..nshards {
-            let (tx, rx) = channel::bounded::<Job>(capacity);
+            let queue = Arc::new(Queue::new(capacity));
             let depth = telemetry.gauge(&format!("serve.shard.{i}.queue_depth"));
             depth.set(0.0);
-            let worker_store = Arc::clone(&store);
-            let worker_metrics = Arc::clone(&metrics);
-            let worker_depth = Arc::clone(&depth);
-            let worker_exemplars = Arc::clone(&exemplars);
-            let worker_tap = config.tap.clone();
+            let worker = Worker {
+                queue: Arc::clone(&queue),
+                depth: Arc::clone(&depth),
+                store: Arc::clone(&store),
+                metrics: Arc::clone(&metrics),
+                exemplars: Arc::clone(&exemplars),
+                tap: config.tap.clone(),
+            };
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("psigene-serve-{i}"))
-                    .spawn(move || {
-                        worker_loop(
-                            rx,
-                            worker_store,
-                            worker_metrics,
-                            worker_depth,
-                            worker_exemplars,
-                            worker_tap,
-                        )
-                    })
+                    .spawn(move || worker.run())
                     .expect("spawn gateway worker"),
             );
-            shards.push(Shard { tx, depth });
+            shards.push(Shard { queue, depth });
         }
         Gateway {
             store,
@@ -282,32 +283,17 @@ impl Gateway {
     /// verdict. Under `Shed` the ticket may already be resolved to
     /// [`Verdict::Overloaded`].
     pub fn submit(&self, request: HttpRequest) -> Ticket {
-        let fail_open = self.config.policy.fail_open();
-        let (reply_tx, reply_rx) = channel::bounded::<Verdict>(1);
-        let mut trace = self.start_trace();
-        if let Some(t) = trace.as_mut() {
-            t.begin("gateway.queue");
-        }
-        let job = Job::One {
+        let (promise, reply) = handoff::promise();
+        self.dispatch(Job::One {
             id: self.eval_ids.fetch_add(1, Ordering::Relaxed),
             request,
             submitted: Instant::now(),
-            reply: reply_tx,
-            trace,
-        };
-        match self.dispatch(job) {
-            Ok(()) => Ticket {
-                inner: TicketInner::Pending {
-                    rx: reply_rx,
-                    fail_open,
-                },
-            },
-            Err(job) => {
-                self.metrics.account_shed(job.size());
-                Ticket {
-                    inner: TicketInner::Ready(Verdict::Overloaded { fail_open }),
-                }
-            }
+            reply: promise,
+            trace: self.start_trace(),
+        });
+        Ticket {
+            reply,
+            fail_open: self.config.policy.fail_open(),
         }
     }
 
@@ -321,45 +307,23 @@ impl Gateway {
     /// Verdicts come back in submission order. Under `Shed`, a full
     /// gateway sheds the whole batch.
     pub fn submit_batch(&self, requests: Vec<HttpRequest>) -> BatchTicket {
-        let fail_open = self.config.policy.fail_open();
         let len = requests.len();
-        if len == 0 {
-            return BatchTicket {
-                inner: TicketInner::Ready(Vec::new()),
-                len,
-            };
+        let (promise, reply) = handoff::promise();
+        // An empty batch is never queued: its dropped promise resolves
+        // the ticket to no verdicts.
+        if len > 0 {
+            self.dispatch(Job::Batch {
+                base_id: self.eval_ids.fetch_add(len as u64, Ordering::Relaxed),
+                requests,
+                submitted: Instant::now(),
+                reply: promise,
+                trace: self.start_trace(),
+            });
         }
-        let (reply_tx, reply_rx) = channel::bounded::<Vec<Verdict>>(1);
-        let mut trace = self.start_trace();
-        if let Some(t) = trace.as_mut() {
-            t.begin("gateway.queue");
-        }
-        let job = Job::Batch {
-            base_id: self.eval_ids.fetch_add(len as u64, Ordering::Relaxed),
-            requests,
-            submitted: Instant::now(),
-            reply: reply_tx,
-            trace,
-        };
-        match self.dispatch(job) {
-            Ok(()) => BatchTicket {
-                inner: TicketInner::Pending {
-                    rx: reply_rx,
-                    fail_open,
-                },
-                len,
-            },
-            Err(job) => {
-                self.metrics.account_shed(job.size());
-                BatchTicket {
-                    inner: TicketInner::Ready(
-                        (0..len)
-                            .map(|_| Verdict::Overloaded { fail_open })
-                            .collect(),
-                    ),
-                    len,
-                }
-            }
+        BatchTicket {
+            reply,
+            fail_open: self.config.policy.fail_open(),
+            len,
         }
     }
 
@@ -374,11 +338,16 @@ impl Gateway {
     }
 
     /// Allocates the next request id and, for the deterministically
-    /// sampled minority, a [`TraceContext`]. Unsampled submissions
-    /// cost one atomic increment and one hash — no allocation.
+    /// sampled minority, a [`TraceContext`] with its queue span open.
+    /// Unsampled submissions cost one atomic increment and one hash —
+    /// no allocation.
     fn start_trace(&self) -> Option<TraceContext> {
         let id = self.request_ids.fetch_add(1, Ordering::Relaxed);
-        self.tracer.start(id)
+        let mut trace = self.tracer.start(id);
+        if let Some(t) = trace.as_mut() {
+            t.begin("gateway.queue");
+        }
+        trace
     }
 
     /// The request-trace sampler (deterministic in the configured
@@ -416,57 +385,42 @@ impl Gateway {
     }
 
     fn close_and_join(&mut self) {
-        // Dropping the senders closes the queues; workers drain what
-        // was accepted and exit on disconnect.
-        self.shards.clear();
+        for shard in &self.shards {
+            shard.queue.close();
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 
-    /// Routes a job to a shard according to the overload policy.
-    /// `Err` hands the job back: every queue was at its bound (shed)
-    /// or the gateway is no longer serving.
-    // The Err variant carries the whole job back by value on purpose:
-    // shedding must return the caller's requests without an allocation
-    // on the submit path, and there is exactly one internal caller.
-    #[allow(clippy::result_large_err)]
-    fn dispatch(&self, job: Job) -> Result<(), Job> {
+    /// Routes a job to a shard according to the overload policy. A job
+    /// no shard takes (every queue at its bound, or the gateway no
+    /// longer serving) is shed: dropping it, promise and all, resolves
+    /// its ticket unevaluated.
+    fn dispatch(&self, mut job: Job) {
         let n = self.shards.len();
         let start = self.next.fetch_add(1, Ordering::Relaxed) % n;
         let size = job.size();
-        match self.config.policy {
-            OverloadPolicy::Block => {
-                let shard = &self.shards[start];
-                match shard.tx.send(job) {
-                    Ok(()) => {
-                        shard.depth.set(shard.tx.len() as f64);
-                        self.metrics.account_submitted(size);
-                        Ok(())
-                    }
-                    Err(channel::SendError(job)) => Err(job),
+        // Block waits on the round-robin pick; Shed tries every shard
+        // once from there and sheds only when all are at the bound.
+        let block = self.config.policy == OverloadPolicy::Block;
+        for i in 0..if block { 1 } else { n } {
+            let shard = &self.shards[(start + i) % n];
+            let pushed = if block {
+                shard.queue.push(job)
+            } else {
+                shard.queue.try_push(job)
+            };
+            match pushed {
+                Ok(queued) => {
+                    shard.depth.set(queued as f64);
+                    self.metrics.account_submitted(size);
+                    return;
                 }
-            }
-            OverloadPolicy::Shed { .. } => {
-                // Try every shard once, starting at the round-robin
-                // pick; shed only when all queues are at the bound.
-                let mut job = job;
-                for i in 0..n {
-                    let shard = &self.shards[(start + i) % n];
-                    match shard.tx.try_send(job) {
-                        Ok(()) => {
-                            shard.depth.set(shard.tx.len() as f64);
-                            self.metrics.account_submitted(size);
-                            return Ok(());
-                        }
-                        Err(TrySendError::Full(j)) | Err(TrySendError::Disconnected(j)) => {
-                            job = j;
-                        }
-                    }
-                }
-                Err(job)
+                Err(refused) => job = refused,
             }
         }
+        self.metrics.account_shed(size);
     }
 }
 
@@ -476,21 +430,45 @@ impl Drop for Gateway {
     }
 }
 
-fn worker_loop(
-    rx: Receiver<Job>,
+/// One shard's worker thread.
+struct Worker {
+    queue: Arc<Queue<Job>>,
+    depth: Arc<Gauge>,
     store: Arc<SignatureStore>,
     metrics: Arc<Metrics>,
-    depth: Arc<psigene_telemetry::Gauge>,
     exemplars: Arc<Mutex<ExemplarBuffer>>,
     tap: Option<Arc<dyn psigene_control::VerdictSink>>,
-) {
-    // Warm-up before serving: force the installed engine's shared
-    // lazily-built state (idempotent — the store already prepared it)
-    // so the worker's first dequeue never races other workers into
-    // one-time construction.
-    store.current().prepare();
-    while let Ok(job) = rx.recv() {
-        depth.set(rx.len() as f64);
+}
+
+/// On worker exit, however it comes about: the shard refuses new jobs
+/// and drops the queued ones, so their tickets resolve.
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.queue.abandon();
+        self.depth.set(0.0);
+    }
+}
+
+impl Worker {
+    fn run(self) {
+        // Warm-up before serving: force the installed engine's shared
+        // lazily-built state (idempotent — the store already prepared
+        // it) so the worker's first dequeue never races other workers
+        // into one-time construction.
+        self.store.current().prepare();
+        while let Some((job, queued)) = self.queue.take() {
+            self.depth.set(queued as f64);
+            // A panicking engine (or tap) fails this job alone: the
+            // unwind drops the job, its reply resolves unevaluated. The
+            // engine is shared and may not be unwind-safe; a detector
+            // that stops on one bad request is worse.
+            if catch_unwind(AssertUnwindSafe(|| self.serve(job))).is_err() {
+                self.metrics.worker_panics.inc();
+            }
+        }
+    }
+
+    fn serve(&self, job: Job) {
         match job {
             Job::One {
                 id,
@@ -499,7 +477,7 @@ fn worker_loop(
                 reply,
                 trace,
             } => {
-                let engine = store.engine_for(id);
+                let engine = self.store.engine_for(id);
                 let detection = match trace {
                     None => engine.evaluate(&request),
                     Some(mut t) => {
@@ -507,15 +485,15 @@ fn worker_loop(
                         // records its own stage spans.
                         t.end_last();
                         let detection = engine.evaluate_traced(&request, &mut t);
-                        finish_trace(t, &metrics, &exemplars);
+                        self.finish_trace(t);
                         detection
                     }
                 };
-                if let Some(tap) = &tap {
+                if let Some(tap) = &self.tap {
                     tap.observe(id, &request, &detection);
                 }
-                metrics.account_served(1, submitted.elapsed());
-                let _ = reply.send(Verdict::Evaluated(detection));
+                self.metrics.account_served(1, submitted.elapsed());
+                reply.fulfil(Verdict::Evaluated(detection));
             }
             Job::Batch {
                 base_id,
@@ -526,7 +504,7 @@ fn worker_loop(
             } => {
                 // One engine snapshot for the whole batch: a reload
                 // landing mid-batch applies from the next batch on.
-                let engine = store.engine_for(base_id);
+                let engine = self.store.engine_for(base_id);
                 let detections = match trace {
                     None => engine.evaluate_batch(&requests),
                     Some(mut t) => {
@@ -534,27 +512,27 @@ fn worker_loop(
                         let span = t.begin("gateway.batch");
                         let detections = engine.evaluate_batch(&requests);
                         t.end(span);
-                        finish_trace(t, &metrics, &exemplars);
+                        self.finish_trace(t);
                         detections
                     }
                 };
-                if let Some(tap) = &tap {
+                if let Some(tap) = &self.tap {
                     for (i, (request, detection)) in requests.iter().zip(&detections).enumerate() {
                         tap.observe(base_id + i as u64, request, detection);
                     }
                 }
-                metrics.batches.inc();
-                metrics.account_served(detections.len() as u64, submitted.elapsed());
-                let _ = reply.send(detections.into_iter().map(Verdict::Evaluated).collect());
+                self.metrics.batches.inc();
+                self.metrics
+                    .account_served(detections.len() as u64, submitted.elapsed());
+                reply.fulfil(detections.into_iter().map(Verdict::Evaluated).collect());
             }
         }
     }
-    depth.set(0.0);
-}
 
-fn finish_trace(trace: TraceContext, metrics: &Metrics, exemplars: &Mutex<ExemplarBuffer>) {
-    metrics.traces.inc();
-    exemplars.lock().offer(trace.finish());
+    fn finish_trace(&self, trace: TraceContext) {
+        self.metrics.traces.inc();
+        self.exemplars.lock().offer(trace.finish());
+    }
 }
 
 #[cfg(test)]
@@ -563,8 +541,8 @@ mod tests {
     use psigene_rulesets::{Detection, DetectionEngine};
     use std::sync::atomic::AtomicBool;
 
-    /// Flags queries containing "attack"; optionally parks on a gate
-    /// to let tests pin a worker.
+    /// Flags queries containing "attack" and panics on "poison";
+    /// optionally parks on a gate to let tests pin a worker.
     struct TestEngine {
         gate: Option<Arc<AtomicBool>>,
     }
@@ -579,7 +557,9 @@ mod tests {
                     std::thread::yield_now();
                 }
             }
-            let hot = request.request_target().contains("attack");
+            let target = request.request_target();
+            assert!(!target.contains("poison"), "engine bug (a test expects it)");
+            let hot = target.contains("attack");
             Detection {
                 flagged: hot,
                 matched_rules: if hot { vec![1] } else { vec![] },
@@ -649,68 +629,119 @@ mod tests {
     }
 
     #[test]
-    fn shed_fires_when_all_queues_full() {
-        let gate = Arc::new(AtomicBool::new(false));
-        let engine: Arc<dyn DetectionEngine> = Arc::new(TestEngine {
-            gate: Some(Arc::clone(&gate)),
-        });
+    fn shed_fires_at_exactly_the_bound_in_the_configured_direction() {
+        for (capacity, fail_open) in [(2u64, true), (1, false)] {
+            let gate = Arc::new(AtomicBool::new(false));
+            let engine: Arc<dyn DetectionEngine> = Arc::new(TestEngine {
+                gate: Some(Arc::clone(&gate)),
+            });
+            let gateway = Gateway::start(
+                SignatureStore::new(engine),
+                GatewayConfig {
+                    shards: 1,
+                    queue_capacity: capacity as usize,
+                    policy: OverloadPolicy::Shed { fail_open },
+                    ..GatewayConfig::default()
+                },
+            );
+            // The bound counts accepted-and-unfinished jobs, so whether
+            // or not the (gated) worker has taken the first job yet,
+            // exactly `capacity` submissions are accepted, the rest shed.
+            let tickets: Vec<Ticket> = (0..4)
+                .map(|i| gateway.submit(HttpRequest::get("h", "/ok", &format!("i={i}"))))
+                .collect();
+            let stats = gateway.stats();
+            assert_eq!((stats.submitted, stats.shed), (capacity, 4 - capacity));
+            gate.store(true, Ordering::Release);
+            let verdicts: Vec<Verdict> = tickets.into_iter().map(Ticket::wait).collect();
+            let shed: Vec<&Verdict> = verdicts.iter().filter(|v| v.is_shed()).collect();
+            assert_eq!(shed.len() as u64, stats.shed);
+            // Sheds pass unflagged when failing open, flagged when closed.
+            assert!(shed.iter().all(|v| v.flagged() != fail_open));
+            let stats = gateway.shutdown();
+            assert_eq!((stats.served, stats.shed), (capacity, 4 - capacity));
+        }
+    }
+
+    #[test]
+    fn a_panicking_engine_fails_one_ticket_and_the_worker_keeps_serving() {
+        // `TestEngine` panics on "/poison" (expected output of this test).
+        let panics = psigene_telemetry::global().counter("serve.worker_panics");
+        let panics_before = panics.get();
         let gateway = Gateway::start(
-            SignatureStore::new(engine),
+            SignatureStore::new(free_engine()),
             GatewayConfig {
                 shards: 1,
-                queue_capacity: 2,
+                queue_capacity: 16,
                 policy: OverloadPolicy::Shed { fail_open: true },
                 ..GatewayConfig::default()
             },
         );
-        // First job occupies the (gated) worker; the queue bound then
-        // admits exactly 2 more before shedding starts. The worker
-        // may or may not have dequeued the first job yet, so between
-        // 2 and 3 submissions are accepted; the 4th must shed.
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|i| gateway.submit(HttpRequest::get("h", "/ok", &format!("i={i}"))))
+        // Pipelined, so some requests queue up behind a poisoned one.
+        let marked = [3, 4, 9];
+        let tickets: Vec<Ticket> = (0..12)
+            .map(|i| {
+                let path = if marked.contains(&i) {
+                    "/poison"
+                } else {
+                    "/ok"
+                };
+                gateway.submit(HttpRequest::get("h", path, &format!("i={i}")))
+            })
             .collect();
-        let last_shed = {
-            let stats = gateway.stats();
-            assert!(stats.shed >= 1, "no shed at queue bound: {stats:?}");
-            stats.shed
-        };
-        gate.store(true, Ordering::Release);
-        let verdicts: Vec<Verdict> = tickets.into_iter().map(Ticket::wait).collect();
-        let shed_verdicts = verdicts.iter().filter(|v| v.is_shed()).count() as u64;
-        assert_eq!(shed_verdicts, last_shed);
-        // fail_open sheds pass unflagged.
-        assert!(verdicts
-            .iter()
-            .filter(|v| v.is_shed())
-            .all(|v| !v.flagged()));
+        for (i, verdict) in tickets.into_iter().map(Ticket::wait).enumerate() {
+            assert_eq!(verdict.is_shed(), marked.contains(&i), "{i}: {verdict:?}");
+            assert!(!verdict.flagged(), "fails open");
+        }
+        // A batch fails as a whole, and the worker still serves after.
+        let batch = gateway.check_batch(vec![
+            HttpRequest::get("h", "/ok", "a=1"),
+            HttpRequest::get("h", "/poison", "b=2"),
+        ]);
+        assert_eq!(batch.len(), 2);
+        assert!(batch.iter().all(Verdict::is_shed), "{batch:?}");
+        let after = gateway.check(HttpRequest::get("h", "/ok", "c=3"));
+        assert!(after.detection().is_some());
         let stats = gateway.shutdown();
-        assert_eq!(stats.served + stats.shed, 4);
+        assert_eq!((stats.submitted, stats.shed), (12 + 2 + 1, 0));
+        assert_eq!(stats.served + 3 + 2, stats.submitted);
+        assert!(panics.get() - panics_before >= 4, "3 singles + 1 batch");
     }
 
     #[test]
-    fn fail_closed_sheds_are_flagged() {
-        let gate = Arc::new(AtomicBool::new(false));
-        let engine: Arc<dyn DetectionEngine> = Arc::new(TestEngine {
-            gate: Some(Arc::clone(&gate)),
-        });
-        let gateway = Gateway::start(
-            SignatureStore::new(engine),
-            GatewayConfig {
-                shards: 1,
-                queue_capacity: 1,
-                policy: OverloadPolicy::Shed { fail_open: false },
-                ..GatewayConfig::default()
+    fn latency_is_recorded_per_request_not_per_job() {
+        use crate::LatencySlo;
+        use psigene_telemetry::insight::SloConfig;
+        use std::time::Duration;
+        let registry = psigene_telemetry::Registry::new();
+        let metrics = Metrics::new(&registry);
+        let latency = registry.histogram("serve.latency_ns");
+        // A fast batch of 32 and one slow single request.
+        metrics.account_served(32, Duration::from_micros(10));
+        assert_eq!(latency.count(), 32);
+        metrics.account_served(1, Duration::from_millis(50));
+        assert_eq!(latency.count(), 33);
+        assert_eq!(metrics.local_served.load(Ordering::Relaxed), 33);
+        let snapshot = latency.snapshot();
+        assert_eq!(
+            snapshot.count_le(1_000_000),
+            32,
+            "32 of 33 requests are good"
+        );
+        // 1 bad in 33 against a 10 % budget burns 0.30 of it; counted
+        // per job (1 bad in 2) the same traffic would read 5.0.
+        let slo = LatencySlo::new(
+            1_000_000,
+            SloConfig {
+                target: 0.9,
+                fast_window: 2,
+                slow_window: 4,
+                alert_factor: 2.0,
             },
         );
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|i| gateway.submit(HttpRequest::get("h", "/ok", &format!("i={i}"))))
-            .collect();
-        gate.store(true, Ordering::Release);
-        let verdicts: Vec<Verdict> = tickets.into_iter().map(Ticket::wait).collect();
-        assert!(verdicts.iter().any(|v| v.is_shed()));
-        assert!(verdicts.iter().filter(|v| v.is_shed()).all(|v| v.flagged()));
-        drop(gateway);
+        slo.record_snapshot(&psigene_telemetry::HistogramSnapshot::empty());
+        let burn = slo.record_snapshot(&snapshot).fast.expect("two ticks");
+        assert!((burn - (1.0 / 33.0) / 0.1).abs() < 1e-9, "{burn}");
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! request against the generalized signatures; this crate is the
 //! serving subsystem that puts that scoring into a request path:
 //!
-//! - [`Gateway`] — a pool of worker shards fed by bounded MPMC
-//!   queues. Requests are submitted from any number of threads; each
-//!   shard drains its queue in order and replies through a per-call
-//!   channel, so callers can block ([`Gateway::check`]) or pipeline
-//!   ([`Gateway::submit`] → [`Ticket::wait`]).
+//! - [`Gateway`] — a pool of worker shards, each fed by its own
+//!   bounded queue. Requests are submitted from any number of
+//!   threads; each shard drains its queue in order and answers each
+//!   submission through a one-shot reply slot, so callers can block ([`Gateway::check`]) or pipeline
+//!   ([`Gateway::submit`] → [`Ticket::wait`]). Neither side issues a
+//!   wake-up unless the other is parked, and a panic while serving
+//!   one request fails that request's ticket only.
 //! - [`OverloadPolicy`] — what happens when every queue is at its
 //!   bound: `Block` applies backpressure to the submitter, `Shed`
 //!   returns [`Verdict::Overloaded`](psigene_rulesets::Verdict)
@@ -47,7 +49,9 @@
 //! Everything is instrumented through `psigene-telemetry`: per-shard
 //! queue-depth gauges (`serve.shard.<i>.queue_depth`),
 //! submitted/served/shed counters (`serve.*`), an end-to-end latency
-//! histogram (`serve.latency_ns`), trace counts (`serve.traces`),
+//! histogram with one observation per request (`serve.latency_ns`),
+//! contained worker panics (`serve.worker_panics`), trace counts
+//! (`serve.traces`),
 //! reload accounting (`serve.reloads`, `serve.signature_version`)
 //! and SLO burn gauges (`slo.*`).
 //!
@@ -81,6 +85,7 @@
 
 mod config;
 mod gateway;
+mod handoff;
 mod slo;
 mod store;
 

@@ -24,14 +24,14 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve --test gateway_se
 echo "==> ids_gateway example smoke run"
 cargo run --release -p psigene-serve --example ids_gateway -- --quick >/dev/null
 
-# Steady-state allocation budget: a warm worker must evaluate a
-# request with at most 2 allocations, through the public engine API
-# and through the full gateway path, with bit-identical rows/scores
-# across all three match modes. Release + one test thread: the
-# counting allocator is process-global.
+# Steady-state allocation budget, optimized build (`cargo test -q`
+# above ran it unoptimized): a warm worker must evaluate a request
+# with at most 2 allocations, through the public engine API and
+# through the gateway's batch path, `submit` must add exactly the
+# reply slot, and rows/scores must be bit-identical across all three
+# match modes. The tests serialize themselves on an internal lock.
 echo "==> alloc-budget integration test (zero-alloc hot path)"
-env -u RUST_TEST_THREADS cargo test --release -p psigene-serve \
-    --test alloc_budget -q -- --test-threads=1
+cargo test --release -p psigene-serve --test alloc_budget -q
 
 # Matching bench in quick mode: records naive vs. prescan vs. fused
 # feature extraction throughput (payloads/sec) plus allocations per
@@ -106,5 +106,16 @@ echo "==> control bench (quick) -> results/BENCH_control.json"
 PSIGENE_BENCH_QUICK=1 PSIGENE_BENCH_JSON="$PWD/results/BENCH_control.json" \
     cargo bench -p psigene-bench --bench control
 test -s results/BENCH_control.json
+
+# The end-to-end benchmark is a package of its own (BENCHMARK.json,
+# crates/bench/src/bin/e2e/README.md), so the root `cargo test` does
+# not reach its unit tests. The 2-second smoke exits non-zero unless
+# every verdict of the direct, `submit` and `submit_batch` paths
+# matches the reference.
+echo "==> e2e benchmark: unit tests + mixed_gateway smoke"
+cargo test --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml -q
+cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
+    --workload mixed_gateway --seed 1 --seconds 2 --trace 0 >/dev/null
 
 echo "CI OK"

@@ -12,9 +12,9 @@
 //! across all three match modes and across repeated extractions over
 //! dirty scratch.
 //!
-//! Run with `--test-threads=1` or rely on the internal lock: the
-//! counting allocator is process-global, so a concurrently allocating
-//! sibling test would inflate the measured window.
+//! The counting allocator is process-global, so every test in this
+//! binary takes the internal lock: a concurrently allocating sibling
+//! would inflate a measured window.
 
 use parking_lot::Mutex;
 use psigene::{PipelineConfig, Psigene};
@@ -66,8 +66,8 @@ fn allocations() -> u64 {
 
 // ─── Shared fixtures ───
 
-/// Serializes the measuring tests against each other (the allocation
-/// counter is process-global).
+/// Serializes every test of this binary, measuring or not (the
+/// allocation counter is process-global).
 fn lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -184,8 +184,64 @@ fn gateway_batch_path_stays_within_the_alloc_budget() {
     drop(gateway);
 }
 
+/// The gateway's own cost on the `submit` path is the reply slot: one
+/// allocation per request on top of whatever the engine allocates for
+/// the same requests, exactly, once queue and scratch are warm.
+#[test]
+fn gateway_submit_path_allocates_exactly_the_reply_slot() {
+    let _guard = lock().lock();
+    let engine = system();
+    let gateway = Gateway::start(
+        SignatureStore::new(Arc::new(engine.clone())),
+        GatewayConfig {
+            shards: 1,
+            queue_capacity: 16,
+            policy: OverloadPolicy::Block,
+            trace: TraceConfig {
+                sample_every: 0,
+                seed: 0,
+            },
+            tap: None,
+        },
+    );
+    let n = 64;
+    let requests = workload(n);
+    // Warm this thread's scratch and the worker's, and grow the
+    // shard's queue and run buffers, over the very same requests.
+    for _ in 0..2 {
+        for r in &requests {
+            std::hint::black_box(engine.evaluate(r).flagged);
+            std::hint::black_box(gateway.submit(r.clone()).wait().flagged());
+        }
+    }
+    let before = allocations();
+    let direct_flagged = requests
+        .iter()
+        .filter(|r| engine.evaluate(r).flagged)
+        .count();
+    let engine_allocs = allocations() - before;
+    let owned = requests.clone();
+    let before = allocations();
+    let mut flagged = 0usize;
+    for r in owned {
+        if gateway.submit(r).wait().flagged() {
+            flagged += 1;
+        }
+    }
+    let gateway_allocs = allocations() - before;
+    assert!(flagged > 0, "workload produced no detections");
+    assert_eq!(flagged, direct_flagged);
+    assert_eq!(
+        gateway_allocs - engine_allocs,
+        n as u64,
+        "submit path: {gateway_allocs} allocations for {n} requests, engine alone {engine_allocs}"
+    );
+    drop(gateway);
+}
+
 #[test]
 fn match_modes_extract_bitwise_identical_rows() {
+    let _guard = lock().lock();
     let fused = FeatureSet::full();
     assert_eq!(fused.match_mode(), MatchMode::Fused);
     let prescan = fused.with_match_mode(MatchMode::Prescan);
@@ -214,6 +270,7 @@ fn match_modes_extract_bitwise_identical_rows() {
 
 #[test]
 fn match_mode_scores_are_bitwise_identical() {
+    let _guard = lock().lock();
     let p = system();
     let others = [
         p.with_match_mode(MatchMode::Prescan),

@@ -413,9 +413,11 @@ fn shed_policy_fires_at_the_configured_bound() {
         },
     );
 
-    // With the worker gated, at most capacity+1 submissions can be
-    // accepted (one in the worker's hands, `capacity` queued);
-    // everything past that must shed immediately.
+    // With the worker gated, exactly `capacity` submissions are
+    // accepted (the bound counts the job in the worker's hands);
+    // everything past that must shed immediately. The assertions
+    // below keep the looser capacity+1 form they had when a taken job
+    // no longer counted.
     let total = capacity + 5;
     let tickets: Vec<_> = (0..total)
         .map(|i| gateway.submit(HttpRequest::get("h", "/x", &format!("i={i}"))))
