@@ -125,12 +125,10 @@ fn bench_engines(c: &mut Criterion) {
     }
     group.finish();
 
-    // The detector hot path decomposed: full `evaluate` (extraction +
-    // scoring + cached-handle telemetry) vs the raw
-    // `features_of`/`score_features` split the gateway's batch path
-    // uses. The gap is the telemetry cost per request — it collapsed
-    // when the string-keyed registry lookups were replaced with
-    // pre-resolved counter handles.
+    // The detector hot path next to its dense reference: full
+    // `evaluate` (sparse row + scoring plan + cached-handle telemetry)
+    // vs `features_of` + `score_features`, which fill and gather from
+    // the full-width vector and record nothing.
     let mut hot = c.benchmark_group("detector_hot_path");
     let attack = &attacks.samples[0].request;
     hot.bench_function("evaluate_with_telemetry", |b| {

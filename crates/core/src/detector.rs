@@ -1,33 +1,40 @@
 //! pSigene as a [`DetectionEngine`]: the operational (test) phase of
 //! §II-D.
 //!
-//! The scoring path is split so every consumer shares one feature
-//! extraction per request: [`Psigene::features_of`] /
-//! [`Psigene::features_into`] produce the dense vector, and
-//! [`Psigene::score_features`] / [`Psigene::probabilities_from`]
-//! consume it. `evaluate` composes the two; the serving gateway's
-//! batch path calls them directly with a reused buffer. Extraction
-//! itself is gated by the feature set's one-pass set-level scan —
-//! by default the fused lazy-DFA engine, which reports the exact
-//! matching-feature set (see `psigene_features::prescan`) — so most
-//! feature VMs never run; [`Psigene::with_prescan`] forces the
-//! always-run path for equivalence checks and baselines, and
-//! `Psigene::with_match_mode` selects any of the three strategies.
+//! **One verdict path, sparse end to end.** `evaluate`,
+//! `evaluate_batch` and `evaluate_traced` all run [`Psigene::verdict`]:
+//! `extract_sparse_into` yields the request's sparse row (the features
+//! that matched, ascending id — extraction is gated by the feature
+//! set's one-pass set-level scan, so most feature VMs never run), the
+//! engine's [`ScorePlan`](crate::plan) accumulates `w·x` into the
+//! signatures those features belong to, and the drift monitors are fed
+//! the same row. Everything after the scan costs what matched, not
+//! what exists: no dense vector is filled, gathered from or swept, an
+//! untouched signature costs neither a multiply nor an `exp`, and a row
+//! that touches nothing resolves to a precomputed verdict.
 //!
-//! Telemetry handles are resolved once per process (not per request):
-//! the hot path touches pre-fetched `Arc<Counter>` / `Arc<Histogram>`
-//! handles instead of doing string-keyed registry lookups, and
-//! per-signature hit counters are cached by id after first use.
+//! **The dense API is the reference, not a second hot path.**
+//! [`Psigene::features_of`] / [`Psigene::features_into`] produce the
+//! dense vector and [`Psigene::score_features`] /
+//! [`Psigene::probabilities_from`] consume it through
+//! `GeneralizedSignature::probability`. Offline consumers (the
+//! retrainer's benign-weight guard, the harness, the benchmark's
+//! probes) use them, the tests hold the sparse path to them bit for
+//! bit, and `evaluate` never calls them.
+//!
+//! Telemetry handles are resolved once (not per request): the hot path
+//! touches pre-fetched `Arc<Counter>` / `Arc<Histogram>` handles
+//! instead of doing string-keyed registry lookups, and per-signature
+//! hit counters live slot-aligned in the plan.
 
 use crate::pipeline::Psigene;
-use parking_lot::RwLock;
-use psigene_features::extract::{extract_dense_into, extract_dense_into_traced};
+use crate::plan::{ScorePlan, ScoreScratch};
+use psigene_features::extract::{extract_dense_into, extract_sparse_into};
 use psigene_http::HttpRequest;
 use psigene_rulesets::{Detection, DetectionEngine};
 use psigene_telemetry::insight::TraceContext;
 use psigene_telemetry::{Counter, Histogram};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -37,28 +44,21 @@ struct DetectorMetrics {
     requests: Arc<Counter>,
     flagged: Arc<Counter>,
     latency: Arc<Histogram>,
-    /// Per-signature hit counters, cached after first resolution so
-    /// steady-state matching never formats a key or locks the
-    /// registry.
-    sig_match: RwLock<HashMap<u32, Arc<Counter>>>,
 }
 
 impl DetectorMetrics {
-    fn sig_counter(&self, id: u32) -> Arc<Counter> {
-        if let Some(c) = self.sig_match.read().get(&id) {
-            return Arc::clone(c);
-        }
-        let c = psigene_telemetry::global().counter(&format!("detector.sig_match.{id}"));
-        Arc::clone(self.sig_match.write().entry(id).or_insert(c))
-    }
-
     /// Accounts one detection outcome (latency recorded separately).
-    fn record(&self, detection: &Detection) {
+    /// `matched_rules` is in slot order, so one forward walk over the
+    /// plan's slots finds every matched signature's counter.
+    fn record(&self, plan: &ScorePlan, detection: &Detection) {
         self.requests.inc();
         if detection.flagged {
             self.flagged.inc();
+            let mut slots = plan.slots.iter();
             for &id in &detection.matched_rules {
-                self.sig_counter(id).inc();
+                if let Some(slot) = slots.find(|slot| slot.id == id) {
+                    slot.record_hit();
+                }
             }
         }
     }
@@ -72,22 +72,25 @@ fn metrics() -> &'static DetectorMetrics {
             requests: telemetry.counter("detector.requests"),
             flagged: telemetry.counter("detector.flagged"),
             latency: telemetry.histogram("detector.latency_ns"),
-            sig_match: RwLock::new(HashMap::new()),
         }
     })
 }
 
-thread_local! {
-    /// Per-thread per-signature score scratch: the hot path records
-    /// every signature's probability (for the drift monitor) without
-    /// allocating per request.
-    static SCORE_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+/// Per-thread working memory of the verdict path: the request's sparse
+/// row and the scoring accumulators. A warm worker's steady-state
+/// evaluation allocates for neither.
+#[derive(Default)]
+struct VerdictScratch {
+    row: Vec<(usize, f64)>,
+    score: ScoreScratch,
+}
 
-    /// Per-thread dense feature vector reused by `evaluate` and
-    /// `evaluate_batch`: extraction writes into this buffer instead
-    /// of returning a fresh `Vec` per request, so a warm worker's
-    /// steady-state evaluation never allocates for features.
-    static FEATURE_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+thread_local! {
+    static VERDICT_SCRATCH: RefCell<VerdictScratch> = RefCell::new(VerdictScratch::default());
+
+    /// Per-thread per-signature score column for the dense reference
+    /// ([`Psigene::score_features`]).
+    static SCORE_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Psigene {
@@ -104,8 +107,7 @@ impl Psigene {
     }
 
     /// Like [`Psigene::features_of`] but reusing a caller-owned
-    /// buffer — the batch scoring path extracts every request of a
-    /// batch into one allocation.
+    /// buffer across requests.
     pub fn features_into(&self, request: &HttpRequest, out: &mut Vec<f64>) {
         extract_dense_into(&self.feature_set, request.detection_payload(), out);
         if self.binary {
@@ -117,18 +119,17 @@ impl Psigene {
 
     /// Scores an already-extracted feature vector against every
     /// signature: the max-probability score and the set of signatures
-    /// at or above their thresholds. This is `evaluate` minus the
-    /// feature extraction and telemetry — the shared core of the
-    /// single-request and batch paths.
+    /// at or above their thresholds. This is the dense reference for
+    /// the scoring step of `evaluate`: one
+    /// [`GeneralizedSignature::probability`](crate::GeneralizedSignature::probability)
+    /// per signature, no telemetry, no drift feed.
     pub fn score_features(&self, features: &[f64]) -> Detection {
         SCORE_SCRATCH.with(|cell| self.score_features_into(features, &mut cell.borrow_mut()))
     }
 
     /// Like [`Psigene::score_features`] but also writing each
     /// signature's probability into `scores` (cleared first, one
-    /// entry per signature in [`Psigene::signatures`] order). The
-    /// drift monitor reads the per-signature scores without a second
-    /// scoring pass.
+    /// entry per signature in [`Psigene::signatures`] order).
     pub fn score_features_into(&self, features: &[f64], scores: &mut Vec<f64>) -> Detection {
         scores.clear();
         let mut matched = Vec::new();
@@ -150,27 +151,6 @@ impl Psigene {
         }
     }
 
-    /// Scores `features` and, when drift monitoring is enabled, feeds
-    /// the feature vector and per-signature probabilities to the
-    /// engine's [`EngineInsight`](crate::insight::EngineInsight) —
-    /// the shared inner step of every evaluation path.
-    fn score_and_observe(&self, features: &[f64]) -> Detection {
-        SCORE_SCRATCH.with(|cell| {
-            let mut scores = cell.borrow_mut();
-            let detection = self.score_features_into(features, &mut scores);
-            if let Some(ins) = self.insight.as_deref() {
-                ins.observe(
-                    features,
-                    self.signatures
-                        .iter()
-                        .map(|s| s.id as u32)
-                        .zip(scores.iter().copied()),
-                );
-            }
-            detection
-        })
-    }
-
     /// Per-signature probabilities for a request, as `(signature id,
     /// probability)` pairs.
     pub fn probabilities(&self, request: &HttpRequest) -> Vec<(usize, f64)> {
@@ -190,6 +170,58 @@ impl Psigene {
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
+
+    /// This engine's scoring plan, built on first use.
+    fn plan(&self) -> &ScorePlan {
+        self.plan.get_or_build(&self.signatures)
+    }
+
+    /// One request through the sparse path — extract the row, score it
+    /// from the plan, feed the drift monitors — timed and accounted.
+    /// The shared body of every evaluation entry point.
+    fn verdict(
+        &self,
+        plan: &ScorePlan,
+        scratch: &mut VerdictScratch,
+        request: &HttpRequest,
+        mut trace: Option<&mut TraceContext>,
+    ) -> Detection {
+        let start = Instant::now();
+        let VerdictScratch { row, score } = scratch;
+        let span = trace.as_mut().map(|t| t.begin("detector.extract"));
+        extract_sparse_into(
+            &self.feature_set,
+            request.detection_payload(),
+            row,
+            trace.as_deref_mut(),
+        );
+        if self.binary {
+            for entry in row.iter_mut() {
+                entry.1 = 1.0;
+            }
+        }
+        if let (Some(t), Some(s)) = (trace.as_mut(), span) {
+            t.end(s);
+        }
+        let span = trace.as_mut().map(|t| t.begin("detector.score"));
+        let (detection, scores) = plan.score(row, score);
+        if let Some(ins) = self.insight.as_deref() {
+            ins.observe(
+                row,
+                plan.slots
+                    .iter()
+                    .map(|slot| slot.id)
+                    .zip(scores.iter().copied()),
+            );
+        }
+        if let (Some(t), Some(s)) = (trace.as_mut(), span) {
+            t.end(s);
+        }
+        let m = metrics();
+        m.record(plan, &detection);
+        m.latency.record_duration(start.elapsed());
+        detection
+    }
 }
 
 impl DetectionEngine for Psigene {
@@ -200,71 +232,37 @@ impl DetectionEngine for Psigene {
     fn prepare(&self) {
         // One-time lazily-built state, forced off the request path:
         // the set-level scan automata (fused DFA program / literal
-        // prescan) and the process-wide telemetry handles.
+        // prescan), the scoring plan and the process-wide telemetry
+        // handles.
         if self.feature_set.prescan_enabled() {
             self.feature_set.compiled();
         }
+        self.plan();
         metrics();
     }
 
     fn evaluate(&self, request: &HttpRequest) -> Detection {
-        let start = Instant::now();
-        let detection = FEATURE_SCRATCH.with(|cell| {
-            let mut f = cell.borrow_mut();
-            self.features_into(request, &mut f);
-            self.score_and_observe(&f)
-        });
-        let m = metrics();
-        m.record(&detection);
-        m.latency.record_duration(start.elapsed());
-        detection
+        let plan = self.plan();
+        VERDICT_SCRATCH.with(|cell| self.verdict(plan, &mut cell.borrow_mut(), request, None))
     }
 
     fn evaluate_batch(&self, requests: &[HttpRequest]) -> Vec<Detection> {
-        let m = metrics();
-        // Structure-of-arrays batch scoring: one reused feature
-        // buffer feeds every request, and the per-signature score
-        // column lives in `score_and_observe`'s thread-local. The
-        // only per-batch allocation is the output vector.
-        FEATURE_SCRATCH.with(|cell| {
-            let mut features = cell.borrow_mut();
+        // One plan look-up and one scratch borrow serve the whole
+        // batch; the only per-batch allocation is the output vector.
+        let plan = self.plan();
+        VERDICT_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
             requests
                 .iter()
-                .map(|request| {
-                    let start = Instant::now();
-                    self.features_into(request, &mut features);
-                    let detection = self.score_and_observe(&features);
-                    m.record(&detection);
-                    m.latency.record_duration(start.elapsed());
-                    detection
-                })
+                .map(|request| self.verdict(plan, scratch, request, None))
                 .collect()
         })
     }
 
     fn evaluate_traced(&self, request: &HttpRequest, trace: &mut TraceContext) -> Detection {
-        let start = Instant::now();
-        let extract = trace.begin("detector.extract");
-        let mut features = Vec::new();
-        extract_dense_into_traced(
-            &self.feature_set,
-            request.detection_payload(),
-            &mut features,
-            trace,
-        );
-        if self.binary {
-            for v in features.iter_mut() {
-                *v = if *v > 0.0 { 1.0 } else { 0.0 };
-            }
-        }
-        trace.end(extract);
-        let score = trace.begin("detector.score");
-        let detection = self.score_and_observe(&features);
-        trace.end(score);
-        let m = metrics();
-        m.record(&detection);
-        m.latency.record_duration(start.elapsed());
-        detection
+        let plan = self.plan();
+        VERDICT_SCRATCH
+            .with(|cell| self.verdict(plan, &mut cell.borrow_mut(), request, Some(trace)))
     }
 
     fn rule_count(&self) -> usize {
@@ -427,6 +425,143 @@ mod tests {
         assert!(scores.features_psi.unwrap().is_finite());
         assert!(!scores.signatures.is_empty());
         assert!(p.drift_scores().is_none(), "insight off by default");
+    }
+
+    /// Attack and benign queries the equivalence tests below replay.
+    const MIXED_QUERIES: [&str; 7] = [
+        "id=-1+union+select+1,2,concat(version(),0x3a,user()),4--+-",
+        "page=2&sort=asc",
+        "id=1'+or+'1'='1",
+        "q=summer+housing",
+        "id=1+and+sleep(5)--",
+        "uid=1920&dept=ce",
+        "",
+    ];
+
+    /// `evaluate`, `evaluate_batch` and `evaluate_traced` of `engine`
+    /// all equal its own dense reference, to the bit.
+    fn assert_sparse_path_equals_dense_reference(engine: &Psigene, label: &str) {
+        let requests: Vec<HttpRequest> = MIXED_QUERIES
+            .iter()
+            .map(|q| HttpRequest::get("v", "/x.php", q))
+            .collect();
+        let batch = engine.evaluate_batch(&requests);
+        for (req, batched) in requests.iter().zip(&batch) {
+            let want = engine.score_features(&engine.features_of(req));
+            let mut trace = TraceContext::new(7);
+            let traced = engine.evaluate_traced(req, &mut trace);
+            for got in [&engine.evaluate(req), batched, &traced] {
+                assert_eq!(got.flagged, want.flagged, "{label}: {req}");
+                assert_eq!(got.matched_rules, want.matched_rules, "{label}: {req}");
+                assert_eq!(got.score.to_bits(), want.score.to_bits(), "{label}: {req}");
+            }
+        }
+    }
+
+    #[test]
+    fn derived_engines_score_with_their_own_plans() {
+        use psigene_corpus::sqlmap::{self, SqlmapConfig};
+        let p = trained();
+        // The parent's plan exists before any copy is derived from it.
+        p.prepare();
+        assert_sparse_path_equals_dense_reference(&p, "parent");
+        let benign = HttpRequest::get("w", "/index.php", "page=2&sort=asc");
+        assert!(!p.evaluate(&benign).flagged);
+
+        // A threshold under every sigmoid(bias) turns the *quiet*
+        // verdict into "everything matched": a copy still scoring with
+        // the parent's plan would keep passing the benign request.
+        let strict = p.with_threshold(1e-9);
+        assert_eq!(
+            strict.evaluate(&benign).matched_rules.len(),
+            p.signatures().len()
+        );
+        assert_sparse_path_equals_dense_reference(&strict, "with_threshold");
+
+        let ids: Vec<usize> = p.signatures().iter().skip(1).map(|s| s.id).collect();
+        let subset = p.with_signatures(&ids);
+        assert_eq!(subset.rule_count(), p.rule_count() - 1);
+        assert_sparse_path_equals_dense_reference(&subset, "with_signatures");
+
+        assert_sparse_path_equals_dense_reference(&p.with_insight(true), "with_insight");
+
+        let fresh = sqlmap::generate(&SqlmapConfig {
+            samples: 80,
+            ..SqlmapConfig::default()
+        });
+        let (retrained, stats) = p.retrain_with(&fresh, 2);
+        assert!(stats.retrained_signatures > 0);
+        assert_sparse_path_equals_dense_reference(&retrained, "retrain_with");
+
+        let live_benign: Vec<Vec<f64>> = (0..8).map(|_| vec![1.0; p.feature_set().len()]).collect();
+        let (guarded, clamped) = p.with_benign_weight_guard(&live_benign);
+        assert!(clamped > 0);
+        assert_sparse_path_equals_dense_reference(&guarded, "with_benign_weight_guard");
+
+        // The 0/1 clamp is applied to the row on one side and to the
+        // dense vector on the other.
+        let mut flipped = p.clone();
+        flipped.binary = !p.binary;
+        assert_sparse_path_equals_dense_reference(&flipped, "binary flipped");
+    }
+
+    #[test]
+    fn sparse_drift_feed_equals_feeding_every_nonzero_in_id_order() {
+        use crate::insight::{score_bin, SCORE_BINS};
+        use psigene_telemetry::insight::{DriftConfig, DriftMonitor};
+        let config = DriftConfig {
+            window: 8,
+            decay: 0.5,
+            smoothing: 1e-2,
+        };
+        let p = trained();
+        let monitored = p.with_drift_config(config);
+        // The reference: plain monitors fed from the dense API, one
+        // `observe` per nonzero feature in ascending id.
+        let mut features = DriftMonitor::new(p.feature_set().len(), config);
+        let mut per_signature: Vec<DriftMonitor> = p
+            .signatures()
+            .iter()
+            .map(|_| DriftMonitor::new(SCORE_BINS, config))
+            .collect();
+        let mut dense = Vec::new();
+        let mut scores = Vec::new();
+        for q in MIXED_QUERIES.iter().cycle().take(29) {
+            let req = HttpRequest::get("v", "/x.php", q);
+            monitored.evaluate(&req);
+            p.features_into(&req, &mut dense);
+            for (id, &v) in dense.iter().enumerate() {
+                if v != 0.0 {
+                    features.observe(id, v);
+                }
+            }
+            features.tick();
+            p.score_features_into(&dense, &mut scores);
+            for (monitor, &score) in per_signature.iter_mut().zip(&scores) {
+                monitor.observe(score_bin(score), 1.0);
+                monitor.tick();
+            }
+        }
+        assert!(features.windows() >= 3, "stream must cross window rolls");
+        let got = monitored.drift_scores().expect("insight enabled");
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        assert_eq!(got.windows, features.windows());
+        assert!(got.features_psi.is_some_and(|psi| psi > 0.0));
+        assert_eq!(bits(got.features_psi), bits(features.psi()));
+        assert_eq!(bits(got.features_kl), bits(features.kl()));
+        let mut want: Vec<(u32, Option<u64>)> = p
+            .signatures()
+            .iter()
+            .zip(&per_signature)
+            .map(|(s, m)| (s.id as u32, bits(m.psi())))
+            .collect();
+        want.sort_by_key(|&(id, _)| id);
+        let got_signatures: Vec<(u32, Option<u64>)> = got
+            .signatures
+            .iter()
+            .map(|&(id, psi)| (id, bits(psi)))
+            .collect();
+        assert_eq!(got_signatures, want);
     }
 
     #[test]

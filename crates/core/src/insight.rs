@@ -35,7 +35,7 @@ use std::sync::{Arc, OnceLock};
 /// `[0, 1]` land in ten equal-width bins.
 pub const SCORE_BINS: usize = 10;
 
-fn score_bin(p: f64) -> usize {
+pub(crate) fn score_bin(p: f64) -> usize {
     ((p.clamp(0.0, 1.0) * SCORE_BINS as f64) as usize).min(SCORE_BINS - 1)
 }
 
@@ -170,12 +170,15 @@ impl EngineInsight {
         self.config
     }
 
-    /// Feeds one evaluated request: the extracted feature vector plus
+    /// Feeds one evaluated request: its sparse feature row — `(feature
+    /// id, value)` for the features that matched, ascending id — plus
     /// each signature's `(id, probability)`. Exports fresh `drift.*`
     /// gauge values whenever the feature window rolls.
-    pub fn observe(&self, features: &[f64], scores: impl Iterator<Item = (u32, f64)>) {
+    pub fn observe(&self, row: &[(usize, f64)], scores: impl Iterator<Item = (u32, f64)>) {
         let mut st = self.state.lock();
-        st.features.observe_dense(features);
+        for &(feature, value) in row {
+            st.features.observe(feature, value);
+        }
         let rolled = st.features.tick();
         for (slot, (id, p)) in scores.enumerate() {
             let m = st.signature_monitor(slot, id, self.config);
@@ -264,10 +267,8 @@ mod tests {
         }
     }
 
-    fn steady_features(i: u64) -> Vec<f64> {
-        let mut f = vec![0.0; 8];
-        f[(i % 4) as usize] = 1.0 + (i % 2) as f64;
-        f
+    fn steady_features(i: u64) -> [(usize, f64); 1] {
+        [((i % 4) as usize, 1.0 + (i % 2) as f64)]
     }
 
     #[test]
@@ -280,20 +281,14 @@ mod tests {
         assert!(calm < 0.05, "steady psi = {calm}");
         // Shift: all weight moves to the top half of the bins.
         for _ in 0..64 {
-            let mut f = vec![0.0; 8];
-            f[6] = 3.0;
-            f[7] = 1.0;
-            ins.observe(&f, std::iter::empty());
+            ins.observe(&[(6, 3.0), (7, 1.0)], std::iter::empty());
         }
         let shifted = ins.scores().features_psi.unwrap();
         assert!(shifted > 0.25, "shifted psi = {shifted}");
         // Rebaselining on the new traffic calms the score.
         ins.rebaseline();
         for _ in 0..32 {
-            let mut f = vec![0.0; 8];
-            f[6] = 3.0;
-            f[7] = 1.0;
-            ins.observe(&f, std::iter::empty());
+            ins.observe(&[(6, 3.0), (7, 1.0)], std::iter::empty());
         }
         let calmed = ins.scores().features_psi.unwrap();
         assert!(calmed < 0.05, "rebaselined psi = {calmed}");
@@ -303,10 +298,7 @@ mod tests {
     fn signature_score_monitors_track_per_signature() {
         let ins = EngineInsight::new(4, config(8));
         for _ in 0..32 {
-            ins.observe(
-                &[1.0, 0.0, 0.0, 0.0],
-                [(3u32, 0.1), (9u32, 0.9)].into_iter(),
-            );
+            ins.observe(&[(0, 1.0)], [(3u32, 0.1), (9u32, 0.9)].into_iter());
         }
         let s = ins.scores();
         assert_eq!(s.signatures.len(), 2);
@@ -315,10 +307,7 @@ mod tests {
         assert!(s.signatures.iter().all(|(_, p)| p.unwrap() < 0.05));
         // One signature's scores shift toward the threshold.
         for _ in 0..32 {
-            ins.observe(
-                &[1.0, 0.0, 0.0, 0.0],
-                [(3u32, 0.55), (9u32, 0.9)].into_iter(),
-            );
+            ins.observe(&[(0, 1.0)], [(3u32, 0.55), (9u32, 0.9)].into_iter());
         }
         let s = ins.scores();
         let sig3 = s.signatures[0].1.unwrap();
@@ -346,10 +335,7 @@ mod tests {
     fn rebaseline_aligned_resets_changed_slots_and_keeps_stable_ones() {
         let ins = EngineInsight::new(4, config(8));
         for _ in 0..32 {
-            ins.observe(
-                &[1.0, 0.0, 0.0, 0.0],
-                [(3u32, 0.2), (9u32, 0.8)].into_iter(),
-            );
+            ins.observe(&[(0, 1.0)], [(3u32, 0.2), (9u32, 0.8)].into_iter());
         }
         assert_eq!(ins.scores().signatures.len(), 2);
         // A retrain replaced signature 9 with signature 7 in slot 1.
@@ -364,10 +350,7 @@ mod tests {
             None
         );
         for _ in 0..32 {
-            ins.observe(
-                &[1.0, 0.0, 0.0, 0.0],
-                [(3u32, 0.2), (7u32, 0.8)].into_iter(),
-            );
+            ins.observe(&[(0, 1.0)], [(3u32, 0.2), (7u32, 0.8)].into_iter());
         }
         let s = ins.scores();
         assert!(s.signatures.iter().all(|&(_, p)| p.unwrap() < 0.05));

@@ -56,6 +56,7 @@ pub mod detector;
 pub mod incremental;
 pub mod insight;
 pub mod pipeline;
+mod plan;
 pub mod report;
 pub mod signature;
 

@@ -36,6 +36,12 @@ pub struct Psigene {
     /// (`None` = zero observation cost). Clones share the monitor, so
     /// a gateway's per-shard engine copies feed one set of windows.
     pub(crate) insight: Option<std::sync::Arc<crate::insight::EngineInsight>>,
+    /// The scoring plan derived from `signatures` (inverted index +
+    /// precomputed quiet verdict), built by `prepare()` or on first
+    /// evaluation. A clone starts with an empty cell, so the
+    /// clone-then-edit constructors below can never score with the
+    /// original's weights.
+    pub(crate) plan: crate::plan::PlanCell,
 }
 
 /// Retained training state for incremental updates.
@@ -429,6 +435,7 @@ impl Psigene {
             },
             threshold: config.threshold,
             insight: None,
+            plan: crate::plan::PlanCell::default(),
         }
     }
 
@@ -718,6 +725,9 @@ mod tests {
         for s in p.signatures() {
             assert!(!s.feature_indices.is_empty());
             assert!(s.feature_indices.iter().all(|&i| i < p.feature_set().len()));
+            // Matrix order: what lets the scoring plan treat row order
+            // as weight order for every trained signature.
+            assert!(s.feature_indices.windows(2).all(|w| w[0] < w[1]));
             assert!(s.signature_feature_count(1e-6) <= s.bicluster_feature_count());
         }
     }

@@ -231,7 +231,7 @@ const METRICS_FLUSH_ROWS: u64 = 32;
 /// window (flushed every [`METRICS_FLUSH_ROWS`] rows, on
 /// [`flush_extract_metrics`], and when the thread exits). One warm
 /// scratch makes a steady-state extraction touch the allocator only
-/// for the row it returns (and not at all on the dense `_into`
+/// for the row it returns (and not at all on the caller-owned `_into`
 /// paths).
 #[derive(Default)]
 struct ScanScratch {
@@ -287,17 +287,18 @@ thread_local! {
     static SCRATCH: RefCell<ScanScratch> = RefCell::new(ScanScratch::default());
 }
 
-/// Normalizes `payload` into the thread-local scratch and runs every
-/// due feature over it via [`count_norm_traced`]. The single accessor
-/// of `SCRATCH`: normalization borrows the scratch's double buffer
-/// while counting borrows the engine caches — disjoint fields, one
-/// `RefCell` borrow.
+/// Normalizes `payload` into the thread-local scratch, runs every due
+/// feature over it via [`count_norm_traced`] and buffers the row's
+/// stats in the scratch's telemetry window. The single accessor of
+/// `SCRATCH` for the `_into` paths: normalization borrows the
+/// scratch's double buffer while counting borrows the engine caches —
+/// disjoint fields, one `RefCell` borrow.
 fn extract_traced(
     set: &FeatureSet,
     payload: &[u8],
     emit: impl FnMut(usize, usize),
     mut trace: Option<&mut TraceContext>,
-) -> ExtractStats {
+) {
     SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
         let ScanScratch {
@@ -312,7 +313,8 @@ fn extract_traced(
         if let (Some(t), Some(s)) = (trace.as_mut(), span) {
             t.end(s);
         }
-        count_norm_traced(set, normalized, emit, trace, bits, dfa, vm)
+        let stats = count_norm_traced(set, normalized, emit, trace, bits, dfa, vm);
+        scratch.buffer_stats(stats);
     })
 }
 
@@ -425,14 +427,10 @@ fn count_norm_traced(
 /// `(column, count)` pairs).
 pub fn extract_row(set: &FeatureSet, payload: &[u8]) -> Vec<(usize, f64)> {
     let (row, stats) = extract_row_uncounted(set, payload);
-    record_stats_buffered(stats);
-    row
-}
-
-/// Buffers one row's stats in the thread-local window instead of
-/// paying the registry's atomics on every payload.
-fn record_stats_buffered(stats: ExtractStats) {
+    // Buffered in the thread-local window instead of paying the
+    // registry's atomics on every payload.
     SCRATCH.with(|cell| cell.borrow_mut().buffer_stats(stats));
+    row
 }
 
 fn extract_row_uncounted(set: &FeatureSet, payload: &[u8]) -> (Vec<(usize, f64)>, ExtractStats) {
@@ -482,25 +480,35 @@ pub fn extract_dense(set: &FeatureSet, payload: &[u8]) -> Vec<f64> {
 pub fn extract_dense_into(set: &FeatureSet, payload: &[u8], out: &mut Vec<f64>) {
     out.clear();
     out.resize(set.len(), 0.0);
-    let stats = extract_traced(set, payload, |id, c| out[id] = c as f64, None);
-    record_stats_buffered(stats);
+    extract_traced(set, payload, |id, c| out[id] = c as f64, None);
 }
 
-/// Like [`extract_dense_into`] but recording per-stage spans
-/// (`features.normalize`, `features.prescan`, `features.vms`) into a
-/// request-scoped trace. Produces byte-identical output to the
-/// untraced path (pinned by unit test) — tracing observes, never
-/// alters, the extraction.
-pub fn extract_dense_into_traced(
+/// Extracts the sparse row of one payload into a caller-owned buffer:
+/// `(feature id, count)` for every feature that matched, ascending
+/// id, nothing for the rest — the nonzero entries of
+/// [`extract_dense_into`]'s vector, from the same scratch and the same
+/// windowed telemetry, without the `set.len()`-wide fill. The
+/// detection hot path scores and monitors from this row. With a
+/// `trace`, per-stage spans (`features.normalize`, `features.prescan`,
+/// `features.vms`) are recorded into it; tracing observes, never
+/// alters, the extraction (pinned by unit test).
+pub fn extract_sparse_into(
     set: &FeatureSet,
     payload: &[u8],
-    out: &mut Vec<f64>,
-    trace: &mut TraceContext,
+    row: &mut Vec<(usize, f64)>,
+    trace: Option<&mut TraceContext>,
 ) {
-    out.clear();
-    out.resize(set.len(), 0.0);
-    let stats = extract_traced(set, payload, |id, c| out[id] = c as f64, Some(trace));
-    record_stats_buffered(stats);
+    row.clear();
+    extract_traced(
+        set,
+        payload,
+        |id, c| {
+            if c > 0 {
+                row.push((id, c as f64));
+            }
+        },
+        trace,
+    );
 }
 
 /// Extracts the full sample×feature matrix, parallelized over
@@ -810,10 +818,12 @@ mod tests {
             b"page=2&sort=asc",
             b"",
         ] {
-            let plain = extract_dense(&set, payload);
+            let mut plain = Vec::new();
+            extract_sparse_into(&set, payload, &mut plain, None);
+            assert_eq!(plain, extract_row(&set, payload), "{payload:?}");
             let mut traced = Vec::new();
             let mut trace = TraceContext::new(1);
-            extract_dense_into_traced(&set, payload, &mut traced, &mut trace);
+            extract_sparse_into(&set, payload, &mut traced, Some(&mut trace));
             assert_eq!(plain, traced, "{payload:?}");
             let t = trace.finish();
             let names: Vec<&str> = t.spans.iter().map(|s| s.name).collect();
@@ -825,7 +835,7 @@ mod tests {
         let off = set.with_prescan(false);
         let mut out = Vec::new();
         let mut trace = TraceContext::new(2);
-        extract_dense_into_traced(&off, b"id=1", &mut out, &mut trace);
+        extract_sparse_into(&off, b"id=1", &mut out, Some(&mut trace));
         let names: Vec<&str> = trace.finish().spans.iter().map(|s| s.name).collect();
         assert!(!names.contains(&"features.prescan"), "{names:?}");
         assert!(names.contains(&"features.vms"), "{names:?}");

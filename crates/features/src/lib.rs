@@ -148,9 +148,22 @@ mod proptests {
             let set = full_set();
             let dense = extract::extract_dense(set, payload.as_bytes());
             let sparse = extract::extract_row(set, payload.as_bytes());
-            for (c, v) in sparse {
+            for &(c, v) in &sparse {
                 prop_assert_eq!(dense[c], v);
             }
+            // The hot path's caller-owned row is the same row, also
+            // over a dirty buffer, and it is exactly the dense
+            // vector's nonzero entries in ascending id order.
+            let mut row = vec![(usize::MAX, f64::NAN); 3];
+            extract::extract_sparse_into(set, payload.as_bytes(), &mut row, None);
+            prop_assert_eq!(&row, &sparse);
+            let nonzero: Vec<(usize, f64)> = dense
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != 0.0)
+                .map(|(c, &v)| (c, v))
+                .collect();
+            prop_assert_eq!(&row, &nonzero);
         }
     }
 }

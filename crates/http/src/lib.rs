@@ -39,6 +39,12 @@ pub use request::{HttpRequest, Method, Param};
 mod proptests {
     use proptest::prelude::*;
 
+    /// Fragments `parse_request_never_panics` assembles requests from.
+    const REQUEST_ALPHABET: [&[u8]; 16] = [
+        b"GET", b"POST", b" ", b"\t", b"/", b"?", b"=", b"&", b"%", b":", b"\r\n", b"\n", b"\r",
+        b"Host:", b"a", b"\xff",
+    ];
+
     proptest! {
         #[test]
         fn percent_decode_never_panics(input in proptest::collection::vec(any::<u8>(), 0..256)) {
@@ -120,9 +126,27 @@ mod proptests {
             prop_assert_eq!(parsed, reparsed);
         }
 
+        /// Uniform bytes almost never form a request line, so the
+        /// second input draws from the bytes the parser branches on
+        /// (separators, line ends, `?`, `:`, the `Host` header, a
+        /// non-UTF-8 byte) and reaches the `Ok` paths; whatever parses
+        /// must also survive the accessors the detector calls on it.
         #[test]
-        fn parse_request_never_panics(input in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = crate::parse::parse_request(&input);
+        fn parse_request_never_panics(
+            input in proptest::collection::vec(any::<u8>(), 0..256),
+            shaped in proptest::collection::vec(0usize..REQUEST_ALPHABET.len(), 0..96),
+        ) {
+            let shaped: Vec<u8> = shaped
+                .iter()
+                .flat_map(|&i| REQUEST_ALPHABET[i].iter().copied())
+                .collect();
+            for raw in [&input, &shaped] {
+                if let Ok(request) = crate::parse::parse_request(raw) {
+                    let _ = request.detection_payload();
+                    let _ = request.request_target();
+                    let _ = crate::parse::parse_request(&request.to_wire());
+                }
+            }
         }
 
         #[test]

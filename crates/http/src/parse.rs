@@ -201,4 +201,26 @@ mod tests {
         let garbage: Vec<u8> = (0u8..=255).collect();
         let _ = parse_request(&garbage);
     }
+
+    #[test]
+    fn degenerate_heads_are_errors_not_panics() {
+        // A head that is only the blank line, a lone non-UTF-8 byte,
+        // and request lines made of nothing but whitespace.
+        assert_eq!(parse_request(b"\r\n\r\n"), Err(ParseError::Empty));
+        assert_eq!(
+            parse_request(b"\xff"),
+            Err(ParseError::MalformedRequestLine)
+        );
+        for spaces in [&b" "[..], b"   ", b"   \r\n", b" \t \r\n\r\nbody"] {
+            assert_eq!(
+                parse_request(spaces),
+                Err(ParseError::MalformedRequestLine),
+                "{spaces:?}"
+            );
+        }
+        // One token more and it parses: a method and a target.
+        let lone = parse_request(b"\xff /").unwrap();
+        assert_eq!(lone.method, Method::Other("\u{fffd}".to_string()));
+        assert_eq!(lone.path, "/");
+    }
 }

@@ -134,13 +134,6 @@ impl DriftMonitor {
         self.sketch.observe(bin, weight);
     }
 
-    /// Adds a dense weight vector — bin `i` gains `weights[i]` — in
-    /// one fused pass (does not tick the window). The detector hot
-    /// path feeds whole feature vectors this way.
-    pub fn observe_dense(&mut self, weights: &[f64]) {
-        self.sketch.observe_dense(weights);
-    }
-
     /// Counts one observation unit (a request, a batch element).
     /// Returns `true` when this tick completed a window — the moment
     /// fresh [`DriftMonitor::psi`] / [`DriftMonitor::kl`] values are

@@ -71,36 +71,6 @@ impl DecayedSketch {
         }
     }
 
-    /// Adds a dense weight vector in one sweep: `weights[i]` is added
-    /// to bin `i`, exactly as if [`DecayedSketch::observe`] were
-    /// called per bin — NaN, infinite and non-positive entries
-    /// contribute nothing, entries beyond the sketch's bins are
-    /// ignored, and `total` accumulates in the same per-entry order.
-    /// The sweep is what makes this a hot-path primitive: the
-    /// detector's per-request feature vector is overwhelmingly zeros,
-    /// so each 8-wide block is first tested with one integer OR over
-    /// the raw bit patterns (`+0.0` is all-zero bits; `-0.0`, NaN and
-    /// infinities are not, and fall through to the checked per-entry
-    /// path) and the common all-zero block costs no floating-point
-    /// work and no bin stores at all.
-    pub fn observe_dense(&mut self, weights: &[f64]) {
-        let n = self.bins.len().min(weights.len());
-        let mut start = 0;
-        while start < n {
-            let end = (start + 8).min(n);
-            let block = &weights[start..end];
-            if block.iter().fold(0u64, |acc, w| acc | w.to_bits()) != 0 {
-                for (bin, &w) in self.bins[start..end].iter_mut().zip(block) {
-                    if w > 0.0 && w.is_finite() {
-                        *bin += w;
-                        self.total += w;
-                    }
-                }
-            }
-            start = end;
-        }
-    }
-
     /// Applies `steps` decay generations (every weight × decay^steps).
     pub fn advance(&mut self, steps: u64) {
         if steps == 0 || self.decay >= 1.0 {

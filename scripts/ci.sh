@@ -111,11 +111,17 @@ test -s results/BENCH_control.json
 # crates/bench/src/bin/e2e/README.md), so the root `cargo test` does
 # not reach its unit tests. The 2-second smoke exits non-zero unless
 # every verdict of the direct, `submit` and `submit_batch` paths
-# matches the reference.
-echo "==> e2e benchmark: unit tests + mixed_gateway smoke"
+# matches the reference. The traced `benign_direct` smoke is a free
+# differential test of the sparse verdict path: its traced pass checks
+# every `evaluate` verdict (monitors on and off) and the dense
+# `score_features` of the same request against one reference.
+echo "==> e2e benchmark: unit tests + mixed_gateway smoke + traced benign_direct smoke"
 cargo test --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml -q
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
     --workload mixed_gateway --seed 1 --seconds 2 --trace 0 >/dev/null
+cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
+    --workload benign_direct --seed 1 --seconds 2 --trace 1 >/dev/null
 
 echo "CI OK"

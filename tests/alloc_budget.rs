@@ -24,7 +24,7 @@ use psigene_features::{extract, FeatureSet, MatchMode};
 use psigene_http::HttpRequest;
 use psigene_rulesets::DetectionEngine;
 use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
-use psigene_telemetry::insight::TraceConfig;
+use psigene_telemetry::insight::{TraceConfig, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -138,6 +138,50 @@ fn direct_engine_path_stays_within_the_alloc_budget() {
     assert!(
         per_request <= ALLOC_BUDGET,
         "steady-state evaluate allocates {per_request:.2}/request (> {ALLOC_BUDGET})"
+    );
+}
+
+/// A sampled request pays for its trace (the span buffer), not for the
+/// evaluation: `evaluate_traced` runs on the same row scratch as
+/// `evaluate`, so with the trace context built outside the window it
+/// is held to the same budget.
+#[test]
+fn traced_engine_path_stays_within_the_alloc_budget() {
+    let _guard = lock().lock();
+    let engine = system();
+    engine.prepare();
+    let requests = workload(64);
+    let traces = |requests: &[HttpRequest]| -> Vec<TraceContext> {
+        (0..requests.len() as u64).map(TraceContext::new).collect()
+    };
+    for _ in 0..2 {
+        for (r, trace) in requests.iter().zip(traces(&requests).iter_mut()) {
+            std::hint::black_box(engine.evaluate_traced(r, trace).flagged);
+        }
+    }
+    let before = allocations();
+    for r in &requests {
+        std::hint::black_box(engine.evaluate(r).flagged);
+    }
+    let untraced = allocations() - before;
+    let mut measured = traces(&requests);
+    let before = allocations();
+    let mut flagged = 0usize;
+    for (r, trace) in requests.iter().zip(measured.iter_mut()) {
+        if engine.evaluate_traced(r, trace).flagged {
+            flagged += 1;
+        }
+    }
+    let traced = allocations() - before;
+    let per_request = traced as f64 / requests.len() as f64;
+    assert!(flagged > 0, "workload produced no detections");
+    assert!(
+        per_request <= ALLOC_BUDGET,
+        "steady-state evaluate_traced allocates {per_request:.2}/request (> {ALLOC_BUDGET})"
+    );
+    assert_eq!(
+        traced, untraced,
+        "tracing a request must not add allocations to its evaluation"
     );
 }
 

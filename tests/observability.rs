@@ -339,20 +339,25 @@ fn overhead_probe() {
     let monitored = sys.with_insight(true);
     let ins = monitored.insight().unwrap();
     let reqs = steady_stream(256);
-    let attack = reqs
+    // The hottest request's sparse row: what `evaluate` feeds the
+    // monitor, rebuilt here from the dense reference.
+    let attack: Vec<(usize, f64)> = reqs
         .iter()
-        .map(|r| (r, sys.features_of(r)))
+        .map(|r| sys.features_of(r))
         .max_by(|a, b| {
-            a.1.iter()
+            a.iter()
                 .sum::<f64>()
-                .partial_cmp(&b.1.iter().sum::<f64>())
+                .partial_cmp(&b.iter().sum::<f64>())
                 .unwrap()
         })
-        .unwrap();
-    let benign_f = vec![0.0; attack.1.len()];
-    println!("feature bins: {}", attack.1.len());
+        .unwrap()
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, v)| v != 0.0)
+        .collect();
+    println!("feature bins: {}", sys.feature_set().len());
     println!("signatures: {}", sys.signatures().len());
-    let time_observe = |f: &[f64], label: &str| {
+    let time_observe = |row: &[(usize, f64)], label: &str| {
         let scores: Vec<(u32, f64)> = sys
             .signatures()
             .iter()
@@ -361,15 +366,15 @@ fn overhead_probe() {
         let n = 200_000;
         let start = std::time::Instant::now();
         for _ in 0..n {
-            ins.observe(f, scores.iter().copied());
+            ins.observe(row, scores.iter().copied());
         }
         println!(
             "{label}: {:.0} ns/observe",
             start.elapsed().as_secs_f64() / n as f64 * 1e9
         );
     };
-    time_observe(&attack.1, "observe(attack features)");
-    time_observe(&benign_f, "observe(all-zero features)");
+    time_observe(&attack, "observe(attack row)");
+    time_observe(&[], "observe(empty row)");
     let time_eval = |s: &Psigene, label: &str| {
         let mut best = f64::INFINITY;
         for _ in 0..8 {
