@@ -17,11 +17,10 @@ use crate::hac::{cluster_condensed, cluster_sparse_rows};
 use crate::linkage::Linkage;
 use psigene_linalg::distance::condensed_len;
 use psigene_linalg::CsrMatrix;
-use serde::{Deserialize, Serialize};
 
 /// One bicluster: a set of sample rows and the feature columns that
 /// characterize them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bicluster {
     /// 1-based display id (stable across a run, ordered by size).
     pub id: usize,

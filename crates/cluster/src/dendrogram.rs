@@ -1,10 +1,8 @@
 //! Merge trees produced by hierarchical clustering.
 
-use serde::{Deserialize, Serialize};
-
 /// One agglomeration step. Cluster ids: `0..n` are leaves; merge `i`
 /// creates cluster `n + i`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Merge {
     /// First merged cluster id.
     pub a: usize,
@@ -18,7 +16,7 @@ pub struct Merge {
 
 /// A full agglomeration history over `n` leaves (`n - 1` merges,
 /// sorted by non-decreasing distance).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dendrogram {
     /// Number of leaves.
     pub n: usize,

@@ -1,9 +1,7 @@
 //! Linkage criteria and their Lance–Williams update coefficients.
 
-use serde::{Deserialize, Serialize};
-
 /// How the distance between merged clusters is defined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Linkage {
     /// Minimum pairwise distance.
     Single,

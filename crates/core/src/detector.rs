@@ -96,10 +96,10 @@ thread_local! {
 impl Psigene {
     /// Feature values of a request over the pruned feature set. The
     /// paper's Bro implementation runs one `count_all` per feature
-    /// (§III-C); here a set-level literal prescan makes one pass over
-    /// the normalized payload first and dispatches `count_all` only
-    /// to candidate features — identical values, a fraction of the
-    /// scans (see `features.vm_runs_skipped` in telemetry).
+    /// (§III-C); here one fused lazy-DFA scan of the normalized
+    /// payload finds the matching features first and `count_all` runs
+    /// only for those — identical values, a fraction of the scans
+    /// (see `features.vm_runs_skipped` in telemetry).
     pub fn features_of(&self, request: &HttpRequest) -> Vec<f64> {
         let mut f = Vec::new();
         self.features_into(request, &mut f);
@@ -231,12 +231,9 @@ impl DetectionEngine for Psigene {
 
     fn prepare(&self) {
         // One-time lazily-built state, forced off the request path:
-        // the set-level scan automata (fused DFA program / literal
-        // prescan), the scoring plan and the process-wide telemetry
-        // handles.
-        if self.feature_set.prescan_enabled() {
-            self.feature_set.compiled();
-        }
+        // the fused scan automaton, the scoring plan and the
+        // process-wide telemetry handles.
+        self.feature_set.compiled();
         self.plan();
         metrics();
     }
@@ -371,13 +368,7 @@ mod tests {
 
     #[test]
     fn all_match_mode_verdicts_are_identical() {
-        use psigene_features::MatchMode;
-        let p = trained(); // default: fused
-        let others = [
-            p.with_match_mode(MatchMode::Prescan),
-            p.with_match_mode(MatchMode::Naive),
-            p.with_prescan(false), // alias for Naive
-        ];
+        let p = trained();
         let queries = [
             "id=-1+union+select+1,2,3--",
             "page=2&sort=asc",
@@ -387,14 +378,21 @@ mod tests {
         ];
         for q in queries {
             let req = HttpRequest::get("v", "/x.php", q);
-            let a = p.evaluate(&req);
-            for other in &others {
-                assert_eq!(p.features_of(&req), other.features_of(&req), "{q}");
-                let b = other.evaluate(&req);
-                assert_eq!(a.flagged, b.flagged, "{q}");
-                assert_eq!(a.matched_rules, b.matched_rules, "{q}");
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "{q}");
-            }
+            // The oracle: every feature counted by its own regex over
+            // the normalized payload (no set-level engine), scored
+            // through the dense reference.
+            let norm = psigene_http::normalize::normalize(req.detection_payload());
+            let oracle: Vec<f64> = p
+                .feature_set()
+                .features()
+                .iter()
+                .map(|f| f.count(&norm) as f64)
+                .collect();
+            assert_eq!(p.features_of(&req), oracle, "{q}");
+            let (a, b) = (p.evaluate(&req), p.score_features(&oracle));
+            assert_eq!(a.flagged, b.flagged, "{q}");
+            assert_eq!(a.matched_rules, b.matched_rules, "{q}");
+            assert_eq!(a.score.to_bits(), b.score.to_bits(), "{q}");
         }
     }
 

@@ -415,7 +415,7 @@ impl Psigene {
         }
         report.phase_seconds.train = train_span.finish().as_secs_f64();
 
-        // Warm the set-level literal prescan now so the first request
+        // Build the fused scan automaton now so the first request
         // against the trained system pays no build latency (clones —
         // retrained copies, threshold sweeps — share the automaton).
         pruned.compiled();
@@ -497,36 +497,6 @@ impl Psigene {
         for s in &mut out.signatures {
             s.threshold = threshold;
         }
-        out
-    }
-
-    /// A copy with the set-level scan toggled. With `false`,
-    /// detection extracts features on the forced always-run path (one
-    /// VM run per feature) — byte-identical verdicts, kept as the
-    /// equivalence oracle and benchmark baseline. With `true`, the
-    /// default fused engine.
-    pub fn with_prescan(&self, enabled: bool) -> Psigene {
-        let mut out = self.clone();
-        out.feature_set = out.feature_set.with_prescan(enabled);
-        out
-    }
-
-    /// A copy extracting features under `mode` (fused lazy-DFA,
-    /// literal prescan, or forced always-run). All modes produce
-    /// byte-identical verdicts; they differ only in cost.
-    pub fn with_match_mode(&self, mode: psigene_features::MatchMode) -> Psigene {
-        let mut out = self.clone();
-        out.feature_set = out.feature_set.with_match_mode(mode);
-        out
-    }
-
-    /// A copy with the fused engine's quiescent-state skipping
-    /// toggled (default on). Acceleration is a pure scan-speed
-    /// optimization: feature vectors and detector scores are bitwise
-    /// identical either way (pinned by test).
-    pub fn with_acceleration(&self, enabled: bool) -> Psigene {
-        let mut out = self.clone();
-        out.feature_set = out.feature_set.with_acceleration(enabled);
         out
     }
 

@@ -1,10 +1,9 @@
 //! Diagnostics recorded during a pipeline run.
 
 pub use psigene_corpus::CrawlHealth;
-use serde::{Deserialize, Serialize};
 
 /// Per-bicluster diagnostics (one row of Table VI, plus bookkeeping).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterInfo {
     /// 1-based bicluster id (largest first).
     pub id: usize,
@@ -25,7 +24,7 @@ pub struct ClusterInfo {
 /// [`Psigene::train_from_datasets`](crate::Psigene::train_from_datasets)
 /// skips the crawl). The same durations are recorded as
 /// `span.pipeline.*` histograms in the global telemetry registry.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Phase 1: webcrawling + benign-corpus generation.
     pub crawl: f64,
@@ -45,7 +44,7 @@ impl PhaseTimings {
 }
 
 /// Everything the pipeline learned about its own run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
     /// Raw feature-library size (the paper's 477 analog).
     pub initial_features: usize,

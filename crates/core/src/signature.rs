@@ -1,7 +1,6 @@
 //! Generalized signatures (§II-D of the paper).
 
 use psigene_learn::{sigmoid, LogisticModel};
-use serde::{Deserialize, Serialize};
 
 /// One generalized signature: a logistic regression model over the
 /// feature subset its bicluster selected.
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// "A signature `Sig_bj` is a logistic regression model built to
 /// predict whether an SQL query is an attack similar to the samples
 /// in cluster `bj`."
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeneralizedSignature {
     /// The bicluster id this signature was trained from (1-based,
     /// largest cluster first — the paper's numbering).

@@ -28,12 +28,11 @@
 use crate::web::{unescape_html, ContentType, Fault, FaultPlan, FetchOutcome, SimulatedWeb};
 use psigene_http::split_target;
 use psigene_telemetry::{Counter, Gauge, Histogram};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// A payload recovered by the crawler.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrawledSample {
     /// The extracted query-string payload.
     pub payload: String,
@@ -44,7 +43,7 @@ pub struct CrawledSample {
 }
 
 /// Crawl statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrawlStats {
     /// Pages fetched successfully (including salvaged ones).
     pub pages_fetched: usize,
@@ -72,7 +71,7 @@ pub struct CrawlStats {
 }
 
 /// A page the crawler gave up on, with its failure context.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadLetter {
     /// The abandoned URL.
     pub url: String,
@@ -96,7 +95,7 @@ pub struct CrawlResult {
 /// Health summary of the crawl phase, surfaced on the pipeline report
 /// so a degraded data-collection phase is visible next to the model
 /// quality numbers it can poison.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CrawlHealth {
     /// Pages fetched (including salvaged).
     pub pages_fetched: usize,

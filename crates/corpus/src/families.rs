@@ -9,10 +9,9 @@
 use crate::sqli;
 use crate::sqli::PayloadStyle;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The SQL-injection technique a payload uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackFamily {
     /// `UNION SELECT` column enumeration and data exfiltration.
     UnionBased,
@@ -88,7 +87,7 @@ impl AttackFamily {
 
 /// Knobs controlling surface obfuscation applied on top of the raw
 /// payload grammar. Probabilities in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObfuscationProfile {
     /// Randomly flip letter case (`UnIoN`).
     pub case_mix: f64,

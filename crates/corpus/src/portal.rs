@@ -18,11 +18,10 @@ use crate::web::{escape_html, ContentType, Page, SimulatedWeb};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A payload planted in a portal page — the ground truth the crawler
 /// is expected to recover.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlantedSample {
     /// The on-the-wire payload (query-string portion).
     pub payload: String,

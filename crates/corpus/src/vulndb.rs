@@ -8,10 +8,8 @@
 //! same shape, and is the target list the SQLmap-style scanner runs
 //! against.
 
-use serde::{Deserialize, Serialize};
-
 /// Risk rating of an advisory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Risk {
     /// High severity.
     High,
@@ -20,7 +18,7 @@ pub enum Risk {
 }
 
 /// One SQL-injection vulnerability advisory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vulnerability {
     /// Affected application and component.
     pub application: String,

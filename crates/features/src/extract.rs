@@ -2,23 +2,16 @@
 //!
 //! Payloads are first normalized with the five transformations of
 //! §II-A. Extraction then makes **one pass** over the normalized
-//! bytes with a set-level engine from
-//! [`crate::prescan::CompiledFeatureSet`] to decide which features'
-//! VMs to run (see [`crate::set::MatchMode`]):
-//!
-//! * **Fused** (default): the fused lazy-DFA scan reports the *exact*
-//!   matching set for every fusable feature, so `count_all` runs only
-//!   for features already known to match (plus the prescan-gated
-//!   fallback list).
-//! * **Prescan**: the literal Aho–Corasick pass yields a *superset*
-//!   of the matching features; candidates then run their VMs.
-//!
-//! Either way the output is identical to running every feature —
-//! verified by property test in `crate::proptests`. Matrix extraction
-//! parallelizes over samples with crossbeam scoped threads (each
-//! sample is independent).
+//! bytes with the fused lazy-DFA scan of
+//! [`crate::prescan::CompiledFeatureSet`], which reports the *exact*
+//! set of matching features, and runs `count_all` only for those
+//! (plus any feature the fuser refused, which is counted by its own
+//! VM on every payload). The output is identical to running every
+//! feature — verified by property test in `crate::proptests`. Matrix
+//! extraction parallelizes over samples with crossbeam scoped threads
+//! (each sample is independent).
 
-use crate::set::{FeatureSet, MatchMode};
+use crate::set::FeatureSet;
 use psigene_http::normalize::{normalize_into, NormScratch};
 use psigene_linalg::{CsrBuilder, CsrMatrix};
 use psigene_regex::{CandidateSet, DfaCache, VmCache};
@@ -28,62 +21,46 @@ use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 /// Accounting for one or more extractions: how many feature VMs
-/// actually ran versus were skipped by the set-level scan (literal
-/// prescan or fused lazy-DFA).
+/// actually ran versus were skipped by the fused scan.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractStats {
     /// Feature VM invocations (`count_all` runs) that happened.
     pub vm_runs: u64,
-    /// VM runs skipped: features the set-level scan proved (fused) or
-    /// deemed (prescan literals absent) unnecessary.
+    /// VM runs the fused scan proved unnecessary.
     pub vm_runs_skipped: u64,
-    /// Features the set-level engine flagged as candidates (excludes
-    /// the always-run list, which never consults an engine).
-    pub prefilter_candidates: u64,
     /// Fused features with at least one match (their VM runs are the
     /// only fused VM runs — the fused scan is exact).
     pub fused_matched: u64,
     /// Fused features whose VM run the fused scan proved unnecessary.
     pub fused_skipped: u64,
     /// VM runs for features outside the fused automaton (the
-    /// fallback list), fused mode only.
+    /// fallback list).
     pub fallback_vm_runs: u64,
     /// Lazy-DFA transitions that had to be determinized.
     pub dfa_misses: u64,
     /// Lazy-DFA state-cache flushes forced by the state limit.
     pub dfa_flushes: u64,
-    /// Bytes covered by the lazy DFA scan. Not "transitions taken":
-    /// quiescent-state acceleration jumps over `dfa_skipped` of these
-    /// without executing a transition each.
+    /// Bytes covered by the lazy DFA scan, one transition each.
     pub dfa_bytes: u64,
-    /// Bytes the DFA's quiescent-state accelerator jumped over
-    /// (subset of `dfa_bytes`).
-    pub dfa_skipped: u64,
     /// Peak lazy-DFA states resident after a scan (absorb keeps the
     /// maximum, not the sum).
     pub dfa_states: u64,
-    /// Peak lazy-DFA states with an active acceleration plan (absorb
-    /// keeps the maximum, like `dfa_states`).
-    pub dfa_accel_states: u64,
 }
 
 impl ExtractStats {
     fn absorb(&mut self, other: ExtractStats) {
         self.vm_runs += other.vm_runs;
         self.vm_runs_skipped += other.vm_runs_skipped;
-        self.prefilter_candidates += other.prefilter_candidates;
         self.fused_matched += other.fused_matched;
         self.fused_skipped += other.fused_skipped;
         self.fallback_vm_runs += other.fallback_vm_runs;
         self.dfa_misses += other.dfa_misses;
         self.dfa_flushes += other.dfa_flushes;
         self.dfa_bytes += other.dfa_bytes;
-        self.dfa_skipped += other.dfa_skipped;
         self.dfa_states = self.dfa_states.max(other.dfa_states);
-        self.dfa_accel_states = self.dfa_accel_states.max(other.dfa_accel_states);
     }
 
-    /// Fraction of potential VM runs the set-level scan eliminated.
+    /// Fraction of potential VM runs the fused scan eliminated.
     pub fn skip_ratio(&self) -> f64 {
         let total = self.vm_runs + self.vm_runs_skipped;
         if total == 0 {
@@ -106,30 +83,14 @@ impl ExtractStats {
     }
 
     /// Fraction of lazy-DFA transitions served from the state cache;
-    /// `None` when the DFA scanned no bytes. Skipped bytes take no
-    /// transition, so the denominator is `dfa_bytes - dfa_skipped`
-    /// (a scan that skipped everything is a perfect 1.0), and the
-    /// value is clamped to `[0, 1]` — flush-forced re-determinization
-    /// can miss more than once per byte.
+    /// `None` when the DFA scanned no bytes. Clamped to `[0, 1]` —
+    /// flush-forced re-determinization can miss more than once per
+    /// byte.
     pub fn dfa_hit_ratio(&self) -> Option<f64> {
         if self.dfa_bytes == 0 {
             return None;
         }
-        let taken = self.dfa_bytes - self.dfa_skipped;
-        if taken == 0 {
-            return Some(1.0);
-        }
-        Some((1.0 - self.dfa_misses as f64 / taken as f64).clamp(0.0, 1.0))
-    }
-
-    /// Fraction of scanned bytes the DFA accelerator jumped over;
-    /// `None` when the DFA scanned no bytes.
-    pub fn dfa_skip_ratio(&self) -> Option<f64> {
-        if self.dfa_bytes == 0 {
-            None
-        } else {
-            Some(self.dfa_skipped as f64 / self.dfa_bytes as f64)
-        }
+        Some((1.0 - self.dfa_misses as f64 / self.dfa_bytes as f64).clamp(0.0, 1.0))
     }
 }
 
@@ -137,7 +98,6 @@ impl ExtractStats {
 /// (string-keyed registry lookups happen once per process).
 struct ExtractMetrics {
     regex_evals: Arc<Counter>,
-    prefilter_candidates: Arc<Counter>,
     vm_runs_skipped: Arc<Counter>,
     rows_extracted: Arc<Counter>,
     skip_ratio: Arc<Gauge>,
@@ -147,9 +107,6 @@ struct ExtractMetrics {
     fused_cache_states: Arc<Gauge>,
     fused_cache_hit_ratio: Arc<Gauge>,
     fused_cache_flushes: Arc<Counter>,
-    accel_states: Arc<Gauge>,
-    accel_bytes_skipped: Arc<Counter>,
-    accel_skip_ratio: Arc<Gauge>,
 }
 
 fn metrics() -> &'static ExtractMetrics {
@@ -158,7 +115,6 @@ fn metrics() -> &'static ExtractMetrics {
         let telemetry = psigene_telemetry::global();
         ExtractMetrics {
             regex_evals: telemetry.counter("features.regex_evals"),
-            prefilter_candidates: telemetry.counter("features.prefilter_candidates"),
             vm_runs_skipped: telemetry.counter("features.vm_runs_skipped"),
             rows_extracted: telemetry.counter("features.rows_extracted"),
             skip_ratio: telemetry.gauge("features.vm_skip_ratio"),
@@ -168,48 +124,33 @@ fn metrics() -> &'static ExtractMetrics {
             fused_cache_states: telemetry.gauge("regex.fused.cache_states"),
             fused_cache_hit_ratio: telemetry.gauge("regex.fused.cache_hit_ratio"),
             fused_cache_flushes: telemetry.counter("regex.fused.cache_flushes"),
-            accel_states: telemetry.gauge("regex.fused.accel_states"),
-            accel_bytes_skipped: telemetry.counter("regex.fused.accel_bytes_skipped"),
-            accel_skip_ratio: telemetry.gauge("regex.fused.accel_skip_ratio"),
         }
     })
 }
 
 /// Accounts extraction work in the global registry:
 /// `features.regex_evals` counts VM invocations that *actually
-/// happened* (not `rows × features` — the set-level scan skips most
-/// of those), with the skipped complement in
-/// `features.vm_runs_skipped` and the running skip fraction in
-/// `features.vm_skip_ratio`. Fused-mode extractions additionally feed
-/// `features.fused_skip_ratio` and the `regex.fused.*` family (state
-/// cache occupancy/hit ratio/flushes, fallback VM runs, accelerated
-/// state count, and bytes/ratio jumped by quiescent-state skipping).
+/// happened* (not `rows × features` — the fused scan skips most of
+/// those), with the skipped complement in `features.vm_runs_skipped`,
+/// the running skip fraction in `features.vm_skip_ratio`, and the VM
+/// runs for features the fuser refused in
+/// `regex.fused.fallback_vm_runs`. Sets with a fused automaton
+/// additionally feed `features.fused_skip_ratio` and the
+/// `regex.fused.cache_*` family (state-cache occupancy, hit ratio,
+/// flushes).
 fn record_stats(stats: &ExtractStats, rows: u64) {
     let m = metrics();
     m.regex_evals.add(stats.vm_runs);
-    m.prefilter_candidates.add(stats.prefilter_candidates);
     m.vm_runs_skipped.add(stats.vm_runs_skipped);
     m.rows_extracted.add(rows);
     m.skip_ratio.set(stats.skip_ratio());
+    m.fused_fallback_vm_runs.add(stats.fallback_vm_runs);
     if stats.fused_matched + stats.fused_skipped > 0 {
         m.fused_skip_ratio.set(stats.fused_skip_ratio());
-        m.fused_fallback_vm_runs.add(stats.fallback_vm_runs);
         m.fused_cache_states.set(stats.dfa_states as f64);
         m.fused_cache_flushes.add(stats.dfa_flushes);
         if let Some(hit) = stats.dfa_hit_ratio() {
             m.fused_cache_hit_ratio.set(hit);
-        }
-        // Peak, not last-window: each thread owns a DfaCache, and on
-        // traffic that rarely triggers accel analysis most windows
-        // would truthfully report 0 and mask the threads that did
-        // accelerate.
-        let accel_states = stats.dfa_accel_states as f64;
-        if accel_states > m.accel_states.get() {
-            m.accel_states.set(accel_states);
-        }
-        m.accel_bytes_skipped.add(stats.dfa_skipped);
-        if let Some(skip) = stats.dfa_skip_ratio() {
-            m.accel_skip_ratio.set(skip);
         }
     }
 }
@@ -224,9 +165,9 @@ const METRICS_FLUSH_ROWS: u64 = 32;
 
 /// Per-thread working memory for the whole extraction hot path: the
 /// normalization double buffer, the candidate bitset (one per
-/// extraction, written by the fused scan and the literal prescans
-/// alike), the lazy-DFA state cache (warm across requests — the whole
-/// point of lazy determinization), the shared VM scratch, a pooled
+/// extraction, written by the fused scan), the lazy-DFA state cache
+/// (warm across requests — the whole point of lazy determinization),
+/// the shared VM scratch, a pooled
 /// sparse-row buffer for `extract_row`, and the buffered telemetry
 /// window (flushed every [`METRICS_FLUSH_ROWS`] rows, on
 /// [`flush_extract_metrics`], and when the thread exits). One warm
@@ -320,11 +261,11 @@ fn extract_traced(
 
 /// Runs every due feature over the already-normalized `norm`,
 /// emitting `(feature id, count)` in ascending id order (including
-/// zero counts for candidates that the VM then rejects), and returns
-/// what ran versus what the prescan skipped. Optional per-stage spans
-/// (`features.prescan`, `features.vms`) are recorded into a
-/// request-scoped trace; with `trace = None` the span bookkeeping
-/// compiles down to nothing on the hot path.
+/// zero counts for refused features that their VM then rejects), and
+/// returns what ran versus what the fused scan skipped. Optional
+/// per-stage spans (`features.prescan`, `features.vms`) are recorded
+/// into a request-scoped trace; with `trace = None` the span
+/// bookkeeping compiles down to nothing on the hot path.
 fn count_norm_traced(
     set: &FeatureSet,
     norm: &[u8],
@@ -335,91 +276,48 @@ fn count_norm_traced(
     vm: &mut VmCache,
 ) -> ExtractStats {
     let features = set.features();
-    if !set.prescan_enabled() {
-        // Forced always-run path: one VM run (behind its private
-        // prefilter) per feature — the equivalence oracle. The VM
-        // scratch is still shared across features AND across payloads
-        // (it lives in the thread-local scratch): `count_with` is
-        // result-identical to `count`.
-        let span = trace.as_mut().map(|t| t.begin("features.vms"));
-        for f in features {
-            emit(f.id, f.count_with(norm, vm));
-        }
-        if let (Some(t), Some(s)) = (trace.as_mut(), span) {
-            t.end(s);
-        }
-        return ExtractStats {
-            vm_runs: features.len() as u64,
-            ..ExtractStats::default()
-        };
-    }
     let compiled = set.compiled();
-    // The candidate stage keeps its span name across modes so
-    // traces stay comparable (and dashboards keep working): in
-    // fused mode "features.prescan" covers the fused DFA scan
-    // plus the fallback literal scan.
     let span = trace.as_mut().map(|t| t.begin("features.prescan"));
-    let fused_report = if set.match_mode() == MatchMode::Fused {
-        compiled.fused_candidates_into(norm, bits, dfa)
-    } else {
-        None
-    };
-    let candidates = match fused_report {
-        Some(_) => 0,
-        // Prescan mode, or a library where nothing fused.
-        None => compiled.candidates_into(norm, bits),
-    };
+    let scan = compiled
+        .fused_candidates_into(norm, bits, dfa)
+        .map(|report| report.stats)
+        .unwrap_or_default();
     if let (Some(t), Some(s)) = (trace.as_mut(), span) {
         t.end(s);
     }
     let span = trace.as_mut().map(|t| t.begin("features.vms"));
     let mut vm_runs = 0u64;
-    if fused_report.is_some() {
-        // Fused bits are exact matches, so for fused features the
-        // per-feature prefilter can only re-confirm what the DFA
-        // already proved — skip it and go straight to counting.
-        // Fallback (unfused) candidates keep their prefilter: for
-        // them the bit only means "literal seen", not "matches".
-        for id in bits.iter() {
-            let f = &features[id];
-            let n = if compiled.is_fused(id) {
-                f.count_known_match(norm, vm)
-            } else {
-                f.count_with(norm, vm)
-            };
-            emit(id, n);
-            vm_runs += 1;
-        }
-    } else {
-        for id in bits.iter() {
-            emit(id, features[id].count_with(norm, vm));
-            vm_runs += 1;
-        }
+    let mut fallback_vm_runs = 0u64;
+    for id in bits.iter() {
+        let f = &features[id];
+        // A fused feature's bit is an exact match, so its own
+        // prefilter could only re-confirm what the DFA proved — skip
+        // it and go straight to counting. A refused feature's bit is
+        // set on every payload and says nothing: it keeps the
+        // prefilter.
+        let n = if compiled.is_fused(id) {
+            f.count_known_match(norm, vm)
+        } else {
+            fallback_vm_runs += 1;
+            f.count_with(norm, vm)
+        };
+        emit(id, n);
+        vm_runs += 1;
     }
     if let (Some(t), Some(s)) = (trace.as_mut(), span) {
         t.end(s);
     }
-    match fused_report {
-        Some(r) => ExtractStats {
-            vm_runs,
-            vm_runs_skipped: features.len() as u64 - vm_runs,
-            prefilter_candidates: (r.fused_matched + r.fallback_candidates) as u64,
-            fused_matched: r.fused_matched as u64,
-            fused_skipped: (compiled.fused_features() - r.fused_matched) as u64,
-            fallback_vm_runs: vm_runs - r.fused_matched as u64,
-            dfa_misses: r.stats.misses as u64,
-            dfa_flushes: r.stats.flushes as u64,
-            dfa_bytes: r.stats.bytes,
-            dfa_skipped: r.stats.skipped,
-            dfa_states: r.stats.states as u64,
-            dfa_accel_states: r.stats.accel_states as u64,
-        },
-        None => ExtractStats {
-            vm_runs,
-            vm_runs_skipped: (compiled.prefiltered_features() - candidates) as u64,
-            prefilter_candidates: candidates as u64,
-            ..ExtractStats::default()
-        },
+    let fused_matched = u64::from(scan.matched);
+    ExtractStats {
+        vm_runs,
+        vm_runs_skipped: features.len() as u64 - vm_runs,
+        fused_matched,
+        fused_skipped: compiled.fused_features() as u64 - fused_matched,
+        fallback_vm_runs,
+        dfa_misses: u64::from(scan.misses),
+        dfa_flushes: u64::from(scan.flushes),
+        dfa_bytes: scan.bytes,
+        dfa_states: u64::from(scan.states),
     }
 }
 
@@ -527,11 +425,9 @@ pub fn extract_matrix(set: &FeatureSet, payloads: &[&[u8]], threads: usize) -> C
         record_matrix_telemetry(&m, &stats);
         return m;
     }
-    // Prime the prescan before fanning out so workers share the
-    // already-built automaton instead of racing to build their own.
-    if set.prescan_enabled() {
-        set.compiled();
-    }
+    // Build the automaton before fanning out so workers share it
+    // instead of racing to build their own.
+    set.compiled();
     // Chunk the payloads; each worker extracts its slice, results are
     // reassembled in order.
     let chunk = payloads.len().div_ceil(threads);
@@ -572,7 +468,7 @@ pub fn extract_matrix(set: &FeatureSet, payloads: &[&[u8]], threads: usize) -> C
 }
 
 /// Accounts one extracted matrix in the global registry: actual VM
-/// invocations (not `rows × features`), the prescan skip ratio, and
+/// invocations (not `rows × features`), the VM skip ratio, and
 /// the fill rate as the fraction of nonzero cells.
 fn record_matrix_telemetry(m: &CsrMatrix, stats: &ExtractStats) {
     record_stats(stats, m.rows() as u64);
@@ -587,6 +483,8 @@ fn record_matrix_telemetry(m: &CsrMatrix, stats: &ExtractStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proptests::{naive_dense, nonzero};
+    use crate::{Feature, FeatureSource};
 
     #[test]
     fn union_select_payload_lights_up_features() {
@@ -643,9 +541,7 @@ mod tests {
 
     #[test]
     fn all_match_modes_agree() {
-        let fused = FeatureSet::full();
-        let prescan = fused.with_match_mode(MatchMode::Prescan);
-        let naive = fused.with_match_mode(MatchMode::Naive);
+        let set = FeatureSet::full();
         let payloads: &[&[u8]] = &[
             b"id=-1+union+select+1,2,3--",
             b"page=2&sort=asc&term=2012",
@@ -654,109 +550,112 @@ mod tests {
             b"%27%20OR%201=1--",
         ];
         for p in payloads {
-            let row = extract_row(&fused, p);
-            assert_eq!(row, extract_row(&prescan, p), "{p:?}");
-            assert_eq!(row, extract_row(&naive, p), "{p:?}");
-            let dense = extract_dense(&fused, p);
-            assert_eq!(dense, extract_dense(&prescan, p), "{p:?}");
-            assert_eq!(dense, extract_dense(&naive, p), "{p:?}");
+            let dense = naive_dense(&set, p);
+            assert_eq!(extract_dense(&set, p), dense, "{p:?}");
+            assert_eq!(extract_row(&set, p), nonzero(&dense), "{p:?}");
         }
     }
 
     #[test]
     fn fused_mode_runs_vms_only_for_matches_plus_fallback() {
         let set = FeatureSet::full();
-        assert_eq!(set.match_mode(), MatchMode::Fused);
         let (row, stats) =
             extract_row_uncounted(&set, b"id=-1+union+select+1,2,concat(version(),0x3a),4--+-");
-        // Every fused VM run produced a match, so the row cannot be
-        // smaller than the fused-match count.
+        // Every fused VM run produced a match, and the shipped library
+        // has nothing on the fallback list, so the row *is* the VM runs.
         assert_eq!(stats.fused_matched + stats.fallback_vm_runs, stats.vm_runs);
-        assert!(row.len() as u64 >= stats.fused_matched);
+        assert_eq!(stats.fallback_vm_runs, 0);
+        assert_eq!(row.len() as u64, stats.vm_runs);
         assert!(stats.dfa_bytes > 0, "{stats:?}");
         assert!(
             stats.fused_skip_ratio() > 0.8,
             "attack fused skip ratio only {:.2} ({stats:?})",
             stats.fused_skip_ratio()
         );
-        // Fused mode beats the prescan's candidate count on attack
-        // traffic: exact matches ≤ literal candidates.
-        let (_, prescan_stats) = extract_row_uncounted(
-            &set.with_match_mode(MatchMode::Prescan),
-            b"id=-1+union+select+1,2,concat(version(),0x3a),4--+-",
-        );
-        assert!(
-            stats.vm_runs <= prescan_stats.vm_runs,
-            "fused ran more VMs ({}) than prescan ({})",
-            stats.vm_runs,
-            prescan_stats.vm_runs
-        );
     }
 
-    #[test]
-    fn acceleration_keeps_rows_identical_on_the_full_library() {
-        // The full 439-feature automaton rarely parks on English-like
-        // benign text (unanchored signature fragments keep the pending
-        // set churning), so this test pins only the invariant that
-        // matters at this layer: acceleration on/off is row-identical,
-        // and the accel counters stay well-formed.
-        let set = FeatureSet::full();
-        let off = set.with_acceleration(false);
-        assert!(set.acceleration_enabled());
-        assert!(!off.acceleration_enabled());
-        for payload in [
-            b"page=2&sort=asc&term=winter jackets and boots for the whole family pleas".as_slice(),
-            b"id=-1+union+select+1,2,concat(version(),0x3a),4--+-",
-            b"ts=1700000000&sig=3a2b1c4d5e6f&limit=100&offset=2400",
-        ] {
-            // Warm each engine right before its measured pass — the
-            // two sets are distinct automata, and switching rebinds
-            // (cold-clears) the thread-local DFA cache.
-            let _ = extract_row_uncounted(&set, payload);
-            let (row_on, on_stats) = extract_row_uncounted(&set, payload);
-            let _ = extract_row_uncounted(&off, payload);
-            let (row_off, off_stats) = extract_row_uncounted(&off, payload);
-            assert_eq!(row_on, row_off, "{payload:?}");
-            assert_eq!(off_stats.dfa_skipped, 0, "{off_stats:?}");
-            assert_eq!(off_stats.dfa_accel_states, 0, "{off_stats:?}");
-            assert!(on_stats.dfa_skipped <= on_stats.dfa_bytes);
-            for s in [&on_stats, &off_stats] {
-                assert!(
-                    s.dfa_hit_ratio().is_some_and(|r| (0.0..=1.0).contains(&r)),
-                    "{s:?}"
-                );
-            }
+    fn feat(pattern: &str) -> Feature {
+        Feature::new(0, pattern, pattern, FeatureSource::NidsSignatures).unwrap()
+    }
+
+    /// Payloads with and without the long runs the unfusable test
+    /// patterns need.
+    fn long_run_payloads() -> Vec<Vec<u8>> {
+        vec![
+            b"id=1 union select 2".to_vec(),
+            format!("q={}&id=7", "x".repeat(85)).into_bytes(),
+            format!("{}c union {}c", "ab".repeat(20), "AB".repeat(41)).into_bytes(),
+            format!("{} {}", "x".repeat(39), "ab".repeat(19)).into_bytes(),
+            Vec::new(),
+        ]
+    }
+
+    fn assert_extracts_exactly(set: &FeatureSet, fallback_per_row: u64) {
+        for p in long_run_payloads() {
+            let dense = naive_dense(set, &p);
+            assert_eq!(extract_dense(set, &p), dense, "{p:?}");
+            let (row, stats) = extract_row_uncounted(set, &p);
+            assert_eq!(row, nonzero(&dense), "{p:?}");
+            assert_eq!(stats.fallback_vm_runs, fallback_per_row, "{stats:?}");
+            assert_eq!(stats.vm_runs + stats.vm_runs_skipped, set.len() as u64);
         }
     }
 
     #[test]
-    fn acceleration_skips_bytes_where_the_automaton_parks() {
-        // A keyword-only library *does* park: no keyword can start
-        // mid-run on a non-letter byte, so the empty pending state
-        // self-loops across digit/punctuation runs under both
-        // word-context variants and earns a dense escape plan.
-        let kw: Vec<_> = FeatureSet::full()
-            .features()
+    fn refused_patterns_are_counted_by_their_own_vm() {
+        // The path the shipped library never takes: two of the four
+        // patterns repeat past the fuse limit.
+        let set = FeatureSet::from_features(vec![
+            feat("union"),
+            feat("x{40}"),
+            feat(r"\d+"),
+            feat("(ab){20}c"),
+        ]);
+        let compiled = set.compiled();
+        let refused: Vec<u32> = compiled
+            .fallback_features()
             .iter()
-            .filter(|f| f.source == crate::sources::FeatureSource::ReservedWords)
-            .cloned()
+            .map(|&(id, reason)| {
+                assert!(!reason.is_empty());
+                id
+            })
             .collect();
-        assert!(!kw.is_empty());
-        let set = FeatureSet::from_features(kw.clone());
-        let off = set.with_acceleration(false);
-        let payload: &[u8] = b"ts=1700000000&sig=3a2b1c4d5e6f0000&limit=100&offset=2400";
-        let _ = extract_row_uncounted(&set, payload);
-        let (row_on, on_stats) = extract_row_uncounted(&set, payload);
-        let _ = extract_row_uncounted(&off, payload);
-        let (row_off, off_stats) = extract_row_uncounted(&off, payload);
-        assert_eq!(row_on, row_off);
-        assert_eq!(off_stats.dfa_skipped, 0, "{off_stats:?}");
-        assert!(on_stats.dfa_skipped > 0, "{on_stats:?}");
-        assert!(on_stats.dfa_accel_states > 0, "{on_stats:?}");
-        assert!(on_stats.dfa_skip_ratio().unwrap() > 0.0);
-        assert!(on_stats
-            .dfa_hit_ratio()
-            .is_some_and(|r| (0.0..=1.0).contains(&r)));
+        assert_eq!(refused, [1, 3]);
+        assert_eq!(compiled.fused_features(), 2);
+        assert!(compiled.is_fused(0) && !compiled.is_fused(1));
+        // Both long-run patterns do count on some payload, so the
+        // oracle comparison below is not vacuous.
+        let hits = |id: usize| {
+            long_run_payloads()
+                .iter()
+                .any(|p| naive_dense(&set, p)[id] > 0.0)
+        };
+        assert!(hits(1) && hits(3));
+        assert_extracts_exactly(&set, 2);
+
+        let counter = psigene_telemetry::global().counter("regex.fused.fallback_vm_runs");
+        let before = counter.get();
+        let payloads = long_run_payloads();
+        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
+        extract_matrix(&set, &refs, 1);
+        assert!(counter.get() - before >= 2 * refs.len() as u64);
+    }
+
+    #[test]
+    fn sets_without_a_fused_engine_extract_exactly() {
+        let nothing_fuses = FeatureSet::from_features(vec![feat("x{40}"), feat("(ab){20}c")]);
+        let empty = FeatureSet::from_features(Vec::new());
+        for (set, refused) in [(&nothing_fuses, vec![0, 1]), (&empty, vec![])] {
+            let compiled = set.compiled();
+            assert!(compiled.fused().is_none());
+            let mut bits = CandidateSet::new(0);
+            let mut dfa = DfaCache::new();
+            assert!(compiled
+                .fused_candidates_into(b"xxxx", &mut bits, &mut dfa)
+                .is_none());
+            assert_eq!(bits.iter().collect::<Vec<_>>(), refused);
+            assert_extracts_exactly(set, refused.len() as u64);
+        }
     }
 
     #[test]
@@ -778,10 +677,6 @@ mod tests {
             "benign skip ratio only {:.2} ({stats:?})",
             stats.skip_ratio()
         );
-        // The forced path reports zero skips and one run per feature.
-        let (_, naive) = extract_row_uncounted(&set.with_prescan(false), b"page=2");
-        assert_eq!(naive.vm_runs, set.len() as u64);
-        assert_eq!(naive.vm_runs_skipped, 0);
     }
 
     #[test]
@@ -831,14 +726,6 @@ mod tests {
             assert!(names.contains(&"features.prescan"), "{names:?}");
             assert!(names.contains(&"features.vms"), "{names:?}");
         }
-        // The forced always-run path skips the prescan span.
-        let off = set.with_prescan(false);
-        let mut out = Vec::new();
-        let mut trace = TraceContext::new(2);
-        extract_sparse_into(&off, b"id=1", &mut out, Some(&mut trace));
-        let names: Vec<&str> = trace.finish().spans.iter().map(|s| s.name).collect();
-        assert!(!names.contains(&"features.prescan"), "{names:?}");
-        assert!(names.contains(&"features.vms"), "{names:?}");
     }
 
     #[test]

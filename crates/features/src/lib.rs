@@ -36,7 +36,7 @@ pub mod sources;
 
 pub use feature::Feature;
 pub use prescan::{CompiledFeatureSet, FusedScanReport};
-pub use set::{FeatureSet, MatchMode};
+pub use set::FeatureSet;
 pub use sources::FeatureSource;
 
 #[cfg(test)]
@@ -52,13 +52,26 @@ mod proptests {
         SET.get_or_init(FeatureSet::full)
     }
 
-    /// The same library with quiescent-state acceleration disabled —
-    /// a separate compiled automaton, so alternating extractions
-    /// between the two sets also exercises the thread-local DFA
-    /// cache's rebind (hot-reload) path on every case.
-    fn unaccelerated_set() -> &'static FeatureSet {
-        static SET: OnceLock<FeatureSet> = OnceLock::new();
-        SET.get_or_init(|| FeatureSet::full().with_acceleration(false))
+    /// The oracle every extraction test in this crate compares
+    /// against: `Feature::count` of every feature over the normalized
+    /// payload — no set-level engine, no shared scratch.
+    pub(crate) fn naive_dense(set: &FeatureSet, payload: &[u8]) -> Vec<f64> {
+        let norm = psigene_http::normalize::normalize(payload);
+        set.features()
+            .iter()
+            .map(|f| f.count(&norm) as f64)
+            .collect()
+    }
+
+    /// The sparse row a dense vector stands for: its nonzero entries
+    /// in ascending id order.
+    pub(crate) fn nonzero(dense: &[f64]) -> Vec<(usize, f64)> {
+        dense
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0.0)
+            .map(|(c, &v)| (c, v))
+            .collect()
     }
 
     proptest! {
@@ -74,71 +87,20 @@ mod proptests {
             prop_assert!(row.iter().all(|&(c, v)| c < set.len() && v >= 1.0));
         }
 
-        /// Set-level scan soundness (the tentpole invariant): on
-        /// arbitrary byte payloads, every extraction mode — fused
-        /// lazy-DFA (default), literal prescan, and the forced
-        /// always-run oracle — produces rows *identical* to naive
-        /// per-feature extraction: same columns in the same order
-        /// with the same counts, not merely the same nonzero support.
+        /// Fused-scan exactness (the matcher's one equality check):
+        /// on arbitrary byte payloads, extraction produces rows
+        /// *identical* to naive per-feature extraction — same columns
+        /// in the same order with the same counts, not merely the
+        /// same nonzero support — and identical full dense vectors
+        /// (zeros included).
         #[test]
         fn fused_and_prescan_extraction_equal_naive_extraction(
             payload in proptest::collection::vec(any::<u8>(), 0..300),
         ) {
             let set = full_set();
-            // Default mode is Fused.
-            let row = extract::extract_row(set, &payload);
-            // Naive oracle: every feature's VM runs, no set-level
-            // engine involved.
-            let norm = psigene_http::normalize::normalize(&payload);
-            let naive: Vec<(usize, f64)> = set
-                .features()
-                .iter()
-                .filter_map(|f| {
-                    let c = f.count(&norm);
-                    (c > 0).then_some((f.id, c as f64))
-                })
-                .collect();
-            prop_assert_eq!(&row, &naive);
-            // Dense path: identical full vectors (zeros included).
-            let dense = extract::extract_dense(set, &payload);
-            let naive_dense: Vec<f64> = set
-                .features()
-                .iter()
-                .map(|f| f.count(&norm) as f64)
-                .collect();
-            prop_assert_eq!(&dense, &naive_dense);
-            // Every explicit mode agrees bit-for-bit with the fused
-            // default.
-            for mode in [MatchMode::Prescan, MatchMode::Naive] {
-                let alt = set.with_match_mode(mode);
-                prop_assert_eq!(&row, &extract::extract_row(&alt, &payload));
-                prop_assert_eq!(&dense, &extract::extract_dense(&alt, &payload));
-            }
-        }
-
-        /// Acceleration invariant at the library level: skipping
-        /// quiescent DFA runs must be invisible in results. Sparse
-        /// rows are equal and dense vectors are *bitwise* identical
-        /// (`f64::to_bits`, not `==` — the downstream detector dots
-        /// these against trained weights, so even a sign-of-zero
-        /// difference would be a real divergence).
-        #[test]
-        fn accelerated_extraction_is_bit_identical(
-            payload in proptest::collection::vec(any::<u8>(), 0..300),
-        ) {
-            let on = full_set();
-            let off = unaccelerated_set();
-            prop_assert!(on.acceleration_enabled());
-            prop_assert!(!off.acceleration_enabled());
-            prop_assert_eq!(
-                extract::extract_row(on, &payload),
-                extract::extract_row(off, &payload)
-            );
-            let dense_on: Vec<u64> = extract::extract_dense(on, &payload)
-                .iter().map(|v| v.to_bits()).collect();
-            let dense_off: Vec<u64> = extract::extract_dense(off, &payload)
-                .iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(dense_on, dense_off);
+            let naive = naive_dense(set, &payload);
+            prop_assert_eq!(&extract::extract_row(set, &payload), &nonzero(&naive));
+            prop_assert_eq!(&extract::extract_dense(set, &payload), &naive);
         }
 
         #[test]
@@ -157,13 +119,7 @@ mod proptests {
             let mut row = vec![(usize::MAX, f64::NAN); 3];
             extract::extract_sparse_into(set, payload.as_bytes(), &mut row, None);
             prop_assert_eq!(&row, &sparse);
-            let nonzero: Vec<(usize, f64)> = dense
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v != 0.0)
-                .map(|(c, &v)| (c, v))
-                .collect();
-            prop_assert_eq!(&row, &nonzero);
+            prop_assert_eq!(&row, &nonzero(&dense));
         }
     }
 }

@@ -1,131 +1,61 @@
-//! The set-level literal prescan: one pass over the normalized
-//! payload decides which features' VMs need to run at all.
+//! The set-level scan: one pass over the normalized payload decides
+//! which features' counting VMs need to run at all.
 //!
 //! pSigene's operational phase (§IV of the paper) evaluates every
 //! request against the full feature library before scoring
 //! signatures, and the overwhelming majority of requests — all
 //! benign traffic, in the paper's measurements — match almost
-//! nothing. Running each feature's own prefilter still costs one
-//! haystack traversal *per feature*; a 400-feature library scans the
-//! payload ~400 times. [`CompiledFeatureSet`] collapses those scans
-//! into one: every feature's required literals (from its
-//! [`psigene_regex::Prefilter`]) are folded into a single
-//! Aho–Corasick automaton, and a single pass produces the
-//! candidate-feature bitset. Features whose pattern yields no literal
-//! requirement go on an **always-run** list, so the candidate set is
-//! always a superset of the features that could match — soundness is
-//! preserved by construction and verified by property test in
-//! `crate::proptests`.
+//! nothing. [`CompiledFeatureSet`] fuses every feature pattern into
+//! one automaton ([`psigene_regex::FusedSet`]) whose single lazy-DFA
+//! pass reports the *exact* set of matching features. A pattern the
+//! fuser refuses (too large to determinize profitably — none in the
+//! shipped library) goes on the fallback list instead: its bit is
+//! pre-set on every payload, so it is always counted by its own VM
+//! behind its own prefilter. Exactness holds by construction either
+//! way and is verified by property test in `crate::proptests`.
 
 use crate::feature::Feature;
 use psigene_regex::{
-    CandidateSet, DfaCache, FuseOutcome, FusedScanStats, FusedSet, FusedSetBuilder, MultiLiteral,
-    MultiLiteralBuilder,
+    CandidateSet, DfaCache, FuseOutcome, FusedScanStats, FusedSet, FusedSetBuilder,
 };
 
-/// The compiled set-level engines for one feature set: the literal
-/// prescan (candidate superset in one pass), and the fused lazy-DFA
-/// automaton (exact match set in one pass) with its VM-fallback
-/// complement.
+/// The compiled set-level engine for one feature set: the fused
+/// lazy-DFA automaton plus the ids it could not take.
 #[derive(Clone)]
 pub struct CompiledFeatureSet {
-    /// Automaton over every prefilterable feature's literals; `None`
-    /// when no feature produced a literal requirement.
-    engine: Option<MultiLiteral>,
-    /// Feature ids with no derivable literal requirement, ascending.
-    always_run: Vec<u32>,
-    /// Bitset with exactly the always-run ids pre-set; cloned into
-    /// the scan scratch so one ascending bitset walk visits both the
-    /// always-run features and the literal candidates in id order.
-    base: CandidateSet,
-    /// Number of features covered by the automaton (the population
-    /// the skip ratio is measured against).
-    prefiltered: usize,
     /// Total features in the owning set.
     n_features: usize,
     /// Fused multi-pattern automaton over every fusable feature;
-    /// `None` when nothing fused. Pattern ids are feature ids, so the
-    /// fused scan and the fallback prescan write disjoint ids into
-    /// one shared [`CandidateSet`].
+    /// `None` when nothing fused. Pattern ids are feature ids.
     fused: Option<FusedSet>,
-    /// Features inside the fused automaton.
-    fused_count: usize,
     /// Feature ids the fuser refused (kept on the per-feature VM),
     /// ascending, with the refusal reason.
     fallback: Vec<(u32, &'static str)>,
-    /// Literal prescan restricted to the fallback features.
-    fallback_engine: Option<MultiLiteral>,
-    /// Pre-set bits for fallback features with no literal requirement
-    /// (the fused-path analog of `base`).
-    fallback_base: CandidateSet,
-    /// Fallback features covered by `fallback_engine`.
-    fallback_prefiltered: usize,
-    /// Per-feature: true when the feature rides the fused automaton
-    /// (its candidate bit, when set, is an exact "this feature
-    /// matches", so its VM run may skip the redundant prefilter gate).
-    fused_mask: Vec<bool>,
+    /// Bitset with exactly the fallback ids pre-set; cloned into the
+    /// scan scratch so one ascending bitset walk visits the refused
+    /// features and the fused matches in id order.
+    refused: CandidateSet,
 }
 
-/// What one fused-path candidate scan did; feeds the fused-engine
-/// telemetry in `crate::extract`.
+/// What one set-level scan did; feeds the fused-engine telemetry in
+/// `crate::extract` (and the end-to-end benchmark, which reads
+/// `stats`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FusedScanReport {
-    /// Fused features with at least one match — the *exact* set, so
-    /// their VM runs all produce nonzero counts.
-    pub fused_matched: usize,
-    /// Fallback features flagged by the fallback literal engine
-    /// (excludes the fallback always-run list).
-    pub fallback_candidates: usize,
-    /// Lazy-DFA counters for the scan itself.
+    /// Lazy-DFA counters for the scan; `stats.matched` is the number
+    /// of fused features with at least one match — the *exact* set,
+    /// so their VM runs all produce nonzero counts.
     pub stats: FusedScanStats,
 }
 
 impl CompiledFeatureSet {
-    /// Builds the prescan for `features` (ids must be their indices,
-    /// which [`crate::FeatureSet`] guarantees) with quiescent-state
-    /// acceleration enabled.
+    /// Compiles the set-level engine for `features` (ids must be their
+    /// indices, which [`crate::FeatureSet`] guarantees).
     pub fn build(features: &[Feature]) -> CompiledFeatureSet {
-        CompiledFeatureSet::build_with(features, true)
-    }
-
-    /// [`CompiledFeatureSet::build`] with explicit control over lazy-
-    /// DFA acceleration; `accelerate: false` exists for A/B
-    /// benchmarking and the accel-equivalence proptests.
-    pub fn build_with(features: &[Feature], accelerate: bool) -> CompiledFeatureSet {
         let n = features.len();
-        let mut builder = MultiLiteralBuilder::new();
-        let mut always_run = Vec::new();
-        let mut base = CandidateSet::new(n);
-        let mut prefiltered = 0usize;
-        for (i, f) in features.iter().enumerate() {
-            match f.regex().prefilter() {
-                Some(pf) if !pf.literals().is_empty() => {
-                    prefiltered += 1;
-                    for lit in pf.literals() {
-                        builder.add(i as u32, lit);
-                    }
-                }
-                _ => {
-                    always_run.push(i as u32);
-                    base.insert(i);
-                }
-            }
-        }
-        let engine = if builder.is_empty() {
-            None
-        } else {
-            Some(builder.build())
-        };
-        // Fused automaton: every pattern the fuser accepts, under the
-        // feature's own id. Refused patterns keep the literal-prescan
-        // treatment among themselves; the two id populations are
-        // disjoint, so both engines share one output bitset.
-        let mut fuser = FusedSetBuilder::new().accelerate(accelerate);
+        let mut fuser = FusedSetBuilder::new();
         let mut fallback: Vec<(u32, &'static str)> = Vec::new();
-        let mut fallback_builder = MultiLiteralBuilder::new();
-        let mut fallback_base = CandidateSet::new(n);
-        let mut fallback_prefiltered = 0usize;
-        let mut fused_mask = vec![true; n];
+        let mut refused = CandidateSet::new(n);
         for (i, f) in features.iter().enumerate() {
             // Features compile case-insensitively (see
             // `crate::feature::Feature::new`); the fused automaton
@@ -134,84 +64,31 @@ impl CompiledFeatureSet {
                 .add(i as u32, &f.pattern, true)
                 .expect("feature pattern already compiled once");
             if let FuseOutcome::Fallback(reason) = outcome {
-                fused_mask[i] = false;
                 fallback.push((i as u32, reason));
-                match f.regex().prefilter() {
-                    Some(pf) if !pf.literals().is_empty() => {
-                        fallback_prefiltered += 1;
-                        for lit in pf.literals() {
-                            fallback_builder.add(i as u32, lit);
-                        }
-                    }
-                    _ => {
-                        fallback_base.insert(i);
-                    }
-                }
+                refused.insert(i);
             }
         }
-        let fused_count = fuser.len();
-        let fused = fuser.build();
-        let fallback_engine = if fallback_builder.is_empty() {
-            None
-        } else {
-            Some(fallback_builder.build())
-        };
         CompiledFeatureSet {
-            engine,
-            always_run,
-            base,
-            prefiltered,
             n_features: n,
-            fused,
-            fused_count,
+            fused: fuser.build(),
             fallback,
-            fallback_engine,
-            fallback_base,
-            fallback_prefiltered,
-            fused_mask,
+            refused,
         }
     }
 
-    /// Fills `bits` with the features due a VM run on `norm`: the
-    /// always-run list plus every feature with a literal occurrence.
-    /// Returns how many features the literal engine flagged (the
-    /// candidates proper, excluding the always-run list).
-    pub fn candidates_into(&self, norm: &[u8], bits: &mut CandidateSet) -> usize {
-        bits.clone_from(&self.base);
-        match &self.engine {
-            None => 0,
-            Some(e) => e.scan_into(norm, bits),
-        }
-    }
-
-    /// Fills `bits` with the features due a VM run on `norm` using
-    /// the fused engine: the exact fused-feature match set plus the
-    /// fallback features' prescan candidates (always-run included).
-    /// Returns `None` when no feature fused — the caller should take
-    /// the plain prescan path instead.
+    /// Fills `bits` with the features due a VM run on `norm`: every
+    /// refused feature plus the exact match set of the fused ones.
+    /// Returns `None` when no feature fused — `bits` then carries
+    /// just the refused ids, i.e. every feature.
     pub fn fused_candidates_into(
         &self,
         norm: &[u8],
         bits: &mut CandidateSet,
         dfa: &mut DfaCache,
     ) -> Option<FusedScanReport> {
-        let fused = self.fused.as_ref()?;
-        bits.clone_from(&self.fallback_base);
-        let fallback_candidates = match &self.fallback_engine {
-            None => 0,
-            Some(e) => e.scan_into(norm, bits),
-        };
-        let stats = fused.scan_into(norm, dfa, bits);
-        Some(FusedScanReport {
-            fused_matched: stats.matched as usize,
-            fallback_candidates,
-            stats,
-        })
-    }
-
-    /// Feature ids that run unconditionally (no literal requirement).
-    pub fn always_run(&self) -> &[u32] {
-        &self.always_run
+        bits.clone_from(&self.refused);
+        let stats = self.fused.as_ref()?.scan_into(norm, dfa, bits);
+        Some(FusedScanReport { stats })
     }
 
     /// The fused multi-pattern automaton, when one exists.
@@ -221,41 +98,25 @@ impl CompiledFeatureSet {
 
     /// Features inside the fused automaton.
     pub fn fused_features(&self) -> usize {
-        self.fused_count
+        self.n_features - self.fallback.len()
     }
 
     /// True when feature `id` rides the fused automaton — its
-    /// candidate bit is then an exact match indicator, not a
-    /// superset guess.
+    /// candidate bit, when set, is then an exact "this feature
+    /// matches", so its VM run may skip the redundant prefilter gate.
     pub fn is_fused(&self, id: usize) -> bool {
-        self.fused.is_some() && self.fused_mask.get(id).copied().unwrap_or(false)
+        id < self.n_features && !self.refused.contains(id)
     }
 
     /// Features the fuser refused, with the per-feature reason; these
-    /// stay on the per-feature VM behind the fallback prescan.
+    /// run their own VM (behind their own prefilter) on every payload.
     pub fn fallback_features(&self) -> &[(u32, &'static str)] {
         &self.fallback
-    }
-
-    /// Fallback features covered by the fallback literal engine (the
-    /// population the fallback prescan can skip).
-    pub fn fallback_prefiltered(&self) -> usize {
-        self.fallback_prefiltered
-    }
-
-    /// Number of features the literal engine covers (i.e. skippable).
-    pub fn prefiltered_features(&self) -> usize {
-        self.prefiltered
     }
 
     /// Total features in the owning set.
     pub fn feature_count(&self) -> usize {
         self.n_features
-    }
-
-    /// The shared literal automaton, when one exists.
-    pub fn engine(&self) -> Option<&MultiLiteral> {
-        self.engine.as_ref()
     }
 }
 
@@ -263,10 +124,7 @@ impl std::fmt::Debug for CompiledFeatureSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledFeatureSet")
             .field("features", &self.n_features)
-            .field("prefiltered", &self.prefiltered)
-            .field("always_run", &self.always_run.len())
-            .field("engine", &self.engine)
-            .field("fused", &self.fused_count)
+            .field("fused", &self.fused_features())
             .field("fallback", &self.fallback.len())
             .finish()
     }
@@ -275,86 +133,27 @@ impl std::fmt::Debug for CompiledFeatureSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sources::FeatureSource;
-
-    fn feat(id: usize, pat: &str) -> Feature {
-        Feature::new(id, pat, pat, FeatureSource::NidsSignatures).unwrap()
-    }
-
-    #[test]
-    fn splits_features_into_prefiltered_and_always_run() {
-        let features = vec![
-            feat(0, "select"),          // literal
-            feat(1, r"[0-9]+"),         // no literal requirement
-            feat(2, r"union\s+select"), // literal
-        ];
-        let c = CompiledFeatureSet::build(&features);
-        assert_eq!(c.always_run(), &[1]);
-        assert_eq!(c.prefiltered_features(), 2);
-        assert_eq!(c.feature_count(), 3);
-    }
-
-    #[test]
-    fn candidates_are_always_run_plus_literal_hits() {
-        let features = vec![
-            feat(0, "select"),
-            feat(1, r"[0-9]+"),
-            feat(2, "sleep"),
-            feat(3, "benchmark"),
-        ];
-        let c = CompiledFeatureSet::build(&features);
-        let mut bits = CandidateSet::new(0);
-        let hits = c.candidates_into(b"1 SELECT sleep(2)", &mut bits);
-        assert_eq!(hits, 2);
-        assert_eq!(bits.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        // A quiet payload leaves only the always-run feature.
-        let hits = c.candidates_into(b"page=2", &mut bits);
-        assert_eq!(hits, 0);
-        assert_eq!(bits.iter().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn full_library_is_mostly_prefilterable() {
-        let set = crate::FeatureSet::full();
-        let c = CompiledFeatureSet::build(set.features());
-        // The point of the prescan: the vast majority of the library
-        // must be skippable on quiet traffic.
-        assert!(
-            c.prefiltered_features() * 10 >= set.len() * 9,
-            "only {}/{} features prefilterable",
-            c.prefiltered_features(),
-            set.len()
-        );
-    }
 
     #[test]
     fn fused_engine_covers_most_of_the_library() {
         let set = crate::FeatureSet::full();
         let c = CompiledFeatureSet::build(set.features());
-        assert_eq!(
-            c.fused_features() + c.fallback_features().len(),
-            set.len(),
-            "every feature must be fused or on the fallback list"
-        );
-        // The point of fusion: the overwhelming majority of the
-        // library must ride the single-pass automaton.
+        assert_eq!(c.feature_count(), set.len());
+        // The shipped library fuses whole: the fallback path below is
+        // for custom libraries only.
         assert!(
-            c.fused_features() * 10 >= set.len() * 9,
-            "only {}/{} features fused (fallbacks: {:?})",
-            c.fused_features(),
-            set.len(),
+            c.fallback_features().is_empty(),
+            "unfusable library patterns: {:?}",
             c.fallback_features()
         );
+        assert_eq!(c.fused_features(), set.len());
+        assert_eq!(c.fused().map(|f| f.pattern_count()), Some(set.len()));
     }
 
     #[test]
     fn fused_scan_is_exact_for_fused_and_sound_for_fallback() {
         let set = crate::FeatureSet::full();
         let c = CompiledFeatureSet::build(set.features());
-        let mut on_fallback = vec![false; set.len()];
-        for &(id, _) in c.fallback_features() {
-            on_fallback[id as usize] = true;
-        }
         let mut bits = CandidateSet::new(0);
         let mut dfa = psigene_regex::DfaCache::new();
         let payloads: &[&[u8]] = &[
@@ -367,18 +166,10 @@ mod tests {
             let report = c
                 .fused_candidates_into(p, &mut bits, &mut dfa)
                 .expect("full library has a fused engine");
-            let mut fused_matched = 0usize;
+            let mut fused_matched = 0u32;
             for f in set.features() {
                 let matches = f.count(p) > 0;
-                if on_fallback[f.id] {
-                    // Fallback features keep prescan semantics: a
-                    // superset, never a miss.
-                    assert!(
-                        !matches || bits.contains(f.id),
-                        "fallback feature {} missed on {p:?}",
-                        f.name
-                    );
-                } else {
+                if c.is_fused(f.id) {
                     // Fused features get the exact answer.
                     assert_eq!(
                         bits.contains(f.id),
@@ -386,36 +177,13 @@ mod tests {
                         "fused feature {} wrong on {p:?}",
                         f.name
                     );
-                    fused_matched += usize::from(matches);
+                    fused_matched += u32::from(matches);
+                } else {
+                    // Refused features are always due a VM run.
+                    assert!(bits.contains(f.id), "fallback feature {} unset", f.name);
                 }
             }
-            assert_eq!(report.fused_matched, fused_matched, "{p:?}");
-        }
-    }
-
-    #[test]
-    fn candidate_set_is_superset_of_matching_features() {
-        let set = crate::FeatureSet::full();
-        let c = CompiledFeatureSet::build(set.features());
-        let mut bits = CandidateSet::new(0);
-        let payloads: &[&[u8]] = &[
-            b"id=-1+union+select+1,2,concat(version(),0x3a),4--+-",
-            b"page=2&sort=asc&term=2012",
-            b"q=char(58),char(58)",
-            b"",
-        ];
-        for p in payloads {
-            c.candidates_into(p, &mut bits);
-            for f in set.features() {
-                if f.count(p) > 0 {
-                    assert!(
-                        bits.contains(f.id),
-                        "feature {} matched {:?} but was not a candidate",
-                        f.name,
-                        p
-                    );
-                }
-            }
+            assert_eq!(report.stats.matched, fused_matched, "{p:?}");
         }
     }
 }

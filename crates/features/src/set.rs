@@ -10,42 +10,15 @@ use crate::sources::FeatureSource;
 use psigene_linalg::CsrMatrix;
 use std::sync::{Arc, OnceLock};
 
-/// How extraction decides which feature VMs to run for a payload.
-///
-/// All three modes produce byte-identical feature vectors (pinned by
-/// the equivalence proptests in `crate::proptests`); they differ only
-/// in how much work the answer costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatchMode {
-    /// One VM run per feature (behind its private prefilter) — the
-    /// pre-optimization behavior, kept as the equivalence oracle and
-    /// benchmark baseline.
-    Naive,
-    /// Set-level literal prescan: one Aho–Corasick pass yields a
-    /// *superset* of the matching features; only candidates run VMs.
-    Prescan,
-    /// Fused lazy-DFA scan: one pass yields the *exact* matching
-    /// feature set for all fusable patterns (unfusable ones keep the
-    /// prescan treatment); VMs run only to count known matches.
-    #[default]
-    Fused,
-}
-
 /// An ordered collection of features; column `j` of every extracted
 /// matrix corresponds to `features()[j]`.
 #[derive(Debug, Clone)]
 pub struct FeatureSet {
     features: Vec<Feature>,
-    /// Lazily-built set-level matching engines (literal prescan +
-    /// fused automaton), shared by clones (a clone has the same
-    /// features, so the automata are reusable).
+    /// Lazily-built set-level engine (the fused automaton), shared by
+    /// clones (a clone has the same features, so the automaton is
+    /// reusable).
     compiled: OnceLock<Arc<CompiledFeatureSet>>,
-    /// Which extraction strategy this handle uses.
-    mode: MatchMode,
-    /// Whether the fused lazy DFA uses quiescent-state acceleration
-    /// (on by default; off exists for A/B benchmarks and equivalence
-    /// tests).
-    accelerate: bool,
 }
 
 impl FeatureSet {
@@ -112,70 +85,14 @@ impl FeatureSet {
         FeatureSet {
             features,
             compiled: OnceLock::new(),
-            mode: MatchMode::default(),
-            accelerate: true,
         }
     }
 
-    /// The set-level matching engines for this feature set, built on
-    /// first use and shared by clones.
+    /// The set-level engine for this feature set, built on first use
+    /// and shared by clones.
     pub fn compiled(&self) -> &CompiledFeatureSet {
-        self.compiled.get_or_init(|| {
-            Arc::new(CompiledFeatureSet::build_with(
-                &self.features,
-                self.accelerate,
-            ))
-        })
-    }
-
-    /// A copy of this set with lazy-DFA acceleration toggled. Unlike
-    /// [`FeatureSet::with_match_mode`], the compiled engines are NOT
-    /// shared — the automaton itself differs — so the copy pays one
-    /// rebuild on first use.
-    pub fn with_acceleration(&self, enabled: bool) -> FeatureSet {
-        FeatureSet {
-            features: self.features.clone(),
-            compiled: OnceLock::new(),
-            mode: self.mode,
-            accelerate: enabled,
-        }
-    }
-
-    /// Whether the fused engine skips quiescent states.
-    pub fn acceleration_enabled(&self) -> bool {
-        self.accelerate
-    }
-
-    /// The extraction strategy this handle uses.
-    pub fn match_mode(&self) -> MatchMode {
-        self.mode
-    }
-
-    /// A copy of this set using `mode`; the compiled engines are
-    /// shared, so switching modes is free.
-    pub fn with_match_mode(&self, mode: MatchMode) -> FeatureSet {
-        let mut set = self.clone();
-        set.mode = mode;
-        set
-    }
-
-    /// Whether extraction uses a set-level scan (prescan or fused) or
-    /// the forced always-run path.
-    pub fn prescan_enabled(&self) -> bool {
-        self.mode != MatchMode::Naive
-    }
-
-    /// A copy of this set with the set-level scan toggled. With
-    /// `false`, every extraction runs every feature's own VM (with
-    /// its private prefilter) — the pre-prescan behavior, kept as the
-    /// equivalence oracle and benchmark baseline. With `true`, the
-    /// default (fused) strategy.
-    pub fn with_prescan(&self, enabled: bool) -> FeatureSet {
-        self.with_match_mode(if enabled {
-            MatchMode::Fused
-        } else {
-            MatchMode::Naive
-        })
+        self.compiled
+            .get_or_init(|| Arc::new(CompiledFeatureSet::build(&self.features)))
     }
 
     /// The features, in column order.

@@ -1,9 +1,7 @@
 //! Feature provenance (Table II of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// The three feature sources of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureSource {
     /// MySQL reserved words.
     ReservedWords,

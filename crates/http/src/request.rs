@@ -1,12 +1,11 @@
 //! The HTTP request model shared by generators, engines and the
 //! pipeline.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// HTTP request method. Only the methods the traffic generators emit
 /// are modeled; everything else is `Other`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Method {
     /// `GET`
     Get,
@@ -37,7 +36,7 @@ impl fmt::Display for Method {
 }
 
 /// One query-string or body parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Parameter name, percent-decoded.
     pub name: String,
@@ -53,7 +52,7 @@ pub struct Param {
 /// query string)" (§II-A). [`HttpRequest::query_string`] and
 /// [`HttpRequest::detection_payload`] implement exactly that
 /// extraction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Request method.
     pub method: Method,

@@ -17,7 +17,6 @@
 
 use crate::pcg;
 use psigene_linalg::{CsrMatrix, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// The numerically-stable sigmoid.
 pub fn sigmoid(z: f64) -> f64 {
@@ -31,7 +30,7 @@ pub fn sigmoid(z: f64) -> f64 {
 }
 
 /// A trained logistic model: `p(attack | x) = g(bias + w·x)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticModel {
     /// Intercept term (θ₀).
     pub bias: f64,

@@ -1,9 +1,7 @@
 //! Detection metrics: confusion matrices, TPR/FPR, and friends.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of a binary detector's outcomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Attacks flagged as attacks.
     pub true_positives: usize,

@@ -1,9 +1,7 @@
 //! ROC curves (Figure 3 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// One operating point of a detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RocPoint {
     /// Decision threshold producing this point.
     pub threshold: f64,
@@ -14,7 +12,7 @@ pub struct RocPoint {
 }
 
 /// A full ROC curve, ordered by increasing FPR.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RocCurve {
     /// The operating points, (0,0) to (1,1).
     pub points: Vec<RocPoint>,

@@ -1,9 +1,7 @@
 //! Row-major dense `f64` matrices.
 
-use serde::{Deserialize, Serialize};
-
 /// A row-major dense matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

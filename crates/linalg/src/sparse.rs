@@ -4,10 +4,9 @@
 //! clustering path stores it sparsely; rows are immutable once built.
 
 use crate::dense::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A CSR matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

@@ -35,7 +35,6 @@
 //! A cache bound to one [`FusedSet`] (by build token) resets itself
 //! when handed another, which makes hot reload safe by construction.
 
-use crate::accel::{skip_dense, skip_sparse};
 use crate::multilit::CandidateSet;
 use crate::nfa::{word_byte, FusedSet, MultiNfa};
 use crate::program::Inst;
@@ -54,54 +53,6 @@ const PREV_WORD: u8 = 1;
 
 /// State flag: no byte consumed yet (haystack position 0).
 const AT_START: u8 = 2;
-
-/// Acceleration verdict slot: not yet analyzed. New states start here
-/// and are only analyzed once a scan actually takes a self-loop on
-/// them, so states the automaton merely passes through never pay the
-/// per-class analysis.
-const ACCEL_PENDING: u32 = 0;
-
-/// Acceleration verdict slot: analyzed, not accelerable.
-const ACCEL_NONE: u32 = 1;
-
-/// Acceleration verdict slots `>= ACCEL_BASE` index
-/// [`DfaCache::accel_data`] at `slot - ACCEL_BASE`.
-const ACCEL_BASE: u32 = 2;
-
-/// Minimum stay-set size (bytes) for the dense bitmap accelerator;
-/// below it, skipping can't beat the plain loop often enough to repay
-/// the per-entry setup.
-const DENSE_MIN_STAY: u32 = 32;
-
-/// How a quiescent state's stay set is scanned: the two escape-set
-/// shapes of `crate::accel`.
-#[derive(Debug, Clone)]
-enum AccelKind {
-    /// At most 3 concrete escape bytes → SWAR scan.
-    Sparse { escapes: [u8; 3], n: u8 },
-    /// Large stay set → 256-bit stay bitmap.
-    Dense { stay: [u64; 4] },
-}
-
-/// A cached acceleration plan for one quiescent state.
-///
-/// Skipping consumes bytes without stepping them, which mutates the
-/// `PREV_WORD` context bit; rather than restrict stay bytes to one
-/// word-ness (which would cap skips at single word/non-word runs),
-/// the plan covers the *pair* of flag variants of the pending set and
-/// recomputes `prev_word` from the last skipped byte: `resume[w]` is
-/// the interned state for `(pending, prev_word = w)`, one of which is
-/// the analyzed state itself.
-#[derive(Debug, Clone)]
-struct Accel {
-    kind: AccelKind,
-    resume: [u32; 2],
-    /// Match ids every stay transition emits (constant across stay
-    /// bytes and context variants — e.g. a nullable pattern matching
-    /// at every position). Inserted once per skip; since the scan
-    /// reports set membership, once equals once-per-byte.
-    emits: Box<[u32]>,
-}
 
 /// Identity of a DFA state: pending (pre-closure) pcs, sorted and
 /// deduplicated, plus the context flags closure will need.
@@ -141,12 +92,10 @@ impl Ctx {
 /// Per-scan counters, returned by [`FusedSet::scan_into`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusedScanStats {
-    /// Haystack length. Of these, `bytes - skipped` were stepped
-    /// through the transition table one at a time; `skipped` were
-    /// jumped over by quiescent-state acceleration.
+    /// Haystack length; every byte takes one transition.
     pub bytes: u64,
-    /// Bytes skipped by accelerated states (never individually
-    /// stepped, so they can neither hit nor miss the cache).
+    /// Always 0. The end-to-end benchmark (`BENCHMARK.json`) still
+    /// reads this field; it goes with the next benchmark PR.
     pub skipped: u64,
     /// Pattern ids newly inserted into the output set by this scan.
     pub matched: u32,
@@ -156,35 +105,19 @@ pub struct FusedScanStats {
     pub flushes: u32,
     /// States resident in the cache after the scan.
     pub states: u32,
-    /// States with a cached acceleration plan after the scan.
-    pub accel_states: u32,
 }
 
 impl FusedScanStats {
-    /// Fraction of *stepped* transitions (`bytes - skipped`) served
-    /// from the cache, clamped to `[0, 1]` — a mid-scan flush both
-    /// discards transitions already paid for and re-counts their
-    /// re-determinization, so the raw quotient is not self-limiting.
-    /// A warmed-up cache sits at 1.0; `None` for empty haystacks.
+    /// Fraction of transitions served from the cache, clamped to
+    /// `[0, 1]` — a mid-scan flush both discards transitions already
+    /// paid for and re-counts their re-determinization, so the raw
+    /// quotient is not self-limiting. A warmed-up cache sits at 1.0;
+    /// `None` for empty haystacks.
     pub fn hit_ratio(&self) -> Option<f64> {
         if self.bytes == 0 {
             return None;
         }
-        let steps = self.bytes - self.skipped;
-        if steps == 0 {
-            // Every byte was skipped: nothing was asked of the table.
-            return Some(1.0);
-        }
-        Some((1.0 - self.misses as f64 / steps as f64).clamp(0.0, 1.0))
-    }
-
-    /// Fraction of haystack bytes jumped over by acceleration, in
-    /// `[0, 1]`; `None` for empty haystacks.
-    pub fn skip_ratio(&self) -> Option<f64> {
-        if self.bytes == 0 {
-            return None;
-        }
-        Some(self.skipped as f64 / self.bytes as f64)
+        Some((1.0 - self.misses as f64 / self.bytes as f64).clamp(0.0, 1.0))
     }
 }
 
@@ -210,14 +143,6 @@ pub struct DfaCache {
     rich: Vec<(u32, Box<[u32]>)>,
     /// Per-state memoized end-of-input match sets.
     eoi: Vec<Option<Box<[u32]>>>,
-    /// Per-state acceleration verdicts: [`ACCEL_PENDING`],
-    /// [`ACCEL_NONE`], or `ACCEL_BASE + index` into
-    /// [`DfaCache::accel_data`]. Indexed like [`DfaCache::states`],
-    /// cleared whenever states are (bind and flush), so verdicts can
-    /// never outlive the state numbering they were computed for.
-    accel: Vec<u32>,
-    /// Escape-set plans of accelerated states.
-    accel_data: Vec<Accel>,
     /// Root closures per assertion context (see [`Ctx::root_slot`]).
     roots: [Option<RootClosure>; 8],
     /// Representative byte per equivalence class.
@@ -254,11 +179,6 @@ impl DfaCache {
         self.total_flushes
     }
 
-    /// Number of currently resident states with an acceleration plan.
-    pub fn accelerated_states(&self) -> usize {
-        self.accel_data.len()
-    }
-
     /// Binds the cache to `set`, dropping everything derived from a
     /// previous owner.
     fn bind(&mut self, set: &FusedSet) {
@@ -268,8 +188,6 @@ impl DfaCache {
         self.trans.clear();
         self.rich.clear();
         self.eoi.clear();
-        self.accel.clear();
-        self.accel_data.clear();
         self.roots = Default::default();
         let classes = &set.nfa.classes;
         self.class_count = classes.count as usize;
@@ -300,7 +218,6 @@ impl DfaCache {
         self.trans
             .extend(std::iter::repeat_n(UNKNOWN, self.class_count));
         self.eoi.push(None);
-        self.accel.push(ACCEL_PENDING);
         id
     }
 
@@ -313,13 +230,6 @@ impl DfaCache {
         self.trans.clear();
         self.rich.clear();
         self.eoi.clear();
-        // Acceleration verdicts are keyed by state id; flushing
-        // renumbers states, so verdicts go with them. Surviving
-        // states re-earn their plan the next time a scan self-loops
-        // on them (the analysis itself is deterministic, so the
-        // re-derived plan is identical).
-        self.accel.clear();
-        self.accel_data.clear();
         self.total_flushes += 1;
         self.intern(start_key());
     }
@@ -424,51 +334,15 @@ impl FusedSet {
             ..FusedScanStats::default()
         };
         let nc = cache.class_count;
-        let accel_on = self.accelerate;
         let mut cur = 0u32;
-        let mut i = 0usize;
-        while i < hay.len() {
-            if accel_on {
-                let slot = cache.accel[cur as usize];
-                if slot >= ACCEL_BASE {
-                    let plan = &cache.accel_data[(slot - ACCEL_BASE) as usize];
-                    let j = match &plan.kind {
-                        AccelKind::Sparse { escapes, n } => {
-                            skip_sparse(hay, i, escapes, *n as usize)
-                        }
-                        AccelKind::Dense { stay } => skip_dense(hay, i, stay),
-                    };
-                    if j > i {
-                        // Safe because every skipped byte parks both
-                        // flag variants of the pending set and emits
-                        // the same constant match set (see
-                        // `compute_accel`); the only context the skip
-                        // can change is `PREV_WORD`, which is
-                        // recomputed here from the last skipped byte.
-                        // The escape byte itself is stepped normally
-                        // below.
-                        for &pid in plan.emits.iter() {
-                            if out.insert(pid as usize) {
-                                stats.matched += 1;
-                            }
-                        }
-                        cur = plan.resume[word_byte(hay[j - 1]) as usize];
-                        stats.skipped += (j - i) as u64;
-                        i = j;
-                        if i >= hay.len() {
-                            break;
-                        }
-                    }
-                }
-            }
-            let b = hay[i];
+        for &b in hay {
             let class = self.nfa.classes.map[b as usize] as usize;
             let mut t = cache.trans[cur as usize * nc + class];
             if t == UNKNOWN {
                 stats.misses += 1;
                 t = self.compute_transition(cache, cur, class, &mut stats);
             }
-            let next = if t & RICH != 0 {
+            cur = if t & RICH != 0 {
                 let (next, pids) = &cache.rich[(t & !RICH) as usize];
                 for &pid in pids.iter() {
                     if out.insert(pid as usize) {
@@ -479,27 +353,9 @@ impl FusedSet {
             } else {
                 t
             };
-            // A taken self-loop is the trigger for (lazy) acceleration
-            // analysis: it is the cheapest reliable signal that the
-            // automaton actually parks here. After a mid-transition
-            // flush `cur` names a renumbered (or vacated) slot — the
-            // bounds check below keeps the index safe, and a spurious
-            // trigger merely analyzes whichever state now holds that
-            // id, which is still a correct (if unsolicited) verdict
-            // for that state.
-            if accel_on
-                && next == cur
-                && (cur as usize) < cache.accel.len()
-                && cache.accel[cur as usize] == ACCEL_PENDING
-            {
-                self.analyze_accel(cache, cur);
-            }
-            cur = next;
-            i += 1;
         }
         self.emit_eoi(cache, cur, out, &mut stats);
         stats.states = cache.states.len() as u32;
-        stats.accel_states = cache.accel_data.len() as u32;
         stats
     }
 
@@ -584,180 +440,6 @@ impl FusedSet {
         };
         cache.trans[cur as usize * cache.class_count + class] = enc;
         enc
-    }
-
-    /// Analyzes state `id` for acceleration and records the verdict
-    /// in `cache.accel[id]`. Interns nothing, so state numbering is
-    /// stable across the call.
-    fn analyze_accel(&self, cache: &mut DfaCache, id: u32) {
-        let verdict = self.compute_accel(cache, id);
-        cache.accel[id as usize] = match verdict {
-            None => ACCEL_NONE,
-            Some(plan) => {
-                let idx = cache.accel_data.len() as u32;
-                cache.accel_data.push(plan);
-                ACCEL_BASE + idx
-            }
-        };
-    }
-
-    /// Decides whether state `id` is quiescent and, if so, derives its
-    /// escape-set plan.
-    ///
-    /// A byte class *stays* iff, from **both** `PREV_WORD` variants of
-    /// the state's pending set, its transition is a parked loop:
-    ///
-    /// 1. the successor pending set equals the state's own pending
-    ///    set (so the automaton provably sits on the variant pair for
-    ///    the whole skipped run — each step lands on the variant
-    ///    selected by the byte's word-ness, never anywhere else); and
-    /// 2. the match ids on the transition are one *constant* set `M`,
-    ///    identical for both variants and for every stay class
-    ///    (typically empty; a nullable pattern contributes itself at
-    ///    every position). `M` is emitted once per skip, which under
-    ///    set-membership reporting equals emitting it per byte. A
-    ///    context-*dependent* match (e.g. `\b`-gated) disqualifies
-    ///    the class. `$`-gated matches only fire in the end-of-input
-    ///    closure, which the skip never bypasses: it stops *at* the
-    ///    end and `emit_eoi` still runs from the parked state.
-    ///
-    /// Requiring both variants is what makes skipping safe for
-    /// `\b`/`\B` even though it mutates `PREV_WORD`: whichever
-    /// word-ness sequence the skipped bytes have, every intermediate
-    /// transition was verified, and the scan resumes in the variant
-    /// matching the last skipped byte, so the escape byte closes
-    /// under context bits identical to the unskipped scan's.
-    ///
-    /// Everything else is an escape byte. The per-class test is exact
-    /// because byte classes are refined on word-ness and on every
-    /// instruction's ranges, so all bytes of a class behave alike.
-    fn compute_accel(&self, cache: &mut DfaCache, id: u32) -> Option<Accel> {
-        let src = cache.states[id as usize].clone();
-        if src.flags & AT_START != 0 {
-            // Consuming any byte clears AT_START, so the start state
-            // can never strictly self-loop.
-            return None;
-        }
-        let nc = cache.class_count;
-        let mut stay_class = [false; 256];
-        let mut succ: Vec<u32> = Vec::new();
-        // M of the class under examination: per-variant then merged.
-        let mut emitted: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
-        // M established by the stay classes accepted so far.
-        let mut emits: Option<Vec<u32>> = None;
-        // Index loop, not an iterator over `cache.reps`: the body
-        // re-borrows `cache` mutably (ensure_root / close_collect).
-        #[allow(clippy::needless_range_loop)]
-        'class: for class in 0..nc {
-            let rep = cache.reps[class];
-            for prev_word in [false, true] {
-                let ctx = Ctx {
-                    at_start: false,
-                    at_end: false,
-                    prev_word,
-                    next_word: word_byte(rep),
-                };
-                self.ensure_root(cache, ctx);
-                cache.generation += 1;
-                cache.consuming_scratch.clear();
-                cache.matched_scratch.clear();
-                close_collect(
-                    &self.nfa,
-                    &src.set,
-                    ctx,
-                    &mut cache.seen,
-                    cache.generation,
-                    &mut cache.stack,
-                    &mut cache.consuming_scratch,
-                    &mut cache.matched_scratch,
-                );
-                let root = cache.roots[ctx.root_slot()]
-                    .as_ref()
-                    .expect("root closure just ensured");
-                let m = &mut emitted[prev_word as usize];
-                m.clear();
-                m.extend_from_slice(&cache.matched_scratch);
-                m.extend_from_slice(&root.matched);
-                m.sort_unstable();
-                m.dedup();
-                succ.clear();
-                for &pc in cache.consuming_scratch.iter().chain(root.consuming.iter()) {
-                    if accepts(&self.nfa, pc, rep) {
-                        succ.push(pc + 1);
-                    }
-                }
-                succ.sort_unstable();
-                succ.dedup();
-                if succ[..] != src.set[..] {
-                    continue 'class; // leaves the pending set: escape
-                }
-            }
-            if emitted[0] != emitted[1] {
-                continue 'class; // context-dependent match (\b-gated): escape
-            }
-            match &emits {
-                // The first accepted stay class establishes M …
-                None => emits = Some(emitted[0].clone()),
-                // … which every later one must reproduce exactly.
-                Some(m) if *m != emitted[0] => continue 'class,
-                Some(_) => {}
-            }
-            stay_class[class] = true;
-        }
-        // Expand classes to a concrete byte-level stay bitmap and
-        // escape list.
-        let mut stay = [0u64; 4];
-        let mut escapes = [0u8; 3];
-        let mut n_escapes = 0usize;
-        let mut n_stay = 0u32;
-        for b in 0..256usize {
-            if stay_class[self.nfa.classes.map[b] as usize] {
-                stay[b >> 6] |= 1 << (b & 63);
-                n_stay += 1;
-            } else if n_escapes < 3 {
-                escapes[n_escapes] = b as u8;
-                n_escapes += 1;
-            } else {
-                n_escapes = 4;
-            }
-        }
-        if n_stay < DENSE_MIN_STAY && n_escapes > 3 {
-            return None;
-        }
-        // Resuming after a skip re-derives PREV_WORD from the last
-        // skipped byte, so both flag variants of the pending set must
-        // be interned states. Interning here never renumbers existing
-        // states; if the cache is at its bound and the sibling is
-        // absent, decline to accelerate rather than overshoot the
-        // memory limit (a later flush re-opens the opportunity).
-        let mut resume = [0u32; 2];
-        for w in [false, true] {
-            let key = StateKey {
-                set: src.set.clone(),
-                flags: if w { PREV_WORD } else { 0 },
-            };
-            resume[w as usize] = match cache.map.get(&key) {
-                Some(&sid) => sid,
-                None if cache.states.len() >= self.state_limit => return None,
-                None => cache.intern(key),
-            };
-        }
-        let kind = if (1..=3).contains(&n_escapes) {
-            AccelKind::Sparse {
-                escapes,
-                n: n_escapes as u8,
-            }
-        } else {
-            // Covers the huge-stay-set shape and the degenerate
-            // no-escape state (all-ones bitmap: jump straight to end
-            // of input).
-            AccelKind::Dense { stay }
-        };
-        Some(Accel {
-            kind,
-            resume,
-            emits: emits.unwrap_or_default().into_boxed_slice(),
-        })
     }
 
     /// Emits the matches visible at end of input from state `cur`
@@ -1015,121 +697,6 @@ mod tests {
         assert_eq!(fused_ids(&set, &mut cache, b"qqq"), vec![0]);
     }
 
-    /// Builds the same patterns twice, acceleration on and off, and a
-    /// cache for each.
-    fn build_ab(patterns: &[&str]) -> (FusedSet, FusedSet) {
-        let mut on = FusedSetBuilder::new();
-        let mut off = FusedSetBuilder::new().accelerate(false);
-        for (i, pat) in patterns.iter().enumerate() {
-            assert_eq!(on.add(i as u32, pat, true).unwrap(), FuseOutcome::Fused);
-            assert_eq!(off.add(i as u32, pat, true).unwrap(), FuseOutcome::Fused);
-        }
-        (on.build().unwrap(), off.build().unwrap())
-    }
-
-    #[test]
-    fn acceleration_skips_bytes_and_preserves_results() {
-        let (on, off) = build_ab(LIBRARY);
-        let (mut ca, mut cb) = (DfaCache::new(), DfaCache::new());
-        // A long benign-ish haystack: big quiescent runs, no matches
-        // for most patterns.
-        let mut hay = Vec::new();
-        for _ in 0..64 {
-            hay.extend_from_slice(b"page=2&sort=asc&term=winter jackets ");
-        }
-        let mut out_on = CandidateSet::new(on.pattern_count());
-        let mut out_off = CandidateSet::new(off.pattern_count());
-        // Two passes: cold then warm (skipping mostly engages warm,
-        // after self-loops have been observed).
-        for pass in 0..2 {
-            out_on.reset(on.pattern_count());
-            out_off.reset(off.pattern_count());
-            let sa = on.scan_into(&hay, &mut ca, &mut out_on);
-            let sb = off.scan_into(&hay, &mut cb, &mut out_off);
-            let a: Vec<usize> = out_on.iter().collect();
-            let b: Vec<usize> = out_off.iter().collect();
-            assert_eq!(a, b, "acceleration changed the match set");
-            assert_eq!(sb.skipped, 0, "accel-off scan must not skip");
-            if pass == 1 {
-                assert!(
-                    sa.skipped > 0,
-                    "warm accelerated scan should skip bytes: {sa:?}"
-                );
-                assert!(sa.accel_states > 0);
-                assert!(sa.skip_ratio().unwrap() > 0.0);
-                assert_eq!(ca.accelerated_states(), sa.accel_states as usize);
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_acceleration_engages_on_single_pattern_sets() {
-        // One literal pattern: the parked state's escape set is just
-        // the first letter's two cases → the SWAR path.
-        let (on, off) = build_ab(&["union"]);
-        let (mut ca, mut cb) = (DfaCache::new(), DfaCache::new());
-        let hay = vec![b'a'; 8192];
-        for _ in 0..2 {
-            let mut out = CandidateSet::new(1);
-            let sa = on.scan_into(&hay, &mut ca, &mut out);
-            let sb = off.scan_into(&hay, &mut cb, &mut out);
-            assert_eq!(out.iter().count(), 0);
-            assert_eq!(sb.skipped, 0);
-            if sa.skipped > 0 {
-                // Nearly the whole haystack should go in one jump.
-                assert!(sa.skipped > hay.len() as u64 / 2, "{sa:?}");
-            }
-        }
-        // Matches still found mid-soup with skipping active.
-        let mut hay = vec![b'x'; 4096];
-        hay.extend_from_slice(b"UNION");
-        hay.extend(std::iter::repeat_n(b'x', 4096));
-        let mut out = CandidateSet::new(1);
-        on.scan_into(&hay, &mut ca, &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
-    fn acceleration_agrees_with_vm_across_word_boundaries() {
-        // \b-heavy patterns: skipping mutates PREV_WORD, which the
-        // resume rule must reconstruct exactly.
-        let pats: &[&str] = &[r"\bor\b", r"\Bx", r"\bselect\b", r"union\s+select"];
-        let (set, regexes) = build(pats);
-        let (on, off) = build_ab(pats);
-        let _ = set;
-        let (mut ca, mut cb) = (DfaCache::new(), DfaCache::new());
-        let hays: &[&[u8]] = &[
-            b"pporppp or ppp",
-            b"aaaaaaaaaaaaaaaaaaaaor",
-            b"or aaaaaaaaaaaaaaaaaaaa",
-            b"   or   ",
-            b"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-            b"tax tax tax tax tax tax tax tax x",
-            b"selectselectselect select done",
-            b"no keywords here just words and spaces and 123 456",
-        ];
-        for hay in hays {
-            for _ in 0..2 {
-                let mut a = CandidateSet::new(on.pattern_count());
-                let mut b = CandidateSet::new(off.pattern_count());
-                on.scan_into(hay, &mut ca, &mut a);
-                off.scan_into(hay, &mut cb, &mut b);
-                assert_eq!(
-                    a.iter().collect::<Vec<_>>(),
-                    b.iter().collect::<Vec<_>>(),
-                    "haystack {:?}",
-                    String::from_utf8_lossy(hay)
-                );
-                assert_eq!(
-                    a.iter().collect::<Vec<_>>(),
-                    vm_ids(&regexes, hay),
-                    "vs VM on {:?}",
-                    String::from_utf8_lossy(hay)
-                );
-            }
-        }
-    }
-
     #[test]
     fn hit_ratio_is_clamped_under_tiny_state_limit() {
         // Satellite regression: mid-scan flushes discard and re-pay
@@ -1163,28 +730,6 @@ mod tests {
                 (0.0..=1.0).contains(&ratio),
                 "hit_ratio escaped [0,1]: {ratio} ({stats:?})"
             );
-            let skip = stats.skip_ratio().expect("non-empty haystack");
-            assert!((0.0..=1.0).contains(&skip));
         }
-    }
-
-    #[test]
-    fn accel_survives_flush_and_rebind() {
-        let (on, _) = build_ab(&["union"]);
-        let mut cache = DfaCache::new();
-        let hay = vec![b'a'; 1024];
-        let mut out = CandidateSet::new(1);
-        on.scan_into(&hay, &mut cache, &mut out);
-        on.scan_into(&hay, &mut cache, &mut out);
-        assert!(cache.accelerated_states() > 0);
-        // Rebinding to a different set drops the plans with the
-        // states they index.
-        let (other, _) = build_ab(&["select"]);
-        other.scan_into(&hay, &mut cache, &mut out);
-        let mut out2 = CandidateSet::new(1);
-        let mut hay2 = hay.clone();
-        hay2.extend_from_slice(b"select");
-        other.scan_into(&hay2, &mut cache, &mut out2);
-        assert_eq!(out2.iter().collect::<Vec<_>>(), vec![0]);
     }
 }

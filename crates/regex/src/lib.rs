@@ -8,22 +8,19 @@
 //! and compiles patterns to a prioritized Pike VM that runs in time
 //! linear in the haystack, immune to backtracking blow-ups.
 //!
-//! Two features are specific to the IDS use case:
+//! Three features are specific to the IDS use case:
 //!
 //! * [`Regex::count_all`] counts non-overlapping matches, the
 //!   operation pSigene's feature extraction is built on (the paper
 //!   adds an equivalent `count_all()` to the Bro IDS).
 //! * A mandatory-literal prefilter skips the VM entirely for the
 //!   (very common) haystacks that cannot possibly match.
-//! * [`MultiLiteral`] lifts the prefilter to the *set* level: an
-//!   ASCII-case-folded Aho–Corasick automaton over every pattern's
-//!   required literals answers "which of these N patterns could
-//!   match?" in one haystack pass instead of N.
-//! * [`FusedSet`] goes further: a whole pattern library fused into
-//!   one multi-pattern NFA, executed as a lazily-determinized DFA
-//!   ([`FusedSet::scan_into`]), reports the *exact* set of matching
-//!   patterns — not candidates — in one haystack pass, so per-pattern
-//!   VMs only run to count matches for patterns known to match.
+//! * [`FusedSet`] fuses a whole pattern library into one
+//!   multi-pattern NFA, executed as a lazily-determinized DFA
+//!   ([`FusedSet::scan_into`]): one haystack pass reports the *exact*
+//!   set of matching patterns, so per-pattern VMs only run to count
+//!   matches for patterns known to match. Patterns too large to fuse
+//!   are refused ([`FuseOutcome::Fallback`]) and stay on their own VM.
 //!
 //! # Example
 //!
@@ -41,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod accel;
 mod ast;
 mod classes;
 mod compiler;
@@ -57,7 +53,7 @@ mod vm;
 pub use crate::classes::{ByteRange, ClassSet};
 pub use crate::error::{Error, ErrorKind};
 pub use crate::lazydfa::{DfaCache, FusedScanStats};
-pub use crate::multilit::{CandidateSet, MultiLiteral, MultiLiteralBuilder};
+pub use crate::multilit::CandidateSet;
 pub use crate::nfa::{FuseOutcome, FusedSet, FusedSetBuilder};
 pub use crate::prefilter::Prefilter;
 pub use crate::vm::VmCache;

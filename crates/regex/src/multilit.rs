@@ -1,38 +1,12 @@
-//! Set-level multi-literal scanning: one pass over the haystack
-//! reports, for a whole library of patterns at once, which patterns
-//! have at least one of their required literals present.
-//!
-//! The per-pattern [`crate::Prefilter`] answers "can *this* pattern
-//! possibly match?" with a private scan of the haystack; running it
-//! for N patterns costs N haystack traversals. [`MultiLiteral`] is
-//! the set-level replacement: an Aho–Corasick automaton whose goto
-//! and fail links are built over ASCII-case-folded bytes, fully
-//! resolved into a dense DFA at construction, so scanning is one
-//! table lookup per haystack byte regardless of how many literals
-//! (or patterns) the automaton carries.
-//!
-//! Soundness contract (shared with `Prefilter`): literals are stored
-//! lowercased and matched ASCII case-insensitively, which permits
-//! false positives (a candidate that the VM then rejects) but never
-//! false negatives. A haystack position matches a literal here
-//! exactly when `Prefilter::maybe_matches` would accept it, so the
-//! candidate set produced by [`MultiLiteral::scan_into`] equals the
-//! set of patterns whose own prefilter passes.
-
-use crate::accel::skip_dense;
-use std::collections::VecDeque;
-
-/// Sentinel for an absent goto transition during construction.
-const MISSING: u32 = u32::MAX;
+//! The pattern-id bitset a fused scan reports into.
 
 /// A growable bitset over pattern ids, reused across scans.
 ///
-/// This is the shared output currency of every set-level engine:
-/// [`MultiLiteral::scan_into`] and the fused lazy DFA
-/// (`crate::FusedSet::scan_into`) both insert into one caller-owned
-/// instance — their id populations are disjoint by construction in
-/// the feature layer — so an extraction needs exactly one bitset
-/// scratch allocation regardless of how many engines run.
+/// `crate::FusedSet::scan_into` inserts the id of every matching
+/// pattern into one caller-owned instance and preserves the bits
+/// already set, so a caller can pre-seed ids the automaton does not
+/// carry (the feature layer seeds the patterns the fuser refused) and
+/// walk both populations in one ascending pass.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct CandidateSet {
     bits: Vec<u64>,
@@ -47,7 +21,7 @@ impl Clone for CandidateSet {
         }
     }
 
-    // Hot-path use is `scratch.clone_from(&base)` once per request:
+    // Hot-path use is `scratch.clone_from(&seed)` once per request:
     // delegate to Vec::clone_from so the scratch allocation is reused.
     fn clone_from(&mut self, source: &CandidateSet) {
         self.bits.clone_from(&source.bits);
@@ -106,278 +80,9 @@ impl CandidateSet {
     }
 }
 
-/// Accumulates `(pattern id, literal)` pairs and builds the automaton.
-#[derive(Debug, Default)]
-pub struct MultiLiteralBuilder {
-    literals: Vec<(u32, Vec<u8>)>,
-}
-
-impl MultiLiteralBuilder {
-    /// An empty builder.
-    pub fn new() -> MultiLiteralBuilder {
-        MultiLiteralBuilder::default()
-    }
-
-    /// Registers one required literal of `pattern`. The literal is
-    /// ASCII-lowercased; empty literals are ignored (an empty
-    /// requirement would make every haystack a candidate, which the
-    /// caller models by not prefiltering the pattern at all).
-    pub fn add(&mut self, pattern: u32, literal: &[u8]) {
-        if literal.is_empty() {
-            return;
-        }
-        let mut lit = literal.to_vec();
-        lit.make_ascii_lowercase();
-        self.literals.push((pattern, lit));
-    }
-
-    /// Number of literals registered so far.
-    pub fn len(&self) -> usize {
-        self.literals.len()
-    }
-
-    /// True when no literal has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.literals.is_empty()
-    }
-
-    /// Builds the case-folded Aho–Corasick DFA.
-    pub fn build(self) -> MultiLiteral {
-        // Trie over lowercased literal bytes, stored directly in the
-        // final dense-transition layout.
-        let mut next: Vec<u32> = vec![MISSING; 256];
-        let mut outputs: Vec<Vec<u32>> = vec![Vec::new()];
-        for (pid, lit) in &self.literals {
-            let mut s = 0usize;
-            for &b in lit {
-                let slot = s * 256 + b as usize;
-                s = match next[slot] {
-                    MISSING => {
-                        let id = outputs.len() as u32;
-                        next[slot] = id;
-                        next.resize(next.len() + 256, MISSING);
-                        outputs.push(Vec::new());
-                        id as usize
-                    }
-                    t => t as usize,
-                };
-            }
-            outputs[s].push(*pid);
-        }
-        // Breadth-first fail-link pass, resolving every transition so
-        // the scan loop is a pure DFA step. A node's fail target is
-        // strictly shallower, so by BFS order its transitions and
-        // inherited outputs are final when the node is processed.
-        let nodes = outputs.len();
-        let mut fail = vec![0u32; nodes];
-        let mut queue = VecDeque::new();
-        for slot in next.iter_mut().take(256) {
-            match *slot {
-                MISSING => *slot = 0,
-                t => {
-                    fail[t as usize] = 0;
-                    queue.push_back(t as usize);
-                }
-            }
-        }
-        while let Some(s) = queue.pop_front() {
-            let f = fail[s] as usize;
-            if !outputs[f].is_empty() {
-                let inherited = outputs[f].clone();
-                outputs[s].extend(inherited);
-            }
-            for b in 0..256 {
-                let via_fail = next[f * 256 + b];
-                let slot = s * 256 + b;
-                match next[slot] {
-                    MISSING => next[slot] = via_fail,
-                    t => {
-                        fail[t as usize] = via_fail;
-                        queue.push_back(t as usize);
-                    }
-                }
-            }
-        }
-        let mut distinct: Vec<u32> = self.literals.iter().map(|&(pid, _)| pid).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        for out in &mut outputs {
-            out.sort_unstable();
-            out.dedup();
-            out.shrink_to_fit();
-        }
-        // Escape-set skip for the start state (the same trick the
-        // fused lazy DFA uses for quiescent states): a raw byte stays
-        // at the root iff its folded transition loops there, and the
-        // root never carries outputs (empty literals are refused), so
-        // runs of stay bytes can be jumped without stepping.
-        let mut start_stay = [0u64; 4];
-        for b in 0..256usize {
-            let folded = (b as u8).to_ascii_lowercase() as usize;
-            if next[folded] == 0 {
-                start_stay[b >> 6] |= 1 << (b & 63);
-            }
-        }
-        MultiLiteral {
-            next,
-            outputs,
-            distinct_patterns: distinct.len(),
-            start_stay,
-        }
-    }
-}
-
-/// A built multi-literal automaton. See the module docs for the
-/// matching semantics.
-#[derive(Clone)]
-pub struct MultiLiteral {
-    /// Dense DFA transitions: `next[state * 256 + folded_byte]`.
-    next: Vec<u32>,
-    /// Per state: the pattern ids completed at (or suffix-reachable
-    /// from) that state.
-    outputs: Vec<Vec<u32>>,
-    /// Distinct pattern ids carried by the automaton; lets scans stop
-    /// early once every pattern has been seen.
-    distinct_patterns: usize,
-    /// Bytes whose (folded) transition keeps the scan at the start
-    /// state, as a 256-bit bitmap over *raw* byte values; scans jump
-    /// over runs of them.
-    start_stay: [u64; 4],
-}
-
-impl MultiLiteral {
-    /// Number of DFA states (diagnostic; bounded by total literal
-    /// bytes + 1).
-    pub fn state_count(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Number of distinct pattern ids the automaton can report.
-    pub fn pattern_count(&self) -> usize {
-        self.distinct_patterns
-    }
-
-    /// Scans `hay` once, inserting into `found` every pattern id with
-    /// at least one literal occurrence (ASCII case-insensitive).
-    /// Returns the number of ids newly inserted. Bits already set in
-    /// `found` are preserved (callers pre-seed always-run patterns).
-    pub fn scan_into(&self, hay: &[u8], found: &mut CandidateSet) -> usize {
-        let mut state = 0usize;
-        let mut new = 0usize;
-        let mut i = 0usize;
-        while i < hay.len() {
-            if state == 0 {
-                // Parked at the root: jump to the next byte that can
-                // start any literal. Root outputs are empty, so the
-                // skipped bytes observably do nothing.
-                i = skip_dense(hay, i, &self.start_stay);
-                if i >= hay.len() {
-                    break;
-                }
-            }
-            state = self.next[state * 256 + hay[i].to_ascii_lowercase() as usize] as usize;
-            let out = &self.outputs[state];
-            if !out.is_empty() {
-                for &pid in out {
-                    if found.insert(pid as usize) {
-                        new += 1;
-                    }
-                }
-                // Every pattern is already a candidate: the rest of
-                // the haystack cannot change the answer.
-                if new == self.distinct_patterns {
-                    break;
-                }
-            }
-            i += 1;
-        }
-        new
-    }
-
-    /// Convenience wrapper allocating a fresh [`CandidateSet`] over
-    /// `universe` ids.
-    pub fn scan(&self, hay: &[u8], universe: usize) -> CandidateSet {
-        let mut found = CandidateSet::new(universe);
-        self.scan_into(hay, &mut found);
-        found
-    }
-}
-
-impl std::fmt::Debug for MultiLiteral {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiLiteral")
-            .field("states", &self.state_count())
-            .field("patterns", &self.distinct_patterns)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn engine(lits: &[(u32, &str)]) -> MultiLiteral {
-        let mut b = MultiLiteralBuilder::new();
-        for &(pid, lit) in lits {
-            b.add(pid, lit.as_bytes());
-        }
-        b.build()
-    }
-
-    fn found_ids(e: &MultiLiteral, hay: &[u8], universe: usize) -> Vec<usize> {
-        e.scan(hay, universe).iter().collect()
-    }
-
-    #[test]
-    fn reports_each_pattern_with_a_literal_present() {
-        let e = engine(&[(0, "select"), (1, "union"), (2, "sleep")]);
-        assert_eq!(found_ids(&e, b"1 UNION SELECT 2", 3), vec![0, 1]);
-        assert_eq!(found_ids(&e, b"nothing here", 3), Vec::<usize>::new());
-        assert_eq!(found_ids(&e, b"sleep(5)", 3), vec![2]);
-    }
-
-    #[test]
-    fn case_folding_matches_prefilter_semantics() {
-        let e = engine(&[(0, "SeLeCt")]);
-        assert_eq!(found_ids(&e, b"sElEcT", 1), vec![0]);
-        assert_eq!(found_ids(&e, b"selec", 1), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn overlapping_and_nested_literals() {
-        // "he"/"she"/"his"/"hers": the classic AC example; also one
-        // literal a suffix of another.
-        let e = engine(&[(0, "he"), (1, "she"), (2, "his"), (3, "hers")]);
-        assert_eq!(found_ids(&e, b"ushers", 4), vec![0, 1, 3]);
-        assert_eq!(found_ids(&e, b"history", 4), vec![2]);
-    }
-
-    #[test]
-    fn multiple_literals_per_pattern_and_shared_ids() {
-        let e = engine(&[(7, "insert"), (7, "delete"), (3, "drop")]);
-        assert_eq!(found_ids(&e, b"DELETE FROM t", 8), vec![7]);
-        assert_eq!(found_ids(&e, b"drop table; insert", 8), vec![3, 7]);
-        assert_eq!(e.pattern_count(), 2);
-    }
-
-    #[test]
-    fn pre_seeded_bits_are_preserved() {
-        let e = engine(&[(1, "xyz")]);
-        let mut found = CandidateSet::new(4);
-        found.insert(2);
-        let new = e.scan_into(b"xyzzy", &mut found);
-        assert_eq!(new, 1);
-        assert_eq!(found.iter().collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    #[test]
-    fn empty_builder_and_empty_haystack() {
-        let e = MultiLiteralBuilder::new().build();
-        assert_eq!(e.pattern_count(), 0);
-        assert_eq!(found_ids(&e, b"anything", 4), Vec::<usize>::new());
-        let e = engine(&[(0, "a")]);
-        assert_eq!(found_ids(&e, b"", 1), Vec::<usize>::new());
-    }
 
     #[test]
     fn candidate_set_basics() {
@@ -392,48 +97,5 @@ mod tests {
         s.reset(10);
         assert_eq!(s.count(), 0);
         assert_eq!(s.universe(), 10);
-    }
-
-    #[test]
-    fn agrees_with_per_pattern_prefilters() {
-        use crate::parser::{parse, Flags};
-        use crate::Prefilter;
-        // Patterns with derivable literal requirements: the automaton
-        // must flag exactly the patterns whose own prefilter passes.
-        let pats = [
-            r"union\s+select",
-            "insert|update|delete",
-            r"or\s+sleep\s*\(",
-            "benchmark",
-        ];
-        let pfs: Vec<Prefilter> = pats
-            .iter()
-            .map(|p| Prefilter::from_ast(&parse(p, Flags::default()).unwrap()).unwrap())
-            .collect();
-        let mut b = MultiLiteralBuilder::new();
-        for (i, pf) in pfs.iter().enumerate() {
-            for lit in pf.literals() {
-                b.add(i as u32, lit);
-            }
-        }
-        let e = b.build();
-        let hays: &[&[u8]] = &[
-            b"id=1 UNION SELECT pass",
-            b"UPDATE t SET x=1",
-            b"or sleep(9)",
-            b"BENCHMARK(1000,md5(1))",
-            b"page=2&sort=asc",
-            b"",
-        ];
-        for hay in hays {
-            let got = e.scan(hay, pats.len());
-            for (i, pf) in pfs.iter().enumerate() {
-                assert_eq!(
-                    got.contains(i),
-                    pf.maybe_matches(hay),
-                    "pattern {i} on {hay:?}"
-                );
-            }
-        }
     }
 }

@@ -127,7 +127,6 @@ pub struct FusedSetBuilder {
     entries: Vec<u32>,
     pattern_count: usize,
     state_limit: usize,
-    accelerate: bool,
 }
 
 impl Default for FusedSetBuilder {
@@ -144,7 +143,6 @@ impl FusedSetBuilder {
             entries: Vec::new(),
             pattern_count: 0,
             state_limit: DEFAULT_STATE_LIMIT,
-            accelerate: true,
         }
     }
 
@@ -154,16 +152,6 @@ impl FusedSetBuilder {
     /// retain the in-flight state.
     pub fn state_limit(mut self, limit: usize) -> FusedSetBuilder {
         self.state_limit = limit.max(8);
-        self
-    }
-
-    /// Enables or disables accelerated quiescent-state skipping in the
-    /// lazy DFA (on by default). Turning it off forces the plain
-    /// per-byte transition loop — useful for A/B benchmarking and for
-    /// the differential tests that prove acceleration is observation-
-    /// ally invisible.
-    pub fn accelerate(mut self, yes: bool) -> FusedSetBuilder {
-        self.accelerate = yes;
         self
     }
 
@@ -234,7 +222,6 @@ impl FusedSetBuilder {
             },
             pattern_count: self.pattern_count,
             state_limit: self.state_limit,
-            accelerate: self.accelerate,
             token: TOKEN.fetch_add(1, Ordering::Relaxed),
         })
     }
@@ -274,7 +261,6 @@ pub struct FusedSet {
     pub(crate) nfa: MultiNfa,
     pattern_count: usize,
     pub(crate) state_limit: usize,
-    pub(crate) accelerate: bool,
     pub(crate) token: u64,
 }
 
@@ -297,11 +283,6 @@ impl FusedSet {
     /// The DFA state-cache bound in force.
     pub fn state_limit(&self) -> usize {
         self.state_limit
-    }
-
-    /// Whether quiescent-state acceleration is enabled.
-    pub fn acceleration_enabled(&self) -> bool {
-        self.accelerate
     }
 }
 

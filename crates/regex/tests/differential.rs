@@ -195,66 +195,5 @@ mod fused {
             let mut cache = DfaCache::new();
             check(&set, &oracles, &mut cache, hay.as_bytes());
         }
-
-        #[test]
-        fn accelerated_scan_equals_unaccelerated_scan(
-            hay in proptest::collection::vec(any::<u8>(), 0..200),
-        ) {
-            // Quiescent-state skipping must be observationally
-            // invisible: identical candidate sets on arbitrary bytes,
-            // warm and cold, including the \b/^/$-heavy patterns in
-            // PATTERNS. Warm caches matter because analysis is lazy —
-            // the first scan may not skip at all.
-            let mut on_b = FusedSetBuilder::new();
-            let mut off_b = FusedSetBuilder::new().accelerate(false);
-            for (i, pat) in PATTERNS.iter().enumerate() {
-                on_b.add(i as u32, pat, true).expect("valid pattern");
-                off_b.add(i as u32, pat, true).expect("valid pattern");
-            }
-            let (on, off) = (on_b.build().unwrap(), off_b.build().unwrap());
-            let (mut ca, mut cb) = (DfaCache::new(), DfaCache::new());
-            for _ in 0..2 {
-                let mut a = CandidateSet::new(on.pattern_count());
-                let mut b = CandidateSet::new(off.pattern_count());
-                let sa = on.scan_into(&hay, &mut ca, &mut a);
-                let sb = off.scan_into(&hay, &mut cb, &mut b);
-                prop_assert_eq!(
-                    a.iter().collect::<Vec<_>>(),
-                    b.iter().collect::<Vec<_>>(),
-                    "accel changed matches on {:?}", hay
-                );
-                prop_assert_eq!(sb.skipped, 0);
-                prop_assert!(sa.hit_ratio().is_none_or(|r| (0.0..=1.0).contains(&r)));
-            }
-        }
-
-        #[test]
-        fn accelerated_scan_equals_unaccelerated_under_eviction(
-            hay in "[ -~]{0,150}",
-        ) {
-            // Flush-on-full clears acceleration plans with the states
-            // they index; skipping must stay invisible through
-            // constant re-determinization.
-            let mut on_b = FusedSetBuilder::new().state_limit(1);
-            let mut off_b = FusedSetBuilder::new().state_limit(1).accelerate(false);
-            for (i, pat) in PATTERNS.iter().enumerate() {
-                on_b.add(i as u32, pat, true).expect("valid pattern");
-                off_b.add(i as u32, pat, true).expect("valid pattern");
-            }
-            let (on, off) = (on_b.build().unwrap(), off_b.build().unwrap());
-            let (mut ca, mut cb) = (DfaCache::new(), DfaCache::new());
-            for _ in 0..2 {
-                let mut a = CandidateSet::new(on.pattern_count());
-                let mut b = CandidateSet::new(off.pattern_count());
-                let sa = on.scan_into(hay.as_bytes(), &mut ca, &mut a);
-                off.scan_into(hay.as_bytes(), &mut cb, &mut b);
-                prop_assert_eq!(
-                    a.iter().collect::<Vec<_>>(),
-                    b.iter().collect::<Vec<_>>(),
-                    "accel changed matches under eviction on {:?}", hay
-                );
-                prop_assert!(sa.hit_ratio().is_none_or(|r| (0.0..=1.0).contains(&r)));
-            }
-        }
     }
 }

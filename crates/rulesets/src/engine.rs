@@ -2,10 +2,9 @@
 
 use psigene_http::HttpRequest;
 use psigene_insight::TraceContext;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of evaluating one request.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Detection {
     /// Whether the engine raises an alert.
     pub flagged: bool,
@@ -26,7 +25,7 @@ pub struct Detection {
 /// it does not. A shed verdict records the configured failure
 /// direction so downstream consumers (block/allow the request, audit
 /// logs, dashboards) can treat it uniformly with real detections.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Verdict {
     /// The engine evaluated the request.
     Evaluated(Detection),

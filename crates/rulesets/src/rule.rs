@@ -1,11 +1,10 @@
 //! Rules and rule matchers shared by all engine styles.
 
 use psigene_regex::{Regex, RegexBuilder};
-use serde::{Deserialize, Serialize};
 
 /// Rule severity, used for reporting and for ModSec-style scoring
 /// defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// Informational.
     Notice,

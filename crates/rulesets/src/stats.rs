@@ -1,11 +1,10 @@
 //! Ruleset statistics — the data behind Table IV.
 
 use crate::rule::Rule;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table IV plus the regex-length statistics quoted in
 /// §III-A.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RulesetStats {
     /// Ruleset name.
     pub name: String,

@@ -302,8 +302,8 @@ impl Gateway {
     /// amortizes snapshot acquisition, feature-buffer allocation and
     /// telemetry across all its requests; with a pSigene engine each
     /// request's feature extraction is additionally gated by the
-    /// set-level literal prescan, so benign-heavy batches run only a
-    /// fraction of the feature VMs (`features.vm_runs_skipped`).
+    /// fused scan, so benign-heavy batches run only a fraction of the
+    /// feature VMs (`features.vm_runs_skipped`).
     /// Verdicts come back in submission order. Under `Shed`, a full
     /// gateway sheds the whole batch.
     pub fn submit_batch(&self, requests: Vec<HttpRequest>) -> BatchTicket {

@@ -211,37 +211,17 @@ fn main() {
             );
         }
     }
-    // The fused matcher's internals: lazy-DFA cache occupancy and how
-    // much of the byte stream the quiescent-state accelerator jumped.
+    // The fused matcher's internals: lazy-DFA cache occupancy.
     if let Some(&states) = snap.gauges.get("regex.fused.cache_states") {
         let hit = snap
             .gauges
             .get("regex.fused.cache_hit_ratio")
             .copied()
             .unwrap_or(0.0);
-        let accel_states = snap
-            .gauges
-            .get("regex.fused.accel_states")
-            .copied()
-            .unwrap_or(0.0);
-        let skip_ratio = snap
-            .gauges
-            .get("regex.fused.accel_skip_ratio")
-            .copied()
-            .unwrap_or(0.0);
-        let skipped = snap
-            .counters
-            .get("regex.fused.accel_bytes_skipped")
-            .copied()
-            .unwrap_or(0);
         println!(
-            "fused DFA: {:.0} cached states ({:.1}% cache hits) / \
-             peak {:.0} accelerated states / {} bytes skipped (window skip ratio {:.3})",
+            "fused DFA: {:.0} cached states ({:.1}% cache hits)",
             states,
-            hit * 100.0,
-            accel_states,
-            skipped,
-            skip_ratio
+            hit * 100.0
         );
     }
     let mut hits: Vec<(&str, u64)> = snap

@@ -28,24 +28,10 @@ cargo run --release -p psigene-serve --example ids_gateway -- --quick >/dev/null
 # above ran it unoptimized): a warm worker must evaluate a request
 # with at most 2 allocations, through the public engine API and
 # through the gateway's batch path, `submit` must add exactly the
-# reply slot, and rows/scores must be bit-identical across all three
-# match modes. The tests serialize themselves on an internal lock.
+# reply slot, and rows/scores must be bit-identical to the per-feature
+# oracle. The tests serialize themselves on an internal lock.
 echo "==> alloc-budget integration test (zero-alloc hot path)"
 cargo test --release -p psigene-serve --test alloc_budget -q
-
-# Matching bench in quick mode: records naive vs. prescan vs. fused
-# feature extraction throughput (payloads/sec) plus allocations per
-# payload for every mode x traffic class so future PRs have a perf
-# trajectory to compare against. PSIGENE_BENCH_ENFORCE fails the run
-# if the fused engine drops below the prescan baseline on attack
-# traffic or the fused steady state allocates more than 2 per payload
-# on either traffic class.
-echo "==> matching bench (quick) -> results/BENCH_matching.json"
-# Absolute path: cargo runs bench binaries with CWD = the package dir.
-PSIGENE_BENCH_QUICK=1 PSIGENE_BENCH_ENFORCE=1 \
-    PSIGENE_BENCH_JSON="$PWD/results/BENCH_matching.json" \
-    cargo bench -p psigene-bench --bench matching
-test -s results/BENCH_matching.json
 
 # Fault-injection integration test: fixed-seed 20%-fault crawl must
 # recover ≥99% of the fault-free sample set, dead-letter a dead portal
@@ -82,13 +68,6 @@ test -s results/BENCH_train.json
 echo "==> observability integration test (drift / tracing / overhead)"
 env -u RUST_TEST_THREADS cargo test --release -p psigene-serve \
     --test observability -q -- --test-threads=1
-
-# Observability bench in quick mode: records baseline vs drift-
-# monitored vs traced serving throughput and the overhead percentages.
-echo "==> obsv bench (quick) -> results/BENCH_obsv.json"
-PSIGENE_BENCH_QUICK=1 PSIGENE_BENCH_JSON="$PWD/results/BENCH_obsv.json" \
-    cargo bench -p psigene-bench --bench obsv
-test -s results/BENCH_obsv.json
 
 # Control-loop integration test: a drift-inducing traffic shift must
 # drive the full closed loop (background retrain, differential replay,

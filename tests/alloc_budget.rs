@@ -8,19 +8,21 @@
 //! nothing). These tests pin that budget through the public engine
 //! API and through the full gateway path (submit → shard queue →
 //! worker → evaluate → reply), and pin that the zero-alloc rewiring
-//! changed no observable result: sparse rows are bitwise identical
-//! across all three match modes and across repeated extractions over
-//! dirty scratch.
+//! changed no observable result: sparse rows and verdicts are bitwise
+//! identical to the per-feature oracle, across repeated extractions
+//! over dirty scratch.
 //!
 //! The counting allocator is process-global, so every test in this
 //! binary takes the internal lock: a concurrently allocating sibling
 //! would inflate a measured window.
 
+mod common;
+
 use parking_lot::Mutex;
 use psigene::{PipelineConfig, Psigene};
 use psigene_corpus::benign::{self, BenignConfig};
 use psigene_corpus::sqlmap::{self, SqlmapConfig};
-use psigene_features::{extract, FeatureSet, MatchMode};
+use psigene_features::{extract, FeatureSet};
 use psigene_http::HttpRequest;
 use psigene_rulesets::DetectionEngine;
 use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
@@ -286,28 +288,24 @@ fn gateway_submit_path_allocates_exactly_the_reply_slot() {
 #[test]
 fn match_modes_extract_bitwise_identical_rows() {
     let _guard = lock().lock();
-    let fused = FeatureSet::full();
-    assert_eq!(fused.match_mode(), MatchMode::Fused);
-    let prescan = fused.with_match_mode(MatchMode::Prescan);
-    let naive = fused.with_match_mode(MatchMode::Naive);
-    let requests = workload(32);
-    for r in &requests {
+    let set = FeatureSet::full();
+    for r in &workload(32) {
         let p = r.detection_payload();
-        // Extract twice per mode: the second run reuses dirty
-        // thread-local scratch and must be bit-identical to the
-        // first (f64 counts compared through to_bits, not ==).
-        let rows = [
-            extract::extract_row(&fused, p),
-            extract::extract_row(&fused, p),
-            extract::extract_row(&prescan, p),
-            extract::extract_row(&naive, p),
-        ];
-        for other in &rows[1..] {
-            assert_eq!(rows[0].len(), other.len(), "{p:?}");
-            for (&(ca, va), &(cb, vb)) in rows[0].iter().zip(other.iter()) {
-                assert_eq!(ca, cb, "{p:?}");
-                assert_eq!(va.to_bits(), vb.to_bits(), "{p:?}");
-            }
+        // f64 counts compared through to_bits, not ==.
+        let want: Vec<(usize, u64)> = common::oracle_dense(&set, p)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0.0)
+            .map(|(c, &v)| (c, v.to_bits()))
+            .collect();
+        // Extract twice: the second run reuses dirty thread-local
+        // scratch and must be bit-identical to the first.
+        for _ in 0..2 {
+            let got: Vec<(usize, u64)> = extract::extract_row(&set, p)
+                .iter()
+                .map(|&(c, v)| (c, v.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{p:?}");
         }
     }
 }
@@ -316,18 +314,9 @@ fn match_modes_extract_bitwise_identical_rows() {
 fn match_mode_scores_are_bitwise_identical() {
     let _guard = lock().lock();
     let p = system();
-    let others = [
-        p.with_match_mode(MatchMode::Prescan),
-        p.with_match_mode(MatchMode::Naive),
-    ];
     for r in &workload(24) {
-        let a = p.evaluate(r);
-        for other in &others {
-            let b = other.evaluate(r);
-            assert_eq!(a.flagged, b.flagged);
-            assert_eq!(a.matched_rules, b.matched_rules);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
+        let (a, b) = (p.evaluate(r), common::oracle_detection(p, r));
+        assert!(common::same_bits(&a, &b), "{a:?} vs oracle {b:?}");
     }
 }
 

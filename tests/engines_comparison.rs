@@ -103,45 +103,3 @@ fn engines_expose_rule_counts() {
     assert_eq!(ModsecEngine::new().rule_count(), 34);
     assert!(SnortEngine::new().rule_count() > 100);
 }
-
-#[test]
-fn acceleration_does_not_change_detector_scores() {
-    // Quiescent-state skipping in the fused scanner must be invisible
-    // end to end: per-signature probabilities bitwise identical
-    // (f64::to_bits, not ==) and verdicts equal, on attack and benign
-    // traffic alike.
-    let system = Psigene::train(&PipelineConfig {
-        crawl_samples: 400,
-        benign_train: 3000,
-        cluster_sample_cap: 400,
-        threads: 1,
-        ..PipelineConfig::default()
-    });
-    let unaccel = system.with_acceleration(false);
-    let attacks = sqlmap::generate(&SqlmapConfig {
-        samples: 120,
-        ..Default::default()
-    });
-    let benign_ds = benign::generate(&BenignConfig {
-        requests: 120,
-        seed: 0xacce_1e44,
-        ..Default::default()
-    });
-    for s in attacks.samples.iter().chain(benign_ds.samples.iter()) {
-        let on = system.probabilities(&s.request);
-        let off = unaccel.probabilities(&s.request);
-        assert_eq!(on.len(), off.len());
-        for (&(sig_a, p_a), &(sig_b, p_b)) in on.iter().zip(off.iter()) {
-            assert_eq!(sig_a, sig_b);
-            assert_eq!(
-                p_a.to_bits(),
-                p_b.to_bits(),
-                "sig {sig_a} score diverged: {p_a} vs {p_b}"
-            );
-        }
-        let v_on = system.evaluate(&s.request);
-        let v_off = unaccel.evaluate(&s.request);
-        assert_eq!(v_on.flagged, v_off.flagged);
-        assert_eq!(v_on.score.to_bits(), v_off.score.to_bits());
-    }
-}

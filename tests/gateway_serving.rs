@@ -5,6 +5,8 @@
 //! Run with `RUST_TEST_THREADS` unset so the submitter fan-out gets
 //! real parallelism (scripts/ci.sh does).
 
+mod common;
+
 use psigene::{PipelineConfig, Psigene};
 use psigene_corpus::benign::{self, BenignConfig};
 use psigene_corpus::sqlmap::{self, SqlmapConfig};
@@ -15,18 +17,37 @@ use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+fn train() -> Psigene {
+    Psigene::train(&PipelineConfig {
+        crawl_samples: 300,
+        benign_train: 1200,
+        cluster_sample_cap: 300,
+        threads: 2,
+        ..PipelineConfig::default()
+    })
+}
+
 /// One small trained system shared by every test in this binary
 /// (training is the expensive part; the gateway under test is cheap).
 fn system() -> &'static Psigene {
     static SYSTEM: OnceLock<Psigene> = OnceLock::new();
-    SYSTEM.get_or_init(|| {
-        Psigene::train(&PipelineConfig {
-            crawl_samples: 300,
-            benign_train: 1200,
-            cluster_sample_cap: 300,
-            threads: 2,
-            ..PipelineConfig::default()
-        })
+    SYSTEM.get_or_init(train)
+}
+
+/// [`system`] built a second time: training is deterministic, so the
+/// signatures are the same, but the fused automaton is a separate
+/// build — a worker that meets both engines must rebind its lazy-DFA
+/// cache. (A clone, or a `retrain_with` successor, shares the
+/// original's automaton and crosses no rebind.)
+fn rebuilt_system() -> &'static Psigene {
+    static REBUILT: OnceLock<Psigene> = OnceLock::new();
+    REBUILT.get_or_init(|| {
+        let rebuilt = train();
+        assert!(!std::ptr::eq(
+            rebuilt.feature_set().compiled(),
+            system().feature_set().compiled()
+        ));
+        rebuilt
     })
 }
 
@@ -201,14 +222,21 @@ fn hot_reload_mid_traffic_drops_and_misroutes_nothing() {
 #[test]
 fn prescan_verdicts_match_forced_always_run_under_load_and_reload() {
     let p = system();
-    // The oracle: the same trained system with the set-level literal
-    // prescan forced off, evaluated sequentially. Both engines share
-    // one signature set, so every verdict must be byte-identical
-    // (score compared by bit pattern) no matter which engine a hot
-    // reload lands a given request on.
-    let forced = p.with_prescan(false);
+    // The oracle: every feature counted by its own regex, scored
+    // through the dense reference, sequentially. The engine swapped in
+    // mid-traffic carries the same signatures in a separately built
+    // automaton, so every verdict must be byte-identical (score
+    // compared by bit pattern) no matter which engine a hot reload
+    // lands a given request on.
+    let rebuilt = rebuilt_system();
     let requests = stream(80, 240);
-    let expected: Vec<Detection> = requests.iter().map(|r| forced.evaluate(r)).collect();
+    let expected: Vec<Detection> = requests
+        .iter()
+        .map(|r| common::oracle_detection(p, r))
+        .collect();
+    for (r, e) in requests.iter().zip(&expected) {
+        assert!(common::same_bits(&common::oracle_detection(rebuilt, r), e));
+    }
 
     let store = SignatureStore::new(Arc::new(p.clone()) as Arc<dyn DetectionEngine>);
     let gateway = Gateway::start(
@@ -249,25 +277,23 @@ fn prescan_verdicts_match_forced_always_run_under_load_and_reload() {
                     for (i, v) in verdicts {
                         let d = v.detection().expect("Block policy never sheds");
                         assert!(
-                            d.flagged == expected[i].flagged
-                                && d.matched_rules == expected[i].matched_rules
-                                && d.score.to_bits() == expected[i].score.to_bits(),
-                            "request {i}: prescan gateway {d:?} differs from \
-                             forced always-run oracle {:?}",
+                            common::same_bits(d, &expected[i]),
+                            "request {i}: gateway {d:?} differs from oracle {:?}",
                             expected[i]
                         );
                     }
                 }
             }));
         }
-        // Hot reloads mid-traffic: prescan-on → forced-off → prescan-on.
-        // Equivalence means no submitter can tell which engine served it.
+        // Hot reloads mid-traffic: original → rebuilt → original, a
+        // DFA-cache rebind per worker each way. Equivalence means no
+        // submitter can tell which engine served it.
         let store = &store;
-        let forced = forced.clone();
+        let rebuilt = rebuilt.clone();
         let p = p.clone();
         handles.push(s.spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            assert_eq!(store.swap(Arc::new(forced)), 2);
+            assert_eq!(store.swap(Arc::new(rebuilt)), 2);
             std::thread::sleep(std::time::Duration::from_millis(20));
             assert_eq!(store.swap(Arc::new(p)), 3);
         }));
@@ -288,29 +314,30 @@ fn prescan_verdicts_match_forced_always_run_under_load_and_reload() {
 fn fused_hot_reload_rebuilds_automaton_losslessly() {
     let p = system();
     // A reload installs a retrained engine whose feature set carries
-    // a *different* fused automaton (new build token). Worker threads
-    // keep their lazy-DFA caches across the swap, so this test pins
-    // the rebind contract: a cache handed a reloaded automaton must
-    // reset and re-determinize, never serve states of the old owner.
+    // a *different* fused automaton (new build token; retraining the
+    // rebuilt twin rather than `p`, whose successor would share `p`'s
+    // automaton). Worker threads keep their lazy-DFA caches across
+    // the swap, so this test pins the rebind contract: a cache handed
+    // a reloaded automaton must reset and re-determinize, never serve
+    // states of the old owner.
     let fresh = sqlmap::generate(&SqlmapConfig {
         samples: 80,
         seed: 0xabad,
         ..Default::default()
     });
-    let (retrained, _) = p.retrain_with(&fresh, 2);
+    let (retrained, _) = rebuilt_system().retrain_with(&fresh, 2);
 
     let requests = stream(90, 270);
     // Oracles: each engine evaluated sequentially, and — losslessness
-    // proper — each engine's fused verdicts must be bit-identical to
-    // its own forced always-run path before the gateway even starts.
+    // proper — the reloaded engine's verdicts must be bit-identical to
+    // the per-feature oracle before the gateway even starts.
     let before: Vec<Detection> = requests.iter().map(|r| p.evaluate(r)).collect();
     let after: Vec<Detection> = requests.iter().map(|r| retrained.evaluate(r)).collect();
-    let naive_after = retrained.with_prescan(false);
     for (r, d) in requests.iter().zip(&after) {
-        let n = naive_after.evaluate(r);
-        assert_eq!(d.flagged, n.flagged);
-        assert_eq!(d.matched_rules, n.matched_rules);
-        assert_eq!(d.score.to_bits(), n.score.to_bits());
+        assert!(common::same_bits(
+            d,
+            &common::oracle_detection(&retrained, r)
+        ));
     }
 
     let store = SignatureStore::new(Arc::new(p.clone()) as Arc<dyn DetectionEngine>);
@@ -338,11 +365,7 @@ fn fused_hot_reload_rebuilds_automaton_losslessly() {
                     for (i, r) in requests.iter().enumerate().skip(t).step_by(n_submitters) {
                         let v = gateway.check(r.clone());
                         let d = v.detection().expect("Block policy never sheds");
-                        let matches = |e: &Detection| {
-                            d.flagged == e.flagged
-                                && d.matched_rules == e.matched_rules
-                                && d.score.to_bits() == e.score.to_bits()
-                        };
+                        let matches = |e: &Detection| common::same_bits(d, e);
                         assert!(
                             matches(&before[i]) || matches(&after[i]),
                             "request {i}: stale DFA state? got {d:?}, \
