@@ -16,7 +16,7 @@
 //! **The dense API is the reference, not a second hot path.**
 //! [`Psigene::features_of`] / [`Psigene::features_into`] produce the
 //! dense vector and [`Psigene::score_features`] /
-//! [`Psigene::probabilities_from`] consume it through
+//! [`Psigene::probabilities`] consume it through
 //! `GeneralizedSignature::probability`. Offline consumers (the
 //! retrainer's benign-weight guard, the harness, the benchmark's
 //! probes) use them, the tests hold the sparse path to them bit for
@@ -154,15 +154,10 @@ impl Psigene {
     /// Per-signature probabilities for a request, as `(signature id,
     /// probability)` pairs.
     pub fn probabilities(&self, request: &HttpRequest) -> Vec<(usize, f64)> {
-        self.probabilities_from(&self.features_of(request))
-    }
-
-    /// Per-signature probabilities for an already-extracted feature
-    /// vector (shares one extraction with [`Psigene::score_features`]).
-    pub fn probabilities_from(&self, features: &[f64]) -> Vec<(usize, f64)> {
+        let features = self.features_of(request);
         self.signatures
             .iter()
-            .map(|s| (s.id, s.probability(features)))
+            .map(|s| (s.id, s.probability(&features)))
             .collect()
     }
 
@@ -367,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn all_match_mode_verdicts_are_identical() {
+    fn verdicts_equal_the_per_feature_oracle_scored_densely() {
         let p = trained();
         let queries = [
             "id=-1+union+select+1,2,3--",
@@ -577,7 +572,7 @@ mod tests {
         for expected in [
             "detector.extract",
             "features.normalize",
-            "features.prescan",
+            "features.scan",
             "features.vms",
             "detector.score",
         ] {

@@ -246,17 +246,16 @@ impl Psigene {
         } else {
             let chunk = n.div_ceil(threads);
             let mut out: Vec<Option<usize>> = vec![None; n];
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (w, slice) in out.chunks_mut(chunk).enumerate() {
                     let choose = &choose;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (k, slot) in slice.iter_mut().enumerate() {
                             *slot = choose(w * chunk + k);
                         }
                     });
                 }
-            })
-            .expect("centroid assignment worker panicked");
+            });
             out
         };
         for (r, choice) in choices.into_iter().enumerate() {
@@ -353,14 +352,14 @@ impl Psigene {
         } else {
             use std::sync::atomic::{AtomicUsize, Ordering};
             let next = AtomicUsize::new(0);
-            let results: Vec<Vec<(usize, GeneralizedSignature)>> = crossbeam::scope(|scope| {
+            let results: Vec<Vec<(usize, GeneralizedSignature)>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads.min(jobs.len()))
                     .map(|_| {
                         let next = &next;
                         let jobs = &jobs;
                         let benign_m = &benign_m;
                         let cluster_cols = &cluster_cols;
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let mut local = Vec::new();
                             loop {
                                 let k = next.fetch_add(1, Ordering::Relaxed);
@@ -390,8 +389,7 @@ impl Psigene {
                     .into_iter()
                     .map(|h| h.join().expect("signature fit worker panicked"))
                     .collect()
-            })
-            .expect("signature fit scope failed");
+            });
             for worker in results {
                 for (k, sig) in worker {
                     fitted[k] = Some(sig);
@@ -529,7 +527,7 @@ impl Psigene {
     /// A copy wired for the continuous-learning control plane: drift
     /// monitoring is enabled under `config` and the shared monitor
     /// handle is returned alongside, so the caller can hand it to a
-    /// `DriftWatch` (e.g. `psigene_control::InsightDrift`) while the
+    /// `DriftWatch` (e.g. `psigene_serve::control::InsightDrift`) while the
     /// engine copy goes into the serving store. Clones of the returned
     /// engine — including retrained successors from
     /// [`Psigene::retrain_with`] — keep feeding the same monitor.
@@ -545,12 +543,6 @@ impl Psigene {
     /// The engine's drift monitor, when enabled.
     pub fn insight(&self) -> Option<&crate::insight::EngineInsight> {
         self.insight.as_deref()
-    }
-
-    /// A shareable handle to the engine's drift monitor, when enabled
-    /// (the same `Arc` every clone of this engine feeds).
-    pub fn insight_handle(&self) -> Option<std::sync::Arc<crate::insight::EngineInsight>> {
-        self.insight.clone()
     }
 
     /// Current drift scores, when monitoring is enabled and at least

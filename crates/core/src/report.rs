@@ -97,15 +97,6 @@ impl PipelineReport {
         }
         out
     }
-
-    /// One-line crawl-health summary, or a note that the crawl phase
-    /// did not run.
-    pub fn render_crawl_health(&self) -> String {
-        match &self.crawl_health {
-            Some(h) => h.render(),
-            None => "crawl health: n/a (trained from provided datasets)".to_string(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -943,18 +943,6 @@ fn reduce_to_query(line: &str) -> Option<String> {
     }
 }
 
-/// Per-portal sample counts (report helper).
-pub fn portal_histogram(samples: &[CrawledSample]) -> Vec<(String, usize)> {
-    let mut counts: Vec<(String, usize)> = Vec::new();
-    for s in samples {
-        match counts.iter_mut().find(|(p, _)| *p == s.portal) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((s.portal.clone(), 1)),
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

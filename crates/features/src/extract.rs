@@ -3,12 +3,12 @@
 //! Payloads are first normalized with the five transformations of
 //! §II-A. Extraction then makes **one pass** over the normalized
 //! bytes with the fused lazy-DFA scan of
-//! [`crate::prescan::CompiledFeatureSet`], which reports the *exact*
+//! [`crate::compiled::CompiledFeatureSet`], which reports the *exact*
 //! set of matching features, and runs `count_all` only for those
 //! (plus any feature the fuser refused, which is counted by its own
 //! VM on every payload). The output is identical to running every
 //! feature — verified by property test in `crate::proptests`. Matrix
-//! extraction parallelizes over samples with crossbeam scoped threads
+//! extraction parallelizes over samples with scoped threads
 //! (each sample is independent).
 
 use crate::set::FeatureSet;
@@ -263,7 +263,7 @@ fn extract_traced(
 /// emitting `(feature id, count)` in ascending id order (including
 /// zero counts for refused features that their VM then rejects), and
 /// returns what ran versus what the fused scan skipped. Optional
-/// per-stage spans (`features.prescan`, `features.vms`) are recorded
+/// per-stage spans (`features.scan`, `features.vms`) are recorded
 /// into a request-scoped trace; with `trace = None` the span
 /// bookkeeping compiles down to nothing on the hot path.
 fn count_norm_traced(
@@ -277,7 +277,7 @@ fn count_norm_traced(
 ) -> ExtractStats {
     let features = set.features();
     let compiled = set.compiled();
-    let span = trace.as_mut().map(|t| t.begin("features.prescan"));
+    let span = trace.as_mut().map(|t| t.begin("features.scan"));
     let scan = compiled
         .fused_candidates_into(norm, bits, dfa)
         .map(|report| report.stats)
@@ -363,18 +363,10 @@ fn extract_row_uncounted(set: &FeatureSet, payload: &[u8]) -> (Vec<(usize, f64)>
     })
 }
 
-/// Extracts a dense `f64` vector (for detection-time scoring against
-/// a specific signature's features).
-pub fn extract_dense(set: &FeatureSet, payload: &[u8]) -> Vec<f64> {
-    let mut out = Vec::new();
-    extract_dense_into(set, payload, &mut out);
-    out
-}
-
-/// Like [`extract_dense`] but writes into a caller-owned buffer,
-/// so batch scoring (one vector per request) reuses a single
-/// allocation across the whole batch. The buffer is cleared and
-/// resized to `set.len()`.
+/// Extracts a dense `f64` vector (one count per feature, zeros
+/// included) into a caller-owned buffer, so batch scoring reuses a
+/// single allocation across the whole batch. The buffer is cleared
+/// and resized to `set.len()`.
 pub fn extract_dense_into(set: &FeatureSet, payload: &[u8], out: &mut Vec<f64>) {
     out.clear();
     out.resize(set.len(), 0.0);
@@ -387,7 +379,7 @@ pub fn extract_dense_into(set: &FeatureSet, payload: &[u8], out: &mut Vec<f64>) 
 /// [`extract_dense_into`]'s vector, from the same scratch and the same
 /// windowed telemetry, without the `set.len()`-wide fill. The
 /// detection hot path scores and monitors from this row. With a
-/// `trace`, per-stage spans (`features.normalize`, `features.prescan`,
+/// `trace`, per-stage spans (`features.normalize`, `features.scan`,
 /// `features.vms`) are recorded into it; tracing observes, never
 /// alters, the extraction (pinned by unit test).
 pub fn extract_sparse_into(
@@ -433,10 +425,10 @@ pub fn extract_matrix(set: &FeatureSet, payloads: &[&[u8]], threads: usize) -> C
     let chunk = payloads.len().div_ceil(threads);
     type WorkerOut = (Vec<Vec<(usize, f64)>>, ExtractStats);
     let mut results: Vec<WorkerOut> = Vec::new();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for ch in payloads.chunks(chunk) {
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut stats = ExtractStats::default();
                 let rows = ch
                     .iter()
@@ -452,8 +444,7 @@ pub fn extract_matrix(set: &FeatureSet, payloads: &[&[u8]], threads: usize) -> C
         for h in handles {
             results.push(h.join().expect("extraction worker panicked"));
         }
-    })
-    .expect("crossbeam scope");
+    });
     let mut b = CsrBuilder::new(set.len());
     let mut stats = ExtractStats::default();
     for (part, s) in results {
@@ -540,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn all_match_modes_agree() {
+    fn dense_and_sparse_rows_equal_per_feature_counts() {
         let set = FeatureSet::full();
         let payloads: &[&[u8]] = &[
             b"id=-1+union+select+1,2,3--",
@@ -551,13 +542,15 @@ mod tests {
         ];
         for p in payloads {
             let dense = naive_dense(&set, p);
-            assert_eq!(extract_dense(&set, p), dense, "{p:?}");
+            let mut got = Vec::new();
+            extract_dense_into(&set, p, &mut got);
+            assert_eq!(got, dense, "{p:?}");
             assert_eq!(extract_row(&set, p), nonzero(&dense), "{p:?}");
         }
     }
 
     #[test]
-    fn fused_mode_runs_vms_only_for_matches_plus_fallback() {
+    fn vms_run_only_for_fused_matches_plus_fallback() {
         let set = FeatureSet::full();
         let (row, stats) =
             extract_row_uncounted(&set, b"id=-1+union+select+1,2,concat(version(),0x3a),4--+-");
@@ -593,7 +586,9 @@ mod tests {
     fn assert_extracts_exactly(set: &FeatureSet, fallback_per_row: u64) {
         for p in long_run_payloads() {
             let dense = naive_dense(set, &p);
-            assert_eq!(extract_dense(set, &p), dense, "{p:?}");
+            let mut got = Vec::new();
+            extract_dense_into(set, &p, &mut got);
+            assert_eq!(got, dense, "{p:?}");
             let (row, stats) = extract_row_uncounted(set, &p);
             assert_eq!(row, nonzero(&dense), "{p:?}");
             assert_eq!(stats.fallback_vm_runs, fallback_per_row, "{stats:?}");
@@ -669,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn prescan_skips_most_vm_runs_on_benign_traffic() {
+    fn benign_traffic_skips_most_vm_runs() {
         let set = FeatureSet::full();
         let (_, stats) = extract_row_uncounted(&set, b"page=2&sort=asc&term=2012");
         assert!(
@@ -723,7 +718,7 @@ mod tests {
             let t = trace.finish();
             let names: Vec<&str> = t.spans.iter().map(|s| s.name).collect();
             assert!(names.contains(&"features.normalize"), "{names:?}");
-            assert!(names.contains(&"features.prescan"), "{names:?}");
+            assert!(names.contains(&"features.scan"), "{names:?}");
             assert!(names.contains(&"features.vms"), "{names:?}");
         }
     }

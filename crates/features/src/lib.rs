@@ -25,17 +25,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compiled;
 pub mod extract;
 pub mod feature;
 pub mod fragments;
-pub mod prescan;
 pub mod refdocs;
 pub mod reserved;
 pub mod set;
 pub mod sources;
 
+pub use compiled::{CompiledFeatureSet, FusedScanReport};
 pub use feature::Feature;
-pub use prescan::{CompiledFeatureSet, FusedScanReport};
 pub use set::FeatureSet;
 pub use sources::FeatureSource;
 
@@ -94,13 +94,15 @@ mod proptests {
         /// same nonzero support — and identical full dense vectors
         /// (zeros included).
         #[test]
-        fn fused_and_prescan_extraction_equal_naive_extraction(
+        fn extraction_equals_per_feature_counts_on_arbitrary_bytes(
             payload in proptest::collection::vec(any::<u8>(), 0..300),
         ) {
             let set = full_set();
             let naive = naive_dense(set, &payload);
             prop_assert_eq!(&extract::extract_row(set, &payload), &nonzero(&naive));
-            prop_assert_eq!(&extract::extract_dense(set, &payload), &naive);
+            let mut dense = Vec::new();
+            extract::extract_dense_into(set, &payload, &mut dense);
+            prop_assert_eq!(&dense, &naive);
         }
 
         #[test]
@@ -108,7 +110,8 @@ mod proptests {
             payload in "[ -~]{0,120}",
         ) {
             let set = full_set();
-            let dense = extract::extract_dense(set, payload.as_bytes());
+            let mut dense = Vec::new();
+            extract::extract_dense_into(set, payload.as_bytes(), &mut dense);
             let sparse = extract::extract_row(set, payload.as_bytes());
             for &(c, v) in &sparse {
                 prop_assert_eq!(dense[c], v);

@@ -1,9 +1,9 @@
 //! The feature set: construction from the three sources and the
 //! 477 → 159-style pruning of §II-B.
 
+use crate::compiled::CompiledFeatureSet;
 use crate::feature::Feature;
 use crate::fragments::SIGNATURE_FRAGMENTS;
-use crate::prescan::CompiledFeatureSet;
 use crate::refdocs::REFERENCE_PATTERNS;
 use crate::reserved::{word_boundary_pattern, MYSQL_RESERVED};
 use crate::sources::FeatureSource;

@@ -295,12 +295,6 @@ pub fn normalize(input: &[u8]) -> Vec<u8> {
     normalize_into(input, &mut scratch).to_vec()
 }
 
-/// Normalizes and returns a `String`, replacing any non-UTF-8 bytes.
-/// Convenient for display and for generators that work with `&str`.
-pub fn normalize_lossy(input: &[u8]) -> String {
-    String::from_utf8_lossy(&normalize(input)).into_owned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

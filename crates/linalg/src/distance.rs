@@ -101,7 +101,7 @@ where
         return out;
     }
     let target = len.div_ceil(threads).max(1);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let entry = &entry;
         let mut rest: &mut [f64] = &mut out;
         let mut row = 0usize;
@@ -119,7 +119,7 @@ where
             rest = tail;
             let start_row = row;
             row = end;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut k = 0;
                 for i in start_row..end {
                     for j in (i + 1)..n {
@@ -129,8 +129,7 @@ where
                 }
             });
         }
-    })
-    .expect("pairwise distance worker panicked");
+    });
     out
 }
 

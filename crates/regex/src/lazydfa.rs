@@ -35,7 +35,7 @@
 //! A cache bound to one [`FusedSet`] (by build token) resets itself
 //! when handed another, which makes hot reload safe by construction.
 
-use crate::multilit::CandidateSet;
+use crate::candidates::CandidateSet;
 use crate::nfa::{word_byte, FusedSet, MultiNfa};
 use crate::program::Inst;
 use std::collections::HashMap;

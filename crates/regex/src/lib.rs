@@ -39,21 +39,21 @@
 #![warn(missing_docs)]
 
 mod ast;
+mod candidates;
 mod classes;
 mod compiler;
 mod error;
 mod lazydfa;
-mod multilit;
 mod nfa;
 mod parser;
 mod prefilter;
 mod program;
 mod vm;
 
+pub use crate::candidates::CandidateSet;
 pub use crate::classes::{ByteRange, ClassSet};
 pub use crate::error::{Error, ErrorKind};
 pub use crate::lazydfa::{DfaCache, FusedScanStats};
-pub use crate::multilit::CandidateSet;
 pub use crate::nfa::{FuseOutcome, FusedSet, FusedSetBuilder};
 pub use crate::prefilter::Prefilter;
 pub use crate::vm::VmCache;

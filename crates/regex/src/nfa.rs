@@ -347,9 +347,8 @@ mod tests {
         // 's' and 'e' are distinct literal bytes → distinct classes.
         assert_ne!(c.map[b's' as usize], c.map[b'e' as usize]);
         // Case folding put both cases in the pattern's classes.
-        assert_eq!(
-            c.map[b'S' as usize] != c.map[b'0' as usize],
-            true,
+        assert_ne!(
+            c.map[b'S' as usize], c.map[b'0' as usize],
             "letters and digits must not share a class (word-ness aside, 'S' is a pattern byte)"
         );
         // Two never-referenced non-word bytes share a class.

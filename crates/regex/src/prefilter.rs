@@ -149,11 +149,6 @@ impl Prefilter {
     pub fn literals(&self) -> &[Vec<u8>] {
         &self.literals
     }
-
-    /// Length of the shortest required literal.
-    pub fn min_literal_len(&self) -> usize {
-        self.literals.iter().map(Vec::len).min().unwrap_or(0)
-    }
 }
 
 /// ASCII case-insensitive substring search; `needle` must already be

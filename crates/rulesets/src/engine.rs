@@ -1,7 +1,7 @@
 //! The detection-engine abstraction every compared system implements.
 
 use psigene_http::HttpRequest;
-use psigene_insight::TraceContext;
+use psigene_telemetry::insight::TraceContext;
 
 /// Outcome of evaluating one request.
 #[derive(Debug, Clone, Default)]
@@ -99,11 +99,11 @@ pub trait DetectionEngine: Send + Sync {
 
     /// Evaluates one request while recording stage timings into a
     /// request-scoped trace (the gateway calls this for sampled
-    /// requests; see `psigene_insight::Tracer`).
+    /// requests; see `psigene_telemetry::insight::Tracer`).
     ///
     /// The default wraps [`DetectionEngine::evaluate`] in a single
     /// `engine.evaluate` span; engines with internal stages worth
-    /// seeing in an exemplar trace (pSigene: extraction → prescan →
+    /// seeing in an exemplar trace (pSigene: extraction → fused scan →
     /// feature VMs → scoring) override it with a finer span tree. An
     /// override must return the same detection as `evaluate`.
     fn evaluate_traced(&self, request: &HttpRequest, trace: &mut TraceContext) -> Detection {

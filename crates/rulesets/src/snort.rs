@@ -519,13 +519,6 @@ impl SnortEngine {
         rules.retain(|r| r.enabled);
         SnortEngine { rules }
     }
-
-    /// Builds the engine from an explicit ruleset (disabled rules are
-    /// dropped).
-    pub fn with_rules(mut rules: Vec<Rule>) -> SnortEngine {
-        rules.retain(|r| r.enabled);
-        SnortEngine { rules }
-    }
 }
 
 impl Default for SnortEngine {

@@ -1,7 +1,7 @@
 //! Gateway sizing, overload behaviour, trace sampling and the
 //! verdict tap.
 
-use psigene_control::VerdictSink;
+use crate::control::VerdictSink;
 use psigene_telemetry::insight::TraceConfig;
 use std::sync::Arc;
 
@@ -59,7 +59,7 @@ pub struct GatewayConfig {
     /// Verdict tap: invoked on the worker thread for every *evaluated*
     /// request — `(gateway request id, request, detection)` — right
     /// after evaluation. Shed requests never reach the tap. The
-    /// control plane's [`SampleBuffer`](psigene_control::SampleBuffer)
+    /// control plane's [`SampleBuffer`](crate::control::SampleBuffer)
     /// implements the sink; `None` costs nothing.
     pub tap: Option<Arc<dyn VerdictSink>>,
 }

@@ -1,7 +1,7 @@
 //! Continuous-learning control plane for pSigene (paper §V: "the
 //! incremental training is also an automatic process").
 //!
-//! The serving gateway detects; this crate closes the loop that keeps
+//! The serving gateway detects; this module closes the loop that keeps
 //! the detector current. Four pieces, wired by [`ControlPlane`]:
 //!
 //! 1. **[`SampleBuffer`]** — a bounded capture of recent traffic fed
@@ -21,12 +21,10 @@
 //!    ([`ModelMeta`]); a failing one is discarded without ever
 //!    touching the live engine.
 //!
-//! The crate is deliberately below the serving layer in the
-//! dependency graph: the plane drives an [`EngineHost`], reads a
-//! [`DriftWatch`] and calls a [`Retrainer`] — all implemented
-//! elsewhere (`psigene_serve::SignatureStore`, [`InsightDrift`],
-//! [`PsigeneRetrainer`]) or by test mocks. `psigene-serve` re-exports
-//! everything here as `psigene_serve::control`.
+//! The plane never names the gateway or the store: it drives an
+//! [`EngineHost`], reads a [`DriftWatch`] and calls a [`Retrainer`] —
+//! implemented by [`SignatureStore`](crate::SignatureStore),
+//! [`InsightDrift`] and [`PsigeneRetrainer`], or by test fakes.
 //!
 //! Every stage is observable: `control.buffer.*` occupancy,
 //! `control.state` (the state-machine gauge), `control.enter.*`
@@ -34,20 +32,11 @@
 //! `control.promotion_ns` latency histograms and `learn.*` retrain
 //! counters.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod buffer;
-mod plane;
-mod replay;
-mod retrainer;
-mod trigger;
-
-pub use buffer::{mix64, SampleBuffer, TrafficSample, VerdictSink};
-pub use plane::{
+pub use crate::buffer::{mix64, SampleBuffer, TrafficSample, VerdictSink};
+pub use crate::plane::{
     CanaryWatch, ControlConfig, ControlPlane, ControlState, ControlStatus, DriftWatch, EngineHost,
     InsightDrift, ModelMeta, RetrainedModel, Retrainer,
 };
-pub use replay::{differential_replay, PromotionReport, SignatureDelta};
-pub use retrainer::PsigeneRetrainer;
-pub use trigger::RetrainTrigger;
+pub use crate::replay::{differential_replay, PromotionReport, SignatureDelta};
+pub use crate::retrainer::PsigeneRetrainer;
+pub use crate::trigger::RetrainTrigger;

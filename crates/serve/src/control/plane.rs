@@ -15,20 +15,18 @@
 //! ```
 //!
 //! The plane never touches the serving layer directly: it talks to an
-//! [`EngineHost`] (installed by `psigene-serve`'s `SignatureStore`),
+//! [`EngineHost`] (implemented by [`SignatureStore`](crate::SignatureStore)),
 //! reads drift through a [`DriftWatch`], and produces shadow models
-//! through a [`Retrainer`]. The traits keep the dependency arrow
-//! pointing from serving *into* control, so the crate stays free of a
-//! cycle and fully unit-testable with mocks.
+//! through a [`Retrainer`]. The traits are what the unit tests below
+//! substitute fakes for.
 //!
 //! Every transition is observable: `control.state` gauge, per-state
 //! `control.enter.*` counters, and `control.retrain_ns` /
 //! `control.replay_ns` / `control.promotion_ns` latency histograms.
 
-use crate::buffer::SampleBuffer;
+use crate::buffer::{SampleBuffer, TrafficSample};
 use crate::replay::{differential_replay, PromotionReport};
 use crate::trigger::RetrainTrigger;
-use crate::TrafficSample;
 use parking_lot::Mutex;
 use psigene_rulesets::{Detection, DetectionEngine};
 use psigene_telemetry::{Counter, Gauge, Histogram};
@@ -65,7 +63,7 @@ pub struct RetrainedModel {
 }
 
 /// The serving-layer surface the plane drives (implemented by
-/// `psigene_serve::SignatureStore`).
+/// [`SignatureStore`](crate::SignatureStore)).
 pub trait EngineHost: Send + Sync {
     /// Atomically installs `engine` as the live model, records its
     /// metadata, and returns the new store version.
@@ -398,7 +396,7 @@ impl ControlPlane {
             shared: Arc::clone(&shared),
         };
         let handle = std::thread::Builder::new()
-            .name("psigene-control".into())
+            .name("control-plane".into())
             .spawn(move || driver.run())
             .expect("spawn control driver");
         ControlPlane {

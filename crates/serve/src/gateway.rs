@@ -437,7 +437,7 @@ struct Worker {
     store: Arc<SignatureStore>,
     metrics: Arc<Metrics>,
     exemplars: Arc<Mutex<ExemplarBuffer>>,
-    tap: Option<Arc<dyn psigene_control::VerdictSink>>,
+    tap: Option<Arc<dyn crate::control::VerdictSink>>,
 }
 
 /// On worker exit, however it comes about: the shard refuses new jobs
@@ -829,7 +829,7 @@ mod tests {
 
     #[test]
     fn tap_sees_every_evaluated_request_and_no_shed_ones() {
-        use psigene_control::VerdictSink;
+        use crate::control::VerdictSink;
         struct CountingTap {
             observed: AtomicU64,
             flagged: AtomicU64,

@@ -36,7 +36,7 @@
 //! - [`LatencySlo`] — multi-window burn-rate evaluation of a latency
 //!   SLO over the `serve.latency_ns` histogram, exported as `slo.*`
 //!   gauges.
-//! - [`control`] (re-export of `psigene-control`) — the
+//! - [`control`] — the
 //!   continuous-learning control plane: a
 //!   [`SampleBuffer`](control::SampleBuffer) fed from the gateway's
 //!   verdict tap ([`GatewayConfig::tap`]), a drift-debounced retrain
@@ -84,12 +84,25 @@
 #![warn(missing_docs)]
 
 mod config;
+pub mod control;
 mod gateway;
 mod handoff;
 mod slo;
 mod store;
 
-pub use psigene_control as control;
+// What `control` re-exports lives in `control/`, declared at the crate
+// root: its files name each other `crate::buffer`, `crate::plane`, and
+// its unit tests run as `plane::tests::*`, `replay::tests::*`, ….
+#[path = "control/buffer.rs"]
+mod buffer;
+#[path = "control/plane.rs"]
+mod plane;
+#[path = "control/replay.rs"]
+mod replay;
+#[path = "control/retrainer.rs"]
+mod retrainer;
+#[path = "control/trigger.rs"]
+mod trigger;
 
 pub use config::{GatewayConfig, OverloadPolicy};
 pub use gateway::{BatchTicket, Gateway, GatewayStats, Ticket};

@@ -1,8 +1,8 @@
 //! Hot-swappable signature storage with canary routing and model
 //! version metadata.
 
+use crate::control::{mix64, EngineHost, ModelMeta};
 use parking_lot::RwLock;
-use psigene_control::{mix64, EngineHost, ModelMeta};
 use psigene_rulesets::DetectionEngine;
 use psigene_telemetry::{Counter, Gauge};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,6 +1,6 @@
-//! # psigene-insight — streaming observability primitives
+//! Streaming observability primitives.
 //!
-//! The telemetry crate measures *rates and latencies*; this crate
+//! The rest of this crate measures *rates and latencies*; this module
 //! measures *distributions over time* and *individual requests* — the
 //! two inputs the paper's §V operational phase (incremental
 //! retraining as traffic shifts) needs before a control plane can
@@ -15,7 +15,7 @@
 //!   model's calibration has drifted" trigger.
 //! - [`Tracer`] / [`TraceContext`] — request-scoped tracing with
 //!   deterministic sampling by request id. A sampled request carries
-//!   a [`TraceContext`] through gateway → detector → prescan →
+//!   a [`TraceContext`] through gateway → detector → scan →
 //!   scoring, producing a span tree with per-stage timings;
 //!   unsampled requests pay one hash and **zero allocations**.
 //!   [`ExemplarBuffer`] retains the K slowest finished traces for
@@ -25,25 +25,12 @@
 //!   snapshot diff). Its output is what a shadow/canary promoter
 //!   gates on.
 //!
-//! The crate is dependency-free (std only) on purpose: it sits
-//! *below* `psigene-telemetry`, which re-exports it as
-//! `psigene_telemetry::insight` and provides the registry glue
-//! (gauges, Prometheus exposition).
+//! The module is std-only and knows nothing of the registry: callers
+//! publish its readings as gauges (`drift.*`, `slo.*`) themselves.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod drift;
-mod sketch;
-mod slo;
-mod trace;
-
-pub use drift::{kl_divergence, psi, DriftConfig, DriftMonitor};
-pub use sketch::DecayedSketch;
-pub use slo::{BurnRate, BurnRateEvaluator, SloConfig};
-pub use trace::{
+pub use crate::drift::{kl_divergence, psi, DriftConfig, DriftMonitor};
+pub use crate::sketch::DecayedSketch;
+pub use crate::slo::{BurnRate, BurnRateEvaluator, SloConfig};
+pub use crate::trace::{
     ExemplarBuffer, FinishedTrace, SpanId, SpanRecord, TraceConfig, TraceContext, Tracer,
 };
-
-#[cfg(test)]
-mod proptests;

@@ -16,8 +16,7 @@
 //!   above, with deterministic text, JSON and Prometheus exporters;
 //! - [`insight`] — streaming drift monitors (PSI/KL over decayed
 //!   sketches), request-scoped trace trees with deterministic
-//!   sampling, and multi-window SLO burn-rate evaluation, re-exported
-//!   from `psigene-insight`.
+//!   sampling, and multi-window SLO burn-rate evaluation.
 //!
 //! Everything is implemented on `std` (plus the workspace's
 //! `parking_lot` locks): recording on hot paths is a relaxed atomic
@@ -32,20 +31,31 @@
 
 mod export;
 mod histogram;
+pub mod insight;
 mod metrics;
 mod registry;
 mod span;
+
+// What `insight` re-exports lives in `insight/`, declared at the crate
+// root: its files name each other `crate::sketch`, `crate::drift`, and
+// its unit tests run as `drift::tests::*`, `trace::tests::*`, ….
+#[path = "insight/drift.rs"]
+mod drift;
+#[cfg(test)]
+#[path = "insight/proptests.rs"]
+mod proptests;
+#[path = "insight/sketch.rs"]
+mod sketch;
+#[path = "insight/slo.rs"]
+mod slo;
+#[path = "insight/trace.rs"]
+mod trace;
 
 pub use export::{render_json, render_prometheus, render_text};
 pub use histogram::{Histogram, HistogramSnapshot, N_BUCKETS};
 pub use metrics::{Counter, Gauge};
 pub use registry::{Registry, Snapshot};
 pub use span::Span;
-
-/// Streaming observability primitives (drift monitors, request-scoped
-/// trace trees, SLO burn rates) — re-exported from `psigene-insight`
-/// so downstream crates reach them through the telemetry facade.
-pub use psigene_insight as insight;
 
 use std::sync::{Arc, OnceLock};
 

@@ -100,11 +100,6 @@ impl Registry {
         self.histograms.write().clear();
     }
 
-    /// Renders the current state as aligned human-readable text.
-    pub fn export_text(&self) -> String {
-        crate::export::render_text(&self.snapshot())
-    }
-
     /// Renders the current state as a JSON document.
     pub fn export_json(&self) -> String {
         crate::export::render_json(&self.snapshot())

@@ -286,7 +286,7 @@ fn gateway_submit_path_allocates_exactly_the_reply_slot() {
 }
 
 #[test]
-fn match_modes_extract_bitwise_identical_rows() {
+fn extracted_rows_are_bitwise_the_oracle_on_dirty_scratch() {
     let _guard = lock().lock();
     let set = FeatureSet::full();
     for r in &workload(32) {
@@ -311,7 +311,7 @@ fn match_modes_extract_bitwise_identical_rows() {
 }
 
 #[test]
-fn match_mode_scores_are_bitwise_identical() {
+fn evaluate_scores_are_bitwise_the_oracle() {
     let _guard = lock().lock();
     let p = system();
     for r in &workload(24) {

@@ -205,6 +205,15 @@ fn drift_triggers_background_retrain_and_promotion_without_dropping_requests() {
     assert!(status.triggers >= 1);
     assert!(status.retrains >= 1);
     assert!(status.replays >= 1);
+    // The cycle timed itself: retrain, replay and trigger→promoted.
+    for name in [
+        "control.retrain_ns",
+        "control.replay_ns",
+        "control.promotion_ns",
+    ] {
+        let recorded = psigene_telemetry::global().histogram(name).count();
+        assert!(recorded >= 1, "{name} recorded nothing");
+    }
 
     // Replay gated promotion: no lost detections, benign flips within
     // the configured pseudo-label tolerance.

@@ -13,7 +13,10 @@ use psigene_corpus::sqlmap::{self, SqlmapConfig};
 use psigene_corpus::Dataset;
 use psigene_http::HttpRequest;
 use psigene_rulesets::{Detection, DetectionEngine, Verdict};
-use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
+use psigene_serve::control::VerdictSink;
+use psigene_serve::{
+    BatchTicket, Gateway, GatewayConfig, GatewayStats, OverloadPolicy, SignatureStore, Ticket,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -220,7 +223,7 @@ fn hot_reload_mid_traffic_drops_and_misroutes_nothing() {
 }
 
 #[test]
-fn prescan_verdicts_match_forced_always_run_under_load_and_reload() {
+fn gateway_verdicts_match_the_oracle_under_load_and_reload() {
     let p = system();
     // The oracle: every feature counted by its own regex, scored
     // through the dense reference, sequentially. The engine swapped in
@@ -467,4 +470,50 @@ fn shed_policy_fires_at_the_configured_bound() {
         .all(|v| !v.flagged()));
     let final_stats = gateway.shutdown();
     assert_eq!(final_stats.served + final_stats.shed, total as u64);
+}
+
+/// The calls `crates/bench/src/bin/e2e/src/serve.rs` makes, through
+/// the paths it names — `tests/bench_surface.rs` pins the matcher half
+/// of the benchmark's compile surface and cannot see this crate.
+#[test]
+fn bench_client_surface_taps_every_id_once() {
+    struct Tap(Vec<AtomicU64>);
+    impl VerdictSink for Tap {
+        fn observe(&self, id: u64, _request: &HttpRequest, _d: &Detection) {
+            self.0[id as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    let requests = stream(8, 56);
+    let tap = Arc::new(Tap((0..requests.len())
+        .map(|_| AtomicU64::new(0))
+        .collect()));
+    let engine: Arc<dyn DetectionEngine> = Arc::new(system().clone());
+    let gateway = Gateway::start(
+        SignatureStore::new(engine),
+        GatewayConfig {
+            shards: 1,
+            queue_capacity: GatewayConfig::default().queue_capacity,
+            policy: OverloadPolicy::Block,
+            tap: Some(Arc::clone(&tap) as Arc<dyn VerdictSink>),
+            ..GatewayConfig::default()
+        },
+    );
+
+    // First half one ticket each, second half as one batch.
+    let (singles, batch) = requests.split_at(requests.len() / 2);
+    let tickets: Vec<Ticket> = singles.iter().map(|r| gateway.submit(r.clone())).collect();
+    let batch_ticket: BatchTicket = gateway.submit_batch(batch.to_vec());
+    let mut verdicts: Vec<Verdict> = tickets.into_iter().map(Ticket::wait).collect();
+    verdicts.extend(batch_ticket.wait());
+    assert_eq!(verdicts.len(), requests.len());
+    assert!(verdicts.iter().all(|v| v.detection().is_some()));
+
+    let stats: GatewayStats = gateway.stats();
+    assert_eq!(stats.submitted, requests.len() as u64);
+    let stats = gateway.shutdown();
+    assert_eq!(stats.submitted, stats.served);
+    for (id, seen) in tap.0.iter().enumerate() {
+        assert_eq!(seen.load(Ordering::Relaxed), 1, "evaluation id {id}");
+    }
 }

@@ -31,7 +31,7 @@ fn incremental_training_raises_tpr_on_held_out_traffic() {
         samples: 800,
         ..Default::default()
     });
-    campaign.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(0x1ea4_ed));
+    campaign.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(0x1e_a4ed));
 
     let (added, held_out) = campaign.split_fraction(0.4);
     let before = tpr(&system, &held_out);
@@ -51,7 +51,7 @@ fn incremental_training_raises_tpr_on_held_out_traffic() {
     let benign_ds = benign::generate(&BenignConfig {
         requests: 6_000,
         include_novel_tail: true,
-        seed: 0xfe11_0e5,
+        seed: 0xfe1_10e5,
         ..Default::default()
     });
     let fps = benign_ds
