@@ -573,7 +573,7 @@ mod tests {
             "detector.extract",
             "features.normalize",
             "features.scan",
-            "features.vms",
+            "features.count",
             "detector.score",
         ] {
             assert!(names.contains(&expected), "{names:?} missing {expected}");
@@ -585,13 +585,13 @@ mod tests {
             .find(|s| s.name == "detector.extract")
             .unwrap()
             .depth;
-        let vm_depth = t
+        let count_depth = t
             .spans
             .iter()
-            .find(|s| s.name == "features.vms")
+            .find(|s| s.name == "features.count")
             .unwrap()
             .depth;
-        assert!(vm_depth > extract_depth);
+        assert!(count_depth > extract_depth);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! §II-A. Extraction then makes **one pass** over the normalized
 //! bytes with the fused lazy-DFA scan of
 //! [`crate::compiled::CompiledFeatureSet`], which reports the *exact*
-//! set of matching features, and runs `count_all` only for those
-//! (plus any feature the fuser refused, which is counted by its own
-//! VM on every payload). The output is identical to running every
-//! feature — verified by property test in `crate::proptests`. Matrix
-//! extraction parallelizes over samples with scoped threads
-//! (each sample is independent).
+//! set of matching features, and counts only those — each by its
+//! precompiled counting automaton ([`psigene_regex::CountDfa`]), or by
+//! its Pike VM when the pattern has none (plus any feature the fuser
+//! refused, which is counted by its own VM on every payload). The
+//! output is identical to running `count_all` of every feature —
+//! verified by property test in `crate::proptests`. Matrix extraction
+//! parallelizes over samples with scoped threads (each sample is
+//! independent).
 
 use crate::set::FeatureSet;
 use psigene_http::normalize::{normalize_into, NormScratch};
@@ -20,21 +22,27 @@ use psigene_telemetry::{Counter, Gauge};
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
-/// Accounting for one or more extractions: how many feature VMs
-/// actually ran versus were skipped by the fused scan.
+/// Accounting for one or more extractions: how many features were
+/// actually counted versus skipped by the fused scan. A *counting run*
+/// is one feature counted over one payload, by whichever engine — the
+/// `vm_` in the field names predates the counting automaton.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractStats {
-    /// Feature VM invocations (`count_all` runs) that happened.
+    /// Counting runs that happened.
     pub vm_runs: u64,
-    /// VM runs the fused scan proved unnecessary.
+    /// Counting runs the fused scan proved unnecessary.
     pub vm_runs_skipped: u64,
-    /// Fused features with at least one match (their VM runs are the
-    /// only fused VM runs — the fused scan is exact).
+    /// Counting runs that fell to the Pike VM: a feature without a
+    /// counting automaton, or one outside the fused automaton.
+    pub count_vm_runs: u64,
+    /// Fused features with at least one match (their counting runs are
+    /// the only fused ones — the fused scan is exact).
     pub fused_matched: u64,
-    /// Fused features whose VM run the fused scan proved unnecessary.
+    /// Fused features whose counting run the fused scan proved
+    /// unnecessary.
     pub fused_skipped: u64,
-    /// VM runs for features outside the fused automaton (the
-    /// fallback list).
+    /// Counting runs for features outside the fused automaton (the
+    /// fallback list); always on the VM, behind its prefilter.
     pub fallback_vm_runs: u64,
     /// Lazy-DFA transitions that had to be determinized.
     pub dfa_misses: u64,
@@ -51,6 +59,7 @@ impl ExtractStats {
     fn absorb(&mut self, other: ExtractStats) {
         self.vm_runs += other.vm_runs;
         self.vm_runs_skipped += other.vm_runs_skipped;
+        self.count_vm_runs += other.count_vm_runs;
         self.fused_matched += other.fused_matched;
         self.fused_skipped += other.fused_skipped;
         self.fallback_vm_runs += other.fallback_vm_runs;
@@ -60,7 +69,7 @@ impl ExtractStats {
         self.dfa_states = self.dfa_states.max(other.dfa_states);
     }
 
-    /// Fraction of potential VM runs the fused scan eliminated.
+    /// Fraction of potential counting runs the fused scan eliminated.
     pub fn skip_ratio(&self) -> f64 {
         let total = self.vm_runs + self.vm_runs_skipped;
         if total == 0 {
@@ -70,7 +79,7 @@ impl ExtractStats {
         }
     }
 
-    /// Fraction of fused-feature VM runs the fused scan eliminated
+    /// Fraction of fused-feature counting runs the fused scan eliminated
     /// (the fused analog of [`ExtractStats::skip_ratio`]); 0 when the
     /// fused engine was not involved.
     pub fn fused_skip_ratio(&self) -> f64 {
@@ -99,6 +108,7 @@ impl ExtractStats {
 struct ExtractMetrics {
     regex_evals: Arc<Counter>,
     vm_runs_skipped: Arc<Counter>,
+    count_vm_runs: Arc<Counter>,
     rows_extracted: Arc<Counter>,
     skip_ratio: Arc<Gauge>,
     matrix_fill_rate: Arc<Gauge>,
@@ -116,6 +126,7 @@ fn metrics() -> &'static ExtractMetrics {
         ExtractMetrics {
             regex_evals: telemetry.counter("features.regex_evals"),
             vm_runs_skipped: telemetry.counter("features.vm_runs_skipped"),
+            count_vm_runs: telemetry.counter("features.count_vm_runs"),
             rows_extracted: telemetry.counter("features.rows_extracted"),
             skip_ratio: telemetry.gauge("features.vm_skip_ratio"),
             matrix_fill_rate: telemetry.gauge("features.matrix_fill_rate"),
@@ -129,11 +140,12 @@ fn metrics() -> &'static ExtractMetrics {
 }
 
 /// Accounts extraction work in the global registry:
-/// `features.regex_evals` counts VM invocations that *actually
+/// `features.regex_evals` counts the counting runs that *actually
 /// happened* (not `rows × features` — the fused scan skips most of
 /// those), with the skipped complement in `features.vm_runs_skipped`,
-/// the running skip fraction in `features.vm_skip_ratio`, and the VM
-/// runs for features the fuser refused in
+/// the running skip fraction in `features.vm_skip_ratio`, the runs
+/// that fell to the Pike VM in `features.count_vm_runs`, and of those
+/// the runs for features the fuser refused in
 /// `regex.fused.fallback_vm_runs`. Sets with a fused automaton
 /// additionally feed `features.fused_skip_ratio` and the
 /// `regex.fused.cache_*` family (state-cache occupancy, hit ratio,
@@ -142,6 +154,7 @@ fn record_stats(stats: &ExtractStats, rows: u64) {
     let m = metrics();
     m.regex_evals.add(stats.vm_runs);
     m.vm_runs_skipped.add(stats.vm_runs_skipped);
+    m.count_vm_runs.add(stats.count_vm_runs);
     m.rows_extracted.add(rows);
     m.skip_ratio.set(stats.skip_ratio());
     m.fused_fallback_vm_runs.add(stats.fallback_vm_runs);
@@ -167,7 +180,8 @@ const METRICS_FLUSH_ROWS: u64 = 32;
 /// normalization double buffer, the candidate bitset (one per
 /// extraction, written by the fused scan), the lazy-DFA state cache
 /// (warm across requests — the whole point of lazy determinization),
-/// the shared VM scratch, a pooled
+/// the VM scratch (touched only by features that fall to the Pike
+/// VM), a pooled
 /// sparse-row buffer for `extract_row`, and the buffered telemetry
 /// window (flushed every [`METRICS_FLUSH_ROWS`] rows, on
 /// [`flush_extract_metrics`], and when the thread exits). One warm
@@ -263,7 +277,7 @@ fn extract_traced(
 /// emitting `(feature id, count)` in ascending id order (including
 /// zero counts for refused features that their VM then rejects), and
 /// returns what ran versus what the fused scan skipped. Optional
-/// per-stage spans (`features.scan`, `features.vms`) are recorded
+/// per-stage spans (`features.scan`, `features.count`) are recorded
 /// into a request-scoped trace; with `trace = None` the span
 /// bookkeeping compiles down to nothing on the hot path.
 fn count_norm_traced(
@@ -285,8 +299,9 @@ fn count_norm_traced(
     if let (Some(t), Some(s)) = (trace.as_mut(), span) {
         t.end(s);
     }
-    let span = trace.as_mut().map(|t| t.begin("features.vms"));
+    let span = trace.as_mut().map(|t| t.begin("features.count"));
     let mut vm_runs = 0u64;
+    let mut count_vm_runs = 0u64;
     let mut fallback_vm_runs = 0u64;
     for id in bits.iter() {
         let f = &features[id];
@@ -294,11 +309,13 @@ fn count_norm_traced(
         // prefilter could only re-confirm what the DFA proved — skip
         // it and go straight to counting. A refused feature's bit is
         // set on every payload and says nothing: it keeps the
-        // prefilter.
+        // prefilter, and the VM behind it.
         let n = if compiled.is_fused(id) {
+            count_vm_runs += u64::from(f.count_dfa().is_none());
             f.count_known_match(norm, vm)
         } else {
             fallback_vm_runs += 1;
+            count_vm_runs += 1;
             f.count_with(norm, vm)
         };
         emit(id, n);
@@ -311,6 +328,7 @@ fn count_norm_traced(
     ExtractStats {
         vm_runs,
         vm_runs_skipped: features.len() as u64 - vm_runs,
+        count_vm_runs,
         fused_matched,
         fused_skipped: compiled.fused_features() as u64 - fused_matched,
         fallback_vm_runs,
@@ -380,7 +398,7 @@ pub fn extract_dense_into(set: &FeatureSet, payload: &[u8], out: &mut Vec<f64>) 
 /// windowed telemetry, without the `set.len()`-wide fill. The
 /// detection hot path scores and monitors from this row. With a
 /// `trace`, per-stage spans (`features.normalize`, `features.scan`,
-/// `features.vms`) are recorded into it; tracing observes, never
+/// `features.count`) are recorded into it; tracing observes, never
 /// alters, the extraction (pinned by unit test).
 pub fn extract_sparse_into(
     set: &FeatureSet,
@@ -458,8 +476,8 @@ pub fn extract_matrix(set: &FeatureSet, payloads: &[&[u8]], threads: usize) -> C
     m
 }
 
-/// Accounts one extracted matrix in the global registry: actual VM
-/// invocations (not `rows × features`), the VM skip ratio, and
+/// Accounts one extracted matrix in the global registry: actual
+/// counting runs (not `rows × features`), the skip ratio, and
 /// the fill rate as the fraction of nonzero cells.
 fn record_matrix_telemetry(m: &CsrMatrix, stats: &ExtractStats) {
     record_stats(stats, m.rows() as u64);
@@ -565,6 +583,24 @@ mod tests {
             "attack fused skip ratio only {:.2} ({stats:?})",
             stats.fused_skip_ratio()
         );
+    }
+
+    #[test]
+    fn only_features_without_a_counting_automaton_fall_to_the_vm() {
+        let set = FeatureSet::full();
+        let (row, stats) = extract_row_uncounted(&set, b"id=1'+or+1=1--+-&q=char(58),char(58)");
+        assert!(row.len() >= 5, "{row:?}");
+        assert_eq!(stats.vm_runs, row.len() as u64);
+        assert_eq!(stats.count_vm_runs, 0, "{stats:?}");
+        // `union(\s|\+|/\*.*?\*/)+…select` is the one library pattern
+        // past the automaton's state cap.
+        let counter = psigene_telemetry::global().counter("features.count_vm_runs");
+        let before = counter.get();
+        let (_, stats) = extract_row_uncounted(&set, b"id=1+union/**/select+1,2");
+        assert_eq!(stats.count_vm_runs, 1, "{stats:?}");
+        assert_eq!(stats.fallback_vm_runs, 0);
+        extract_matrix(&set, &[b"id=1+union/**/select+1,2"], 1);
+        assert!(counter.get() > before);
     }
 
     fn feat(pattern: &str) -> Feature {
@@ -719,7 +755,7 @@ mod tests {
             let names: Vec<&str> = t.spans.iter().map(|s| s.name).collect();
             assert!(names.contains(&"features.normalize"), "{names:?}");
             assert!(names.contains(&"features.scan"), "{names:?}");
-            assert!(names.contains(&"features.vms"), "{names:?}");
+            assert!(names.contains(&"features.count"), "{names:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! A single counting feature.
 
 use crate::sources::FeatureSource;
-use psigene_regex::{Regex, RegexBuilder, VmCache};
+use psigene_regex::{CountDfa, Regex, RegexBuilder, VmCache};
 
 /// One feature: a compiled pattern whose non-overlapping match count
 /// over the normalized payload is the feature value (§II-B: "each one
@@ -18,6 +18,9 @@ pub struct Feature {
     /// Which of Table II's three sources produced it.
     pub source: FeatureSource,
     regex: Regex,
+    /// `regex` determinized for counting; `None` when the pattern was
+    /// refused (see [`CountDfa::new`]) and stays on the Pike VM.
+    count_dfa: Option<CountDfa>,
 }
 
 impl Feature {
@@ -30,17 +33,20 @@ impl Feature {
     ) -> Result<Feature, psigene_regex::Error> {
         let pattern = pattern.into();
         let regex = RegexBuilder::new().case_insensitive(true).build(&pattern)?;
+        let count_dfa = CountDfa::new(&regex);
         Ok(Feature {
             id,
             name: name.into(),
             pattern,
             source,
             regex,
+            count_dfa,
         })
     }
 
     /// The feature value for a normalized payload: the number of
-    /// non-overlapping matches.
+    /// non-overlapping matches. Always the Pike VM — the per-feature
+    /// oracle the extraction tests compare against.
     pub fn count(&self, normalized_payload: &[u8]) -> usize {
         self.regex.count_all(normalized_payload)
     }
@@ -53,13 +59,23 @@ impl Feature {
         self.regex.count_all_with(normalized_payload, cache)
     }
 
-    /// [`Feature::count_with`] for payloads the fused scan already
-    /// proved this feature matches: skips the feature's own prefilter
-    /// gate (a redundant haystack traversal — the prefilter never
-    /// rejects a matching payload, so the count is identical).
+    /// The count for payloads the fused scan already proved this
+    /// feature matches, from the feature's counting automaton. A
+    /// pattern without one runs its VM, minus the prefilter gate (a
+    /// redundant haystack traversal — the prefilter never rejects a
+    /// matching payload). Identical to [`Feature::count`] either way.
     pub fn count_known_match(&self, normalized_payload: &[u8], cache: &mut VmCache) -> usize {
-        self.regex
-            .count_all_prefiltered_with(normalized_payload, cache)
+        match &self.count_dfa {
+            Some(dfa) => dfa.count(normalized_payload),
+            None => self
+                .regex
+                .count_all_prefiltered_with(normalized_payload, cache),
+        }
+    }
+
+    /// The counting automaton, when the pattern has one.
+    pub fn count_dfa(&self) -> Option<&CountDfa> {
+        self.count_dfa.as_ref()
     }
 
     /// Borrow of the compiled pattern.

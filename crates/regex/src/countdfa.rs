@@ -1,0 +1,538 @@
+//! A precompiled counting automaton: [`Regex::count_all`] as one table
+//! load per byte.
+//!
+//! Counting non-overlapping leftmost-first matches needs no captures
+//! and no match *start* — only where each match ends, because the next
+//! search begins there. That is a regular property of the haystack
+//! prefix, so the Pike VM's ordered thread list can be determinized
+//! ahead of time. [`CountDfa::new`] does so eagerly, once per pattern;
+//! the automaton is immutable afterwards and shared by every thread.
+//!
+//! # State
+//!
+//! A state is what the VM carries between two bytes of one search: the
+//! **ordered** list of pending program counters (the pcs just after the
+//! consuming instructions taken, highest priority first), whether a
+//! match is already *committed*, and the two context bits epsilon
+//! closure will need — was the previous byte a word byte, is this
+//! position 0. As in `crate::lazydfa`, closure is deferred to the
+//! transition, when the next byte is known, so `^ $ \b \B` resolve
+//! from context instead of splitting states per assertion outcome.
+//!
+//! # Transition
+//!
+//! Expand the pending pcs through the program's precompiled
+//! [`crate::program::ClosureTable`] in order (first path to a pc wins,
+//! exactly the VM's `seen` marks); until a match is committed the root
+//! closure rides behind them at the lowest priority, which is the
+//! leftmost rule. Walk the expanded threads in order: the first
+//! `Match` records "a match ends here" on the transition word and
+//! **cuts** every thread behind it; threads ahead of it survive and may
+//! still override the recorded end with a later, higher-priority one.
+//! Threads whose instruction accepts the byte become the next pending
+//! list. A committed state with nothing pending is the *dead* state:
+//! nothing can override the recorded end, so the search is over.
+//!
+//! # Counting
+//!
+//! [`CountDfa::count`] runs one search to the dead state (or the end of
+//! input, where a per-state bit says whether `$` or a trailing `\b`
+//! completes a match), counts one, and restarts at the last recorded
+//! end in the idle state chosen by the byte before it — the context
+//! `find_at(hay, end)` would compute. The idle states (nothing pending,
+//! nothing committed) hop over every byte that cannot leave idle via
+//! the 256-entry `wakes` table, the analog of the VM's prefix skip.
+//!
+//! # Refusals
+//!
+//! Patterns that can match the empty string are refused: with every
+//! match consuming a byte the recorded end is always past the search
+//! start, so no start offset is needed and restarts strictly advance.
+//! Patterns whose ordered determinization exceeds [`STATE_LIMIT`]
+//! states are refused too. Both stay on the Pike VM, which also remains
+//! the engine behind `find*` and the oracle this module is tested
+//! against.
+
+use crate::nfa::ByteClasses;
+use crate::program::{Inst, Program, REQ_END, REQ_NOT_WORD_BOUNDARY, REQ_START, REQ_WORD_BOUNDARY};
+use crate::vm::is_word_byte;
+use crate::Regex;
+use std::collections::HashMap;
+
+/// Determinization gives up past this many states.
+const STATE_LIMIT: usize = 512;
+
+/// Transition-word flag: a match ends at the position of the byte
+/// being consumed. The low 15 bits name the next state.
+const MATCH: u16 = 1 << 15;
+
+/// A precompiled automaton computing [`Regex::count_all`] for one
+/// pattern; see the module docs.
+#[derive(Debug, Clone)]
+pub struct CountDfa {
+    /// Byte → equivalence class of the pattern's program.
+    classes: [u8; 256],
+    /// Number of byte classes: the width of one `table` row.
+    stride: usize,
+    /// `table[state * stride + class]`: next state, plus [`MATCH`].
+    table: Vec<u16>,
+    /// Per state: a match completes if the input ends here.
+    eoi: Vec<bool>,
+    /// Bytes on which some idle state stops being idle.
+    wakes: [bool; 256],
+    /// The idle state a search starts (or idles) in at position 0,
+    /// after a non-word byte, and after a word byte. All three are ids
+    /// below `dead`; assertion-free patterns share one.
+    idle: [u16; 3],
+    /// The dead state's id; every idle state's id is smaller.
+    dead: u16,
+}
+
+impl CountDfa {
+    /// Determinizes `re`; `None` when the pattern can match the empty
+    /// string or needs more than 512 states.
+    pub fn new(re: &Regex) -> Option<CountDfa> {
+        if re.prog.matches_empty {
+            return None;
+        }
+        Determinizer::new(&re.prog).run()
+    }
+
+    /// Number of states (a size proxy; the table is this many rows of
+    /// one `u16` per byte class).
+    pub fn state_count(&self) -> usize {
+        self.eoi.len()
+    }
+
+    /// Counts non-overlapping leftmost-first matches in `hay`: exactly
+    /// [`Regex::count_all`].
+    pub fn count(&self, hay: &[u8]) -> usize {
+        let mut count = 0;
+        let mut from = 0;
+        // Every match consumes a byte, so `from` strictly advances.
+        while let Some(end) = self.find_end(hay, from) {
+            count += 1;
+            from = end;
+        }
+        count
+    }
+
+    /// End of the leftmost-first match starting at or after `pos`.
+    fn find_end(&self, hay: &[u8], mut pos: usize) -> Option<usize> {
+        let mut state = self.idle_at(hay, pos);
+        let mut end = None;
+        while pos < hay.len() {
+            if state <= self.dead {
+                if state == self.dead {
+                    return end;
+                }
+                // Idle: hop to the next byte that can start anything.
+                let hop = hay[pos..].iter().position(|&b| self.wakes[b as usize])?;
+                pos += hop;
+                state = self.idle_at(hay, pos);
+            }
+            let class = self.classes[hay[pos] as usize] as usize;
+            let word = self.table[state as usize * self.stride + class];
+            if word & MATCH != 0 {
+                end = Some(pos);
+            }
+            state = word & !MATCH;
+            pos += 1;
+        }
+        if self.eoi[state as usize] {
+            end = Some(hay.len());
+        }
+        end
+    }
+
+    /// The idle state for position `pos`: its context bits are what
+    /// the VM's `ctx_bits` would derive from `hay[pos - 1]`.
+    #[inline]
+    fn idle_at(&self, hay: &[u8], pos: usize) -> u16 {
+        match pos.checked_sub(1) {
+            None => self.idle[0],
+            Some(prev) => self.idle[1 + usize::from(is_word_byte(hay[prev]))],
+        }
+    }
+}
+
+/// Identity of a state under construction.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Key {
+    /// Pre-closure pcs, highest priority first.
+    pending: Vec<u32>,
+    committed: bool,
+    prev_word: bool,
+    at_start: bool,
+}
+
+impl Key {
+    fn idle(prev_word: bool, at_start: bool) -> Key {
+        Key {
+            pending: Vec::new(),
+            committed: false,
+            prev_word,
+            at_start,
+        }
+    }
+
+    /// Committed with nothing pending. The context bits are dropped:
+    /// there is no closure left for them to gate.
+    fn dead() -> Key {
+        Key {
+            pending: Vec::new(),
+            committed: true,
+            prev_word: false,
+            at_start: false,
+        }
+    }
+}
+
+struct Determinizer<'p> {
+    prog: &'p Program,
+    /// False for assertion-free programs, whose states then drop the
+    /// context bits (no closure step ever reads them).
+    track_context: bool,
+    keys: Vec<Key>,
+    ids: HashMap<Key, u16>,
+    /// Closure-expansion scratch: the ordered thread list and the
+    /// per-pc visit marks (`seen[pc] == generation`).
+    threads: Vec<u32>,
+    seen: Vec<u32>,
+    generation: u32,
+}
+
+impl<'p> Determinizer<'p> {
+    fn new(prog: &'p Program) -> Determinizer<'p> {
+        Determinizer {
+            prog,
+            track_context: prog.closures.has_assertions(),
+            keys: Vec::new(),
+            ids: HashMap::new(),
+            threads: Vec::new(),
+            seen: vec![0; prog.len()],
+            generation: 0,
+        }
+    }
+
+    fn intern(&mut self, key: Key) -> u16 {
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
+        }
+        // STATE_LIMIT is far below `MATCH`, so ids fit the word.
+        let id = self.keys.len() as u16;
+        self.keys.push(key.clone());
+        self.ids.insert(key, id);
+        id
+    }
+
+    fn run(mut self) -> Option<CountDfa> {
+        let (classes, reps) = self.byte_classes();
+        let stride = reps.len();
+
+        let track = self.track_context;
+        let idle = [
+            self.intern(Key::idle(false, track)),
+            self.intern(Key::idle(false, false)),
+            self.intern(Key::idle(track, false)),
+        ];
+        let dead = self.intern(Key::dead());
+
+        let mut table = Vec::new();
+        let mut eoi = Vec::new();
+        // `keys` grows while it is walked: breadth-first discovery.
+        let mut id = 0;
+        while id < self.keys.len() {
+            if self.keys.len() > STATE_LIMIT {
+                return None;
+            }
+            let key = self.keys[id].clone();
+            for &rep in &reps {
+                let word = self.transition(&key, rep);
+                table.push(word);
+            }
+            eoi.push(self.completes_at_end(&key));
+            id += 1;
+        }
+
+        let mut wakes = [false; 256];
+        for (b, wake) in wakes.iter_mut().enumerate() {
+            let class = classes[b] as usize;
+            // Ids at or past `dead` (and any word carrying `MATCH`)
+            // are not idle.
+            *wake = idle
+                .iter()
+                .any(|&s| table[s as usize * stride + class] >= dead);
+        }
+        Some(CountDfa {
+            classes,
+            stride,
+            table,
+            eoi,
+            wakes,
+            idle,
+            dead,
+        })
+    }
+
+    /// The coarsest byte partition the program can tell apart, as a
+    /// byte → class map plus one representative byte per class. The
+    /// fused engine's contiguous-run partition is the starting point;
+    /// runs that every consuming instruction (and `\b`, when the
+    /// program asserts anything) treats alike are merged, which keeps a
+    /// case-insensitive keyword at one class per letter and the table a
+    /// few columns wide.
+    fn byte_classes(&self) -> ([u8; 256], Vec<u8>) {
+        let runs = ByteClasses::from_program(self.prog);
+        // One pc per distinct consuming instruction.
+        let insts = &self.prog.insts;
+        let mut consuming: Vec<u32> = Vec::new();
+        for (pc, inst) in insts.iter().enumerate() {
+            let consumes = matches!(
+                inst,
+                Inst::Byte(_) | Inst::Class(_) | Inst::Any | Inst::AnyNoNewline
+            );
+            if consumes && !consuming.iter().any(|&seen| insts[seen as usize] == *inst) {
+                consuming.push(pc as u32);
+            }
+        }
+        let mut classes = [0u8; 256];
+        let mut reps: Vec<u8> = Vec::new();
+        let mut signatures: Vec<Vec<bool>> = Vec::new();
+        let mut class_of_run = vec![None; runs.count as usize];
+        for b in 0..=255u8 {
+            let run = runs.map[b as usize] as usize;
+            let class = *class_of_run[run].get_or_insert_with(|| {
+                let signature: Vec<bool> = consuming
+                    .iter()
+                    .map(|&pc| self.prog.accepts(pc, b))
+                    .chain([self.track_context && is_word_byte(b)])
+                    .collect();
+                signatures
+                    .iter()
+                    .position(|s| *s == signature)
+                    .unwrap_or_else(|| {
+                        signatures.push(signature);
+                        reps.push(b);
+                        reps.len() - 1
+                    })
+            });
+            classes[b as usize] = class as u8;
+        }
+        (classes, reps)
+    }
+
+    /// Fills `self.threads` with `key`'s closure under `ctx`: the
+    /// thread list the VM would hold at this position, in priority
+    /// order.
+    fn expand(&mut self, key: &Key, ctx: u8) {
+        self.generation += 1;
+        self.threads.clear();
+        // Until a match commits, a fresh root thread joins at every
+        // position, behind everything already in flight.
+        let root = (!key.committed).then_some(0);
+        for &pc in key.pending.iter().chain(root.iter()) {
+            for step in self.prog.closures.steps_of(pc) {
+                let mark = &mut self.seen[step.target as usize];
+                if step.mask & !ctx == 0 && *mark != self.generation {
+                    *mark = self.generation;
+                    self.threads.push(step.target);
+                }
+            }
+        }
+    }
+
+    /// The transition word out of `key` on `byte`.
+    fn transition(&mut self, key: &Key, byte: u8) -> u16 {
+        let next_word = is_word_byte(byte);
+        let mut ctx = if key.prev_word != next_word {
+            REQ_WORD_BOUNDARY
+        } else {
+            REQ_NOT_WORD_BOUNDARY
+        };
+        if key.at_start {
+            ctx |= REQ_START;
+        }
+        self.expand(key, ctx);
+        let mut pending = Vec::new();
+        let mut matched = false;
+        for &pc in &self.threads {
+            if matches!(self.prog.insts[pc as usize], Inst::Match | Inst::MatchId(_)) {
+                // Lower-priority threads are cut; the ones already
+                // stepped may still override this end.
+                matched = true;
+                break;
+            }
+            if self.prog.accepts(pc, byte) {
+                pending.push(pc + 1);
+            }
+        }
+        let committed = key.committed || matched;
+        let next = if committed && pending.is_empty() {
+            Key::dead()
+        } else {
+            Key {
+                pending,
+                committed,
+                prev_word: self.track_context && next_word,
+                at_start: false,
+            }
+        };
+        self.intern(next) | if matched { MATCH } else { 0 }
+    }
+
+    /// Whether a match completes when the input ends in `key`.
+    fn completes_at_end(&mut self, key: &Key) -> bool {
+        let mut ctx = REQ_END;
+        // The position past the last byte counts as non-word.
+        ctx |= if key.prev_word {
+            REQ_WORD_BOUNDARY
+        } else {
+            REQ_NOT_WORD_BOUNDARY
+        };
+        if key.at_start {
+            ctx |= REQ_START;
+        }
+        self.expand(key, ctx);
+        self.threads
+            .iter()
+            .any(|&pc| matches!(self.prog.insts[pc as usize], Inst::Match | Inst::MatchId(_)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn dfa(pat: &str) -> CountDfa {
+        let re = Regex::new(pat).expect("pattern compiles");
+        CountDfa::new(&re).unwrap_or_else(|| panic!("{pat:?} must determinize"))
+    }
+
+    /// Counts with the automaton after checking it against the VM.
+    fn count(pat: &str, hay: &str) -> usize {
+        let re = Regex::new(pat).expect("pattern compiles");
+        let n = dfa(pat).count(hay.as_bytes());
+        assert_eq!(n, re.count_all(hay.as_bytes()), "{pat:?} on {hay:?}");
+        n
+    }
+
+    #[test]
+    fn restart_takes_its_context_from_the_byte_before_it() {
+        // The second `null` starts right after a `,`: a boundary.
+        assert_eq!(count(r"\bnull\b", "null,null"), 2);
+        // The first match ends after `null`, so the restart's previous
+        // byte is a word byte and `,` is where `\b` holds again.
+        assert_eq!(count(r",\s*null\b", ",null,null"), 2);
+        assert_eq!(count(r",\s*null\b", ",null,nulls"), 1);
+        // No boundary between `a` and `b`: the restart must not
+        // pretend it is at the start of a haystack.
+        assert_eq!(count(r"\b[ab]", "ab a"), 2);
+        assert_eq!(count(r"\B[ab]", "ab a"), 1);
+    }
+
+    #[test]
+    fn a_later_higher_priority_match_overrides_the_recorded_end() {
+        // Greedy `.+` keeps extending past the first ` from`.
+        assert_eq!(count("select.+from", "select a from b from c"), 1);
+        // Lazy stops at the first; the tail holds no second `select`.
+        assert_eq!(count("select.+?from", "select a from b from c"), 1);
+        assert_eq!(count("select.+?from", "select a from select b from"), 2);
+        assert_eq!(count("ab|abc", "abcabc"), 2);
+        assert_eq!(count("(abc|ab|a)+", "abcabx aab"), 2);
+    }
+
+    #[test]
+    fn end_of_input_assertions() {
+        assert_eq!(count(r";\s*$", "a; b;  "), 1);
+        assert_eq!(count(r";\s*$", "a; b;  x"), 0);
+        assert_eq!(count(r"from$", "from from"), 1);
+        assert_eq!(count(r"\bor\b", "or x or"), 2);
+        assert_eq!(count(r"\bor\b", "or x orb"), 1);
+        assert_eq!(count(r"\d+\b", "12 34"), 2);
+    }
+
+    #[test]
+    fn start_anchor_cannot_match_after_a_restart() {
+        assert_eq!(count("^ab", "ababab"), 1);
+        assert_eq!(count("^ab|cd", "abcdab"), 2);
+        assert_eq!(count("^select", " select"), 0);
+    }
+
+    #[test]
+    fn dot_respects_the_newline_flag() {
+        assert_eq!(count("a.c", "a\nc abc"), 1);
+        assert_eq!(count("(?s)a.c", "a\nc abc"), 2);
+        assert_eq!(count("a.+c", "ab\nbc"), 0);
+        assert_eq!(count("(?s)a.+c", "ab\nbc"), 1);
+    }
+
+    #[test]
+    fn empty_haystack_counts_zero() {
+        assert_eq!(count("a", ""), 0);
+        assert_eq!(count(r"\bnull\b", ""), 0);
+        assert_eq!(count("a$", ""), 0);
+    }
+
+    #[test]
+    fn non_overlapping_and_case_insensitive() {
+        assert_eq!(count("aa", "aaaaa"), 2);
+        assert_eq!(count("a+", "aa b aaa"), 2);
+        let re = Regex::builder()
+            .case_insensitive(true)
+            .build(r"union\s+(all\s+)?select")
+            .unwrap();
+        let hay = b"union select 1; UNION ALL SELECT 2; union all selec";
+        let dfa = CountDfa::new(&re).unwrap();
+        assert_eq!(dfa.count(hay), 2);
+        assert_eq!(dfa.count(hay), re.count_all(hay));
+    }
+
+    #[test]
+    fn idle_states_hop_but_do_not_lose_context() {
+        // Long idle stretches before, between and after matches.
+        let hay = format!(
+            "{}or{} or {}",
+            "-".repeat(70),
+            "x".repeat(70),
+            "y".repeat(70)
+        );
+        assert_eq!(count(r"\bor\b", &hay), 1);
+        assert_eq!(count("or", &hay), 2);
+        let d = dfa(r"\bor\b");
+        assert!(d.wakes[b'o' as usize] && !d.wakes[b'-' as usize]);
+    }
+
+    #[test]
+    fn nullable_patterns_are_refused() {
+        for pat in ["a*", "", r"\b", "^", "(ab)?", "x|"] {
+            let re = Regex::new(pat).unwrap();
+            assert!(CountDfa::new(&re).is_none(), "{pat:?}");
+        }
+    }
+
+    #[test]
+    fn patterns_past_the_state_cap_are_refused() {
+        // Two comment-or-space loops around an optional keyword: the
+        // ordered determinization runs to thousands of states.
+        let re = Regex::builder()
+            .case_insensitive(true)
+            .build(r"union(\s|\+|/\*.*?\*/)+(all(\s|\+|/\*.*?\*/)+)?select")
+            .unwrap();
+        assert!(CountDfa::new(&re).is_none());
+        // The same shape without the comment arm is small.
+        assert!(dfa(r"union(\s|\+)+(all(\s|\+)+)?select").state_count() <= STATE_LIMIT);
+    }
+
+    #[test]
+    fn idle_and_dead_ids_sit_below_every_other_state() {
+        let d = dfa(r"\bselect\b.+from");
+        assert!(d.idle.iter().all(|&s| s < d.dead));
+        assert_eq!(d.dead, 3);
+        let plain = dfa("select");
+        assert_eq!(plain.idle, [0, 0, 0]);
+        assert_eq!(plain.dead, 1);
+        // Nothing completes at end of input from idle or dead.
+        assert!(!d.eoi[..=d.dead as usize].iter().any(|&e| e));
+    }
+}

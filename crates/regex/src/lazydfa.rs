@@ -304,17 +304,6 @@ fn close_collect(
     }
 }
 
-/// Whether the consuming instruction at `pc` accepts byte `b`.
-fn accepts(nfa: &MultiNfa, pc: u32, b: u8) -> bool {
-    match &nfa.prog.insts[pc as usize] {
-        Inst::Byte(x) => *x == b,
-        Inst::Class(idx) => nfa.prog.classes[*idx as usize].contains(b),
-        Inst::Any => true,
-        Inst::AnyNoNewline => b != b'\n',
-        _ => unreachable!("non-consuming pc in consuming list"),
-    }
-}
-
 impl FusedSet {
     /// Scans `hay` once and inserts every matching pattern id into
     /// `out`. Returns per-scan statistics. `cache` may be fresh,
@@ -401,7 +390,7 @@ impl FusedSet {
         let mut succ: Vec<u32> =
             Vec::with_capacity(cache.consuming_scratch.len() + root.consuming.len());
         for &pc in cache.consuming_scratch.iter().chain(root.consuming.iter()) {
-            if accepts(&self.nfa, pc, rep) {
+            if self.nfa.prog.accepts(pc, rep) {
                 succ.push(pc + 1);
             }
         }

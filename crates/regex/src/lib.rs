@@ -8,11 +8,14 @@
 //! and compiles patterns to a prioritized Pike VM that runs in time
 //! linear in the haystack, immune to backtracking blow-ups.
 //!
-//! Three features are specific to the IDS use case:
+//! Four features are specific to the IDS use case:
 //!
 //! * [`Regex::count_all`] counts non-overlapping matches, the
 //!   operation pSigene's feature extraction is built on (the paper
 //!   adds an equivalent `count_all()` to the Bro IDS).
+//! * [`CountDfa`] is that count precompiled: the pattern's
+//!   leftmost-first search determinized once into a table, for callers
+//!   that count the same pattern over many haystacks.
 //! * A mandatory-literal prefilter skips the VM entirely for the
 //!   (very common) haystacks that cannot possibly match.
 //! * [`FusedSet`] fuses a whole pattern library into one
@@ -42,6 +45,7 @@ mod ast;
 mod candidates;
 mod classes;
 mod compiler;
+mod countdfa;
 mod error;
 mod lazydfa;
 mod nfa;
@@ -52,6 +56,7 @@ mod vm;
 
 pub use crate::candidates::CandidateSet;
 pub use crate::classes::{ByteRange, ClassSet};
+pub use crate::countdfa::CountDfa;
 pub use crate::error::{Error, ErrorKind};
 pub use crate::lazydfa::{DfaCache, FusedScanStats};
 pub use crate::nfa::{FuseOutcome, FusedSet, FusedSetBuilder};

@@ -81,7 +81,7 @@ impl ByteClasses {
     /// instruction of `prog` (and `\b`'s word/non-word split) cannot
     /// tell apart. The DFA transition table is indexed by class, so a
     /// smaller partition means proportionally less cache memory.
-    fn from_program(prog: &Program) -> ByteClasses {
+    pub(crate) fn from_program(prog: &Program) -> ByteClasses {
         // `boundary[b]` marks the start of a new run at byte b.
         let mut boundary = [false; 257];
         boundary[0] = true;

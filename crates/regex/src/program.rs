@@ -261,6 +261,18 @@ impl Program {
         self.insts.is_empty()
     }
 
+    /// Whether the consuming instruction at `pc` accepts `byte`; the
+    /// determinizers' step function (the VM inlines the same match).
+    pub(crate) fn accepts(&self, pc: u32, byte: u8) -> bool {
+        match &self.insts[pc as usize] {
+            Inst::Byte(b) => *b == byte,
+            Inst::Class(idx) => self.classes[*idx as usize].contains(byte),
+            Inst::Any => true,
+            Inst::AnyNoNewline => byte != b'\n',
+            _ => unreachable!("non-consuming pc on a thread list"),
+        }
+    }
+
     /// Registers a class, reusing an identical existing entry.
     pub fn intern_class(&mut self, set: ClassSet) -> u32 {
         if let Some(i) = self.classes.iter().position(|c| *c == set) {

@@ -197,3 +197,92 @@ mod fused {
         }
     }
 }
+
+mod count_dfa {
+    //! The counting automaton vs. the Pike VM it replaces on the
+    //! request path: `CountDfa::count` must equal `Regex::count_all`
+    //! for every pattern that determinizes — the shipped feature
+    //! library, the fixed IDS-style patterns above and random small
+    //! patterns — on arbitrary bytes.
+
+    use super::{ours, PATTERNS};
+    use proptest::prelude::*;
+    use psigene_regex::{CountDfa, Regex};
+    use std::sync::OnceLock;
+
+    /// SQL-ish fragments spliced between random bytes, so haystacks
+    /// reach the match, override and restart paths and not only the
+    /// idle hop.
+    const TOKENS: &[&str] = &[
+        "select", "UNION", "from", "null", "all", "or", "and", "char", "sleep", "like", " ", "  ",
+        "\n", "/*", "*/", "--", ";", ",", "'", "\"", "(", ")", "=", "+", "1", "0x3a", "_", "a",
+        "#", "%", "@@", "||", "<", ">",
+    ];
+
+    /// Every library and fixed pattern (compiled the way features are:
+    /// case-insensitive) with its automaton, built once.
+    fn fixed_patterns() -> &'static [(Regex, CountDfa)] {
+        static BUILT: OnceLock<Vec<(Regex, CountDfa)>> = OnceLock::new();
+        BUILT.get_or_init(|| {
+            let library = psigene_features::FeatureSet::full();
+            let built: Vec<(Regex, CountDfa)> = library
+                .features()
+                .iter()
+                .map(|f| f.regex().clone())
+                .chain(PATTERNS.iter().map(|pat| ours(pat, true)))
+                .chain(PATTERNS.iter().map(|pat| ours(pat, false)))
+                .filter_map(|re| CountDfa::new(&re).map(|dfa| (re, dfa)))
+                .collect();
+            // All of the library but one pattern, and every fixed
+            // pattern (none of them matches empty).
+            assert!(built.len() + 1 >= library.len() + 2 * PATTERNS.len());
+            built
+        })
+    }
+
+    fn splice(parts: &[(usize, u8)]) -> Vec<u8> {
+        let mut hay = Vec::new();
+        for &(pick, byte) in parts {
+            match TOKENS.get(pick) {
+                Some(token) => hay.extend_from_slice(token.as_bytes()),
+                None => hay.push(byte),
+            }
+        }
+        hay
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn count_dfa_equals_pike_vm_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+            parts in proptest::collection::vec((0usize..TOKENS.len() + 8, any::<u8>()), 0..60),
+            pat in r"[abc01]([abc01.]|\\d|\\s|\\b|\+|\*\?|\||\$){0,8}",
+            small in "[abc01 .x\n]{0,40}",
+        ) {
+            let spliced = splice(&parts);
+            for (re, dfa) in fixed_patterns() {
+                for hay in [&bytes, &spliced] {
+                    prop_assert_eq!(
+                        dfa.count(hay),
+                        re.count_all(hay),
+                        "pattern {:?} on {:?}", re.pattern(), hay
+                    );
+                }
+            }
+            // A random pattern, where it compiles and determinizes.
+            for ci in [false, true] {
+                let Ok(re) = Regex::builder().case_insensitive(ci).build(&pat) else { continue };
+                let Some(dfa) = CountDfa::new(&re) else { continue };
+                for hay in [small.as_bytes(), &spliced] {
+                    prop_assert_eq!(
+                        dfa.count(hay),
+                        re.count_all(hay),
+                        "pattern {:?} (ci={}) on {:?}", pat, ci, hay
+                    );
+                }
+            }
+        }
+    }
+}

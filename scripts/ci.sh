@@ -67,11 +67,13 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve --test control_lo
 # crates/bench/src/bin/e2e/README.md), so the root `cargo test` does
 # not reach its unit tests. The 2-second smoke exits non-zero unless
 # every verdict of the direct, `submit` and `submit_batch` paths
-# matches the reference. The traced `benign_direct` smoke is a free
-# differential test of the sparse verdict path: its traced pass checks
-# every `evaluate` verdict (monitors on and off) and the dense
-# `score_features` of the same request against one reference.
-echo "==> e2e benchmark: unit tests + mixed_gateway smoke + traced benign_direct smoke"
+# matches the reference. The traced smokes are a free differential
+# test of the sparse verdict path: a traced pass checks every
+# `evaluate` verdict (monitors on and off) and the dense
+# `score_features` of the same request against one reference —
+# `benign_direct` where the counters idle, `attack_direct` where ten
+# features per request are counted.
+echo "==> e2e benchmark: unit tests + mixed_gateway smoke + traced benign_direct and attack_direct smokes"
 cargo test --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml -q
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
@@ -79,6 +81,9 @@ cargo run --release --offline --quiet \
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
     --workload benign_direct --seed 1 --seconds 2 --trace 1 >/dev/null
+cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
+    --workload attack_direct --seed 1 --seconds 2 --trace 1 >/dev/null
 
 # Nothing above may write outside the ignored build directories:
 # `results/` is tracked, so a stray report would be committed.

@@ -12,9 +12,13 @@
 //! identical to the per-feature oracle, across repeated extractions
 //! over dirty scratch.
 //!
-//! The counting allocator is process-global, so every test in this
-//! binary takes the internal lock: a concurrently allocating sibling
-//! would inflate a measured window.
+//! The allocator keeps two counts. Tests whose whole measured window
+//! runs on the test's own thread read the *per-thread* count, which no
+//! other thread — the harness printing a sibling's result, a gateway
+//! worker winding down — can inflate. The gateway tests measure work
+//! done on a worker thread, so they read the process-wide count, and
+//! every test in this binary takes the internal lock so that no
+//! sibling allocates inside such a window.
 
 mod common;
 
@@ -28,6 +32,7 @@ use psigene_rulesets::DetectionEngine;
 use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
 use psigene_telemetry::insight::{TraceConfig, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -45,16 +50,27 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Const-initialized and without a destructor, so the allocator
+    /// can touch it at any point of a thread's life without allocating.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -62,14 +78,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations by every thread of the process (the gateway tests).
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Allocations by the calling thread alone.
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 // ─── Shared fixtures ───
 
 /// Serializes every test of this binary, measuring or not (the
-/// allocation counter is process-global).
+/// gateway tests read the process-wide allocation count).
 fn lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -128,14 +150,14 @@ fn direct_engine_path_stays_within_the_alloc_budget() {
             std::hint::black_box(engine.evaluate(r).flagged);
         }
     }
-    let before = allocations();
+    let before = thread_allocations();
     let mut flagged = 0usize;
     for r in &requests {
         if engine.evaluate(r).flagged {
             flagged += 1;
         }
     }
-    let per_request = (allocations() - before) as f64 / requests.len() as f64;
+    let per_request = (thread_allocations() - before) as f64 / requests.len() as f64;
     assert!(flagged > 0, "workload produced no detections");
     assert!(
         per_request <= ALLOC_BUDGET,
@@ -161,20 +183,20 @@ fn traced_engine_path_stays_within_the_alloc_budget() {
             std::hint::black_box(engine.evaluate_traced(r, trace).flagged);
         }
     }
-    let before = allocations();
+    let before = thread_allocations();
     for r in &requests {
         std::hint::black_box(engine.evaluate(r).flagged);
     }
-    let untraced = allocations() - before;
+    let untraced = thread_allocations() - before;
     let mut measured = traces(&requests);
-    let before = allocations();
+    let before = thread_allocations();
     let mut flagged = 0usize;
     for (r, trace) in requests.iter().zip(measured.iter_mut()) {
         if engine.evaluate_traced(r, trace).flagged {
             flagged += 1;
         }
     }
-    let traced = allocations() - before;
+    let traced = thread_allocations() - before;
     let per_request = traced as f64 / requests.len() as f64;
     assert!(flagged > 0, "workload produced no detections");
     assert!(
@@ -185,6 +207,55 @@ fn traced_engine_path_stays_within_the_alloc_budget() {
         traced, untraced,
         "tracing a request must not add allocations to its evaluation"
     );
+}
+
+/// Attack requests are where counting runs — about ten features per
+/// request, each by its counting automaton (or, for a refused pattern,
+/// its VM on the thread's scratch). None of that may allocate: a warm
+/// `evaluate` allocates the flagged verdict's id list and nothing else.
+#[test]
+fn counting_runs_on_attack_requests_allocate_nothing() {
+    let _guard = lock().lock();
+    let engine = system();
+    engine.prepare();
+    let attacks = sqlmap::generate(&SqlmapConfig {
+        samples: 48,
+        ..Default::default()
+    });
+    let requests: Vec<&HttpRequest> = attacks.samples.iter().map(|s| &s.request).collect();
+    let mut counted = 0usize;
+    for _ in 0..2 {
+        for r in &requests {
+            std::hint::black_box(engine.evaluate(r).flagged);
+            counted += extract::extract_row(engine.feature_set(), r.detection_payload()).len();
+        }
+    }
+    assert!(
+        counted >= 2 * 5 * requests.len(),
+        "attack workload counts only {counted} features over {} evaluations",
+        2 * requests.len()
+    );
+    // What building a verdict's id list of `n` ids costs, measured on
+    // the same counter and growth policy.
+    let id_list = |n: usize| {
+        let before = thread_allocations();
+        let mut ids = Vec::new();
+        for id in 0..n as u32 {
+            ids.push(std::hint::black_box(id));
+        }
+        std::hint::black_box(&ids);
+        thread_allocations() - before
+    };
+    for r in &requests {
+        let before = thread_allocations();
+        let verdict = engine.evaluate(r);
+        let spent = thread_allocations() - before;
+        assert!(
+            spent <= id_list(verdict.matched_rules.len()),
+            "evaluate allocated {spent} times for {} matched ids on {r}",
+            verdict.matched_rules.len()
+        );
+    }
 }
 
 #[test]
@@ -335,13 +406,13 @@ fn diag_layer_allocs() {
     for p in &payloads {
         std::hint::black_box(psigene_http::normalize_into(p, &mut scratch).len());
     }
-    let before = allocations();
+    let before = thread_allocations();
     for p in &payloads {
         std::hint::black_box(psigene_http::normalize_into(p, &mut scratch).len());
     }
     eprintln!(
         "normalize_into: {:.2}/payload",
-        (allocations() - before) as f64 / payloads.len() as f64
+        (thread_allocations() - before) as f64 / payloads.len() as f64
     );
 
     let set = FeatureSet::full();
@@ -349,13 +420,13 @@ fn diag_layer_allocs() {
     for p in &payloads {
         std::hint::black_box(extract::extract_row(&set, p).len());
     }
-    let before = allocations();
+    let before = thread_allocations();
     for p in &payloads {
         std::hint::black_box(extract::extract_row(&set, p).len());
     }
     eprintln!(
         "extract_row(full): {:.2}/payload",
-        (allocations() - before) as f64 / payloads.len() as f64
+        (thread_allocations() - before) as f64 / payloads.len() as f64
     );
 
     let engine = system();
@@ -364,34 +435,34 @@ fn diag_layer_allocs() {
     for r in &requests {
         engine.features_into(r, &mut dense);
     }
-    let before = allocations();
+    let before = thread_allocations();
     for r in &requests {
         engine.features_into(r, &mut dense);
     }
     eprintln!(
         "features_into(trained): {:.2}/payload",
-        (allocations() - before) as f64 / payloads.len() as f64
+        (thread_allocations() - before) as f64 / payloads.len() as f64
     );
 
-    let before = allocations();
+    let before = thread_allocations();
     for r in &requests {
         std::hint::black_box(engine.score_features(&dense).flagged);
         let _ = r;
     }
     eprintln!(
         "score_features: {:.2}/payload",
-        (allocations() - before) as f64 / payloads.len() as f64
+        (thread_allocations() - before) as f64 / payloads.len() as f64
     );
 
     for r in &requests {
         std::hint::black_box(engine.evaluate(r).flagged);
     }
-    let before = allocations();
+    let before = thread_allocations();
     for r in &requests {
         std::hint::black_box(engine.evaluate(r).flagged);
     }
     eprintln!(
         "evaluate: {:.2}/payload",
-        (allocations() - before) as f64 / payloads.len() as f64
+        (thread_allocations() - before) as f64 / payloads.len() as f64
     );
 }
