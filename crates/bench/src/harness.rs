@@ -109,10 +109,10 @@ pub fn table1(setup: &Setup) -> String {
         "VULNERABILITY", "CVE ID", "COVERED"
     );
     let train = setup.training_set();
-    let params: std::collections::HashSet<&str> = train
+    let params: std::collections::HashSet<String> = train
         .samples
         .iter()
-        .filter_map(|s| s.request.raw_query.split('=').next())
+        .filter_map(|s| s.request.raw_query().split('=').next().map(str::to_owned))
         .collect();
     let catalog = psigene_corpus::vulndb::catalog();
     let mut covered = 0;

@@ -132,12 +132,12 @@ mod tests {
         let qa: Vec<_> = a
             .samples
             .iter()
-            .map(|s| s.request.raw_query.clone())
+            .map(|s| s.request.raw_query().into_owned())
             .collect();
         let qb: Vec<_> = b
             .samples
             .iter()
-            .map(|s| s.request.raw_query.clone())
+            .map(|s| s.request.raw_query().into_owned())
             .collect();
         assert_eq!(qa, qb);
     }

@@ -164,7 +164,13 @@ mod tests {
         let params: std::collections::HashSet<String> = ds
             .samples
             .iter()
-            .filter_map(|s| s.request.raw_query.split('=').next().map(|p| p.to_string()))
+            .filter_map(|s| {
+                s.request
+                    .raw_query()
+                    .split('=')
+                    .next()
+                    .map(|p| p.to_string())
+            })
             .collect();
         let mut covered = 0;
         let cat = vulndb::catalog();

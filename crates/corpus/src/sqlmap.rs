@@ -132,8 +132,11 @@ mod tests {
             samples: 300,
             ..SqlmapConfig::default()
         });
-        let paths: std::collections::HashSet<_> =
-            ds.samples.iter().map(|s| s.request.path.clone()).collect();
+        let paths: std::collections::HashSet<_> = ds
+            .samples
+            .iter()
+            .map(|s| s.request.path().into_owned())
+            .collect();
         // The catalog reuses /index.php across several apps, so distinct
         // paths are fewer than catalog entries.
         assert!(paths.len() >= 20, "only {} distinct paths", paths.len());
@@ -164,12 +167,12 @@ mod tests {
         let qa: Vec<_> = a
             .samples
             .iter()
-            .map(|s| s.request.raw_query.clone())
+            .map(|s| s.request.raw_query().into_owned())
             .collect();
         let qb: Vec<_> = b
             .samples
             .iter()
-            .map(|s| s.request.raw_query.clone())
+            .map(|s| s.request.raw_query().into_owned())
             .collect();
         assert_eq!(qa, qb);
     }

@@ -45,6 +45,15 @@ mod proptests {
         b"Host:", b"a", b"\xff",
     ];
 
+    /// `bytes` without the ASCII whitespace that would split a
+    /// request line.
+    fn solid(bytes: Vec<u8>) -> Vec<u8> {
+        bytes
+            .into_iter()
+            .filter(|b| !b.is_ascii_whitespace())
+            .collect()
+    }
+
     proptest! {
         #[test]
         fn percent_decode_never_panics(input in proptest::collection::vec(any::<u8>(), 0..256)) {
@@ -147,6 +156,71 @@ mod proptests {
                     let _ = crate::parse::parse_request(&request.to_wire());
                 }
             }
+        }
+
+        /// ROADMAP 7(d): whatever bytes travel in the query and the
+        /// body are the bytes the detector scans — nothing is decoded,
+        /// replaced or dropped on the way.
+        #[test]
+        fn detection_payload_is_the_wire_bytes(
+            query in proptest::collection::vec(any::<u8>(), 0..64),
+            body in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let query = solid(query);
+            let mut wire = b"POST /p?".to_vec();
+            wire.extend_from_slice(&query);
+            wire.extend_from_slice(b" HTTP/1.1\r\nHost: h\r\n\r\n");
+            wire.extend_from_slice(&body);
+            let request = crate::parse::parse_request(&wire).unwrap();
+            prop_assert_eq!(request.body(), body.as_slice());
+            let mut payload = query.clone();
+            if !query.is_empty() && !body.is_empty() {
+                payload.push(b'&');
+            }
+            payload.extend_from_slice(&body);
+            prop_assert_eq!(request.detection_payload(), payload.as_slice());
+        }
+
+        /// On valid UTF-8 with ASCII whitespace (the alphabet without
+        /// its last fragment, `\xff`) the byte parser and the lossy
+        /// `str` parser it replaced agree on every part and every
+        /// error; `parse.rs` lists where they differ outside it.
+        #[test]
+        fn parse_request_matches_the_lossy_parser(
+            shaped in proptest::collection::vec(0usize..REQUEST_ALPHABET.len() - 1, 0..96),
+        ) {
+            let raw: Vec<u8> = shaped
+                .iter()
+                .flat_map(|&i| REQUEST_ALPHABET[i].iter().copied())
+                .collect();
+            prop_assert_eq!(
+                crate::parse::parse_request_parts(&raw),
+                crate::parse::parse_request_lossy(&raw)
+            );
+        }
+
+        /// `to_wire` and `parse_request` are inverses on requests
+        /// whose parts hold none of the wire format's separators.
+        #[test]
+        fn to_wire_then_parse_is_the_identity(
+            method in 0usize..4,
+            path in proptest::collection::vec(any::<u8>(), 0..24),
+            query in proptest::collection::vec(any::<u8>(), 0..48),
+            host in proptest::collection::vec(any::<u8>(), 0..24),
+            body in proptest::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let method = [
+                crate::Method::Get,
+                crate::Method::Post,
+                crate::Method::Head,
+                crate::Method::Other("PUT".to_string()),
+            ][method].clone();
+            let mut path = solid(path);
+            path.retain(|&b| b != b'?');
+            path.insert(0, b'/');
+            let request =
+                crate::HttpRequest::from_parts(method, &path, &solid(query), &solid(host), &body);
+            prop_assert_eq!(crate::parse::parse_request(&request.to_wire()), Ok(request));
         }
 
         #[test]

@@ -1,7 +1,9 @@
 //! The HTTP request model shared by generators, engines and the
 //! pipeline.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::io::Write as _;
 
 /// HTTP request method. Only the methods the traffic generators emit
 /// are modeled; everything else is `Other`.
@@ -49,87 +51,181 @@ pub struct Param {
 /// The paper's detectors operate on "the entire HTTP request payload",
 /// extracting the query from it by "leaving out the HTTP address, the
 /// port, and the path (typically a `?` indicates the start of the
-/// query string)" (§II-A). [`HttpRequest::query_string`] and
-/// [`HttpRequest::detection_payload`] implement exactly that
-/// extraction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// query string)" (§II-A). [`HttpRequest::detection_payload`]
+/// implements exactly that extraction.
+///
+/// A request is one allocation: `buf` holds `path | host | raw_query |
+/// body` back to back, with a single `&` between query and body when
+/// both are non-empty, so everything from `host_end` on is the
+/// detection payload as one contiguous slice. The `&` is the only
+/// byte of `buf` that belongs to no part.
+#[derive(Clone, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Request method.
     pub method: Method,
-    /// Path component, without query string.
-    pub path: String,
-    /// Raw (still percent-encoded) query string, without the `?`.
-    pub raw_query: String,
-    /// Request body for POST requests, empty otherwise.
-    pub body: Vec<u8>,
-    /// Host header value.
-    pub host: String,
+    buf: Vec<u8>,
+    path_end: u32,
+    host_end: u32,
+    query_end: u32,
 }
 
 impl HttpRequest {
+    /// The one constructor: copies the four parts into a single
+    /// buffer. `raw_query` is still percent-encoded and has no `?`.
+    ///
+    /// # Panics
+    ///
+    /// If the parts together exceed `u32::MAX` bytes.
+    pub fn from_parts(
+        method: Method,
+        path: &[u8],
+        raw_query: &[u8],
+        host: &[u8],
+        body: &[u8],
+    ) -> HttpRequest {
+        let joined = !raw_query.is_empty() && !body.is_empty();
+        let len = path.len() + host.len() + raw_query.len() + usize::from(joined) + body.len();
+        assert!(u32::try_from(len).is_ok(), "request of {len} bytes");
+        let mut buf = Vec::with_capacity(len);
+        buf.extend_from_slice(path);
+        let path_end = buf.len() as u32;
+        buf.extend_from_slice(host);
+        let host_end = buf.len() as u32;
+        buf.extend_from_slice(raw_query);
+        let query_end = buf.len() as u32;
+        if joined {
+            buf.push(b'&');
+        }
+        buf.extend_from_slice(body);
+        HttpRequest {
+            method,
+            buf,
+            path_end,
+            host_end,
+            query_end,
+        }
+    }
+
     /// Creates a GET request from a path and raw query string.
     pub fn get(host: &str, path: &str, raw_query: &str) -> HttpRequest {
-        HttpRequest {
-            method: Method::Get,
-            path: path.to_string(),
-            raw_query: raw_query.to_string(),
-            body: Vec::new(),
-            host: host.to_string(),
-        }
+        HttpRequest::from_parts(
+            Method::Get,
+            path.as_bytes(),
+            raw_query.as_bytes(),
+            host.as_bytes(),
+            b"",
+        )
     }
 
     /// Creates a POST request with a form body.
     pub fn post(host: &str, path: &str, body: &str) -> HttpRequest {
-        HttpRequest {
-            method: Method::Post,
-            path: path.to_string(),
-            raw_query: String::new(),
-            body: body.as_bytes().to_vec(),
-            host: host.to_string(),
-        }
+        HttpRequest::from_parts(
+            Method::Post,
+            path.as_bytes(),
+            b"",
+            host.as_bytes(),
+            body.as_bytes(),
+        )
     }
 
-    /// The raw query string (for GET) or form body (for POST) — the
-    /// part of the request an SQL injection must travel through.
-    pub fn query_string(&self) -> &[u8] {
-        if self.raw_query.is_empty() && !self.body.is_empty() {
-            &self.body
+    pub(crate) fn path_bytes(&self) -> &[u8] {
+        &self.buf[..self.path_end as usize]
+    }
+
+    pub(crate) fn host_bytes(&self) -> &[u8] {
+        &self.buf[self.path_end as usize..self.host_end as usize]
+    }
+
+    pub(crate) fn raw_query_bytes(&self) -> &[u8] {
+        &self.buf[self.host_end as usize..self.query_end as usize]
+    }
+
+    /// Path component, without query string (decoded lossily).
+    pub fn path(&self) -> Cow<'_, str> {
+        String::from_utf8_lossy(self.path_bytes())
+    }
+
+    /// Host header value (decoded lossily).
+    pub fn host(&self) -> Cow<'_, str> {
+        String::from_utf8_lossy(self.host_bytes())
+    }
+
+    /// Raw (still percent-encoded) query string, without the `?`
+    /// (decoded lossily).
+    pub fn raw_query(&self) -> Cow<'_, str> {
+        String::from_utf8_lossy(self.raw_query_bytes())
+    }
+
+    /// Request body, empty when the request has none.
+    pub fn body(&self) -> &[u8] {
+        let rest = &self.buf[self.query_end as usize..];
+        // After a query, a non-empty rest is the `&` and then the body.
+        if self.raw_query_bytes().is_empty() || rest.is_empty() {
+            rest
         } else {
-            self.raw_query.as_bytes()
+            &rest[1..]
         }
     }
 
-    /// The bytes handed to detection engines: the query string (or
-    /// body), which is the request minus address, port and path.
+    /// The part of the request an SQL injection must travel through:
+    /// the raw query string, or the body, or — when a request carries
+    /// both — `query&body`, so neither hides behind the other.
+    pub fn query_string(&self) -> &[u8] {
+        &self.buf[self.host_end as usize..]
+    }
+
+    /// The bytes handed to detection engines: the query string and
+    /// body, which is the request minus address, port and path.
     pub fn detection_payload(&self) -> &[u8] {
         self.query_string()
     }
 
-    /// The full request target as it would appear on the request line.
+    /// The full request target as it would appear on the request line
+    /// (decoded lossily).
     pub fn request_target(&self) -> String {
-        if self.raw_query.is_empty() {
-            self.path.clone()
-        } else {
-            format!("{}?{}", self.path, self.raw_query)
+        let mut target = self.path().into_owned();
+        if !self.raw_query_bytes().is_empty() {
+            target.push('?');
+            target.push_str(&self.raw_query());
         }
+        target
     }
 
     /// Serializes the request head + body in wire format (enough for
     /// trace files; not a full RFC 7230 implementation).
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
+        let (query, body) = (self.raw_query_bytes(), self.body());
+        let mut out = Vec::with_capacity(64 + self.buf.len());
         out.extend_from_slice(self.method.as_str().as_bytes());
         out.push(b' ');
-        out.extend_from_slice(self.request_target().as_bytes());
+        out.extend_from_slice(self.path_bytes());
+        if !query.is_empty() {
+            out.push(b'?');
+            out.extend_from_slice(query);
+        }
         out.extend_from_slice(b" HTTP/1.1\r\nHost: ");
-        out.extend_from_slice(self.host.as_bytes());
+        out.extend_from_slice(self.host_bytes());
         out.extend_from_slice(b"\r\n");
-        if !self.body.is_empty() {
-            out.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
+        if !body.is_empty() {
+            // Infallible: `io::Write` for `Vec<u8>` only appends.
+            let _ = write!(out, "Content-Length: {}\r\n", body.len());
         }
         out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
+        out.extend_from_slice(body);
         out
+    }
+}
+
+/// Renders the parts, not the packed buffer.
+impl fmt::Debug for HttpRequest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HttpRequest")
+            .field("method", &self.method)
+            .field("path", &self.path())
+            .field("raw_query", &self.raw_query())
+            .field("body", &format_args!("b\"{}\"", self.body().escape_ascii()))
+            .field("host", &self.host())
+            .finish()
     }
 }
 
@@ -140,7 +236,7 @@ impl fmt::Display for HttpRequest {
             "{} {} (host {})",
             self.method,
             self.request_target(),
-            self.host
+            self.host()
         )
     }
 }
@@ -176,5 +272,39 @@ mod tests {
         let text = String::from_utf8(wire).unwrap();
         assert!(text.starts_with("GET /p?a=1 HTTP/1.1\r\n"));
         assert!(text.contains("Host: h.example"));
+    }
+
+    #[test]
+    fn query_and_body_are_one_contiguous_payload() {
+        let r = HttpRequest::from_parts(Method::Post, b"/login", b"x=1", b"h", b"pass=' or 1=1--");
+        assert_eq!(r.detection_payload(), b"x=1&pass=' or 1=1--");
+        // The joining `&` belongs to neither part.
+        assert_eq!(r.raw_query(), "x=1");
+        assert_eq!(r.body(), b"pass=' or 1=1--");
+        assert_eq!(
+            r.to_wire(),
+            b"POST /login?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 15\r\n\r\npass=' or 1=1--"
+        );
+        // Either part alone is the payload as it is, `&`-led or not.
+        let q = HttpRequest::from_parts(Method::Post, b"/", b"&a", b"", b"");
+        assert_eq!((q.detection_payload(), q.body()), (&b"&a"[..], &b""[..]));
+        let b = HttpRequest::from_parts(Method::Post, b"/", b"", b"", b"&a");
+        assert_eq!((b.detection_payload(), b.body()), (&b"&a"[..], &b"&a"[..]));
+        assert_ne!(q, b);
+    }
+
+    #[test]
+    fn debug_renders_the_parts_not_the_buffer() {
+        let r = HttpRequest::from_parts(Method::Post, b"/p", b"a=1", b"h.example", b"b=\xff");
+        assert_eq!(
+            format!("{r:?}"),
+            r#"HttpRequest { method: Post, path: "/p", raw_query: "a=1", body: b"b=\xff", host: "h.example" }"#
+        );
+        assert_eq!(r.to_string(), "POST /p?a=1 (host h.example)");
+    }
+
+    #[test]
+    fn a_request_is_at_most_one_cache_line() {
+        assert!(std::mem::size_of::<HttpRequest>() <= 64);
     }
 }

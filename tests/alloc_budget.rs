@@ -258,6 +258,56 @@ fn counting_runs_on_attack_requests_allocate_nothing() {
     }
 }
 
+/// A request is one allocation, made by the parser: the packed buffer
+/// (`Method::Other` owns its name, a second one). Nothing downstream
+/// copies it, so a warm benign request costs that one allocation from
+/// wire bytes to verdict.
+#[test]
+fn parse_allocates_exactly_one_buffer() {
+    let _guard = lock().lock();
+    let parse_allocs = |wire: &[u8]| {
+        let before = thread_allocations();
+        let parsed = std::hint::black_box(psigene_http::parse_request(wire));
+        let spent = thread_allocations() - before;
+        assert!(parsed.is_ok(), "{wire:?}");
+        spent
+    };
+    let get = HttpRequest::get("shop.example", "/item.php", "id=42&ref=home").to_wire();
+    let post = HttpRequest::post("shop.example", "/login", "user=a&pass=b").to_wire();
+    assert_eq!(parse_allocs(&get), 1);
+    assert_eq!(parse_allocs(&post), 1);
+    assert_eq!(
+        parse_allocs(b"POST /login?next=%2F HTTP/1.1\r\n\r\nuser=a"),
+        1
+    );
+    assert_eq!(parse_allocs(b"PUT /item/42 HTTP/1.1\r\nHost: h\r\n\r\n"), 2);
+
+    let engine = system();
+    engine.prepare();
+    let benign = benign::generate(&BenignConfig {
+        requests: 64,
+        ..Default::default()
+    });
+    let wires: Vec<Vec<u8>> = benign.samples.iter().map(|s| s.request.to_wire()).collect();
+    let serve = |wire: &[u8]| engine.evaluate(&psigene_http::parse_request(wire).unwrap());
+    for _ in 0..2 {
+        for wire in &wires {
+            std::hint::black_box(serve(wire).flagged);
+        }
+    }
+    let mut clean = 0usize;
+    for wire in &wires {
+        let before = thread_allocations();
+        let verdict = serve(wire);
+        let spent = thread_allocations() - before;
+        if !verdict.flagged {
+            clean += 1;
+            assert_eq!(spent, 1, "wire to verdict allocated {spent} times");
+        }
+    }
+    assert!(clean * 2 > wires.len(), "only {clean} unflagged requests");
+}
+
 #[test]
 fn gateway_batch_path_stays_within_the_alloc_budget() {
     let _guard = lock().lock();

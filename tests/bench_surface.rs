@@ -1,4 +1,6 @@
-//! The matcher surface the end-to-end benchmark compiles against.
+//! The matcher and request surface the end-to-end benchmark compiles
+//! against (the gateway half, which this crate cannot see, is
+//! `bench_client_surface_taps_every_id_once` in `gateway_serving.rs`).
 //!
 //! `crates/bench/src/bin/e2e` (see `BENCHMARK.json`) is a package of
 //! its own that the root `cargo test` does not build, and a PR that
@@ -10,7 +12,7 @@
 
 use psigene::psigene_features::extract::{extract_dense_into, flush_extract_metrics};
 use psigene::psigene_features::{Feature, FeatureSet, FeatureSource};
-use psigene::psigene_http::{normalize_into, parse_request, HttpRequest, NormScratch};
+use psigene::psigene_http::{normalize_into, parse_request, HttpRequest, NormScratch, ParseError};
 use psigene::psigene_regex::{CandidateSet, DfaCache};
 use psigene::psigene_rulesets::DetectionEngine;
 use psigene::{PipelineConfig, Psigene};
@@ -56,9 +58,14 @@ fn benchmark_probes_compile_and_read_what_they_expect() {
         HttpRequest::get("v", "/x.php", "id=-1%27+UNION+SELECT+1,version(),3--+-").to_wire(),
         HttpRequest::get("w", "/index.php", "page=2&sort=asc&term=winter+jackets").to_wire(),
     ];
+    // The request surface, by signature: the owned type under the
+    // path the benchmark names, out of the byte parser, lending the
+    // detector its payload.
+    let parse: fn(&[u8]) -> Result<HttpRequest, ParseError> = parse_request;
+    let payload_of: for<'a> fn(&'a HttpRequest) -> &'a [u8] = HttpRequest::detection_payload;
     for wire in &wires {
-        let request = parse_request(wire).expect("well-formed request");
-        let payload = request.detection_payload();
+        let request = parse(wire).expect("well-formed request");
+        let payload = payload_of(&request);
 
         // The traced pass: the scan probe on caller-owned scratch.
         let normalized = normalize_into(payload, &mut norm);

@@ -473,18 +473,26 @@ fn shed_policy_fires_at_the_configured_bound() {
 }
 
 /// The calls `crates/bench/src/bin/e2e/src/serve.rs` makes, through
-/// the paths it names — `tests/bench_surface.rs` pins the matcher half
-/// of the benchmark's compile surface and cannot see this crate.
+/// the paths it names — `tests/bench_surface.rs` pins the matcher and
+/// parser half of the benchmark's compile surface and cannot see this
+/// crate. The request type is spelled the way the benchmark spells it
+/// and crosses `submit`/`submit_batch` by value, parsed from the wire.
 #[test]
 fn bench_client_surface_taps_every_id_once() {
+    use psigene::psigene_http::{parse_request, HttpRequest as BenchRequest};
     struct Tap(Vec<AtomicU64>);
     impl VerdictSink for Tap {
-        fn observe(&self, id: u64, _request: &HttpRequest, _d: &Detection) {
+        fn observe(&self, id: u64, _request: &BenchRequest, _d: &Detection) {
             self.0[id as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
+    let _: fn(&Gateway, BenchRequest) -> Ticket = Gateway::submit;
+    let _: fn(&Gateway, Vec<BenchRequest>) -> BatchTicket = Gateway::submit_batch;
 
-    let requests = stream(8, 56);
+    let requests: Vec<BenchRequest> = stream(8, 56)
+        .iter()
+        .map(|r| parse_request(&r.to_wire()).expect("generated request"))
+        .collect();
     let tap = Arc::new(Tap((0..requests.len())
         .map(|_| AtomicU64::new(0))
         .collect()));

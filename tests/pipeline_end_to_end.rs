@@ -6,8 +6,8 @@ use psigene_corpus::{
     arachni::{self, ArachniConfig},
     benign::{self, BenignConfig},
 };
-use psigene_http::HttpRequest;
-use psigene_rulesets::DetectionEngine;
+use psigene_http::{parse_request, HttpRequest};
+use psigene_rulesets::{BroEngine, DetectionEngine, ModsecEngine, SnortEngine};
 
 fn small_config() -> PipelineConfig {
     PipelineConfig {
@@ -129,4 +129,27 @@ fn threshold_monotonicity() {
         lax >= default && default >= strict,
         "{lax} >= {default} >= {strict}"
     );
+}
+
+/// A request that carries a query *and* a body is scanned on both: an
+/// injection in the body cannot hide behind an innocuous query.
+#[test]
+fn a_query_does_not_hide_the_body_from_any_engine() {
+    let body = "pass=' or 1=1--";
+    let wire = format!("POST /login?x=1 HTTP/1.1\r\nHost: h\r\n\r\n{body}");
+    let both = parse_request(wire.as_bytes()).unwrap();
+    let body_only = HttpRequest::post("h", "/login", body);
+    assert_eq!(both.detection_payload(), format!("x=1&{body}").as_bytes());
+
+    let system = Psigene::train(&small_config());
+    let engines: [&dyn DetectionEngine; 4] = [
+        &system,
+        &BroEngine::new(),
+        &SnortEngine::new(),
+        &ModsecEngine::new(),
+    ];
+    for engine in engines {
+        assert!(engine.evaluate(&body_only).flagged, "{}", engine.name());
+        assert!(engine.evaluate(&both).flagged, "{}", engine.name());
+    }
 }
