@@ -22,12 +22,19 @@ use psigene_telemetry::{Counter, Gauge};
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
-/// Accounting for one or more extractions: how many features were
-/// actually counted versus skipped by the fused scan. A *counting run*
-/// is one feature counted over one payload, by whichever engine — the
-/// `vm_` in the field names predates the counting automaton.
+/// Accounting for one or more extractions: what normalization cost,
+/// and how many features were actually counted versus skipped by the
+/// fused scan. A *counting run* is one feature counted over one
+/// payload, by whichever engine — the `vm_` in the field names
+/// predates the counting automaton.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractStats {
+    /// Normalization pipeline passes counted
+    /// ([`NormScratch::last_passes`]).
+    pub normalize_passes: u64,
+    /// Payloads whose decoding the pass cap cut short
+    /// ([`NormScratch::last_hit_cap`]).
+    pub normalize_cap_hits: u64,
     /// Counting runs that happened.
     pub vm_runs: u64,
     /// Counting runs the fused scan proved unnecessary.
@@ -57,6 +64,8 @@ pub struct ExtractStats {
 
 impl ExtractStats {
     fn absorb(&mut self, other: ExtractStats) {
+        self.normalize_passes += other.normalize_passes;
+        self.normalize_cap_hits += other.normalize_cap_hits;
         self.vm_runs += other.vm_runs;
         self.vm_runs_skipped += other.vm_runs_skipped;
         self.count_vm_runs += other.count_vm_runs;
@@ -67,6 +76,14 @@ impl ExtractStats {
         self.dfa_flushes += other.dfa_flushes;
         self.dfa_bytes += other.dfa_bytes;
         self.dfa_states = self.dfa_states.max(other.dfa_states);
+    }
+
+    /// These stats with the outcome of the [`normalize_into`] call that
+    /// produced the counted bytes.
+    fn with_normalization(mut self, norm: &NormScratch) -> ExtractStats {
+        self.normalize_passes = u64::from(norm.last_passes());
+        self.normalize_cap_hits = u64::from(norm.last_hit_cap());
+        self
     }
 
     /// Fraction of potential counting runs the fused scan eliminated.
@@ -106,6 +123,8 @@ impl ExtractStats {
 /// Pre-resolved telemetry handles for the extraction hot path
 /// (string-keyed registry lookups happen once per process).
 struct ExtractMetrics {
+    normalize_passes: Arc<Counter>,
+    normalize_cap_hits: Arc<Counter>,
     regex_evals: Arc<Counter>,
     vm_runs_skipped: Arc<Counter>,
     count_vm_runs: Arc<Counter>,
@@ -124,6 +143,8 @@ fn metrics() -> &'static ExtractMetrics {
     METRICS.get_or_init(|| {
         let telemetry = psigene_telemetry::global();
         ExtractMetrics {
+            normalize_passes: telemetry.counter("http.normalize_passes"),
+            normalize_cap_hits: telemetry.counter("http.normalize_cap_hits"),
             regex_evals: telemetry.counter("features.regex_evals"),
             vm_runs_skipped: telemetry.counter("features.vm_runs_skipped"),
             count_vm_runs: telemetry.counter("features.count_vm_runs"),
@@ -140,6 +161,9 @@ fn metrics() -> &'static ExtractMetrics {
 }
 
 /// Accounts extraction work in the global registry:
+/// `http.normalize_passes` and `http.normalize_cap_hits` carry the
+/// normalizer's pass and cap-hit counts for the payloads extracted
+/// here (a bare `normalize` call elsewhere moves neither);
 /// `features.regex_evals` counts the counting runs that *actually
 /// happened* (not `rows × features` — the fused scan skips most of
 /// those), with the skipped complement in `features.vm_runs_skipped`,
@@ -152,6 +176,8 @@ fn metrics() -> &'static ExtractMetrics {
 /// flushes).
 fn record_stats(stats: &ExtractStats, rows: u64) {
     let m = metrics();
+    m.normalize_passes.add(stats.normalize_passes);
+    m.normalize_cap_hits.add(stats.normalize_cap_hits);
     m.regex_evals.add(stats.vm_runs);
     m.vm_runs_skipped.add(stats.vm_runs_skipped);
     m.count_vm_runs.add(stats.count_vm_runs);
@@ -177,7 +203,7 @@ fn record_stats(stats: &ExtractStats, rows: u64) {
 const METRICS_FLUSH_ROWS: u64 = 32;
 
 /// Per-thread working memory for the whole extraction hot path: the
-/// normalization double buffer, the candidate bitset (one per
+/// normalization buffer, the candidate bitset (one per
 /// extraction, written by the fused scan), the lazy-DFA state cache
 /// (warm across requests — the whole point of lazy determinization),
 /// the VM scratch (touched only by features that fall to the Pike
@@ -246,7 +272,7 @@ thread_local! {
 /// feature over it via [`count_norm_traced`] and buffers the row's
 /// stats in the scratch's telemetry window. The single accessor of
 /// `SCRATCH` for the `_into` paths: normalization borrows the
-/// scratch's double buffer while counting borrows the engine caches —
+/// scratch's buffer while counting borrows the engine caches —
 /// disjoint fields, one `RefCell` borrow.
 fn extract_traced(
     set: &FeatureSet,
@@ -268,7 +294,8 @@ fn extract_traced(
         if let (Some(t), Some(s)) = (trace.as_mut(), span) {
             t.end(s);
         }
-        let stats = count_norm_traced(set, normalized, emit, trace, bits, dfa, vm);
+        let stats =
+            count_norm_traced(set, normalized, emit, trace, bits, dfa, vm).with_normalization(norm);
         scratch.buffer_stats(stats);
     })
 }
@@ -336,6 +363,7 @@ fn count_norm_traced(
         dfa_flushes: u64::from(scan.flushes),
         dfa_bytes: scan.bytes,
         dfa_states: u64::from(scan.states),
+        ..ExtractStats::default()
     }
 }
 
@@ -374,7 +402,8 @@ fn extract_row_uncounted(set: &FeatureSet, payload: &[u8]) -> (Vec<(usize, f64)>
             bits,
             dfa,
             vm,
-        );
+        )
+        .with_normalization(norm);
         // Accumulate into the pooled row, then clone out one
         // exact-size vector: the only allocation on this path.
         (row.clone(), stats)

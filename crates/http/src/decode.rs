@@ -8,12 +8,12 @@
 //!
 //! Every decoder comes in two shapes: the allocating convenience
 //! (`percent_decode`) and the `_into` variant writing into a
-//! caller-owned buffer, which the zero-allocation normalization path
-//! ([`crate::normalize::normalize_into`]) reuses across requests.
-//! The `*_changes` predicates are exact: they return `true` iff the
+//! caller-owned buffer. They are the reference the fused sweep of
+//! [`crate::normalize::normalize_into`] is tested against. The
+//! `*_changes` predicates are exact: they return `true` iff the
 //! corresponding decoder would produce output different from its
-//! input, which is what lets the normalizer borrow instead of copy
-//! on already-decoded traffic.
+//! input, which is how the normalizer decides whether its pass cap
+//! cut decoding short.
 
 /// Decodes `%HH` percent escapes and `+`-as-space.
 ///
@@ -89,8 +89,8 @@ pub fn unicode_decode_into(input: &[u8], out: &mut Vec<u8>) {
     out.clear();
     let mut i = 0;
     while i < input.len() {
-        if let Some(cp) = unicode_escape_at(input, i) {
-            out.push(if cp < 0x80 { cp as u8 } else { b'?' });
+        if let Some(b) = unicode_escape_at(input, i) {
+            out.push(b);
             i += 6;
         } else {
             out.push(input[i]);
@@ -105,9 +105,10 @@ pub fn unicode_decode_changes(input: &[u8]) -> bool {
     (0..input.len()).any(|i| unicode_escape_at(input, i).is_some())
 }
 
-/// The code point of a complete `%uXXXX`/`%UXXXX` escape starting at
-/// byte `i`, if one is there.
-fn unicode_escape_at(input: &[u8], i: usize) -> Option<u32> {
+/// What a complete `%uXXXX`/`%UXXXX` escape starting at byte `i`
+/// decodes to, if one is there: the code point when it is ASCII, `?`
+/// otherwise.
+pub(crate) fn unicode_escape_at(input: &[u8], i: usize) -> Option<u8> {
     if input[i] != b'%' || i + 5 >= input.len() || !matches!(input[i + 1], b'u' | b'U') {
         return None;
     }
@@ -115,10 +116,10 @@ fn unicode_escape_at(input: &[u8], i: usize) -> Option<u32> {
     for k in 2..6 {
         cp = cp << 4 | hex(input[i + k])? as u32;
     }
-    Some(cp)
+    Some(if cp < 0x80 { cp as u8 } else { b'?' })
 }
 
-fn hex(b: u8) -> Option<u8> {
+pub(crate) fn hex(b: u8) -> Option<u8> {
     match b {
         b'0'..=b'9' => Some(b - b'0'),
         b'a'..=b'f' => Some(b - b'a' + 10),
@@ -130,12 +131,15 @@ fn hex(b: u8) -> Option<u8> {
 /// Percent-encodes bytes outside the unreserved set, for generators
 /// that need to emit encoded payloads.
 pub fn percent_encode(input: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     let mut out = String::with_capacity(input.len() * 3);
     for &b in input {
         if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
             out.push(b as char);
         } else {
-            out.push_str(&format!("%{b:02X}"));
+            out.push('%');
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xF)] as char);
         }
     }
     out

@@ -21,26 +21,32 @@
 //! and even single-layer inputs like `%%327` re-decode on a second
 //! pass. Control-byte stripping can likewise splice a fresh escape
 //! together (`%2` + NUL + `7`), which is why the *whole* pipeline is
-//! iterated rather than just the decoders. Pass counts land in the
-//! `http.normalize_passes` telemetry counter.
+//! iterated rather than just the decoders.
 //!
-//! # Allocation contract
+//! # One buffer, one sweep per pass
 //!
-//! [`normalize_into`] is the hot-path entry: it writes into a
-//! caller-owned [`NormScratch`] double buffer and returns a borrowed
-//! slice — of the *input* when the payload is already normal form
-//! (most benign traffic), of a scratch buffer otherwise. Each
-//! transformation first checks an exact "would this change anything"
-//! predicate and is skipped entirely when it is a no-op, so a warm
-//! scratch makes steady-state normalization allocation-free.
-//! [`normalize`] is the allocating convenience wrapper over the same
-//! code path.
+//! [`normalize_into`] is the hot-path entry. One scan
+//! ([`first_abnormal`]) finds the first byte any transformation could
+//! touch; without one the *input* is returned borrowed (most benign
+//! traffic). Otherwise the payload is copied once into the
+//! caller-owned [`NormScratch`] and every pass is a single in-place
+//! sweep that applies all five transformations to each byte as it
+//! goes — exactly the sequential composition [`apply`] folded over
+//! [`STANDARD_PIPELINE`] defines, which stays here as the executable
+//! specification the tests compare against. A sweep that changed the
+//! bytes but wrote neither `%` nor `+` has provably left a fix point,
+//! so its confirming pass is counted but not run. A warm scratch
+//! makes steady-state normalization allocation-free; [`normalize`] is
+//! the allocating convenience wrapper over the same code path. The
+//! pass count and whether the cap cut decoding short stay on the
+//! scratch ([`NormScratch::last_passes`], [`NormScratch::last_hit_cap`])
+//! for the extraction layer to publish as `http.normalize_passes` and
+//! `http.normalize_cap_hits`.
 
 use crate::decode::{
-    percent_decode_changes, percent_decode_into, unicode_decode_changes, unicode_decode_into,
+    hex, percent_decode, percent_decode_changes, unicode_decode, unicode_decode_changes,
+    unicode_escape_at,
 };
-use psigene_telemetry::Counter;
-use std::sync::{Arc, OnceLock};
 
 /// Upper bound on full-pipeline passes: covers the encoding depths
 /// seen in practice (double encoding plus one splice) while bounding
@@ -76,26 +82,17 @@ pub const STANDARD_PIPELINE: [Transformation; 5] = [
     Transformation::CollapseWhitespace,
 ];
 
-/// Applies one transformation (allocating; see [`apply_into`] for the
-/// buffer-reusing form).
+/// Applies one transformation. Folding this over
+/// [`STANDARD_PIPELINE`] is the specification [`normalize_into`]'s
+/// fused sweep is tested against. Output is never longer than the
+/// input.
 pub fn apply(t: Transformation, input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len());
-    apply_into(t, input, &mut out);
-    out
-}
-
-/// Applies one transformation into a caller-owned buffer (cleared
-/// first). Output is never longer than the input.
-pub fn apply_into(t: Transformation, input: &[u8], out: &mut Vec<u8>) {
     match t {
-        Transformation::UnicodeToAscii => unicode_decode_into(input, out),
-        Transformation::UrlDecode => percent_decode_into(input, out),
-        Transformation::Lowercase => {
-            out.clear();
-            out.extend(input.iter().map(|b| b.to_ascii_lowercase()));
-        }
+        Transformation::UnicodeToAscii => unicode_decode(input),
+        Transformation::UrlDecode => percent_decode(input),
+        Transformation::Lowercase => input.to_ascii_lowercase(),
         Transformation::CollapseWhitespace => {
-            out.clear();
+            let mut out = Vec::with_capacity(input.len());
             let mut in_space = false;
             for &b in input {
                 if b.is_ascii_whitespace() {
@@ -108,184 +105,245 @@ pub fn apply_into(t: Transformation, input: &[u8], out: &mut Vec<u8>) {
                     in_space = false;
                 }
             }
-        }
-        Transformation::StripControls => {
-            out.clear();
-            out.extend(
-                input
-                    .iter()
-                    .copied()
-                    .filter(|b| !b.is_ascii_control() || b.is_ascii_whitespace()),
-            );
-        }
-    }
-}
-
-/// Exact no-op predicate: `true` iff applying `t` would change
-/// `input`. This is what lets [`normalize_into`] borrow instead of
-/// copy — a transformation only runs when it has work to do.
-pub fn would_change(t: Transformation, input: &[u8]) -> bool {
-    match t {
-        Transformation::UnicodeToAscii => unicode_decode_changes(input),
-        Transformation::UrlDecode => percent_decode_changes(input),
-        Transformation::Lowercase => input.iter().any(u8::is_ascii_uppercase),
-        Transformation::CollapseWhitespace => {
-            // Changes iff some whitespace byte is not a plain space,
-            // or two whitespace bytes are adjacent.
-            let mut prev_space = false;
-            for &b in input {
-                if b.is_ascii_whitespace() {
-                    if b != b' ' || prev_space {
-                        return true;
-                    }
-                    prev_space = true;
-                } else {
-                    prev_space = false;
-                }
-            }
-            false
+            out
         }
         Transformation::StripControls => input
             .iter()
-            .any(|b| b.is_ascii_control() && !b.is_ascii_whitespace()),
+            .copied()
+            .filter(|b| !b.is_ascii_control() || b.is_ascii_whitespace())
+            .collect(),
     }
 }
 
-/// Caller-owned working memory for [`normalize_into`]: two buffers
-/// that swap source/destination roles between transformation passes.
-/// Reuse one scratch per worker thread and steady-state normalization
-/// stops touching the allocator (buffers keep their high-water
-/// capacity across requests).
+/// Caller-owned working memory for [`normalize_into`]: the one buffer
+/// every pass sweeps in place, plus the last call's outcome. Reuse one
+/// scratch per worker thread and steady-state normalization stops
+/// touching the allocator (the buffer keeps its high-water capacity
+/// across requests).
 #[derive(Debug, Default)]
 pub struct NormScratch {
-    a: Vec<u8>,
-    b: Vec<u8>,
+    buf: Vec<u8>,
+    last_passes: u32,
+    last_hit_cap: bool,
 }
 
 impl NormScratch {
-    /// An empty scratch; buffers grow to payload size on first use
-    /// and are reused after that.
+    /// An empty scratch; the buffer grows to payload size on first use
+    /// and is reused after that.
     pub fn new() -> NormScratch {
         NormScratch::default()
     }
+
+    /// Pipeline passes the last [`normalize_into`] call on this
+    /// scratch counted (`1..=MAX_NORMALIZE_PASSES`; 0 before any call):
+    /// what the reference fold would have run, including a confirming
+    /// pass the sweep proved unnecessary.
+    pub fn last_passes(&self) -> u32 {
+        self.last_passes
+    }
+
+    /// Whether the last call stopped at [`MAX_NORMALIZE_PASSES`] with
+    /// bytes another pass would still change — encoding deeper than
+    /// the cap, so the signatures saw a partly decoded payload.
+    pub fn last_hit_cap(&self) -> bool {
+        self.last_hit_cap
+    }
 }
 
-/// Which slice currently holds the working payload.
-#[derive(Clone, Copy)]
-enum Cursor {
-    /// Still the caller's input — nothing has needed a copy yet.
-    Input,
-    /// Scratch buffer `a`.
-    A,
-    /// Scratch buffer `b`.
-    B,
-}
-
-fn passes_counter() -> &'static Arc<Counter> {
-    static PASSES: OnceLock<Arc<Counter>> = OnceLock::new();
-    PASSES.get_or_init(|| psigene_telemetry::counter("http.normalize_passes"))
-}
-
-/// Bytes that can give some pipeline transformation work to do: `%`
-/// (percent/unicode escapes), `+` (form-encoded space), `A`-`Z`
-/// (lowercasing), and every ASCII control byte — `0x00..0x20` and
-/// `0x7F` — which covers both control stripping and the non-space
-/// whitespace (`\t`, `\n`, `\x0B`, `\x0C`, `\r`) that collapsing
-/// rewrites. A payload free of these (and of adjacent spaces, checked
-/// separately) satisfies none of the [`would_change`] predicates.
-const SUSPICIOUS: [bool; 256] = {
+/// Bytes no transformation can touch wherever they stand: everything
+/// but `%` (percent/unicode escapes), `+` (form-encoded space), `A`-`Z`
+/// (lowercasing), the ASCII control bytes `0x00..0x20` and `0x7F`
+/// (stripped, or whitespace that collapsing rewrites) and the space
+/// (plain unless it follows another). The sweep copies these straight
+/// through.
+const PLAIN: [bool; 256] = {
     let mut t = [false; 256];
     let mut b = 0usize;
     while b < 256 {
-        t[b] = b == b'%' as usize
+        t[b] = !(b == b'%' as usize
             || b == b'+' as usize
             || (b >= b'A' as usize && b <= b'Z' as usize)
-            || b < 0x20
-            || b == 0x7F;
+            || b <= 0x20
+            || b == 0x7F);
         b += 1;
     }
     t
 };
 
-/// Single-scan normal-form gate: `true` guarantees every pipeline
-/// transformation is a no-op on `input`, letting [`normalize_into`]
-/// return the input borrowed after one pass over it instead of five
-/// per-transformation [`would_change`] scans. `false` only routes to
-/// the exact per-transformation path, so the gate being conservative
-/// would cost time, never correctness; exactness is pinned by test.
-fn is_normal_form(input: &[u8]) -> bool {
+/// Single-scan normal-form gate: `None` guarantees every pipeline
+/// transformation is a no-op on `input`, so [`normalize_into`] returns
+/// it borrowed; `Some(i)` is the first byte that is not [`PLAIN`] and
+/// not a lone space, where the first sweep starts. The gate being
+/// conservative would cost time, never correctness; `None` ⇒ no-op is
+/// pinned by test.
+fn first_abnormal(input: &[u8]) -> Option<usize> {
     let mut prev_space = false;
-    for &b in input {
-        if SUSPICIOUS[b as usize] {
-            return false;
+    for (i, &b) in input.iter().enumerate() {
+        if !PLAIN[b as usize] && (b != b' ' || prev_space) {
+            return Some(i);
         }
-        let space = b == b' ';
-        if space && prev_space {
-            return false;
-        }
-        prev_space = space;
+        prev_space = b == b' ';
     }
-    true
+    None
+}
+
+/// The unicode decoder's next output byte at read index `i` and the
+/// input bytes it consumes for it.
+fn unicode_step(buf: &[u8], i: usize) -> (u8, usize) {
+    match unicode_escape_at(buf, i) {
+        Some(b) => (b, 6),
+        None => (buf[i], 1),
+    }
+}
+
+/// The next *unicode-decoded* byte at read index `i` as a hex digit:
+/// its value and the input bytes consumed. The percent decoder reads
+/// the unicode decoder's output, so each digit of a `%HH` escape may
+/// itself arrive as a `%uXXXX` escape, and "two more bytes" counts
+/// decoded bytes.
+fn hex_step(buf: &[u8], i: usize) -> Option<(u8, usize)> {
+    if i >= buf.len() {
+        return None;
+    }
+    let (b, n) = unicode_step(buf, i);
+    Some((hex(b)?, n))
+}
+
+/// Both decoders' output for the `%` at read index `i`: the byte the
+/// percent decoder emits there, and the input bytes consumed for it.
+fn decode_at(buf: &[u8], i: usize) -> (u8, usize) {
+    // The common case, ahead of the general one it is an instance of:
+    // two raw hex digits follow, so the unicode decoder passes all
+    // three bytes through and the percent decoder folds them.
+    if let [_, h, l, ..] = buf[i..] {
+        if let (Some(hi), Some(lo)) = (hex(h), hex(l)) {
+            return (hi * 16 + lo, 3);
+        }
+    }
+    let (u, n) = unicode_step(buf, i);
+    match u {
+        b'%' => hex_step(buf, i + n)
+            .and_then(|(hi, n1)| {
+                let (lo, n2) = hex_step(buf, i + n + n1)?;
+                Some((hi * 16 + lo, n + n1 + n2))
+            })
+            .unwrap_or((b'%', n)),
+        // `%u002B`: the percent decoder sees a `+`.
+        b'+' => (b' ', n),
+        other => (other, n),
+    }
+}
+
+/// What one sweep did to the buffer.
+struct Swept {
+    /// The sweep's output differs from its input.
+    changed: bool,
+    /// The output holds a `%` or a `+`. They are the only bytes a
+    /// later pass can start decoding from (`%2b` decodes to a `+` the
+    /// next pass turns into a space), and a swept buffer has nothing
+    /// left to fold, strip or collapse — so without one it is a fix
+    /// point.
+    wrote_escape: bool,
+}
+
+/// One pipeline pass over `buf[start..]`, in place: read index `i`,
+/// write index `w <= i` (every step consumes at least one byte and
+/// emits at most one, so the write never overtakes unread input).
+/// Each step takes the unicode decoder's next output byte, percent-
+/// decodes it, lowercases, strips, collapses — the sequential
+/// composition of [`STANDARD_PIPELINE`], byte for byte. `buf[..start]`
+/// must be normal form ([`first_abnormal`]).
+fn sweep(vec: &mut Vec<u8>, start: usize) -> Swept {
+    let buf = vec.as_mut_slice();
+    let len = buf.len();
+    // Collapsing's state where the sweep enters: the prefix holds no
+    // whitespace but lone spaces.
+    let mut in_space = start > 0 && buf[start - 1] == b' ';
+    let mut rewrote = false;
+    let mut wrote_escape = false;
+    let (mut i, mut w) = (start, start);
+    while i < len {
+        let b = buf[i];
+        if PLAIN[b as usize] {
+            buf[w] = b;
+            w += 1;
+            i += 1;
+            in_space = false;
+            continue;
+        }
+        let (p, n) = match b {
+            b'%' => decode_at(buf, i),
+            b'+' => (b' ', 1),
+            _ => (b, 1),
+        };
+        i += n;
+        wrote_escape |= p == b'%' || p == b'+';
+        let out = if p.is_ascii_whitespace() {
+            if in_space {
+                continue;
+            }
+            in_space = true;
+            b' '
+        } else if p.is_ascii_control() {
+            // Stripped before collapsing sees it: the in-space state
+            // carries over (`a \x00 b` collapses to `a b`).
+            continue;
+        } else {
+            in_space = false;
+            p.to_ascii_lowercase()
+        };
+        // A same-length rewrite; every other change shortens the
+        // buffer and shows in `w`.
+        rewrote |= out != b;
+        buf[w] = out;
+        w += 1;
+    }
+    vec.truncate(w);
+    Swept {
+        changed: rewrote || w != len,
+        wrote_escape,
+    }
 }
 
 /// Normalizes `input` through the [`STANDARD_PIPELINE`] to its
-/// bounded fix point, writing any intermediate results into
-/// `scratch` and returning a borrow of the normalized bytes — the
-/// input itself when it was already in normal form, a scratch buffer
-/// otherwise. Byte-identical to [`normalize`] (pinned by proptest).
+/// bounded fix point and returns a borrow of the normalized bytes —
+/// the input itself when it was already in normal form, the scratch
+/// buffer otherwise. Byte for byte and pass for pass the fold of
+/// [`apply`] over the pipeline (pinned by proptest).
 pub fn normalize_into<'a>(input: &'a [u8], scratch: &'a mut NormScratch) -> &'a [u8] {
+    scratch.last_passes = 1;
+    scratch.last_hit_cap = false;
     // Fast path for the common case (benign traffic is overwhelmingly
-    // already normal): one scan proves the fix-point loop would run a
-    // single all-skip pass, which is exactly one counted pass and a
-    // borrow of the input.
-    if is_normal_form(input) {
-        passes_counter().add(1);
+    // already normal): the fold would run one pass that changes
+    // nothing.
+    let Some(mut start) = first_abnormal(input) else {
         return input;
-    }
-    let NormScratch {
-        ref mut a,
-        ref mut b,
-    } = *scratch;
-    let mut cur = Cursor::Input;
-    let mut passes = 0u32;
+    };
+    let buf = &mut scratch.buf;
+    buf.clear();
+    buf.extend_from_slice(input);
     loop {
-        passes += 1;
-        let mut changed = false;
-        for &t in &STANDARD_PIPELINE {
-            let needed = match cur {
-                Cursor::Input => would_change(t, input),
-                Cursor::A => would_change(t, a),
-                Cursor::B => would_change(t, b),
-            };
-            if !needed {
-                continue;
-            }
-            changed = true;
-            cur = match cur {
-                Cursor::Input => {
-                    apply_into(t, input, a);
-                    Cursor::A
-                }
-                Cursor::A => {
-                    apply_into(t, a, b);
-                    Cursor::B
-                }
-                Cursor::B => {
-                    apply_into(t, b, a);
-                    Cursor::A
-                }
-            };
-        }
-        if !changed || passes >= MAX_NORMALIZE_PASSES {
+        let swept = sweep(buf, start);
+        if !swept.changed {
             break;
         }
+        if scratch.last_passes == MAX_NORMALIZE_PASSES {
+            // Cold: after a full sweep only the two decoders can still
+            // have work, so they decide exactly whether the cap cut
+            // decoding short.
+            scratch.last_hit_cap =
+                swept.wrote_escape && (percent_decode_changes(buf) || unicode_decode_changes(buf));
+            break;
+        }
+        // The fold's next pass — run it, or just count it when this
+        // sweep proved it would change nothing.
+        scratch.last_passes += 1;
+        if !swept.wrote_escape {
+            break;
+        }
+        start = 0;
     }
-    passes_counter().add(passes as u64);
-    match cur {
-        Cursor::Input => input,
-        Cursor::A => a,
-        Cursor::B => b,
-    }
+    buf
 }
 
 /// Applies the whole [`STANDARD_PIPELINE`] to its bounded fix point
@@ -295,27 +353,38 @@ pub fn normalize(input: &[u8]) -> Vec<u8> {
     normalize_into(input, &mut scratch).to_vec()
 }
 
+/// One pass of the specification: [`apply`] folded over the
+/// [`STANDARD_PIPELINE`].
+#[cfg(test)]
+pub(crate) fn reference_pass(input: &[u8]) -> Vec<u8> {
+    STANDARD_PIPELINE
+        .iter()
+        .fold(input.to_vec(), |acc, &t| apply(t, &acc))
+}
+
+/// The reference the fused sweep must match byte for byte and pass for
+/// pass, sharing nothing with it above the decoders' leaf helpers:
+/// [`reference_pass`] repeated until a pass changes nothing or the cap
+/// is reached, with the number of passes run.
+#[cfg(test)]
+pub(crate) fn normalize_reference(input: &[u8]) -> (Vec<u8>, u32) {
+    let mut cur = input.to_vec();
+    let mut passes = 0;
+    while passes < MAX_NORMALIZE_PASSES {
+        passes += 1;
+        let next = reference_pass(&cur);
+        let done = next == cur;
+        cur = next;
+        if done {
+            break;
+        }
+    }
+    (cur, passes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The straightforward reference implementation the scratch path
-    /// must match byte-for-byte: fold the pipeline over owned `Vec`s,
-    /// repeating until a pass changes nothing or the cap is hit.
-    fn normalize_reference(input: &[u8]) -> Vec<u8> {
-        let mut cur = input.to_vec();
-        for _ in 0..MAX_NORMALIZE_PASSES {
-            let next = STANDARD_PIPELINE
-                .iter()
-                .fold(cur.clone(), |acc, &t| apply(t, &acc));
-            let done = next == cur;
-            cur = next;
-            if done {
-                break;
-            }
-        }
-        cur
-    }
 
     #[test]
     fn full_pipeline_decodes_and_folds() {
@@ -380,9 +449,10 @@ mod tests {
         let benign = b"page=2&sort=asc id=17";
         let out = normalize_into(benign, &mut scratch);
         assert_eq!(out, benign);
-        // Borrowed straight from the input: the scratch buffers were
+        // Borrowed straight from the input: the scratch buffer was
         // never written.
-        assert!(scratch.a.is_empty() && scratch.b.is_empty());
+        assert!(scratch.buf.is_empty());
+        assert_eq!((scratch.last_passes(), scratch.last_hit_cap()), (1, false));
     }
 
     #[test]
@@ -411,59 +481,104 @@ mod tests {
             b"A\tB  C\x01D",
             b"%u0041%2541",
         ] {
-            assert_eq!(normalize_into(p, &mut scratch), normalize_reference(p));
+            assert_eq!(normalize_into(p, &mut scratch), normalize_reference(p).0);
         }
     }
 
     #[test]
     fn fast_path_gate_never_skips_needed_work() {
-        // `is_normal_form(x)` must imply no transformation changes
-        // `x`. Sweep all single bytes and all suspicious-adjacent
-        // pairs (adjacency only matters for space collapsing).
-        let changes = |input: &[u8]| STANDARD_PIPELINE.iter().any(|&t| would_change(t, input));
+        // `first_abnormal(x) == None` must imply no transformation
+        // changes `x`. Sweep all single bytes and all
+        // suspicious-adjacent pairs (adjacency only matters for space
+        // collapsing).
+        let changes = |input: &[u8]| STANDARD_PIPELINE.iter().any(|&t| apply(t, input) != input);
         for b in 0..=255u8 {
             let one = [b];
-            if is_normal_form(&one) {
+            if first_abnormal(&one).is_none() {
                 assert!(!changes(&one), "gate wrong on single byte {b:#04x}");
             }
         }
         for a in [b' ', b'a', b'%', b'+', b'\t', 0x00, 0x7F] {
             for b in 0..=255u8 {
                 let two = [a, b];
-                if is_normal_form(&two) {
+                if first_abnormal(&two).is_none() {
                     assert!(!changes(&two), "gate wrong on pair {a:#04x},{b:#04x}");
                 }
             }
         }
-        // And the gate actually fires on representative traffic.
-        assert!(is_normal_form(b"page=2&sort=asc id=17"));
-        assert!(!is_normal_form(b"id=%27"));
-        assert!(!is_normal_form(b"two  spaces"));
+        // And the gate actually fires on representative traffic, at
+        // the byte the first sweep must start from.
+        assert_eq!(first_abnormal(b"page=2&sort=asc id=17"), None);
+        assert_eq!(first_abnormal(b"id=%27"), Some(3));
+        assert_eq!(first_abnormal(b"two  spaces"), Some(4));
     }
 
     #[test]
-    fn would_change_predicates_are_exact() {
-        let cases: &[&[u8]] = &[
-            b"",
-            b"plain",
-            b"UPPER",
-            b"two  spaces",
-            b"tab\there",
-            b"ctrl\x01byte",
-            b"%27",
-            b"%u0027",
-            b"a+b",
-            b"100%",
-            b"a b c",
+    fn fused_sweep_equals_the_fold_on_named_cases() {
+        // (input, normal form, passes the fold runs).
+        let cases: &[(&[u8], &[u8], u32)] = &[
+            // `%2b` decodes to a `+` only the next pass turns into a space.
+            (b"%2b", b" ", 3),
+            // The percent decoder reads the unicode decoder's output.
+            (b"%u0025%u0032%u0037", b"'", 2),
+            (b"%u0025%u0032%u00377", b"'7", 2),
+            (b"%u00252%u0037", b"'", 2),
+            (b"%u002B", b" ", 2),
+            (b"%u0025u0027", b"'", 3),
+            (b"%%327", b"'", 3),
+            (b"%2\x007", b"'", 3),
+            // A stripped byte does not end a run of spaces; VT is
+            // stripped, not collapsed.
+            (b"a \x00 b", b"a b", 2),
+            (b"a\x0bb", b"ab", 2),
+            (b"a \x0b\tb", b"a b", 2),
+            // Truncated escapes at end of input pass through.
+            (b"x%", b"x%", 1),
+            (b"x%2", b"x%2", 1),
+            (b"x%u002", b"x%u002", 1),
+            (b"x%u00zz", b"x%u00zz", 1),
+            (b"%u0025%u0032", b"%2", 2),
+            (b"%%u0037", b"%7", 2),
+            // The first sweep starts right after a lone space.
+            (b"a \tb", b"a b", 2),
+            (b"a  b", b"a b", 2),
+            (b"a +b", b"a b", 2),
+            (b"a %20b", b"a b", 2),
+            (b"%u4e2dX", b"?x", 2),
         ];
-        for c in cases {
-            for t in STANDARD_PIPELINE {
-                assert_eq!(
-                    would_change(t, c),
-                    apply(t, c) != *c,
-                    "{t:?} predicate wrong on {c:?}"
-                );
-            }
+        let mut scratch = NormScratch::new();
+        for &(input, want, passes) in cases {
+            assert_eq!(
+                normalize_reference(input),
+                (want.to_vec(), passes),
+                "{input:?}"
+            );
+            assert_eq!(normalize_into(input, &mut scratch), want, "{input:?}");
+            assert_eq!(scratch.last_passes(), passes, "{input:?}");
+            assert!(!scratch.last_hit_cap(), "{input:?}");
+        }
+    }
+
+    #[test]
+    fn cap_hits_are_exact() {
+        // (input, where normalization stops, whether a fourth pass
+        // would still change it).
+        let cases: &[(&[u8], &[u8], bool)] = &[
+            // Three layers over a quote: the cap leaves `%27`.
+            (b"%25252527", b"%27", true),
+            (b"%2527", b"'", false),
+            // The third sweep changed the bytes and wrote a `%`, but
+            // `%zz` is no escape.
+            (b"%252525zz", b"%zz", false),
+            // A `+` left by the last pass is one pass short of a space.
+            (b"%25252b", b"+", true),
+            (b"%252525u0027", b"%u0027", true),
+        ];
+        let mut scratch = NormScratch::new();
+        for &(input, want, hit) in cases {
+            assert_eq!(normalize_into(input, &mut scratch), want, "{input:?}");
+            assert_eq!(scratch.last_hit_cap(), hit, "{input:?}");
+            assert_eq!(reference_pass(want) != want, hit, "{input:?}");
         }
     }
 

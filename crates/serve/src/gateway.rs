@@ -130,7 +130,7 @@ struct Shard {
 /// shared [`SignatureStore`].
 ///
 /// Each shard is one OS thread, so the thread-local evaluation
-/// scratch of the engine crates (normalization double buffer,
+/// scratch of the engine crates (normalization buffer,
 /// candidate bitset, lazy-DFA state cache, feature/score vectors) is
 /// per-worker-shard state that stays warm across jobs: after a
 /// worker's first few requests, evaluating a payload touches the

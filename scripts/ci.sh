@@ -72,8 +72,10 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve --test control_lo
 # `evaluate` verdict (monitors on and off) and the dense
 # `score_features` of the same request against one reference —
 # `benign_direct` where the counters idle, `attack_direct` where ten
-# features per request are counted.
-echo "==> e2e benchmark: unit tests + mixed_gateway smoke + traced benign_direct and attack_direct smokes"
+# features per request are counted, `encoded_direct` where every
+# request takes the normalizer's multi-pass path the other two never
+# reach.
+echo "==> e2e benchmark: unit tests + mixed_gateway smoke + traced benign_direct, attack_direct and encoded_direct smokes"
 cargo test --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml -q
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
@@ -84,6 +86,9 @@ cargo run --release --offline --quiet \
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
     --workload attack_direct --seed 1 --seconds 2 --trace 1 >/dev/null
+cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
+    --workload encoded_direct --seed 1 --seconds 2 --trace 1 >/dev/null
 
 # Nothing above may write outside the ignored build directories:
 # `results/` is tracked, so a stray report would be committed.

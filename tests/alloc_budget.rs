@@ -26,6 +26,7 @@ use parking_lot::Mutex;
 use psigene::{PipelineConfig, Psigene};
 use psigene_corpus::benign::{self, BenignConfig};
 use psigene_corpus::sqlmap::{self, SqlmapConfig};
+use psigene_corpus::ObfuscationProfile;
 use psigene_features::{extract, FeatureSet};
 use psigene_http::HttpRequest;
 use psigene_rulesets::DetectionEngine;
@@ -136,6 +137,18 @@ fn workload(n: usize) -> Vec<HttpRequest> {
     out
 }
 
+/// What building a verdict's id list of `n` ids costs, measured on
+/// the same counter and growth policy.
+fn id_list_allocations(n: usize) -> u64 {
+    let before = thread_allocations();
+    let mut ids = Vec::new();
+    for id in 0..n as u32 {
+        ids.push(std::hint::black_box(id));
+    }
+    std::hint::black_box(&ids);
+    thread_allocations() - before
+}
+
 #[test]
 fn direct_engine_path_stays_within_the_alloc_budget() {
     let _guard = lock().lock();
@@ -235,23 +248,64 @@ fn counting_runs_on_attack_requests_allocate_nothing() {
         "attack workload counts only {counted} features over {} evaluations",
         2 * requests.len()
     );
-    // What building a verdict's id list of `n` ids costs, measured on
-    // the same counter and growth policy.
-    let id_list = |n: usize| {
-        let before = thread_allocations();
-        let mut ids = Vec::new();
-        for id in 0..n as u32 {
-            ids.push(std::hint::black_box(id));
-        }
-        std::hint::black_box(&ids);
-        thread_allocations() - before
-    };
     for r in &requests {
         let before = thread_allocations();
         let verdict = engine.evaluate(r);
         let spent = thread_allocations() - before;
         assert!(
-            spent <= id_list(verdict.matched_rules.len()),
+            spent <= id_list_allocations(verdict.matched_rules.len()),
+            "evaluate allocated {spent} times for {} matched ids on {r}",
+            verdict.matched_rules.len()
+        );
+    }
+}
+
+/// Double-encoded attacks take the normalizer to its pass cap: one
+/// copy into the scratch's single buffer, every pass swept in place.
+/// Warm, `normalize_into` never reaches the allocator, and `evaluate`
+/// of such a request allocates its verdict's id list and nothing else.
+#[test]
+fn normalization_uses_one_buffer_and_no_allocator() {
+    let _guard = lock().lock();
+    let engine = system();
+    engine.prepare();
+    let attacks = sqlmap::generate(&SqlmapConfig {
+        samples: 48,
+        profile: ObfuscationProfile {
+            url_encode: 1.0,
+            double_encode: 1.0,
+            ..ObfuscationProfile::sqlmap()
+        },
+        ..Default::default()
+    });
+    let requests: Vec<&HttpRequest> = attacks.samples.iter().map(|s| &s.request).collect();
+    let mut scratch = psigene_http::NormScratch::new();
+    let mut passes = 0;
+    for _ in 0..2 {
+        for r in &requests {
+            std::hint::black_box(engine.evaluate(r).flagged);
+            let normalized = psigene_http::normalize_into(r.detection_payload(), &mut scratch);
+            std::hint::black_box(normalized);
+            passes += scratch.last_passes();
+        }
+    }
+    assert_eq!(
+        passes as usize,
+        2 * 3 * requests.len(),
+        "the workload is not double-encoded"
+    );
+    let before = thread_allocations();
+    for r in &requests {
+        let normalized = psigene_http::normalize_into(r.detection_payload(), &mut scratch);
+        std::hint::black_box(normalized);
+    }
+    assert_eq!(thread_allocations() - before, 0, "warm normalize_into");
+    for r in &requests {
+        let before = thread_allocations();
+        let verdict = engine.evaluate(r);
+        let spent = thread_allocations() - before;
+        assert!(
+            spent <= id_list_allocations(verdict.matched_rules.len()),
             "evaluate allocated {spent} times for {} matched ids on {r}",
             verdict.matched_rules.len()
         );
