@@ -7,8 +7,8 @@
 //! that matched, ascending id — extraction is gated by the feature
 //! set's one-pass set-level scan, so most feature VMs never run), the
 //! engine's [`ScorePlan`](crate::plan) accumulates `w·x` into the
-//! signatures those features belong to, and the drift monitors are fed
-//! the same row. Everything after the scan costs what matched, not
+//! signatures those features belong to, and the thread's drift batch
+//! takes the same row. Everything after the scan costs what matched, not
 //! what exists: no dense vector is filled, gathered from or swept, an
 //! untouched signature costs neither a multiply nor an `exp`, and a row
 //! that touches nothing resolves to a precomputed verdict.
@@ -22,21 +22,28 @@
 //! probes) use them, the tests hold the sparse path to them bit for
 //! bit, and `evaluate` never calls them.
 //!
-//! Telemetry handles are resolved once (not per request): the hot path
-//! touches pre-fetched `Arc<Counter>` / `Arc<Histogram>` handles
-//! instead of doing string-keyed registry lookups, and per-signature
-//! hit counters live slot-aligned in the plan.
+//! **A verdict writes only thread-local state.** The detector's own
+//! counters and latency histogram, and the drift monitors' feed, are
+//! accumulated in the thread's `VerdictScratch` and published in
+//! batches: `detector.requests`, `detector.flagged` and
+//! `detector.latency_ns` every [`METRICS_FLUSH_ROWS`] requests (the
+//! extraction layer's cadence), the drift batch once per monitor window
+//! (`crate::insight::DriftBatch`), both when the thread exits and on
+//! [`Psigene::telemetry_snapshot`] for the calling thread. Handles are
+//! resolved once per process; per-signature hit counters live
+//! slot-aligned in the plan and count flagged requests as they happen.
 
+use crate::insight::DriftBatch;
 use crate::pipeline::Psigene;
 use crate::plan::{ScorePlan, ScoreScratch};
-use psigene_features::extract::{extract_dense_into, extract_sparse_into};
+use psigene_features::extract::{extract_dense_into, extract_sparse_into, METRICS_FLUSH_ROWS};
 use psigene_http::HttpRequest;
 use psigene_rulesets::{Detection, DetectionEngine};
 use psigene_telemetry::insight::TraceContext;
-use psigene_telemetry::{Counter, Histogram};
+use psigene_telemetry::{Counter, Histogram, LocalHistogram};
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Pre-resolved handles into the global telemetry registry for the
 /// detector hot path.
@@ -44,24 +51,6 @@ struct DetectorMetrics {
     requests: Arc<Counter>,
     flagged: Arc<Counter>,
     latency: Arc<Histogram>,
-}
-
-impl DetectorMetrics {
-    /// Accounts one detection outcome (latency recorded separately).
-    /// `matched_rules` is in slot order, so one forward walk over the
-    /// plan's slots finds every matched signature's counter.
-    fn record(&self, plan: &ScorePlan, detection: &Detection) {
-        self.requests.inc();
-        if detection.flagged {
-            self.flagged.inc();
-            let mut slots = plan.slots.iter();
-            for &id in &detection.matched_rules {
-                if let Some(slot) = slots.find(|slot| slot.id == id) {
-                    slot.record_hit();
-                }
-            }
-        }
-    }
 }
 
 fn metrics() -> &'static DetectorMetrics {
@@ -76,13 +65,68 @@ fn metrics() -> &'static DetectorMetrics {
     })
 }
 
+/// One thread's unpublished detector counters and latency samples.
+#[derive(Default)]
+struct VerdictTelemetry {
+    requests: u64,
+    flagged: u64,
+    latency: LocalHistogram,
+}
+
+impl VerdictTelemetry {
+    fn record(&mut self, flagged: bool, elapsed: Duration) {
+        self.requests += 1;
+        self.flagged += u64::from(flagged);
+        self.latency.record_duration(elapsed);
+        if self.requests >= METRICS_FLUSH_ROWS {
+            self.publish();
+        }
+    }
+
+    fn publish(&mut self) {
+        if self.requests == 0 {
+            return;
+        }
+        let m = metrics();
+        m.requests.add(self.requests);
+        m.flagged.add(self.flagged);
+        m.latency.absorb(&mut self.latency);
+        self.requests = 0;
+        self.flagged = 0;
+    }
+}
+
 /// Per-thread working memory of the verdict path: the request's sparse
-/// row and the scoring accumulators. A warm worker's steady-state
-/// evaluation allocates for neither.
+/// row, the scoring accumulators, and the telemetry and drift batches
+/// waiting to be published. A warm worker's steady-state evaluation
+/// allocates for none of them.
 #[derive(Default)]
 struct VerdictScratch {
     row: Vec<(usize, f64)>,
     score: ScoreScratch,
+    telemetry: VerdictTelemetry,
+    drift: DriftBatch,
+}
+
+impl VerdictScratch {
+    fn publish(&mut self) {
+        self.telemetry.publish();
+        self.drift.publish();
+    }
+}
+
+impl Drop for VerdictScratch {
+    /// A dying thread publishes what it still holds, so short-lived
+    /// threads and shut-down gateway workers lose no request.
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
+/// Publishes the calling thread's buffered verdict telemetry and drift
+/// batch (see the module docs).
+pub(crate) fn publish_thread_telemetry() {
+    VERDICT_SCRATCH.with(|cell| cell.borrow_mut().publish());
 }
 
 thread_local! {
@@ -167,13 +211,13 @@ impl Psigene {
     }
 
     /// This engine's scoring plan, built on first use.
-    fn plan(&self) -> &ScorePlan {
+    pub(crate) fn plan(&self) -> &ScorePlan {
         self.plan.get_or_build(&self.signatures)
     }
 
     /// One request through the sparse path — extract the row, score it
-    /// from the plan, feed the drift monitors — timed and accounted.
-    /// The shared body of every evaluation entry point.
+    /// from the plan, batch it for the drift monitors — timed and
+    /// accounted. The shared body of every evaluation entry point.
     fn verdict(
         &self,
         plan: &ScorePlan,
@@ -182,7 +226,12 @@ impl Psigene {
         mut trace: Option<&mut TraceContext>,
     ) -> Detection {
         let start = Instant::now();
-        let VerdictScratch { row, score } = scratch;
+        let VerdictScratch {
+            row,
+            score,
+            telemetry,
+            drift,
+        } = scratch;
         let span = trace.as_mut().map(|t| t.begin("detector.extract"));
         extract_sparse_into(
             &self.feature_set,
@@ -200,21 +249,16 @@ impl Psigene {
         }
         let span = trace.as_mut().map(|t| t.begin("detector.score"));
         let (detection, scores) = plan.score(row, score);
-        if let Some(ins) = self.insight.as_deref() {
-            ins.observe(
-                row,
-                plan.slots
-                    .iter()
-                    .map(|slot| slot.id)
-                    .zip(scores.iter().copied()),
-            );
+        if let Some(insight) = &self.insight {
+            drift.record(insight, plan, row, scores);
         }
         if let (Some(t), Some(s)) = (trace.as_mut(), span) {
             t.end(s);
         }
-        let m = metrics();
-        m.record(plan, &detection);
-        m.latency.record_duration(start.elapsed());
+        if detection.flagged {
+            plan.record_hits(&detection.matched_rules);
+        }
+        telemetry.record(detection.flagged, start.elapsed());
         detection
     }
 }
@@ -597,15 +641,20 @@ mod tests {
     #[test]
     fn hot_path_counters_accumulate() {
         let p = trained();
-        let before = psigene_telemetry::global()
-            .counter("detector.requests")
-            .get();
+        // The snapshot publishes this thread's buffered counts first.
+        let requests = |p: &Psigene| {
+            let snapshot = p.telemetry_snapshot();
+            snapshot
+                .counters
+                .get("detector.requests")
+                .copied()
+                .unwrap_or(0)
+        };
+        let before = requests(&p);
         let req = HttpRequest::get("v", "/x.php", "id=1+union+select+null--");
         p.evaluate(&req);
         p.evaluate_batch(std::slice::from_ref(&req));
-        let after = psigene_telemetry::global()
-            .counter("detector.requests")
-            .get();
+        let after = requests(&p);
         assert!(after >= before + 2);
     }
 }

@@ -18,17 +18,31 @@
 //! Both feed exponentially-decayed sketches windowed into
 //! reference/current snapshots ([`DriftMonitor`]); PSI and KL scores
 //! are exported as `drift.*` gauges on every window roll, with gauge
-//! handles resolved once per process (the `DetectorMetrics` pattern —
-//! zero registry lookups per request). The control plane reads the
+//! handles resolved once (per process for the feature gauges, per
+//! monitor for the per-signature ones — zero registry lookups per
+//! request or per window). The control plane reads the
 //! gauges (or [`Psigene::drift_scores`]) and, past a PSI threshold,
 //! kicks off incremental retraining; after promoting the retrained
 //! model it calls [`Psigene::rebaseline_drift`] so drift is measured
 //! against the traffic the new model was accepted on.
+//!
+//! **Per window, not per request.** The engine does not call
+//! [`EngineInsight::observe`] per request: each evaluating thread
+//! writes its observations into a thread-local `DriftBatch` and
+//! hands the batch over under the monitor's lock once per window (see
+//! DESIGN §11). Every feed is integer-valued, so a batch equals its
+//! requests fed one by one to the bit ([`DriftMonitor`]'s exactness
+//! rule); `observe` stays as the per-request reference the tests hold
+//! the batches to.
+//!
+//! [`Psigene`]: crate::Psigene
+//! [`Psigene::drift_scores`]: crate::Psigene::drift_scores
+//! [`Psigene::rebaseline_drift`]: crate::Psigene::rebaseline_drift
 
-use parking_lot::{Mutex, RwLock};
+use crate::plan::ScorePlan;
+use parking_lot::Mutex;
 use psigene_telemetry::insight::{DriftConfig, DriftMonitor};
 use psigene_telemetry::{Counter, Gauge};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Number of score buckets per signature monitor: probabilities in
@@ -39,24 +53,12 @@ pub(crate) fn score_bin(p: f64) -> usize {
     ((p.clamp(0.0, 1.0) * SCORE_BINS as f64) as usize).min(SCORE_BINS - 1)
 }
 
-/// Pre-resolved `drift.*` gauge handles (one registry lookup per
-/// process, never per request or per window).
+/// Pre-resolved feature-level `drift.*` handles (one registry lookup
+/// per process, never per request or per window).
 struct DriftMetrics {
     features_psi: Arc<Gauge>,
     features_kl: Arc<Gauge>,
     windows: Arc<Counter>,
-    /// Per-signature PSI gauges, cached by id after first resolution.
-    sig_psi: RwLock<HashMap<u32, Arc<Gauge>>>,
-}
-
-impl DriftMetrics {
-    fn sig_gauge(&self, id: u32) -> Arc<Gauge> {
-        if let Some(g) = self.sig_psi.read().get(&id) {
-            return Arc::clone(g);
-        }
-        let g = psigene_telemetry::global().gauge(&format!("drift.sig.{id}.psi"));
-        Arc::clone(self.sig_psi.write().entry(id).or_insert(g))
-    }
 }
 
 fn drift_metrics() -> &'static DriftMetrics {
@@ -67,9 +69,26 @@ fn drift_metrics() -> &'static DriftMetrics {
             features_psi: telemetry.gauge("drift.features.psi"),
             features_kl: telemetry.gauge("drift.features.kl"),
             windows: telemetry.counter("drift.windows"),
-            sig_psi: RwLock::new(HashMap::new()),
         }
     })
+}
+
+/// One signature's score monitor and its `drift.sig.<id>.psi` gauge,
+/// resolved when the monitor is created.
+struct SignatureMonitor {
+    id: u32,
+    monitor: DriftMonitor,
+    psi: Arc<Gauge>,
+}
+
+impl SignatureMonitor {
+    fn new(id: u32, config: DriftConfig) -> SignatureMonitor {
+        SignatureMonitor {
+            id,
+            monitor: DriftMonitor::new(SCORE_BINS, config),
+            psi: psigene_telemetry::global().gauge(&format!("drift.sig.{id}.psi")),
+        }
+    }
 }
 
 struct DriftState {
@@ -77,9 +96,9 @@ struct DriftState {
     /// Score monitors in first-observed order, created lazily so
     /// signature subsets stay consistent without reconfiguration.
     /// A vector, not a map: the engine feeds signatures in a stable
-    /// order every request, so the hot path walks this index-aligned
-    /// and the common case is a direct slot hit with no hashing.
-    signatures: Vec<(u32, DriftMonitor)>,
+    /// order, so a feed walks this index-aligned and the common case
+    /// is a direct slot hit with no hashing.
+    signatures: Vec<SignatureMonitor>,
 }
 
 impl DriftState {
@@ -93,27 +112,53 @@ impl DriftState {
         config: DriftConfig,
     ) -> &mut DriftMonitor {
         let idx = match self.signatures.get(slot) {
-            Some(&(slot_id, _)) if slot_id == id => slot,
-            _ => match self.signatures.iter().position(|&(sid, _)| sid == id) {
+            Some(s) if s.id == id => slot,
+            _ => match self.signatures.iter().position(|s| s.id == id) {
                 Some(found) => found,
                 None => {
-                    self.signatures
-                        .push((id, DriftMonitor::new(SCORE_BINS, config)));
+                    self.signatures.push(SignatureMonitor::new(id, config));
                     self.signatures.len() - 1
                 }
             },
         };
-        &mut self.signatures[idx].1
+        &mut self.signatures[idx].monitor
+    }
+
+    /// Exports fresh gauge values — called when the feature window
+    /// rolls. One fused PSI/KL pass per monitor, no allocation.
+    fn export(&self) {
+        let dm = drift_metrics();
+        if let Some((psi, kl)) = self.features.psi_and_kl() {
+            dm.features_psi.set(psi);
+            dm.features_kl.set(kl);
+        }
+        dm.windows.inc();
+        for s in &self.signatures {
+            if let Some(psi) = s.monitor.psi() {
+                s.psi.set(psi);
+            }
+        }
+    }
+
+    /// Requests left before the first monitor completes its window: the
+    /// largest batch that crosses no monitor's window boundary.
+    fn remaining(&self) -> u64 {
+        self.signatures
+            .iter()
+            .map(|s| s.monitor.remaining())
+            .fold(self.features.remaining(), u64::min)
     }
 }
 
 /// Streaming drift state for one engine; shared by its clones.
 ///
-/// All methods take `&self` — observation serializes on an internal
-/// mutex held only for the bin updates (no scoring, no I/O), so the
-/// gateway's shard workers feed one monitor concurrently.
+/// All methods take `&self` — feeding serializes on an internal mutex
+/// held only for the bin updates (no scoring, no I/O), so the
+/// gateway's shard workers feed one monitor concurrently, once per
+/// window each.
 pub struct EngineInsight {
     config: DriftConfig,
+    feature_bins: usize,
     state: Mutex<DriftState>,
 }
 
@@ -158,6 +203,7 @@ impl EngineInsight {
     pub fn new(feature_bins: usize, config: DriftConfig) -> EngineInsight {
         EngineInsight {
             config,
+            feature_bins,
             state: Mutex::new(DriftState {
                 features: DriftMonitor::new(feature_bins, config),
                 signatures: Vec::new(),
@@ -173,7 +219,8 @@ impl EngineInsight {
     /// Feeds one evaluated request: its sparse feature row — `(feature
     /// id, value)` for the features that matched, ascending id — plus
     /// each signature's `(id, probability)`. Exports fresh `drift.*`
-    /// gauge values whenever the feature window rolls.
+    /// gauge values whenever the feature window rolls. The per-request
+    /// reference for the engine's batched feed.
     pub fn observe(&self, row: &[(usize, f64)], scores: impl Iterator<Item = (u32, f64)>) {
         let mut st = self.state.lock();
         for &(feature, value) in row {
@@ -186,20 +233,36 @@ impl EngineInsight {
             m.tick();
         }
         if rolled {
-            let dm = drift_metrics();
-            if let Some(p) = st.features.psi() {
-                dm.features_psi.set(p);
-            }
-            if let Some(k) = st.features.kl() {
-                dm.features_kl.set(k);
-            }
-            dm.windows.inc();
-            for &(id, ref m) in st.signatures.iter() {
-                if let Some(p) = m.psi() {
-                    dm.sig_gauge(id).set(p);
-                }
-            }
+            st.export();
         }
+    }
+
+    /// Feeds a thread's batch as `batch.requests` calls of
+    /// [`EngineInsight::observe`] would, and returns how many requests
+    /// the thread may batch before its next publish.
+    fn publish(&self, batch: &DriftBatch) -> u64 {
+        let n = batch.requests;
+        let mut st = self.state.lock();
+        for (feature, &sum) in batch.features.iter().enumerate() {
+            st.features.observe(feature, sum);
+        }
+        let rolled = st.features.tick_n(n);
+        let slots = batch.ids.iter().zip(&batch.quiet_bins);
+        for (slot, ((&id, &quiet_bin), counts)) in
+            slots.zip(batch.loud.chunks_exact(SCORE_BINS)).enumerate()
+        {
+            let m = st.signature_monitor(slot, id, self.config);
+            let loud: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+            m.observe(quiet_bin, (n - loud) as f64);
+            for (bin, &c) in counts.iter().enumerate() {
+                m.observe(bin, f64::from(c));
+            }
+            m.tick_n(n);
+        }
+        if rolled {
+            st.export();
+        }
+        st.remaining()
     }
 
     /// Current drift scores (reads the monitor, does not roll
@@ -209,12 +272,13 @@ impl EngineInsight {
         let mut signatures: Vec<(u32, Option<f64>)> = st
             .signatures
             .iter()
-            .map(|&(id, ref m)| (id, m.psi()))
+            .map(|s| (s.id, s.monitor.psi()))
             .collect();
         signatures.sort_by_key(|&(id, _)| id);
+        let (features_psi, features_kl) = st.features.psi_and_kl().unzip();
         DriftScores {
-            features_psi: st.features.psi(),
-            features_kl: st.features.kl(),
+            features_psi,
+            features_kl,
             windows: st.features.windows(),
             signatures,
         }
@@ -225,8 +289,8 @@ impl EngineInsight {
     pub fn rebaseline(&self) {
         let mut st = self.state.lock();
         st.features.rebaseline();
-        for &mut (_, ref mut m) in st.signatures.iter_mut() {
-            m.rebaseline();
+        for s in st.signatures.iter_mut() {
+            s.monitor.rebaseline();
         }
     }
 
@@ -245,13 +309,114 @@ impl EngineInsight {
         st.signatures.truncate(ids.len());
         for (slot, &id) in ids.iter().enumerate() {
             match st.signatures.get_mut(slot) {
-                Some(&mut (slot_id, ref mut m)) if slot_id == id => m.rebaseline(),
-                Some(entry) => *entry = (id, DriftMonitor::new(SCORE_BINS, self.config)),
-                None => st
-                    .signatures
-                    .push((id, DriftMonitor::new(SCORE_BINS, self.config))),
+                Some(s) if s.id == id => s.monitor.rebaseline(),
+                Some(s) => *s = SignatureMonitor::new(id, self.config),
+                None => st.signatures.push(SignatureMonitor::new(id, self.config)),
             }
         }
+    }
+
+    /// See [`DriftState::remaining`].
+    fn remaining(&self) -> u64 {
+        self.state.lock().remaining()
+    }
+}
+
+/// One thread's drift observations that its monitor has not seen yet:
+/// what the verdict path writes instead of taking the monitor's lock
+/// per request. Bound to one `(EngineInsight, ScorePlan)` pair at a
+/// time; evaluating with another pair publishes first and rebinds.
+///
+/// A request adds its sparse row's values into per-feature sums and,
+/// per signature slot, one count in its score's bin — but only when
+/// the score differs from the slot's quiet score `sigmoid(bias)`. A
+/// benign request touches about two of the signatures, so most slots
+/// stay quiet and cost one comparison; at publish a slot's quiet bin
+/// receives `n − loud`. The batch's size is fixed at binding: however
+/// many features the traffic matches, recording never allocates.
+///
+/// The batch publishes when it holds as many requests as the monitors
+/// had left in their windows at this thread's previous publish (so a
+/// lone feeding thread rolls every window at exactly the request it
+/// would roll at per request), when the pair changes, when the thread
+/// exits (`VerdictScratch`'s `Drop`) and on
+/// [`Psigene::telemetry_snapshot`](crate::Psigene::telemetry_snapshot).
+#[derive(Default)]
+pub(crate) struct DriftBatch {
+    /// The monitor fed and the serial of the plan whose slots `ids`,
+    /// `quiet_bins` and `loud` follow.
+    target: Option<(Arc<EngineInsight>, u64)>,
+    ids: Vec<u32>,
+    quiet_bins: Vec<usize>,
+    /// Per feature, the sum of its values over the held requests.
+    features: Vec<f64>,
+    /// `SCORE_BINS` counts per slot, for scores off the quiet score.
+    loud: Vec<u32>,
+    requests: u64,
+    /// Publish when `requests` reaches this.
+    due: u64,
+}
+
+impl DriftBatch {
+    /// Adds one evaluated request — its sparse row and the per-slot
+    /// scores `plan` gave it — and publishes when due.
+    pub fn record(
+        &mut self,
+        insight: &Arc<EngineInsight>,
+        plan: &ScorePlan,
+        row: &[(usize, f64)],
+        scores: &[f64],
+    ) {
+        let bound = matches!(&self.target,
+            Some((fed, serial)) if Arc::ptr_eq(fed, insight) && *serial == plan.serial());
+        if !bound {
+            self.bind(insight, plan);
+        }
+        for &(feature, value) in row {
+            if let Some(sum) = self.features.get_mut(feature) {
+                *sum += value;
+            }
+        }
+        for (k, (&p, &quiet)) in scores.iter().zip(plan.quiet_scores()).enumerate() {
+            if p.to_bits() != quiet.to_bits() {
+                self.loud[k * SCORE_BINS + score_bin(p)] += 1;
+            }
+        }
+        self.requests += 1;
+        if self.requests >= self.due {
+            self.publish();
+        }
+    }
+
+    /// Publishes what the batch holds for its current pair, then
+    /// follows `insight` and `plan`'s slots.
+    fn bind(&mut self, insight: &Arc<EngineInsight>, plan: &ScorePlan) {
+        self.publish();
+        self.features.clear();
+        self.features.resize(insight.feature_bins, 0.0);
+        self.ids.clear();
+        self.ids.extend(plan.slots.iter().map(|slot| slot.id));
+        self.quiet_bins.clear();
+        self.quiet_bins
+            .extend(plan.quiet_scores().iter().map(|&p| score_bin(p)));
+        self.loud.clear();
+        self.loud.resize(self.ids.len() * SCORE_BINS, 0);
+        self.due = insight.remaining();
+        self.target = Some((Arc::clone(insight), plan.serial()));
+    }
+
+    /// Hands every held request to the monitor.
+    pub fn publish(&mut self) {
+        if self.requests == 0 {
+            return;
+        }
+        if let Some((insight, _)) = &self.target {
+            let due = insight.publish(self);
+            self.due = due;
+        }
+        self.features.fill(0.0);
+        self.loud.fill(0);
+        self.requests = 0;
     }
 }
 
@@ -367,5 +532,137 @@ mod tests {
         assert_eq!(score_bin(1.0), SCORE_BINS - 1);
         assert_eq!(score_bin(f64::NAN), 0);
         assert_eq!(score_bin(17.0), SCORE_BINS - 1);
+    }
+
+    mod batched {
+        use super::*;
+        use crate::config::PipelineConfig;
+        use crate::pipeline::Psigene;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        use psigene_http::HttpRequest;
+
+        /// Decays the property runs at: the powers of two the engine's
+        /// defaults use, and two that round on every roll.
+        const DECAYS: [f64; 5] = [0.25, 0.5, 1.0, 0.9, 0.3];
+
+        /// Attack and benign queries: some touch no signature, some one,
+        /// some several.
+        const QUERIES: [&str; 8] = [
+            "id=-1+union+select+1,2,concat(version(),0x3a,user()),4--+-",
+            "page=2&sort=asc",
+            "id=1'+or+'1'='1",
+            "q=summer+housing",
+            "id=1+and+sleep(5)--",
+            "uid=1920&dept=ce",
+            "",
+            "name=o'brien&note=select+a+seat",
+        ];
+
+        /// Per query, the sparse row and the per-signature scores.
+        type Fed = Vec<(Vec<(usize, f64)>, Vec<f64>)>;
+
+        /// A small trained engine and what the dense reference gives
+        /// each query.
+        fn fixture() -> &'static (Psigene, Fed) {
+            static FIXTURE: OnceLock<(Psigene, Fed)> = OnceLock::new();
+            FIXTURE.get_or_init(|| {
+                let engine = Psigene::train(&PipelineConfig {
+                    crawl_samples: 120,
+                    benign_train: 300,
+                    cluster_sample_cap: 120,
+                    threads: 1,
+                    ..PipelineConfig::default()
+                });
+                let fed = QUERIES
+                    .iter()
+                    .map(|q| {
+                        let dense = engine.features_of(&HttpRequest::get("v", "/x.php", q));
+                        let row = dense
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &v)| v != 0.0)
+                            .map(|(id, &v)| (id, v))
+                            .collect();
+                        let mut scores = Vec::new();
+                        engine.score_features_into(&dense, &mut scores);
+                        (row, scores)
+                    })
+                    .collect();
+                (engine, fed)
+            })
+        }
+
+        /// `DriftScores` with every score as its bits.
+        type ScoreBits = (u64, Option<u64>, Option<u64>, Vec<(u32, Option<u64>)>);
+
+        fn bits(s: &DriftScores) -> ScoreBits {
+            (
+                s.windows,
+                s.features_psi.map(f64::to_bits),
+                s.features_kl.map(f64::to_bits),
+                s.signatures
+                    .iter()
+                    .map(|&(id, p)| (id, p.map(f64::to_bits)))
+                    .collect(),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Per-request `observe` against the batched feed, on rows
+            /// and scores from the trained engine: one thread's batches,
+            /// published when due and at arbitrary extra points (a
+            /// snapshot, a pair change), leave every score, window count
+            /// and per-signature PSI bit-equal.
+            #[test]
+            fn batched_publishes_equal_per_request_observe(
+                stream in vec((0usize..QUERIES.len(), (0u8..6).prop_map(|k| k == 0)), 0..200),
+                window in 1u64..40,
+                decay_pick in 0usize..DECAYS.len(),
+            ) {
+                let (engine, fed) = fixture();
+                let config = DriftConfig {
+                    window,
+                    decay: DECAYS[decay_pick],
+                    smoothing: 1e-2,
+                };
+                let plan = engine.plan();
+                let ids: Vec<u32> = plan.slots.iter().map(|slot| slot.id).collect();
+                let reference = EngineInsight::new(engine.feature_set().len(), config);
+                let insight = Arc::new(EngineInsight::new(engine.feature_set().len(), config));
+                let mut batch = DriftBatch::default();
+                for &(q, flush) in &stream {
+                    let (row, scores) = &fed[q];
+                    reference.observe(row, ids.iter().copied().zip(scores.iter().copied()));
+                    batch.record(&insight, plan, row, scores);
+                    if flush {
+                        batch.publish();
+                    }
+                }
+                batch.publish();
+                prop_assert_eq!(bits(&insight.scores()), bits(&reference.scores()));
+            }
+        }
+
+        #[test]
+        fn fixture_scores_touch_some_signatures_and_leave_others_quiet() {
+            let (engine, fed) = fixture();
+            let quiet = engine.plan().quiet_scores();
+            let loud = |scores: &[f64]| {
+                scores
+                    .iter()
+                    .zip(quiet)
+                    .filter(|(p, q)| p.to_bits() != q.to_bits())
+                    .count()
+            };
+            let per_query: Vec<usize> = fed.iter().map(|(_, scores)| loud(scores)).collect();
+            assert!(per_query.contains(&0), "{per_query:?}");
+            assert!(
+                per_query.iter().any(|&n| n > 0 && n < quiet.len()),
+                "{per_query:?}"
+            );
+        }
     }
 }

@@ -459,7 +459,16 @@ impl Psigene {
     /// (`detector.sig_match.<id>`). The registry is process-wide, so
     /// the snapshot reflects every engine in the process, not only
     /// this one.
+    ///
+    /// The hot path buffers its telemetry per thread (DESIGN §11):
+    /// this first publishes everything the *calling* thread holds —
+    /// detector counters and latencies, its drift batch, extraction
+    /// counters — so the snapshot includes every request this thread
+    /// evaluated. Other threads' buffers lag by at most 31 requests
+    /// (drift: less than one window) until they publish or exit.
     pub fn telemetry_snapshot(&self) -> psigene_telemetry::Snapshot {
+        crate::detector::publish_thread_telemetry();
+        psigene_features::extract::flush_extract_metrics();
         psigene_telemetry::global().snapshot()
     }
 

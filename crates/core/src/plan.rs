@@ -35,6 +35,7 @@ use crate::signature::GeneralizedSignature;
 use psigene_learn::sigmoid;
 use psigene_rulesets::Detection;
 use psigene_telemetry::Counter;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One signature as the hot path sees it.
@@ -56,7 +57,7 @@ pub(crate) struct Slot {
 
 impl Slot {
     /// Counts one request this signature flagged.
-    pub fn record_hit(&self) {
+    fn record_hit(&self) {
         self.hits
             .get_or_init(|| {
                 psigene_telemetry::global().counter(&format!("detector.sig_match.{}", self.id))
@@ -78,6 +79,10 @@ pub(crate) struct ScoreScratch {
 
 /// The inverted signatures of one engine. See the module docs.
 pub(crate) struct ScorePlan {
+    /// Unique per built plan in this process: what a thread's drift
+    /// batch (`crate::insight::DriftBatch`) checks it is still
+    /// following the same slots by.
+    serial: u64,
     /// Feature `f`'s postings are `postings[starts[f]..starts[f + 1]]`;
     /// features past the last indexed one have none.
     starts: Vec<u32>,
@@ -141,12 +146,37 @@ impl ScorePlan {
         }
         let quiet_scores: Vec<f64> = slots.iter().map(|s| sigmoid(s.bias)).collect();
         let quiet = verdict(&slots, &quiet_scores);
+        static SERIAL: AtomicU64 = AtomicU64::new(0);
         ScorePlan {
+            serial: SERIAL.fetch_add(1, Ordering::Relaxed),
             starts,
             postings,
             slots,
             quiet_scores,
             quiet,
+        }
+    }
+
+    /// This plan's process-unique build number.
+    pub fn serial(&self) -> u64 {
+        self.serial
+    }
+
+    /// Per slot, the probability of a row that touches none of the
+    /// signature's features: `sigmoid(bias)`.
+    pub fn quiet_scores(&self) -> &[f64] {
+        &self.quiet_scores
+    }
+
+    /// Counts one flagged request against each matched signature.
+    /// `matched` is in slot order (as [`ScorePlan::score`] reports
+    /// it), so one forward walk over the slots finds every counter.
+    pub fn record_hits(&self, matched: &[u32]) {
+        let mut slots = self.slots.iter();
+        for &id in matched {
+            if let Some(slot) = slots.find(|slot| slot.id == id) {
+                slot.record_hit();
+            }
         }
     }
 

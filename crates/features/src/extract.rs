@@ -200,7 +200,9 @@ fn record_stats(stats: &ExtractStats, rows: u64) {
 /// which measurably taxes the sub-microsecond fused path; batching
 /// trades bounded counter lag for removing that tax. Batch entry
 /// points ([`extract_matrix`] and friends) still record immediately.
-const METRICS_FLUSH_ROWS: u64 = 32;
+/// The detector publishes its own per-request counters at the same
+/// cadence.
+pub const METRICS_FLUSH_ROWS: u64 = 32;
 
 /// Per-thread working memory for the whole extraction hot path: the
 /// normalization buffer, the candidate bitset (one per

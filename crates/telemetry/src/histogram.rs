@@ -108,6 +108,30 @@ impl Histogram {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
+    /// Adds everything `local` recorded since its last publish and
+    /// empties it: the same end state as recording each of its
+    /// observations here, for one atomic update per touched bucket
+    /// plus four instead of five per observation.
+    pub fn absorb(&self, local: &mut LocalHistogram) {
+        if local.count == 0 {
+            return;
+        }
+        for (shared, own) in self.buckets[local.lo..=local.hi]
+            .iter()
+            .zip(&mut local.buckets[local.lo..=local.hi])
+        {
+            let n = std::mem::take(own);
+            if n > 0 {
+                shared.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(local.count, Ordering::Relaxed);
+        self.sum.fetch_add(local.sum, Ordering::Relaxed);
+        self.min.fetch_min(local.min, Ordering::Relaxed);
+        self.max.fetch_max(local.max, Ordering::Relaxed);
+        local.clear_totals();
+    }
+
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -126,6 +150,79 @@ impl Histogram {
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// A single-owner histogram with [`Histogram`]'s bucket layout and
+/// plain integers instead of atomics: one thread records into it and
+/// publishes the batch through [`Histogram::absorb`].
+#[derive(Debug, Clone)]
+pub struct LocalHistogram {
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    /// The lowest and highest bucket recorded since the last publish,
+    /// so a publish visits only the buckets that can be nonzero.
+    lo: usize,
+    hi: usize,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> LocalHistogram {
+        LocalHistogram::new()
+    }
+}
+
+impl LocalHistogram {
+    /// An empty histogram.
+    pub fn new() -> LocalHistogram {
+        let mut h = LocalHistogram {
+            buckets: vec![0; N_BUCKETS],
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+            lo: 0,
+            hi: 0,
+        };
+        h.clear_totals();
+        h
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, v: u64) {
+        let i = bucket_index(v);
+        self.buckets[i] += 1;
+        self.count += 1;
+        // Wraps like the shared histogram's atomic sum.
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.lo = self.lo.min(i);
+        self.hi = self.hi.max(i);
+    }
+
+    /// Records a duration in nanoseconds.
+    pub fn record_duration(&mut self, d: std::time::Duration) {
+        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
+    }
+
+    /// Observations recorded since the last publish.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Resets everything but the buckets, which `absorb` zeroes as it
+    /// drains them.
+    fn clear_totals(&mut self) {
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+        self.lo = N_BUCKETS - 1;
+        self.hi = 0;
     }
 }
 
@@ -357,6 +454,25 @@ mod tests {
         assert_eq!(batched.snapshot(), single.snapshot());
         assert_eq!(batched.count(), 36);
         assert_eq!(batched.snapshot().min(), Some(5), "n == 0 left no trace");
+    }
+
+    #[test]
+    fn absorb_equals_recording_directly() {
+        let (published, direct) = (Histogram::new(), Histogram::new());
+        let mut local = LocalHistogram::new();
+        // Nothing recorded: absorbing is a no-op, min/max untouched.
+        published.absorb(&mut local);
+        assert_eq!(published.snapshot(), direct.snapshot());
+        for batch in [&[3u64, 900, 900, 7][..], &[], &[u64::MAX, 0, 12_345], &[42]] {
+            for &v in batch {
+                local.record(v);
+                direct.record(v);
+            }
+            assert_eq!(local.count(), batch.len() as u64);
+            published.absorb(&mut local);
+            assert_eq!(local.count(), 0, "absorb drains the local histogram");
+            assert_eq!(published.snapshot(), direct.snapshot());
+        }
     }
 
     #[test]

@@ -15,26 +15,37 @@ use crate::sketch::DecayedSketch;
 /// clamped here so the scores stay finite by construction.
 const MIN_SMOOTHING: f64 = 1e-12;
 
-/// Normalizes a weight vector with additive smoothing. Non-finite or
-/// negative weights count as zero.
-fn smoothed(weights: &[f64], smoothing: f64) -> Vec<f64> {
-    let eps = if smoothing > 0.0 {
+/// The pseudo-count actually applied for a requested `smoothing`.
+fn pseudo_count(smoothing: f64) -> f64 {
+    if smoothing > 0.0 {
         smoothing
     } else {
         MIN_SMOOTHING
-    };
-    let total: f64 = weights
-        .iter()
-        .map(|&w| if w.is_finite() && w > 0.0 { w } else { 0.0 })
-        .sum::<f64>()
-        + eps * weights.len() as f64;
-    weights
-        .iter()
-        .map(|&w| {
-            let w = if w.is_finite() && w > 0.0 { w } else { 0.0 };
-            (w + eps) / total
-        })
-        .collect()
+    }
+}
+
+/// A weight as the scores see it: non-finite or negative counts as
+/// zero.
+fn clean(w: f64) -> f64 {
+    if w.is_finite() && w > 0.0 {
+        w
+    } else {
+        0.0
+    }
+}
+
+/// The normalizer of [`smoothed`]: cleaned weights plus one
+/// pseudo-count per bin.
+fn smoothed_total(weights: &[f64], eps: f64) -> f64 {
+    weights.iter().map(|&w| clean(w)).sum::<f64>() + eps * weights.len() as f64
+}
+
+/// Normalizes a weight vector with additive smoothing. Non-finite or
+/// negative weights count as zero.
+fn smoothed(weights: &[f64], smoothing: f64) -> Vec<f64> {
+    let eps = pseudo_count(smoothing);
+    let total = smoothed_total(weights, eps);
+    weights.iter().map(|&w| (clean(w) + eps) / total).collect()
 }
 
 /// Population Stability Index between two weight vectors of the same
@@ -68,6 +79,32 @@ pub fn kl_divergence(reference: &[f64], current: &[f64], smoothing: f64) -> f64 
     p.iter().zip(&q).map(|(&pi, &qi)| pi * (pi / qi).ln()).sum()
 }
 
+/// `(psi(r, c, s), kl_divergence(r, c, s))` in one pass with one `ln`
+/// per bin and no allocation — what a window roll exports. Every
+/// smoothed probability, log ratio and term is the expression the two
+/// scores evaluate, summed in the same order from the same neutral
+/// element, so both results equal theirs to the bit (pinned by
+/// proptest, NaN, infinite and negative weights included).
+pub fn psi_and_kl(reference: &[f64], current: &[f64], smoothing: f64) -> (f64, f64) {
+    if reference.len() != current.len() || reference.is_empty() {
+        return (0.0, 0.0);
+    }
+    let eps = pseudo_count(smoothing);
+    let (p_total, q_total) = (smoothed_total(reference, eps), smoothed_total(current, eps));
+    // `Sum for f64` starts from its own zero (−0.0 in current std);
+    // starting the fold there keeps a sum of ±0 terms bit-equal too.
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    reference
+        .iter()
+        .zip(current)
+        .fold((zero, zero), |(psi, kl), (&r, &c)| {
+            let pi = (clean(r) + eps) / p_total;
+            let qi = (clean(c) + eps) / q_total;
+            let ln = (pi / qi).ln();
+            (psi + (pi - qi) * ln, kl + pi * ln)
+        })
+}
+
 /// Windowing and decay parameters for a [`DriftMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
@@ -97,16 +134,29 @@ impl Default for DriftConfig {
 
 /// A streaming drift detector over one binned quantity.
 ///
-/// Observations accumulate into an exponentially-decayed sketch.
-/// Every `window` ticks the sketch's normalized distribution is
-/// snapshotted as the *current* window; the first snapshot (or the
-/// one taken at the last [`DriftMonitor::rebaseline`]) is frozen as
-/// the *reference*. [`DriftMonitor::psi`] / [`DriftMonitor::kl`]
-/// compare the two.
+/// A window's observations are summed per bin in a buffer of their
+/// own and folded into an exponentially-decayed sketch when the window
+/// completes. Every `window` ticks the sketch's normalized
+/// distribution is snapshotted as the *current* window; the first
+/// snapshot (or the one taken at the last [`DriftMonitor::rebaseline`])
+/// is frozen as the *reference*. [`DriftMonitor::psi`] /
+/// [`DriftMonitor::kl`] compare the two.
+///
+/// **Batches are exact.** Because nothing reaches the sketch before
+/// the roll, the monitor's state depends only on each window's per-bin
+/// sums. For integer-valued weights (counts, binary `1.0`, bin
+/// increments — every feed the engine makes) those sums are exact in
+/// any order and grouping, so `k` observations of `w` equal one of
+/// `k·w`, and a feeder may hand over a window in any number of batches
+/// ([`DriftMonitor::tick_n`]) with every score bit-equal to one
+/// observation and one tick at a time — as long as no batch spans the
+/// end of a window ([`DriftMonitor::remaining`]). Pinned by proptest.
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
     config: DriftConfig,
     sketch: DecayedSketch,
+    /// The open window's observations, summed per bin.
+    window: Vec<f64>,
     reference: Option<Vec<f64>>,
     current: Option<Vec<f64>>,
     in_window: u64,
@@ -118,6 +168,7 @@ impl DriftMonitor {
     pub fn new(bins: usize, config: DriftConfig) -> DriftMonitor {
         DriftMonitor {
             sketch: DecayedSketch::new(bins, config.decay),
+            window: vec![0.0; bins],
             config: DriftConfig {
                 window: config.window.max(1),
                 ..config
@@ -129,9 +180,15 @@ impl DriftMonitor {
         }
     }
 
-    /// Adds `weight` to `bin` (does not tick the window).
+    /// Adds `weight` to `bin` in the open window (does not tick it).
+    /// Out-of-range bins and non-finite or non-positive weights are
+    /// ignored, as the sketch ignores them.
     pub fn observe(&mut self, bin: usize, weight: f64) {
-        self.sketch.observe(bin, weight);
+        if let Some(sum) = self.window.get_mut(bin) {
+            if weight.is_finite() && weight > 0.0 {
+                *sum += weight;
+            }
+        }
     }
 
     /// Counts one observation unit (a request, a batch element).
@@ -139,35 +196,68 @@ impl DriftMonitor {
     /// fresh [`DriftMonitor::psi`] / [`DriftMonitor::kl`] values are
     /// available for export.
     pub fn tick(&mut self) -> bool {
-        self.in_window += 1;
+        self.tick_n(1)
+    }
+
+    /// Counts `n` units at once, in O(1) unless they complete the
+    /// window. A call completes at most one window: units past its end
+    /// are counted into it, so the closing window holds more than
+    /// `window` units. A feeder that wants exact windows ends each
+    /// batch no later than [`DriftMonitor::remaining`].
+    pub fn tick_n(&mut self, n: u64) -> bool {
+        self.in_window = self.in_window.saturating_add(n);
         if self.in_window < self.config.window {
             return false;
         }
+        self.roll();
+        true
+    }
+
+    /// Units left before the open window completes (at least 1).
+    pub fn remaining(&self) -> u64 {
+        self.config.window - self.in_window
+    }
+
+    /// Closes the window: folds its sums into the sketch, snapshots
+    /// the distribution into the existing `current` buffer and decays.
+    /// Allocates only on the first roll (and after a roll that found
+    /// the sketch empty).
+    fn roll(&mut self) {
         self.in_window = 0;
         self.windows += 1;
-        self.current = self.sketch.distribution();
+        for (bin, sum) in self.window.iter_mut().enumerate() {
+            if *sum > 0.0 {
+                self.sketch.observe(bin, std::mem::take(sum));
+            }
+        }
+        let mut current = self.current.take().unwrap_or_default();
+        if self.sketch.distribution_into(&mut current) {
+            self.current = Some(current);
+        }
         if self.reference.is_none() {
             self.reference.clone_from(&self.current);
         }
         self.sketch.advance(1);
-        true
+    }
+
+    /// PSI and KL divergence between the reference and the latest
+    /// current window, in one pass ([`psi_and_kl`]), when both exist.
+    pub fn psi_and_kl(&self) -> Option<(f64, f64)> {
+        match (&self.reference, &self.current) {
+            (Some(r), Some(c)) => Some(psi_and_kl(r, c, self.config.smoothing)),
+            _ => None,
+        }
     }
 
     /// PSI between the reference and the latest current window, when
     /// both exist.
     pub fn psi(&self) -> Option<f64> {
-        match (&self.reference, &self.current) {
-            (Some(r), Some(c)) => Some(psi(r, c, self.config.smoothing)),
-            _ => None,
-        }
+        self.psi_and_kl().map(|(psi, _)| psi)
     }
 
     /// KL divergence `D(reference ‖ current)`, when both exist.
     pub fn kl(&self) -> Option<f64> {
-        match (&self.reference, &self.current) {
-            (Some(r), Some(c)) => Some(kl_divergence(r, c, self.config.smoothing)),
-            _ => None,
-        }
+        self.psi_and_kl().map(|(_, kl)| kl)
     }
 
     /// Freezes the latest current window as the new reference — what
@@ -260,6 +350,30 @@ mod tests {
         assert!(m.tick()); // first window → reference == current
         assert_eq!(m.psi(), Some(0.0));
         assert_eq!(m.windows(), 1);
+    }
+
+    #[test]
+    fn tick_n_completes_at_most_one_window_and_overfills_it() {
+        let mut m = DriftMonitor::new(
+            2,
+            DriftConfig {
+                window: 4,
+                ..DriftConfig::default()
+            },
+        );
+        assert_eq!(m.remaining(), 4);
+        assert!(!m.tick_n(0));
+        m.observe(0, 1.0);
+        m.observe(5, 1.0); // out of range
+        m.observe(1, f64::NAN);
+        assert!(!m.tick_n(3));
+        assert_eq!(m.remaining(), 1);
+        m.observe(1, 3.0);
+        // Twelve units: one window closes, over-filled by eight.
+        assert!(m.tick_n(9));
+        assert_eq!((m.windows(), m.remaining()), (1, 4));
+        assert_eq!(m.current(), Some(&[0.25, 0.75][..]));
+        assert_eq!(m.reference(), m.current());
     }
 
     #[test]

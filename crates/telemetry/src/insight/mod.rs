@@ -28,7 +28,7 @@
 //! The module is std-only and knows nothing of the registry: callers
 //! publish its readings as gauges (`drift.*`, `slo.*`) themselves.
 
-pub use crate::drift::{kl_divergence, psi, DriftConfig, DriftMonitor};
+pub use crate::drift::{kl_divergence, psi, psi_and_kl, DriftConfig, DriftMonitor};
 pub use crate::sketch::DecayedSketch;
 pub use crate::slo::{BurnRate, BurnRateEvaluator, SloConfig};
 pub use crate::trace::{

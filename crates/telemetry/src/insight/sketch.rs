@@ -117,10 +117,20 @@ impl DecayedSketch {
     /// The normalized distribution over bins, or `None` when the
     /// sketch holds no weight.
     pub fn distribution(&self) -> Option<Vec<f64>> {
+        let mut out = Vec::new();
+        self.distribution_into(&mut out).then_some(out)
+    }
+
+    /// [`distribution`](Self::distribution) written into `out`, reusing
+    /// its allocation; `false` (and `out` empty) when the sketch holds
+    /// no weight.
+    pub fn distribution_into(&self, out: &mut Vec<f64>) -> bool {
+        out.clear();
         if self.total <= 0.0 {
-            return None;
+            return false;
         }
-        Some(self.bins.iter().map(|&w| w / self.total).collect())
+        out.extend(self.bins.iter().map(|&w| w / self.total));
+        true
     }
 
     /// Raw per-bin weights.

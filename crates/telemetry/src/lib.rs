@@ -9,7 +9,8 @@
 //!   final gradient norms);
 //! - [`Histogram`] — log-bucketed latency/size distributions with
 //!   exact count/sum/min/max and approximate p50/p90/p99, mergeable
-//!   across shards;
+//!   across shards, with a non-atomic [`LocalHistogram`] a hot thread
+//!   fills and publishes in batches;
 //! - [`Span`] — RAII wall-clock timers with per-thread nesting that
 //!   record into `span.<dotted.path>` histograms;
 //! - [`Registry`] — the named-instrument family behind all of the
@@ -52,7 +53,7 @@ mod slo;
 mod trace;
 
 pub use export::{render_json, render_prometheus, render_text};
-pub use histogram::{Histogram, HistogramSnapshot, N_BUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram, N_BUCKETS};
 pub use metrics::{Counter, Gauge};
 pub use registry::{Registry, Snapshot};
 pub use span::Span;

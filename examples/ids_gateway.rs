@@ -187,11 +187,10 @@ fn main() {
             meta.model_id, meta.trained_at, meta.training_samples
         );
     }
-    // Per-row extraction telemetry is window-buffered per thread; the
-    // worker scratches flushed when `shutdown()` joined them, and this
-    // flushes the main thread's window so the snapshot is complete.
-    psigene_features::extract::flush_extract_metrics();
-    let snap = psigene_telemetry::global().snapshot();
+    // Hot-path telemetry is buffered per thread; the workers published
+    // theirs when `shutdown()` joined them, and the snapshot publishes
+    // the main thread's first, so it is complete.
+    let snap = serving.telemetry_snapshot();
     if let Some(h) = snap.histograms.get("serve.latency_ns") {
         if let (Some(p50), Some(p99)) = (h.p50(), h.p99()) {
             println!(

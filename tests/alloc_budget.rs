@@ -31,7 +31,7 @@ use psigene_features::{extract, FeatureSet};
 use psigene_http::HttpRequest;
 use psigene_rulesets::DetectionEngine;
 use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
-use psigene_telemetry::insight::{TraceConfig, TraceContext};
+use psigene_telemetry::insight::{DriftConfig, TraceConfig, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -310,6 +310,56 @@ fn normalization_uses_one_buffer_and_no_allocator() {
             verdict.matched_rules.len()
         );
     }
+}
+
+/// With the drift monitors on, as deployed, a verdict writes its
+/// observations into the thread's batch and a window roll folds them
+/// into buffers the monitors already own: a warm benign loop crossing
+/// several rolls allocates the flagged verdicts' id lists and nothing
+/// else.
+#[test]
+fn monitored_evaluate_allocates_nothing_across_window_rolls() {
+    let _guard = lock().lock();
+    const WINDOW: u64 = 48;
+    let engine = system().with_drift_config(DriftConfig {
+        window: WINDOW,
+        ..DriftConfig::default()
+    });
+    engine.prepare();
+    let benign: Vec<HttpRequest> = benign::generate(&BenignConfig {
+        requests: 64,
+        ..Default::default()
+    })
+    .samples
+    .into_iter()
+    .map(|s| s.request)
+    .collect();
+    // Warm-up: the monitors' first rolls allocate their reference and
+    // current buffers, and the batch grows to a window's worth of rows.
+    for _ in 0..4 {
+        for r in &benign {
+            std::hint::black_box(engine.evaluate(r).flagged);
+        }
+    }
+    let windows = engine.drift_scores().expect("insight on").windows;
+    let (mut spent, mut allowed) = (0, 0);
+    for _ in 0..3 {
+        for r in &benign {
+            let before = thread_allocations();
+            let verdict = engine.evaluate(r);
+            spent += thread_allocations() - before;
+            allowed += id_list_allocations(verdict.matched_rules.len());
+        }
+    }
+    let rolled = engine.drift_scores().expect("insight on").windows - windows;
+    assert!(
+        rolled >= 2,
+        "the measured loop crossed {rolled} window rolls"
+    );
+    assert!(
+        spent <= allowed,
+        "monitored evaluate allocated {spent} times; flagged id lists account for {allowed}"
+    );
 }
 
 /// A request is one allocation, made by the parser: the packed buffer
