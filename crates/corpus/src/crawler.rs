@@ -568,11 +568,6 @@ impl<'a> Crawler<'a> {
         }
     }
 
-    /// True when the crawl has nothing left to do.
-    pub fn is_done(&self) -> bool {
-        self.frontier.is_empty() || self.stats.pages_fetched >= self.config.max_pages
-    }
-
     /// Processes one frontier URL to completion (all retries
     /// included). Returns `false` when the crawl is finished.
     pub fn step(&mut self) -> bool {

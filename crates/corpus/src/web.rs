@@ -171,11 +171,6 @@ impl FaultPlan {
             + self.mangle_rate
     }
 
-    /// True when the plan can never perturb a fetch.
-    pub fn is_clean(&self) -> bool {
-        self.total_rate() == 0.0 && self.dead_hosts.is_empty() && self.fail_first_attempts == 0
-    }
-
     /// The deterministic RNG for one `(url, attempt)` pair. `salt`
     /// separates independent consumers (fault draw vs. backoff
     /// jitter) so they do not share a stream.
@@ -304,11 +299,6 @@ impl SimulatedWeb {
     /// True when nothing is published.
     pub fn is_empty(&self) -> bool {
         self.pages.is_empty()
-    }
-
-    /// Iterates over all URLs (test helper).
-    pub fn urls(&self) -> impl Iterator<Item = &str> {
-        self.pages.keys().map(String::as_str)
     }
 }
 

@@ -189,19 +189,23 @@ impl Compiler {
         }
         match max {
             None => {
-                // Unbounded tail: a star loop.
-                // L: split BODY, END (greedy) / split END, BODY (lazy)
-                // BODY: ast; jmp L
-                // END:
-                let loop_at = self.push(Inst::Split(0, 0))?;
+                // Unbounded tail: `(ast+)?`, i.e. ENTER: split BODY, END
+                // (swapped when lazy); BODY: ast; AGAIN: split BODY, END.
+                // After an iteration that consumed nothing, BODY is
+                // already in this position's closure, so the back edge is
+                // cut and the thread leaves the loop at the iteration's
+                // own priority: an empty iteration ends its loop.
+                let enter = self.push(Inst::Split(0, 0))?;
                 let body = self.pc();
                 self.emit(ast)?;
-                self.push(Inst::Jmp(loop_at))?;
+                let again = self.push(Inst::Split(0, 0))?;
                 let end = self.pc();
-                if greedy {
-                    self.patch_split(loop_at, body, end);
-                } else {
-                    self.patch_split(loop_at, end, body);
+                for at in [enter, again] {
+                    if greedy {
+                        self.patch_split(at, body, end);
+                    } else {
+                        self.patch_split(at, end, body);
+                    }
                 }
             }
             Some(max) => {
@@ -251,7 +255,7 @@ mod tests {
     fn star_is_a_loop() {
         let p = compiled("a*");
         assert!(matches!(p.insts[0], Inst::Split(1, 3)));
-        assert!(matches!(p.insts[2], Inst::Jmp(0)));
+        assert!(matches!(p.insts[2], Inst::Split(1, 3)));
         assert!(p.matches_empty);
     }
 
@@ -259,6 +263,7 @@ mod tests {
     fn lazy_star_swaps_priority() {
         let p = compiled("a*?");
         assert!(matches!(p.insts[0], Inst::Split(3, 1)));
+        assert!(matches!(p.insts[2], Inst::Split(3, 1)));
     }
 
     #[test]

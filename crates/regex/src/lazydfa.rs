@@ -507,10 +507,11 @@ impl FusedSet {
 mod tests {
     use super::*;
     use crate::nfa::FusedSetBuilder;
+    use crate::oracle::Oracle;
     use crate::{FuseOutcome, Regex};
 
     /// Patterns exercising every assertion and instruction kind the
-    /// DFA must agree with the Pike VM on.
+    /// DFA must agree with the oracle on.
     const LIBRARY: &[&str] = &[
         r"union\s+select",
         r"\bor\b",
@@ -526,24 +527,38 @@ mod tests {
         r"(and|or)\s+\d+\s*=\s*\d+",
     ];
 
-    fn build(patterns: &[&str]) -> (FusedSet, Vec<Regex>) {
-        let mut b = FusedSetBuilder::new();
-        let mut regexes = Vec::new();
+    /// Overlapping classes that breed many distinct pending sets.
+    const EXPLOSIVE: &[&str] = &[
+        r"[a-m]{3,8}z",
+        r"[g-t]{2,9}y",
+        r"[b-r]{4,7}x",
+        r"\b[a-z]+\d\b",
+        r"(ab|ba|aa|bb){2,6}c",
+    ];
+
+    /// `len` bytes of pseudo-random lowercase letters.
+    fn soup(len: u32) -> Vec<u8> {
+        (0..len)
+            .map(|i| b'a' + ((i.wrapping_mul(2654435761) >> 24) % 26) as u8)
+            .collect()
+    }
+
+    fn build(patterns: &[&str]) -> (FusedSet, Vec<Oracle>) {
+        build_limited(patterns, 4096)
+    }
+
+    fn build_limited(patterns: &[&str], state_limit: usize) -> (FusedSet, Vec<Oracle>) {
+        let mut b = FusedSetBuilder::new().state_limit(state_limit);
+        let mut oracles = Vec::new();
         for (i, pat) in patterns.iter().enumerate() {
             assert_eq!(
                 b.add(i as u32, pat, true).unwrap(),
                 FuseOutcome::Fused,
                 "library pattern {pat:?} must fuse"
             );
-            regexes.push(
-                Regex::builder()
-                    .case_insensitive(true)
-                    .prefilter(false)
-                    .build(pat)
-                    .unwrap(),
-            );
+            oracles.push(Oracle::new(pat, true).unwrap());
         }
-        (b.build().unwrap(), regexes)
+        (b.build().unwrap(), oracles)
     }
 
     fn fused_ids(set: &FusedSet, cache: &mut DfaCache, hay: &[u8]) -> Vec<usize> {
@@ -552,18 +567,22 @@ mod tests {
         out.iter().collect()
     }
 
-    fn vm_ids(regexes: &[Regex], hay: &[u8]) -> Vec<usize> {
-        regexes
+    fn oracle_ids(oracles: &[Oracle], hay: &[u8]) -> Vec<usize> {
+        oracles
             .iter()
             .enumerate()
-            .filter(|(_, re)| re.is_match(hay))
+            .filter(|(_, oracle)| oracle.is_match(hay))
             .map(|(i, _)| i)
             .collect()
     }
 
     #[test]
     fn fused_matches_equal_per_pattern_vm() {
-        let (set, regexes) = build(LIBRARY);
+        let (set, oracles) = build(LIBRARY);
+        let vms: Vec<Regex> = LIBRARY
+            .iter()
+            .map(|pat| Regex::builder().case_insensitive(true).build(pat).unwrap())
+            .collect();
         let mut cache = DfaCache::new();
         let hays: &[&[u8]] = &[
             b"",
@@ -583,9 +602,12 @@ mod tests {
             b"select\nunion select",
         ];
         for hay in hays {
+            let want = oracle_ids(&oracles, hay);
+            let vm: Vec<usize> = (0..vms.len()).filter(|&i| vms[i].is_match(hay)).collect();
+            assert_eq!(vm, want, "VM on {:?}", String::from_utf8_lossy(hay));
             assert_eq!(
                 fused_ids(&set, &mut cache, hay),
-                vm_ids(&regexes, hay),
+                want,
                 "haystack {:?}",
                 String::from_utf8_lossy(hay)
             );
@@ -608,36 +630,10 @@ mod tests {
 
     #[test]
     fn eviction_keeps_results_exact_under_state_explosion() {
-        // Patterns with overlapping classes breed many distinct
-        // pending sets; a tiny limit forces mid-scan flushes.
-        let pats: &[&str] = &[
-            r"[a-m]{3,8}z",
-            r"[g-t]{2,9}y",
-            r"[b-r]{4,7}x",
-            r"\b[a-z]+\d\b",
-            r"(ab|ba|aa|bb){2,6}c",
-        ];
-        let mut b = FusedSetBuilder::new().state_limit(8);
-        let mut regexes = Vec::new();
-        for (i, pat) in pats.iter().enumerate() {
-            assert_eq!(b.add(i as u32, pat, true).unwrap(), FuseOutcome::Fused);
-            regexes.push(
-                Regex::builder()
-                    .case_insensitive(true)
-                    .prefilter(false)
-                    .build(pat)
-                    .unwrap(),
-            );
-        }
-        let set = b.build().unwrap();
+        // A tiny limit forces mid-scan flushes.
+        let (set, oracles) = build_limited(EXPLOSIVE, 8);
         let mut cache = DfaCache::new();
-        // A pseudo-random-ish alphabet soup long enough to explode.
-        let hay: Vec<u8> = (0u32..4096)
-            .map(|i| {
-                let x = i.wrapping_mul(2654435761) >> 24;
-                b'a' + (x % 26) as u8
-            })
-            .collect();
+        let hay = soup(4096);
         let mut out = CandidateSet::new(set.pattern_count());
         let stats = set.scan_into(&hay, &mut cache, &mut out);
         assert!(stats.flushes > 0, "state limit 8 must force flushes");
@@ -648,31 +644,31 @@ mod tests {
             set.state_limit()
         );
         let got: Vec<usize> = out.iter().collect();
-        assert_eq!(got, vm_ids(&regexes, &hay), "flushing changed results");
+        assert_eq!(got, oracle_ids(&oracles, &hay), "flushing changed results");
     }
 
     #[test]
     fn cache_rebinds_across_sets() {
-        let (a, a_regexes) = build(&[r"\bor\b", "admin"]);
-        let (b, b_regexes) = build(&["drop", r"\btable\b"]);
+        let (a, a_oracles) = build(&[r"\bor\b", "admin"]);
+        let (b, b_oracles) = build(&["drop", r"\btable\b"]);
         let mut cache = DfaCache::new();
         let hay = b"or drop table admin";
         // Alternate owners through one cache; each scan must match
         // its own set's semantics, never the previous owner's.
         for _ in 0..3 {
-            assert_eq!(fused_ids(&a, &mut cache, hay), vm_ids(&a_regexes, hay));
-            assert_eq!(fused_ids(&b, &mut cache, hay), vm_ids(&b_regexes, hay));
+            assert_eq!(fused_ids(&a, &mut cache, hay), oracle_ids(&a_oracles, hay));
+            assert_eq!(fused_ids(&b, &mut cache, hay), oracle_ids(&b_oracles, hay));
         }
     }
 
     #[test]
     fn anchors_and_empty_haystacks() {
-        let (set, regexes) = build(&["^$", "^a", "b$", r"^c$"]);
+        let (set, oracles) = build(&["^$", "^a", "b$", r"^c$"]);
         let mut cache = DfaCache::new();
         for hay in [&b""[..], b"a", b"b", b"c", b"ab", b"ba", b"cc", b"a\nb"] {
             assert_eq!(
                 fused_ids(&set, &mut cache, hay),
-                vm_ids(&regexes, hay),
+                oracle_ids(&oracles, hay),
                 "haystack {hay:?}"
             );
         }
@@ -691,25 +687,9 @@ mod tests {
         // Satellite regression: mid-scan flushes discard and re-pay
         // transitions; whatever the miss accounting does, the ratio
         // must stay a ratio.
-        let pats: &[&str] = &[
-            r"[a-m]{3,8}z",
-            r"[g-t]{2,9}y",
-            r"[b-r]{4,7}x",
-            r"\b[a-z]+\d\b",
-            r"(ab|ba|aa|bb){2,6}c",
-        ];
-        let mut b = FusedSetBuilder::new().state_limit(1);
-        for (i, pat) in pats.iter().enumerate() {
-            assert_eq!(b.add(i as u32, pat, true).unwrap(), FuseOutcome::Fused);
-        }
-        let set = b.build().unwrap();
+        let (set, _) = build_limited(EXPLOSIVE, 1);
         let mut cache = DfaCache::new();
-        let hay: Vec<u8> = (0u32..512)
-            .map(|i| {
-                let x = i.wrapping_mul(2654435761) >> 24;
-                b'a' + (x % 26) as u8
-            })
-            .collect();
+        let hay = soup(512);
         for _ in 0..3 {
             let mut out = CandidateSet::new(set.pattern_count());
             let stats = set.scan_into(&hay, &mut cache, &mut out);

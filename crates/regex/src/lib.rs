@@ -46,25 +46,27 @@ mod candidates;
 mod classes;
 mod compiler;
 mod countdfa;
+#[cfg(test)]
+mod differential;
 mod error;
 mod lazydfa;
 mod nfa;
+#[cfg(test)]
+mod oracle;
 mod parser;
 mod prefilter;
 mod program;
 mod vm;
 
 pub use crate::candidates::CandidateSet;
-pub use crate::classes::{ByteRange, ClassSet};
 pub use crate::countdfa::CountDfa;
 pub use crate::error::{Error, ErrorKind};
 pub use crate::lazydfa::{DfaCache, FusedScanStats};
 pub use crate::nfa::{FuseOutcome, FusedSet, FusedSetBuilder};
-pub use crate::prefilter::Prefilter;
 pub use crate::vm::VmCache;
 
+use crate::prefilter::Prefilter;
 use crate::program::Program;
-use crate::vm::Span;
 
 /// A successful match: byte offsets into the haystack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,8 +106,6 @@ impl Match {
 #[derive(Debug, Clone)]
 pub struct RegexBuilder {
     case_insensitive: bool,
-    dot_matches_newline: bool,
-    size_limit: usize,
     prefilter: bool,
 }
 
@@ -113,16 +113,16 @@ impl Default for RegexBuilder {
     fn default() -> RegexBuilder {
         RegexBuilder {
             case_insensitive: false,
-            dot_matches_newline: false,
-            size_limit: compiler::DEFAULT_SIZE_LIMIT,
             prefilter: true,
         }
     }
 }
 
 impl RegexBuilder {
-    /// Creates a builder with default settings (case-sensitive,
-    /// `.` excludes `\n`, prefilter enabled).
+    /// Creates a builder with default settings: case-sensitive,
+    /// prefilter enabled. `.` excludes `\n` unless the pattern says
+    /// `(?s)`, and the compiled program is capped at
+    /// `compiler::DEFAULT_SIZE_LIMIT` instructions.
     pub fn new() -> RegexBuilder {
         RegexBuilder::default()
     }
@@ -130,19 +130,6 @@ impl RegexBuilder {
     /// Enables ASCII case-insensitive matching for the whole pattern.
     pub fn case_insensitive(mut self, yes: bool) -> RegexBuilder {
         self.case_insensitive = yes;
-        self
-    }
-
-    /// Makes `.` match `\n` as well.
-    pub fn dot_matches_newline(mut self, yes: bool) -> RegexBuilder {
-        self.dot_matches_newline = yes;
-        self
-    }
-
-    /// Caps the compiled program size (instructions). Counted
-    /// repetitions expand, so this bounds memory and compile time.
-    pub fn size_limit(mut self, limit: usize) -> RegexBuilder {
-        self.size_limit = limit;
         self
     }
 
@@ -156,10 +143,10 @@ impl RegexBuilder {
     pub fn build(&self, pattern: &str) -> Result<Regex, Error> {
         let flags = parser::Flags {
             case_insensitive: self.case_insensitive,
-            dot_matches_newline: self.dot_matches_newline,
+            dot_matches_newline: false,
         };
         let ast = parser::parse(pattern, flags)?;
-        let prog = compiler::compile(&ast, self.size_limit)?;
+        let prog = compiler::compile(&ast, compiler::DEFAULT_SIZE_LIMIT)?;
         let prefilter = if self.prefilter {
             Prefilter::from_ast(&ast)
         } else {
@@ -200,16 +187,6 @@ impl Regex {
         &self.pattern
     }
 
-    /// The derived prefilter, if one exists.
-    pub fn prefilter(&self) -> Option<&Prefilter> {
-        self.prefilter.as_ref()
-    }
-
-    /// Number of compiled VM instructions (a size/complexity proxy).
-    pub fn program_len(&self) -> usize {
-        self.prog.len()
-    }
-
     /// True when the pattern matches anywhere in `hay`.
     pub fn is_match(&self, hay: &[u8]) -> bool {
         self.find(hay).is_some()
@@ -217,43 +194,31 @@ impl Regex {
 
     /// Finds the leftmost match.
     pub fn find(&self, hay: &[u8]) -> Option<Match> {
-        self.find_at(hay, 0)
+        self.find_iter(hay).next()
     }
 
-    /// Finds the leftmost match starting at or after `start`.
-    pub fn find_at(&self, hay: &[u8], start: usize) -> Option<Match> {
-        if start == 0 {
-            if let Some(pf) = &self.prefilter {
-                if !pf.maybe_matches(hay) {
-                    return None;
-                }
-            }
-        }
-        let mut cache = vm::VmCache::new();
-        self.find_at_with(hay, start, &mut cache)
-    }
-
-    /// Like [`Regex::find_at`] but reusing caller-provided scratch
-    /// space; use this in match loops.
-    pub fn find_at_with(&self, hay: &[u8], start: usize, cache: &mut vm::VmCache) -> Option<Match> {
+    /// The leftmost match starting at or after `start`, past the
+    /// prefilter gate, searching with `cache`.
+    fn find_at_with(&self, hay: &[u8], start: usize, cache: &mut VmCache) -> Option<Match> {
         let skip = self.prefilter.as_ref().and_then(|pf| pf.prefix_skip());
         vm::find_at(&self.prog, skip, hay, start, cache)
-            .map(|Span { start, end }| Match { start, end })
     }
 
-    /// Iterates over non-overlapping matches, leftmost-first.
-    pub fn find_iter<'r, 'h>(&'r self, hay: &'h [u8]) -> Matches<'r, 'h> {
-        Matches {
-            re: self,
-            hay,
-            next_start: 0,
-            cache: vm::VmCache::new(),
-            prefilter_passed: self
-                .prefilter
-                .as_ref()
-                .map(|pf| pf.maybe_matches(hay))
-                .unwrap_or(true),
-        }
+    /// Iterates over non-overlapping matches, leftmost-first: the next
+    /// search starts where a match ended, one byte later after a
+    /// zero-width one.
+    pub fn find_iter<'a>(&'a self, hay: &'a [u8]) -> impl Iterator<Item = Match> + 'a {
+        let mut next_start = if self.passes_prefilter(hay) {
+            0
+        } else {
+            hay.len() + 1
+        };
+        let mut cache = VmCache::new();
+        std::iter::from_fn(move || {
+            let m = self.find_at_with(hay, next_start, &mut cache)?;
+            next_start = m.end + usize::from(m.is_empty());
+            Some(m)
+        })
     }
 
     /// Counts non-overlapping matches in `hay`.
@@ -261,8 +226,7 @@ impl Regex {
     /// This is the primitive pSigene features are built on: every
     /// feature value is `count_all(feature_pattern, request)`.
     pub fn count_all(&self, hay: &[u8]) -> usize {
-        let mut cache = vm::VmCache::new();
-        self.count_all_with(hay, &mut cache)
+        self.count_all_with(hay, &mut VmCache::new())
     }
 
     /// Like [`Regex::count_all`] but reusing caller-provided scratch
@@ -270,13 +234,12 @@ impl Regex {
     /// (the feature-extraction hot path). Identical semantics to
     /// `count_all`: non-overlapping, leftmost-first, zero-width
     /// matches advance the scan position by one.
-    pub fn count_all_with(&self, hay: &[u8], cache: &mut vm::VmCache) -> usize {
-        if let Some(pf) = &self.prefilter {
-            if !pf.maybe_matches(hay) {
-                return 0;
-            }
+    pub fn count_all_with(&self, hay: &[u8], cache: &mut VmCache) -> usize {
+        if self.passes_prefilter(hay) {
+            self.count_all_prefiltered_with(hay, cache)
+        } else {
+            0
         }
-        self.count_all_prefiltered_with(hay, cache)
     }
 
     /// [`Regex::count_all_with`] minus the up-front prefilter gate,
@@ -286,44 +249,20 @@ impl Regex {
     /// cannot change the count; it only saves a redundant haystack
     /// traversal. On haystacks that do not match, this is strictly
     /// slower than `count_all_with`, never wrong.
-    pub fn count_all_prefiltered_with(&self, hay: &[u8], cache: &mut vm::VmCache) -> usize {
-        let mut n = 0;
-        let mut next_start = 0;
-        while next_start <= hay.len() {
-            let Some(m) = self.find_at_with(hay, next_start, cache) else {
-                break;
-            };
+    pub fn count_all_prefiltered_with(&self, hay: &[u8], cache: &mut VmCache) -> usize {
+        let (mut n, mut next_start) = (0, 0);
+        while let Some(m) = self.find_at_with(hay, next_start, cache) {
             n += 1;
-            // Zero-width matches must still advance the scan position.
-            next_start = if m.end == m.start { m.end + 1 } else { m.end };
+            next_start = m.end + usize::from(m.is_empty());
         }
         n
     }
-}
 
-/// Iterator over non-overlapping matches.
-#[derive(Debug)]
-pub struct Matches<'r, 'h> {
-    re: &'r Regex,
-    hay: &'h [u8],
-    next_start: usize,
-    cache: vm::VmCache,
-    prefilter_passed: bool,
-}
-
-impl Iterator for Matches<'_, '_> {
-    type Item = Match;
-
-    fn next(&mut self) -> Option<Match> {
-        if !self.prefilter_passed || self.next_start > self.hay.len() {
-            return None;
-        }
-        let m = self
-            .re
-            .find_at_with(self.hay, self.next_start, &mut self.cache)?;
-        // Zero-width matches must still advance the scan position.
-        self.next_start = if m.end == m.start { m.end + 1 } else { m.end };
-        Some(m)
+    /// False when the prefilter proves `hay` holds no match.
+    fn passes_prefilter(&self, hay: &[u8]) -> bool {
+        self.prefilter
+            .as_ref()
+            .is_none_or(|pf| pf.maybe_matches(hay))
     }
 }
 
@@ -437,10 +376,9 @@ mod tests {
 
     #[test]
     fn oversized_pattern_rejected() {
-        let err = Regex::builder()
-            .size_limit(64)
-            .build("(abcdefgh){100}")
-            .unwrap_err();
+        // Counted repetitions expand: 8 bytes × 20 000 copies is past
+        // the default cap.
+        let err = Regex::new("(abcdefgh){20000}").unwrap_err();
         assert!(matches!(err.kind(), ErrorKind::ProgramTooBig { .. }));
     }
 }

@@ -194,16 +194,6 @@ impl FusedSetBuilder {
         }
     }
 
-    /// Number of patterns fused so far.
-    pub fn len(&self) -> usize {
-        self.pattern_count
-    }
-
-    /// True when nothing has been fused.
-    pub fn is_empty(&self) -> bool {
-        self.pattern_count == 0
-    }
-
     /// Finalizes the NFA; `None` when no pattern was fused.
     pub fn build(self) -> Option<FusedSet> {
         if self.entries.is_empty() {
@@ -270,16 +260,6 @@ impl FusedSet {
         self.pattern_count
     }
 
-    /// Instructions in the shared arena (a size proxy).
-    pub fn program_len(&self) -> usize {
-        self.nfa.prog.len()
-    }
-
-    /// Byte equivalence classes the DFA scans over.
-    pub fn byte_class_count(&self) -> usize {
-        self.nfa.classes.count as usize
-    }
-
     /// The DFA state-cache bound in force.
     pub fn state_limit(&self) -> usize {
         self.state_limit
@@ -306,9 +286,8 @@ mod tests {
         }
         let set = b.build().expect("non-empty");
         assert_eq!(set.pattern_count(), 5);
-        assert!(set.program_len() > 5);
-        assert!(set.byte_class_count() >= 4);
-        assert!(set.byte_class_count() <= 256);
+        assert!(set.nfa.prog.len() > 5);
+        assert!((4..=256).contains(&set.nfa.classes.count));
     }
 
     #[test]

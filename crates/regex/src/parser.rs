@@ -85,7 +85,7 @@ impl<'p> Parser<'p> {
             }
             // Inline flag settings like `(?i)` affect the rest of the
             // concatenation, so they are handled here.
-            if let Some(new_flags) = self.try_parse_flag_setting(*flags)? {
+            if let Some(new_flags) = self.try_parse_flag_setting(*flags) {
                 *flags = new_flags;
                 continue;
             }
@@ -100,47 +100,35 @@ impl<'p> Parser<'p> {
 
     /// If the input begins a standalone flag group `(?flags)`,
     /// consumes it and returns the updated flags.
-    fn try_parse_flag_setting(&mut self, flags: Flags) -> Result<Option<Flags>, Error> {
+    fn try_parse_flag_setting(&mut self, flags: Flags) -> Option<Flags> {
+        if !self.input[self.pos..].starts_with(b"(?") {
+            return None;
+        }
         let save = self.pos;
-        if self.peek() != Some(b'(') {
-            return Ok(None);
-        }
-        self.bump();
-        if self.peek() != Some(b'?') {
-            self.pos = save;
-            return Ok(None);
-        }
-        self.bump();
+        self.pos += 2;
         let mut new_flags = flags;
-        let mut negate = false;
-        let mut saw_flag = false;
+        if self.parse_flags(&mut new_flags) && self.peek() == Some(b')') {
+            self.bump();
+            return Some(new_flags);
+        }
+        // `(?:`, `(?i:` and unknown constructs are parse_group's; rewind.
+        self.pos = save;
+        None
+    }
+
+    /// Applies the inline flags after a `(?` — `i`, `s`, and one `-`
+    /// negating the ones after it — up to, not including, the first
+    /// other byte. Returns whether there were any.
+    fn parse_flags(&mut self, flags: &mut Flags) -> bool {
+        let (start, mut negate) = (self.pos, false);
         loop {
             match self.peek() {
-                Some(b'i') => {
-                    self.bump();
-                    new_flags.case_insensitive = !negate;
-                    saw_flag = true;
-                }
-                Some(b's') => {
-                    self.bump();
-                    new_flags.dot_matches_newline = !negate;
-                    saw_flag = true;
-                }
-                Some(b'-') if !negate => {
-                    self.bump();
-                    negate = true;
-                }
-                Some(b')') if saw_flag || negate => {
-                    self.bump();
-                    return Ok(Some(new_flags));
-                }
-                // `(?:`, `(?i:` and unknown constructs are handled by
-                // parse_atom; rewind.
-                _ => {
-                    self.pos = save;
-                    return Ok(None);
-                }
+                Some(b'i') => flags.case_insensitive = !negate,
+                Some(b's') => flags.dot_matches_newline = !negate,
+                Some(b'-') if !negate => negate = true,
+                _ => return self.pos > start,
             }
+            self.bump();
         }
     }
 
@@ -281,34 +269,16 @@ impl<'p> Parser<'p> {
         }
     }
 
-    fn parse_group(&mut self, flags: Flags, depth: usize) -> Result<Ast, Error> {
-        let mut flags = flags;
+    fn parse_group(&mut self, mut flags: Flags, depth: usize) -> Result<Ast, Error> {
         if self.peek() == Some(b'?') {
             self.bump();
-            // Parse optional flags then `:`.
-            let mut negate = false;
-            loop {
-                match self.peek() {
-                    Some(b'i') => {
-                        self.bump();
-                        flags.case_insensitive = !negate;
-                    }
-                    Some(b's') => {
-                        self.bump();
-                        flags.dot_matches_newline = !negate;
-                    }
-                    Some(b'-') if !negate => {
-                        self.bump();
-                        negate = true;
-                    }
-                    Some(b':') => {
-                        self.bump();
-                        break;
-                    }
-                    Some(c) => return Err(self.err(ErrorKind::UnknownFlag(c as char))),
-                    None => return Err(self.err(ErrorKind::UnexpectedEof)),
-                }
+            self.parse_flags(&mut flags);
+            match self.peek() {
+                Some(b':') => {}
+                Some(c) => return Err(self.err(ErrorKind::UnknownFlag(c as char))),
+                None => return Err(self.err(ErrorKind::UnexpectedEof)),
             }
+            self.bump();
         }
         let inner = self.parse_alternate(flags, depth + 1)?;
         if self.bump() != Some(b')') {
@@ -317,43 +287,21 @@ impl<'p> Parser<'p> {
         Ok(Ast::Group(Box::new(inner)))
     }
 
-    /// Escapes outside character classes.
+    /// Escapes outside character classes: the class escapes plus the
+    /// `\b`/`\B` assertions, a letter byte case-folded under `i`.
     fn parse_escape(&mut self, flags: Flags) -> Result<Ast, Error> {
-        match self.bump() {
-            None => Err(self.err(ErrorKind::UnexpectedEof)),
-            Some(b'd') => Ok(Ast::Class(perl_digit())),
-            Some(b'D') => {
-                let mut s = perl_digit();
-                s.negate();
-                Ok(Ast::Class(s))
+        let assertion = match self.peek() {
+            Some(b'b') => Ast::WordBoundary,
+            Some(b'B') => Ast::NotWordBoundary,
+            _ => {
+                return Ok(match self.escape(ErrorKind::UnexpectedEof)? {
+                    ClassItem::Byte(b) => self.literal(b, flags),
+                    ClassItem::Set(set) => Ast::Class(set),
+                })
             }
-            Some(b's') => Ok(Ast::Class(perl_space())),
-            Some(b'S') => {
-                let mut s = perl_space();
-                s.negate();
-                Ok(Ast::Class(s))
-            }
-            Some(b'w') => Ok(Ast::Class(perl_word())),
-            Some(b'W') => {
-                let mut s = perl_word();
-                s.negate();
-                Ok(Ast::Class(s))
-            }
-            Some(b'x') => {
-                let b = self.parse_hex_byte()?;
-                Ok(self.literal(b, flags))
-            }
-            Some(b'b') => Ok(Ast::WordBoundary),
-            Some(b'B') => Ok(Ast::NotWordBoundary),
-            Some(b'n') => Ok(Ast::Literal(b'\n')),
-            Some(b'r') => Ok(Ast::Literal(b'\r')),
-            Some(b't') => Ok(Ast::Literal(b'\t')),
-            Some(b'f') => Ok(Ast::Literal(0x0c)),
-            Some(b'v') => Ok(Ast::Literal(0x0b)),
-            Some(b'0') => Ok(Ast::Literal(0x00)),
-            Some(b) if !b.is_ascii_alphanumeric() => Ok(self.literal(b, flags)),
-            Some(b) => Err(self.err(ErrorKind::InvalidEscape(b as char))),
-        }
+        };
+        self.bump();
+        Ok(assertion)
     }
 
     fn parse_hex_byte(&mut self) -> Result<u8, Error> {
@@ -388,7 +336,7 @@ impl<'p> Parser<'p> {
             // An item is either a predefined class escape, or a byte
             // possibly followed by `-byte` forming a range.
             let lo = match b {
-                b'\\' => match self.class_escape()? {
+                b'\\' => match self.escape(ErrorKind::UnclosedClass)? {
                     ClassItem::Set(s) => {
                         set.union(&s);
                         continue;
@@ -401,7 +349,7 @@ impl<'p> Parser<'p> {
                 self.bump(); // consume `-`
                 let hi = match self.bump() {
                     None => return Err(self.err(ErrorKind::UnclosedClass)),
-                    Some(b'\\') => match self.class_escape()? {
+                    Some(b'\\') => match self.escape(ErrorKind::UnclosedClass)? {
                         ClassItem::Byte(v) => v,
                         ClassItem::Set(_) => return Err(self.err(ErrorKind::InvalidClassRange)),
                     },
@@ -427,38 +375,37 @@ impl<'p> Parser<'p> {
         Ok(set)
     }
 
-    /// Escapes inside character classes.
-    fn class_escape(&mut self) -> Result<ClassItem, Error> {
-        match self.bump() {
-            None => Err(self.err(ErrorKind::UnclosedClass)),
-            Some(b'd') => Ok(ClassItem::Set(perl_digit())),
-            Some(b'D') => {
-                let mut s = perl_digit();
-                s.negate();
-                Ok(ClassItem::Set(s))
+    /// The escape after a `\` that means the same inside and outside a
+    /// class: a Perl class, its negation, or one byte. `eof` is the
+    /// error when the pattern ends instead.
+    fn escape(&mut self, eof: ErrorKind) -> Result<ClassItem, Error> {
+        let Some(b) = self.bump() else {
+            return Err(self.err(eof));
+        };
+        let perl = match b.to_ascii_lowercase() {
+            b'd' => Some(perl_digit()),
+            b's' => Some(perl_space()),
+            b'w' => Some(perl_word()),
+            _ => None,
+        };
+        if let Some(mut set) = perl {
+            if b.is_ascii_uppercase() {
+                set.negate();
             }
-            Some(b's') => Ok(ClassItem::Set(perl_space())),
-            Some(b'S') => {
-                let mut s = perl_space();
-                s.negate();
-                Ok(ClassItem::Set(s))
-            }
-            Some(b'w') => Ok(ClassItem::Set(perl_word())),
-            Some(b'W') => {
-                let mut s = perl_word();
-                s.negate();
-                Ok(ClassItem::Set(s))
-            }
-            Some(b'x') => Ok(ClassItem::Byte(self.parse_hex_byte()?)),
-            Some(b'n') => Ok(ClassItem::Byte(b'\n')),
-            Some(b'r') => Ok(ClassItem::Byte(b'\r')),
-            Some(b't') => Ok(ClassItem::Byte(b'\t')),
-            Some(b'f') => Ok(ClassItem::Byte(0x0c)),
-            Some(b'v') => Ok(ClassItem::Byte(0x0b)),
-            Some(b'0') => Ok(ClassItem::Byte(0x00)),
-            Some(b) if !b.is_ascii_alphanumeric() => Ok(ClassItem::Byte(b)),
-            Some(b) => Err(self.err(ErrorKind::InvalidEscape(b as char))),
+            return Ok(ClassItem::Set(set));
         }
+        let byte = match b {
+            b'x' => self.parse_hex_byte()?,
+            b'n' => b'\n',
+            b'r' => b'\r',
+            b't' => b'\t',
+            b'f' => 0x0c,
+            b'v' => 0x0b,
+            b'0' => 0x00,
+            b if !b.is_ascii_alphanumeric() => b,
+            b => return Err(self.err(ErrorKind::InvalidEscape(b as char))),
+        };
+        Ok(ClassItem::Byte(byte))
     }
 }
 

@@ -144,11 +144,6 @@ impl Prefilter {
             }
         }
     }
-
-    /// The required literals (lowercased).
-    pub fn literals(&self) -> &[Vec<u8>] {
-        &self.literals
-    }
 }
 
 /// ASCII case-insensitive substring search; `needle` must already be
@@ -417,19 +412,19 @@ mod tests {
     fn literal_run_extracted() {
         // Both runs are mandatory; the longer one is preferred.
         let p = pf(r"union\s+select").expect("prefilter");
-        assert_eq!(p.literals(), &[b"select".to_vec()]);
+        assert_eq!(p.literals, &[b"select".to_vec()]);
     }
 
     #[test]
     fn prefers_longest_run() {
         let p = pf(r"or\s+sleep\s*\(").expect("prefilter");
-        assert_eq!(p.literals(), &[b"sleep".to_vec()]);
+        assert_eq!(p.literals, &[b"sleep".to_vec()]);
     }
 
     #[test]
     fn alternation_unions_requirements() {
         let p = pf("select|insert|delete").expect("prefilter");
-        assert_eq!(p.literals().len(), 3);
+        assert_eq!(p.literals.len(), 3);
         assert!(p.maybe_matches(b"xx INSERT xx"));
         assert!(!p.maybe_matches(b"nothing here"));
     }
@@ -444,13 +439,13 @@ mod tests {
         assert_eq!(pf(r"\w*"), None);
         // But a mandatory tail still provides a literal.
         let p = pf(r"\w*=true").expect("prefilter");
-        assert_eq!(p.literals(), &[b"=true".to_vec()]);
+        assert_eq!(p.literals, &[b"=true".to_vec()]);
     }
 
     #[test]
     fn case_insensitive_patterns_fold() {
         let p = pf_ci("UNION").expect("prefilter");
-        assert_eq!(p.literals(), &[b"union".to_vec()]);
+        assert_eq!(p.literals, &[b"union".to_vec()]);
         assert!(p.maybe_matches(b"UnIoN"));
     }
 

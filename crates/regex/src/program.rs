@@ -197,13 +197,16 @@ impl Program {
     ///
     /// Each closure is the preorder walk [`crate::vm`] used to do per
     /// spawn — splits/jumps flattened away, assertions folded into a
-    /// per-step requirement mask. Paths are deduplicated on
-    /// `(pc, mask)`: the same pc explored under two different masks
-    /// yields steps for both (at runtime the first step whose mask is
-    /// satisfied wins; the VM's per-step `seen` marks suppress the
-    /// rest), which reproduces the walk's behavior exactly — a
-    /// stacked walk only re-explores a pc when the assertions leading
-    /// to it differ, and mask accumulation is monotone, so epsilon
+    /// per-step requirement mask. The walk must list, for every
+    /// position context, exactly the steps a walk under that one
+    /// context would reach, in its order; the VM's per-step `seen`
+    /// marks then keep the first of any repeats. So a pc is re-explored
+    /// only under a mask that is not a superset of one it was already
+    /// reached under: any context satisfying the larger mask satisfies
+    /// the smaller one too, and under it the pc was already walked — or
+    /// is still being walked, an epsilon cycle back to it. Cutting that
+    /// cycle is what makes an empty loop iteration end its loop even
+    /// when it crossed an assertion. Masks only grow along a path, so
     /// cycles terminate.
     pub fn compute_closures(&mut self) {
         let n = self.insts.len();
@@ -219,11 +222,13 @@ impl Program {
             stack.clear();
             stack.push((pc, 0));
             while let Some((p, mask)) = stack.pop() {
-                let slot = p as usize * 16 + mask as usize;
-                if seen[slot] == generation {
+                let slots = p as usize * 16;
+                let covered =
+                    (0..16).any(|m| m & !mask == 0 && seen[slots + m as usize] == generation);
+                if covered {
                     continue;
                 }
-                seen[slot] = generation;
+                seen[slots + mask as usize] = generation;
                 match &self.insts[p as usize] {
                     Inst::Jmp(t) => stack.push((*t, mask)),
                     Inst::Split(a, b) => {

@@ -8,15 +8,7 @@
 
 use crate::prefilter::PrefixSkip;
 use crate::program::{Inst, Program, REQ_END, REQ_NOT_WORD_BOUNDARY, REQ_START, REQ_WORD_BOUNDARY};
-
-/// A matched span, `start..end` byte offsets into the haystack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// Start offset (inclusive).
-    pub start: usize,
-    /// End offset (exclusive).
-    pub end: usize,
-}
+use crate::Match;
 
 /// Reusable scratch space for the VM; callers that run many searches
 /// over the same program should reuse one cache.
@@ -86,14 +78,14 @@ pub fn find_at(
     hay: &[u8],
     start: usize,
     cache: &mut VmCache,
-) -> Option<Span> {
+) -> Option<Match> {
     if prog.is_empty() || start > hay.len() {
         return None;
     }
     let plen = prog.len();
     cache.clist.clear(plen);
     cache.nlist.clear(plen);
-    let mut matched: Option<Span> = None;
+    let mut matched: Option<Match> = None;
     let plan = prog.root_plan.as_ref();
     // Assertion-free programs never consult the context, so skip
     // computing it (two word-boundary probes per position otherwise).
@@ -169,7 +161,7 @@ pub fn find_at(
                     // This thread matched. Lower-priority threads (later
                     // in the list) are cut; surviving higher-priority
                     // threads may still override with a better match.
-                    matched = Some(Span {
+                    matched = Some(Match {
                         start: th.start,
                         end: pos,
                     });

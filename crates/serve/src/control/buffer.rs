@@ -17,13 +17,13 @@
 //! requests never reach the tap). Unkept benign requests cost one hash
 //! and no clone.
 
-use parking_lot::Mutex;
+use crate::handoff::lock;
 use psigene_http::HttpRequest;
 use psigene_rulesets::Detection;
 use psigene_telemetry::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// SplitMix64 — the deterministic hash behind reservoir admission and
 /// canary routing (stable across platforms, one multiply-xor chain).
@@ -127,13 +127,13 @@ impl SampleBuffer {
 
     /// Point-in-time copy of both populations: `(attacks, benign)`.
     pub fn snapshot(&self) -> (Vec<TrafficSample>, Vec<TrafficSample>) {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         (st.attacks.iter().cloned().collect(), st.benign.clone())
     }
 
     /// Current `(kept attacks, kept benign)` counts.
     pub fn len(&self) -> (usize, usize) {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         (st.attacks.len(), st.benign.len())
     }
 
@@ -146,7 +146,7 @@ impl SampleBuffer {
     /// control plane clears after a promotion so the next loop trains
     /// on traffic the *new* model labeled).
     pub fn clear(&self) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.attacks.clear();
         st.benign.clear();
         st.benign_seen = 0;
@@ -162,7 +162,7 @@ impl VerdictSink for SampleBuffer {
         if detection.flagged {
             self.flagged.fetch_add(1, Ordering::Relaxed);
             self.metrics.flagged.inc();
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             if st.attacks.len() == self.attack_capacity {
                 st.attacks.pop_front();
             }
@@ -175,7 +175,7 @@ impl VerdictSink for SampleBuffer {
             self.metrics.attacks_gauge.set(st.attacks.len() as f64);
             return;
         }
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.benign_seen += 1;
         let n = st.benign_seen;
         // Algorithm R with a seeded hash instead of an RNG stream:

@@ -25,13 +25,13 @@
 //! `control.replay_ns` / `control.promotion_ns` latency histograms.
 
 use crate::buffer::{SampleBuffer, TrafficSample};
+use crate::handoff::lock;
 use crate::replay::{differential_replay, PromotionReport};
 use crate::trigger::RetrainTrigger;
-use parking_lot::Mutex;
 use psigene_rulesets::{Detection, DetectionEngine};
 use psigene_telemetry::{Counter, Gauge, Histogram};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Version metadata carried by a retrained model through promotion
@@ -414,8 +414,8 @@ impl ControlPlane {
             replays: self.shared.replays.load(Ordering::Relaxed),
             promotions: self.shared.promotions.load(Ordering::Relaxed),
             rollbacks: self.shared.rollbacks.load(Ordering::Relaxed),
-            last_report: self.shared.last_report.lock().clone(),
-            last_meta: *self.shared.last_meta.lock(),
+            last_report: lock(&self.shared.last_report).clone(),
+            last_meta: *lock(&self.shared.last_meta),
         }
     }
 
@@ -539,7 +539,7 @@ impl Driver {
         let gate = report.benign_to_flagged <= self.config.max_benign_flips
             && report.shadow_attack_detection + self.config.max_detection_drop
                 >= report.live_attack_detection;
-        *self.shared.last_report.lock() = Some(report);
+        *lock(&self.shared.last_report) = Some(report);
         if !gate {
             self.roll_back();
             return;
@@ -557,7 +557,7 @@ impl Driver {
         self.retrainer.on_promoted();
         self.buffer.clear();
         self.trigger.cool_down(self.config.cooldown_polls);
-        *self.shared.last_meta.lock() = Some(model.meta);
+        *lock(&self.shared.last_meta) = Some(model.meta);
         self.shared.promotions.fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.promotions.inc();
         self.shared
@@ -683,18 +683,18 @@ mod tests {
         }
         fn set_canary(&self, engine: Arc<dyn DetectionEngine>, _fraction: f64, _seed: u64) {
             self.canary_sets.fetch_add(1, Ordering::Relaxed);
-            *self.canary.lock() = Some(engine);
+            *lock(&self.canary) = Some(engine);
         }
         fn clear_canary(&self) {
             self.canary_clears.fetch_add(1, Ordering::Relaxed);
-            *self.canary.lock() = None;
+            *lock(&self.canary) = None;
         }
     }
 
     struct MockDrift(Mutex<Option<f64>>);
     impl DriftWatch for MockDrift {
         fn max_psi(&self) -> Option<f64> {
-            *self.0.lock()
+            *lock(&self.0)
         }
     }
 
@@ -793,7 +793,7 @@ mod tests {
         );
         fill_buffer(&buffer, 64);
         assert!(wait_until(1000, || plane.status().state == ControlState::Sampling));
-        *drift.0.lock() = Some(0.6);
+        *lock(&drift.0) = Some(0.6);
         assert!(wait_until(2000, || plane.status().promotions >= 1));
         let status = plane.status();
         assert_eq!(host.installs.load(Ordering::Relaxed), 1);
@@ -888,8 +888,8 @@ mod tests {
         // Wait for the canary engine to appear, then simulate the
         // gateway routing benign traffic through it (and everything
         // through the buffer tap).
-        assert!(wait_until(2000, || host.canary.lock().is_some()));
-        let canary = host.canary.lock().clone().unwrap();
+        assert!(wait_until(2000, || lock(&host.canary).is_some()));
+        let canary = lock(&host.canary).clone().unwrap();
         for i in 0..64u64 {
             let req = HttpRequest::get("h", "/p", &format!("b={i}"));
             let live_d = Live.evaluate(&req);

@@ -11,13 +11,13 @@
 //! engine and its monitors are never touched on a rejected shadow.
 
 use crate::buffer::TrafficSample;
+use crate::handoff::lock;
 use crate::plane::{ModelMeta, RetrainedModel, Retrainer};
-use parking_lot::Mutex;
 use psigene::{Psigene, UpdateStats};
 use psigene_corpus::{AttackFamily, Dataset, Label, Sample, Source};
 use psigene_rulesets::DetectionEngine;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// [`Retrainer`] backed by [`Psigene::retrain_with`]; see the module
 /// docs.
@@ -46,13 +46,13 @@ impl PsigeneRetrainer {
 
     /// A clone of the engine the retrainer currently considers live.
     pub fn current(&self) -> Psigene {
-        self.current.lock().clone()
+        lock(&self.current).clone()
     }
 
     /// Assignment/refit statistics of the most recent retrain —
     /// `retrained_ids` tells callers which signatures actually moved.
     pub fn last_stats(&self) -> Option<UpdateStats> {
-        self.last_stats.lock().clone()
+        lock(&self.last_stats).clone()
     }
 }
 
@@ -77,7 +77,7 @@ impl Retrainer for PsigeneRetrainer {
                 source: Source::Sqlmap,
             });
         }
-        let base = self.current.lock().clone();
+        let base = lock(&self.current).clone();
         let (next, stats) = base.retrain_with(&ds, self.threads);
         if stats.assigned == 0 {
             return Err(format!(
@@ -101,7 +101,7 @@ impl Retrainer for PsigeneRetrainer {
         telemetry
             .counter("learn.retrain.benign")
             .add(benign.len() as u64);
-        *self.last_stats.lock() = Some(stats);
+        *lock(&self.last_stats) = Some(stats);
         let meta = ModelMeta {
             model_id: self.next_model_id.fetch_add(1, Ordering::Relaxed),
             trained_at,
@@ -113,7 +113,7 @@ impl Retrainer for PsigeneRetrainer {
         // the clone chain) so monitoring continues seamlessly.
         let candidate: Arc<dyn DetectionEngine> = Arc::new(guarded.with_insight(false));
         let promoted: Arc<dyn DetectionEngine> = Arc::new(guarded.clone());
-        *self.pending.lock() = Some(guarded);
+        *lock(&self.pending) = Some(guarded);
         Ok(RetrainedModel {
             candidate,
             promoted,
@@ -122,20 +122,20 @@ impl Retrainer for PsigeneRetrainer {
     }
 
     fn replay_baseline(&self) -> Arc<dyn DetectionEngine> {
-        Arc::new(self.current.lock().clone().with_insight(false))
+        Arc::new(lock(&self.current).clone().with_insight(false))
     }
 
     fn on_promoted(&self) {
-        if let Some(next) = self.pending.lock().take() {
+        if let Some(next) = lock(&self.pending).take() {
             // Re-anchor drift against the traffic the promoted model
             // was accepted on, slot-aligned to its signature set.
             next.rebaseline_drift();
-            *self.current.lock() = next;
+            *lock(&self.current) = next;
         }
     }
 
     fn on_rolled_back(&self) {
-        *self.pending.lock() = None;
+        *lock(&self.pending) = None;
     }
 }
 

@@ -1,16 +1,16 @@
 //! The sharded worker-pool gateway.
 
 use crate::config::{GatewayConfig, OverloadPolicy};
+use crate::handoff::lock;
 use crate::handoff::{self, Pending, Promise, Queue};
 use crate::store::SignatureStore;
-use parking_lot::Mutex;
 use psigene_http::HttpRequest;
 use psigene_rulesets::Verdict;
 use psigene_telemetry::insight::{ExemplarBuffer, FinishedTrace, TraceContext, Tracer};
 use psigene_telemetry::{Counter, Gauge, Histogram};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -359,8 +359,7 @@ impl Gateway {
     /// The slowest finished traces seen so far, slowest first — the
     /// postmortem set behind a latency-SLO violation.
     pub fn trace_exemplars(&self) -> Vec<FinishedTrace> {
-        self.exemplars
-            .lock()
+        lock(&self.exemplars)
             .slowest_first()
             .into_iter()
             .cloned()
@@ -531,7 +530,7 @@ impl Worker {
 
     fn finish_trace(&self, trace: TraceContext) {
         self.metrics.traces.inc();
-        self.exemplars.lock().offer(trace.finish());
+        lock(&self.exemplars).offer(trace.finish());
     }
 }
 
@@ -841,7 +840,7 @@ mod tests {
                 if detection.flagged {
                     self.flagged.fetch_add(1, Ordering::Relaxed);
                 }
-                self.ids.lock().push(id);
+                lock(&self.ids).push(id);
             }
         }
         let tap = Arc::new(CountingTap {
@@ -874,7 +873,7 @@ mod tests {
         assert_eq!(tap.flagged.load(Ordering::Relaxed), 4);
         // Ids are unique: singles get one each, the batch a
         // contiguous base+i range.
-        let mut ids = tap.ids.lock().clone();
+        let mut ids = lock(&tap.ids).clone();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 8);

@@ -19,12 +19,28 @@
 //!   those jobs' replies.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
-/// Nothing that can panic runs under these locks (jobs and values are
-/// dropped outside them), so a poisoned lock still guards valid data.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// The crate's one lock policy: a poisoned lock is recovered, never
+/// passed on (DESIGN §11). Nothing that can panic runs under the
+/// hand-off's locks (jobs and values are dropped outside them), and
+/// the crate's other locks guard plain values — an engine handle, a
+/// report, a sample buffer — that a panicking holder cannot leave half
+/// written, so a poisoned lock still guards valid data.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for the shared side of a reader–writer lock.
+pub(crate) fn read<T>(rwlock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rwlock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for the exclusive side of a reader–writer lock.
+pub(crate) fn write<T>(rwlock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rwlock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Bounded multi-submitter, single-worker FIFO.

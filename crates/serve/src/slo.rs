@@ -15,10 +15,10 @@
 //! defines the wall-clock meaning of "fast" and "slow" (e.g. a tick
 //! every 10 s with the default 6/36 windows gives 1 min / 6 min).
 
-use parking_lot::Mutex;
+use crate::handoff::lock;
 use psigene_telemetry::insight::{BurnRate, BurnRateEvaluator, SloConfig};
 use psigene_telemetry::{Gauge, HistogramSnapshot};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Pre-resolved `slo.*` gauge handles (one registry lookup per
 /// process).
@@ -72,7 +72,7 @@ impl LatencySlo {
 
     /// The (clamped) SLO configuration in force.
     pub fn config(&self) -> SloConfig {
-        *self.evaluator.lock().config()
+        *lock(&self.evaluator).config()
     }
 
     /// One evaluation tick against the process-global
@@ -91,7 +91,7 @@ impl LatencySlo {
     pub fn record_snapshot(&self, snapshot: &HistogramSnapshot) -> BurnRate {
         let good = snapshot.count_le(self.threshold_ns);
         let total = snapshot.count();
-        let mut evaluator = self.evaluator.lock();
+        let mut evaluator = lock(&self.evaluator);
         evaluator.record(good, total);
         let burn = evaluator.burn();
         let alerting = evaluator.alerting();
@@ -109,12 +109,12 @@ impl LatencySlo {
 
     /// Current burn over both windows (no new snapshot is taken).
     pub fn burn(&self) -> BurnRate {
-        self.evaluator.lock().burn()
+        lock(&self.evaluator).burn()
     }
 
     /// Whether both windows are burning at or above the alert factor.
     pub fn alerting(&self) -> bool {
-        self.evaluator.lock().alerting()
+        lock(&self.evaluator).alerting()
     }
 }
 

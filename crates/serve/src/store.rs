@@ -2,11 +2,11 @@
 //! version metadata.
 
 use crate::control::{mix64, EngineHost, ModelMeta};
-use parking_lot::RwLock;
+use crate::handoff::{read, write};
 use psigene_rulesets::DetectionEngine;
 use psigene_telemetry::{Counter, Gauge};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Canary routing state: a shadow engine serving a deterministic
 /// id-sampled fraction of traffic (parts-per-million granularity).
@@ -83,7 +83,7 @@ impl SignatureStore {
     /// The live engine (an `Arc` clone — cheap, lock held only for
     /// the clone).
     pub fn current(&self) -> Arc<dyn DetectionEngine> {
-        Arc::clone(&self.engine.read())
+        Arc::clone(&read(&self.engine))
     }
 
     /// The engine that should evaluate the request with this gateway
@@ -93,7 +93,7 @@ impl SignatureStore {
     /// relaxed atomic load.
     pub fn engine_for(&self, id: u64) -> Arc<dyn DetectionEngine> {
         if self.canary_on.load(Ordering::Relaxed) {
-            if let Some(c) = self.canary.read().as_ref() {
+            if let Some(c) = read(&self.canary).as_ref() {
                 if mix64(c.seed ^ id) % 1_000_000 < c.ppm {
                     self.canary_routed.inc();
                     return Arc::clone(&c.engine);
@@ -110,7 +110,7 @@ impl SignatureStore {
     pub fn set_canary(&self, engine: Arc<dyn DetectionEngine>, fraction: f64, seed: u64) {
         engine.prepare();
         let ppm = (fraction.clamp(0.0, 1.0) * 1_000_000.0) as u64;
-        *self.canary.write() = Some(Canary { engine, ppm, seed });
+        *write(&self.canary) = Some(Canary { engine, ppm, seed });
         self.canary_on.store(true, Ordering::Release);
         psigene_telemetry::gauge("serve.canary.fraction").set(ppm as f64 / 1_000_000.0);
     }
@@ -118,7 +118,7 @@ impl SignatureStore {
     /// Restores single-engine serving.
     pub fn clear_canary(&self) {
         self.canary_on.store(false, Ordering::Release);
-        *self.canary.write() = None;
+        *write(&self.canary) = None;
         psigene_telemetry::gauge("serve.canary.fraction").set(0.0);
     }
 
@@ -134,7 +134,7 @@ impl SignatureStore {
     /// one-time construction costs.
     pub fn swap(&self, engine: Arc<dyn DetectionEngine>) -> u64 {
         engine.prepare();
-        *self.engine.write() = engine;
+        *write(&self.engine) = engine;
         let version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
         self.reloads.inc();
         self.version_gauge.set(version as f64);
@@ -151,14 +151,14 @@ impl SignatureStore {
         self.trained_at_gauge.set(meta.trained_at as f64);
         self.training_samples_gauge
             .set(meta.training_samples as f64);
-        *self.meta.write() = Some(meta);
+        *write(&self.meta) = Some(meta);
         version
     }
 
     /// Metadata of the most recently installed versioned model
     /// (`None` until the first [`SignatureStore::swap_versioned`]).
     pub fn model_meta(&self) -> Option<ModelMeta> {
-        *self.meta.read()
+        *read(&self.meta)
     }
 
     /// The current signature-set version (1 = initial, +1 per swap).

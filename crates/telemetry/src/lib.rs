@@ -19,10 +19,9 @@
 //!   sketches), request-scoped trace trees with deterministic
 //!   sampling, and multi-window SLO burn-rate evaluation.
 //!
-//! Everything is implemented on `std` (plus the workspace's
-//! `parking_lot` locks): recording on hot paths is a relaxed atomic
-//! update, and the only allocations happen at instrument creation and
-//! export time. A process-wide registry is available through
+//! Everything is implemented on `std` alone: recording on hot paths is
+//! a relaxed atomic update, and the only allocations happen at
+//! instrument creation and export time. A process-wide registry is available through
 //! [`global`] and the [`counter`]/[`gauge`]/[`histogram`]/[`span`]/
 //! [`root_span`] shorthands; code that needs isolation (tests, the
 //! bench harness) can construct private [`Registry`] values instead.

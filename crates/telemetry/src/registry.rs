@@ -4,9 +4,8 @@
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::metrics::{Counter, Gauge};
 use crate::span::Span;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A family of named metrics.
 ///
@@ -22,12 +21,24 @@ pub struct Registry {
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
+/// The maps only ever gain or lose whole entries, so a holder that
+/// panicked left them valid: a poisoned lock is recovered, not passed
+/// on (DESIGN §11).
+fn read<T>(rwlock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rwlock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// See [`read`].
+fn write<T>(rwlock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rwlock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    if let Some(m) = map.read().get(name) {
+    if let Some(m) = read(map).get(name) {
         return Arc::clone(m);
     }
     Arc::clone(
-        map.write()
+        write(map)
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(T::default())),
     )
@@ -70,21 +81,15 @@ impl Registry {
     /// A consistent point-in-time copy of every instrument.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: self
-                .counters
-                .read()
+            counters: read(&self.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .read()
+            gauges: read(&self.gauges)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .read()
+            histograms: read(&self.histograms)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
@@ -95,9 +100,9 @@ impl Registry {
     /// recording into detached metrics). Intended for test isolation
     /// and for benchmark harnesses that report per-section numbers.
     pub fn reset(&self) {
-        self.counters.write().clear();
-        self.gauges.write().clear();
-        self.histograms.write().clear();
+        write(&self.counters).clear();
+        write(&self.gauges).clear();
+        write(&self.histograms).clear();
     }
 
     /// Renders the current state as a JSON document.

@@ -6,6 +6,24 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# A vendored stub is a directory, a README row and a workspace entry,
+# and some crate must still name it: otherwise it outlives its last
+# user unnoticed.
+echo "==> vendored stubs: directories, README rows, workspace entries and users agree"
+dirs=$(for d in vendor/*/; do basename "$d"; done | sort | tr '\n' ' ')
+rows=$(sed -n 's/^| `\([a-z_]*\)` |.*/\1/p' vendor/README.md | sort | tr '\n' ' ')
+entries=$(sed -n 's/^\([a-z_]*\) = { path = "vendor\/.*/\1/p' Cargo.toml | sort | tr '\n' ' ')
+if [ "$dirs" != "$rows" ] || [ "$dirs" != "$entries" ]; then
+    echo "vendor/ [$dirs], vendor/README.md [$rows] and Cargo.toml [$entries] disagree" >&2
+    exit 1
+fi
+for stub in $dirs; do
+    if ! grep -q "^$stub = { workspace = true }" crates/*/Cargo.toml; then
+        echo "no crate uses the vendored $stub stub: delete it" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

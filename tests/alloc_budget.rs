@@ -22,7 +22,6 @@
 
 mod common;
 
-use parking_lot::Mutex;
 use psigene::{PipelineConfig, Psigene};
 use psigene_corpus::benign::{self, BenignConfig};
 use psigene_corpus::sqlmap::{self, SqlmapConfig};
@@ -35,7 +34,7 @@ use psigene_telemetry::insight::{DriftConfig, TraceConfig, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Allocations allowed per steady-state request: one for the matched
 /// signature ids of a flagged verdict plus one of slack for rare
@@ -93,9 +92,11 @@ fn thread_allocations() -> u64 {
 
 /// Serializes every test of this binary, measuring or not (the
 /// gateway tests read the process-wide allocation count).
-fn lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that panicked holding the guard fails alone, not its
+    // siblings too.
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One small trained system shared by every test in this binary.
@@ -151,7 +152,7 @@ fn id_list_allocations(n: usize) -> u64 {
 
 #[test]
 fn direct_engine_path_stays_within_the_alloc_budget() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let engine = system();
     engine.prepare();
     let requests = workload(64);
@@ -184,7 +185,7 @@ fn direct_engine_path_stays_within_the_alloc_budget() {
 /// is held to the same budget.
 #[test]
 fn traced_engine_path_stays_within_the_alloc_budget() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let engine = system();
     engine.prepare();
     let requests = workload(64);
@@ -228,7 +229,7 @@ fn traced_engine_path_stays_within_the_alloc_budget() {
 /// `evaluate` allocates the flagged verdict's id list and nothing else.
 #[test]
 fn counting_runs_on_attack_requests_allocate_nothing() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let engine = system();
     engine.prepare();
     let attacks = sqlmap::generate(&SqlmapConfig {
@@ -266,7 +267,7 @@ fn counting_runs_on_attack_requests_allocate_nothing() {
 /// of such a request allocates its verdict's id list and nothing else.
 #[test]
 fn normalization_uses_one_buffer_and_no_allocator() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let engine = system();
     engine.prepare();
     let attacks = sqlmap::generate(&SqlmapConfig {
@@ -319,7 +320,7 @@ fn normalization_uses_one_buffer_and_no_allocator() {
 /// else.
 #[test]
 fn monitored_evaluate_allocates_nothing_across_window_rolls() {
-    let _guard = lock().lock();
+    let _guard = lock();
     const WINDOW: u64 = 48;
     let engine = system().with_drift_config(DriftConfig {
         window: WINDOW,
@@ -368,7 +369,7 @@ fn monitored_evaluate_allocates_nothing_across_window_rolls() {
 /// wire bytes to verdict.
 #[test]
 fn parse_allocates_exactly_one_buffer() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let parse_allocs = |wire: &[u8]| {
         let before = thread_allocations();
         let parsed = std::hint::black_box(psigene_http::parse_request(wire));
@@ -414,7 +415,7 @@ fn parse_allocates_exactly_one_buffer() {
 
 #[test]
 fn gateway_batch_path_stays_within_the_alloc_budget() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let store = SignatureStore::new(Arc::new(system().clone()));
     let gateway = Gateway::start(
         store,
@@ -460,7 +461,7 @@ fn gateway_batch_path_stays_within_the_alloc_budget() {
 /// the same requests, exactly, once queue and scratch are warm.
 #[test]
 fn gateway_submit_path_allocates_exactly_the_reply_slot() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let engine = system();
     let gateway = Gateway::start(
         SignatureStore::new(Arc::new(engine.clone())),
@@ -512,7 +513,7 @@ fn gateway_submit_path_allocates_exactly_the_reply_slot() {
 
 #[test]
 fn extracted_rows_are_bitwise_the_oracle_on_dirty_scratch() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let set = FeatureSet::full();
     for r in &workload(32) {
         let p = r.detection_payload();
@@ -537,7 +538,7 @@ fn extracted_rows_are_bitwise_the_oracle_on_dirty_scratch() {
 
 #[test]
 fn evaluate_scores_are_bitwise_the_oracle() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let p = system();
     for r in &workload(24) {
         let (a, b) = (p.evaluate(r), common::oracle_detection(p, r));
@@ -552,7 +553,7 @@ fn evaluate_scores_are_bitwise_the_oracle() {
 #[test]
 #[ignore]
 fn diag_layer_allocs() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let requests = workload(64);
     let payloads: Vec<&[u8]> = requests.iter().map(|r| r.detection_payload()).collect();
 

@@ -9,7 +9,6 @@
 //! the engine's own PSI monitors, and a [`PsigeneRetrainer`] doing
 //! real incremental retrains on the buffered traffic.
 
-use parking_lot::Mutex;
 use psigene::{PipelineConfig, Psigene};
 use psigene_corpus::arachni::{self, ArachniConfig};
 use psigene_corpus::benign::{self, BenignConfig};
@@ -22,15 +21,17 @@ use psigene_serve::control::{
 };
 use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
 use psigene_telemetry::insight::DriftConfig;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Serializes the tests: both drive background threads against
 /// process-global telemetry and neither tolerates an interleaved
 /// sibling competing for cores mid-retrain.
-fn lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that panicked holding the guard fails alone, not its
+    // siblings too.
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One small trained system shared by both tests.
@@ -124,7 +125,7 @@ fn wait_until(deadline_ms: u64, mut done: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn drift_triggers_background_retrain_and_promotion_without_dropping_requests() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let (monitored, insight) = system().with_control(DriftConfig {
         window: 128,
         ..DriftConfig::default()
@@ -344,7 +345,7 @@ impl DriftWatch for AlwaysDrifting {
 
 #[test]
 fn sabotaged_shadow_is_rolled_back_and_live_serving_is_untouched() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let buffer = SampleBuffer::new(256, 256, 0xdead);
     let store = SignatureStore::new(Arc::new(system().clone()));
     let gateway = Gateway::start(

@@ -6,7 +6,6 @@
 //! does); the tests also serialize themselves on a shared lock so the
 //! process-global `drift.*` gauges are read without interleaving.
 
-use parking_lot::Mutex;
 use psigene::{PipelineConfig, Psigene};
 use psigene_corpus::arachni::{self, ArachniConfig};
 use psigene_corpus::benign::{self, BenignConfig};
@@ -17,7 +16,7 @@ use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
 use psigene_telemetry::insight::{DriftConfig, TraceConfig, Tracer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 // ─── Counting allocator: proves the unsampled trace path is free ───
 // The library crates forbid unsafe; this test binary is a separate
@@ -52,9 +51,11 @@ fn allocations() -> u64 {
 
 /// Serializes the tests: they read process-global gauges and time the
 /// hot path, neither of which tolerates an interleaved sibling.
-fn lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that panicked holding the guard fails alone, not its
+    // siblings too.
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One small trained system shared by every test in this binary.
@@ -140,7 +141,7 @@ fn shifted_stream(n: usize) -> Vec<HttpRequest> {
 
 #[test]
 fn injected_shift_drives_psi_past_threshold_while_steady_stays_below() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let monitored = system().with_drift_config(DriftConfig {
         window: 128,
         ..DriftConfig::default()
@@ -200,7 +201,7 @@ fn injected_shift_drives_psi_past_threshold_while_steady_stays_below() {
 
 #[test]
 fn trace_sampling_is_deterministic_and_unsampled_requests_allocate_nothing() {
-    let _guard = lock().lock();
+    let _guard = lock();
     let config = TraceConfig {
         sample_every: 8,
         seed: 0xfeed,
@@ -260,7 +261,7 @@ fn instrumented_hot_path_overhead_stays_under_five_percent() {
         // binary under --release where the budget is meaningful.
         return;
     }
-    let _guard = lock().lock();
+    let _guard = lock();
     let baseline = system();
     let monitored = baseline.with_insight(true);
     let requests = steady_stream(256);

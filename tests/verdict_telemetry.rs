@@ -7,7 +7,6 @@
 //! serialize on a lock and every thread that evaluates inside one has
 //! published (exited, or taken a snapshot) before the lock is released.
 
-use parking_lot::Mutex;
 use psigene::{PipelineConfig, Psigene};
 use psigene_corpus::benign::{self, BenignConfig};
 use psigene_corpus::sqlmap::{self, SqlmapConfig};
@@ -16,11 +15,13 @@ use psigene_rulesets::DetectionEngine;
 use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
 use psigene_telemetry::insight::DriftConfig;
 use psigene_telemetry::Snapshot;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-fn lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that panicked holding the guard fails alone, not its
+    // siblings too.
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One small trained system shared by every test in this binary.
@@ -82,7 +83,7 @@ fn detector_counts(snapshot: &Snapshot) -> (u64, u64, u64) {
 /// and its drift batch.
 #[test]
 fn a_thread_that_exits_publishes_every_request_it_evaluated() {
-    let _guard = lock().lock();
+    let _guard = lock();
     const K: usize = 7;
     const WINDOW: u64 = 64;
     let monitored = Arc::new(system().with_drift_config(DriftConfig {
@@ -128,7 +129,7 @@ fn a_thread_that_exits_publishes_every_request_it_evaluated() {
 /// fewer than `WINDOW` stay in the open one once the workers exit.
 #[test]
 fn gateway_workers_fill_drift_windows_within_the_overfill_bound() {
-    let _guard = lock().lock();
+    let _guard = lock();
     const WINDOW: u64 = 32;
     let requests = mixed(1_600);
     let n = requests.len() as u64;
