@@ -537,7 +537,7 @@ pub fn exp4(system: &Psigene, setup: &Setup) -> String {
     for (e, label) in engines {
         let metric = format!("bench.exp4.{}", label.to_lowercase());
         for s in &sqlmap_ds.samples {
-            let span = telemetry.root_span(&metric);
+            let span = telemetry.span(&metric);
             let _ = e.evaluate(&s.request);
             span.finish();
         }
@@ -673,7 +673,7 @@ pub fn ablation(setup: &Setup) -> String {
                     .expect("pattern compiles")
             })
             .collect();
-        let span = psigene_telemetry::root_span(&format!(
+        let span = psigene_telemetry::span(&format!(
             "bench.ablation.prefilter_{}",
             if pf { "on" } else { "off" }
         ));

@@ -86,7 +86,7 @@ fn main() {
             setup.scale,
             setup.pipeline_config().crawl_samples
         );
-        let span = psigene_telemetry::root_span("bench.train");
+        let span = psigene_telemetry::span("bench.train");
         let s = Psigene::train(&setup.pipeline_config());
         eprintln!(
             "trained {} signatures in {:.1?}\n",

@@ -33,18 +33,7 @@ impl Dendrogram {
     /// Panics when `k` is 0 or greater than `n`.
     pub fn cut_k(&self, k: usize) -> Vec<usize> {
         assert!(k >= 1 && k <= self.n, "k={k} out of range 1..={}", self.n);
-        let keep = self.n - k; // number of merges to replay
-        self.assign(keep)
-    }
-
-    /// Flat clusters from cutting at a distance threshold: merges with
-    /// `distance <= h` are replayed.
-    pub fn cut_height(&self, h: f64) -> Vec<usize> {
-        let keep = self.merges.iter().take_while(|m| m.distance <= h).count();
-        self.assign(keep)
-    }
-
-    fn assign(&self, merges_to_apply: usize) -> Vec<usize> {
+        let merges_to_apply = self.n - k;
         // Union-find over leaf ids plus merge ids.
         let total = self.n + merges_to_apply;
         let mut parent: Vec<usize> = (0..total).collect();
@@ -78,43 +67,6 @@ impl Dendrogram {
             *slot = label;
         }
         labels
-    }
-
-    /// Maximal ≥`min_size` clusters by top-down traversal: starting
-    /// from the root, a cluster is split whenever *both* children hold
-    /// at least `min_size` leaves; otherwise it is kept whole. This
-    /// yields at least as many qualifying clusters as the best global
-    /// cut and covers every leaf.
-    pub fn maximal_clusters(&self, min_size: usize) -> Vec<Vec<usize>> {
-        let min_size = min_size.max(1);
-        if self.merges.is_empty() {
-            return (0..self.n).map(|i| vec![i]).collect();
-        }
-        let size_of = |id: usize| -> usize {
-            if id < self.n {
-                1
-            } else {
-                self.merges[id - self.n].size
-            }
-        };
-        let mut out = Vec::new();
-        let mut stack = vec![self.n + self.merges.len() - 1];
-        while let Some(id) = stack.pop() {
-            let split = if id >= self.n {
-                let m = &self.merges[id - self.n];
-                size_of(m.a) >= min_size && size_of(m.b) >= min_size
-            } else {
-                false
-            };
-            if split {
-                let m = &self.merges[id - self.n];
-                stack.push(m.a);
-                stack.push(m.b);
-            } else {
-                out.push(self.leaves_of(id));
-            }
-        }
-        out
     }
 
     /// Inconsistency-guided clusters (MATLAB `cluster('cutoff',...)`
@@ -307,17 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_height_between_merges() {
-        let d = sample();
-        let labels = d.cut_height(2.5);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[2], labels[3]);
-        assert_ne!(labels[0], labels[2]);
-        assert_eq!(d.cut_height(0.5), vec![0, 1, 2, 3]);
-        assert_eq!(d.cut_height(10.0), vec![0, 0, 0, 0]);
-    }
-
-    #[test]
     fn leaf_order_keeps_clusters_contiguous() {
         let d = sample();
         let order = d.leaf_order();
@@ -390,20 +331,5 @@ mod tests {
         assert_eq!(clusters, vec![vec![0, 1]]);
         noise.sort_unstable();
         assert_eq!(noise, vec![2, 3]);
-    }
-
-    #[test]
-    fn maximal_clusters_split_while_children_qualify() {
-        let d = sample();
-        // min 2: root splits into (0,1) and (2,3); neither splits
-        // further (children are single leaves).
-        let c = d.maximal_clusters(2);
-        assert_eq!(c.len(), 2);
-        assert!(c.contains(&vec![0, 1]));
-        assert!(c.contains(&vec![2, 3]));
-        // min 1: full shatter into leaves.
-        assert_eq!(d.maximal_clusters(1).len(), 4);
-        // min 3: root cannot split (children have 2 < 3); one cluster.
-        assert_eq!(d.maximal_clusters(3), vec![vec![0, 1, 2, 3]]);
     }
 }

@@ -3,16 +3,12 @@
 //!
 //! * [`hac`] — O(n²) nearest-neighbor-chain HAC for single, complete,
 //!   UPGMA (the paper's choice) and WPGMA linkages;
-//! * [`centroid`] — O(n·d)-memory average-linkage variant (squared
-//!   Euclidean closed form) for corpora beyond the exact path's cap;
 //! * [`dendrogram`] — merge trees, flat cuts, leaf ordering;
 //! * [`cophenetic`] — the cophenetic correlation coefficient the
 //!   paper validates its tree with (0.92);
 //! * [`bicluster`] — the two-way row-then-column clustering with the
 //!   5 %-of-samples selection rule and black-hole filtering;
-//! * [`heatmap`] — Figure 2 as data (CSV / PGM / ASCII);
-//! * [`validity`] — the Davies–Bouldin index used by the Perdisci
-//!   baseline.
+//! * [`heatmap`] — Figure 2 as data (CSV / PGM / ASCII).
 //!
 //! # Example
 //!
@@ -31,13 +27,11 @@
 #![warn(missing_docs)]
 
 pub mod bicluster;
-pub mod centroid;
 pub mod cophenetic;
 pub mod dendrogram;
 pub mod hac;
 pub mod heatmap;
 pub mod linkage;
-pub mod validity;
 
 pub use bicluster::{bicluster as bicluster_matrix, Bicluster, BiclusterConfig, BiclusterResult};
 pub use cophenetic::{cophenetic_correlation, cophenetic_correlation_streaming};

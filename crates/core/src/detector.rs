@@ -2,11 +2,11 @@
 //! §II-D.
 //!
 //! **One verdict path, sparse end to end.** `evaluate`,
-//! `evaluate_batch` and `evaluate_traced` all run [`Psigene::verdict`]:
+//! `evaluate_batch` and `evaluate_traced` all run `Psigene::verdict`:
 //! `extract_sparse_into` yields the request's sparse row (the features
 //! that matched, ascending id — extraction is gated by the feature
 //! set's one-pass set-level scan, so most feature VMs never run), the
-//! engine's [`ScorePlan`](crate::plan) accumulates `w·x` into the
+//! engine's `ScorePlan` accumulates `w·x` into the
 //! signatures those features belong to, and the thread's drift batch
 //! takes the same row. Everything after the scan costs what matched, not
 //! what exists: no dense vector is filled, gathered from or swept, an

@@ -37,7 +37,7 @@ impl Psigene {
     /// Returns a new system whose signatures were retrained with the
     /// additional attack samples folded in.
     pub fn retrain_with(&self, new_attacks: &Dataset, threads: usize) -> (Psigene, UpdateStats) {
-        let _span = psigene_telemetry::root_span("incremental.retrain");
+        let _span = psigene_telemetry::span("incremental.retrain");
         let mut out = self.clone();
         let mut stats = UpdateStats {
             offered: new_attacks.len(),

@@ -15,7 +15,7 @@
 //!   the threshold predict false-positive/negative rate changes
 //!   before flag counts move).
 //!
-//! Both feed exponentially-decayed sketches windowed into
+//! Both feed exponentially-decayed per-bin weights windowed into
 //! reference/current snapshots ([`DriftMonitor`]); PSI and KL scores
 //! are exported as `drift.*` gauges on every window roll, with gauge
 //! handles resolved once (per process for the feature gauges, per
@@ -303,7 +303,7 @@ impl EngineInsight {
 
     /// Rebaselines with the promoted model's signature set, given in
     /// its evaluation order. Score monitors are slot-aligned with that
-    /// order (see [`DriftState`]); a retrain that drops, reorders or
+    /// order (see `DriftState`); a retrain that drops, reorders or
     /// replaces signatures would otherwise leave a slot accumulating
     /// one signature's scores against another's reference window and
     /// report phantom drift forever. Slots whose id still matches are

@@ -67,7 +67,7 @@ impl Psigene {
     /// Panics when the configuration produces an empty corpus.
     pub fn train(config: &PipelineConfig) -> Psigene {
         // ── Phase 1: webcrawling for attack samples (§II-A) ──
-        let crawl_span = psigene_telemetry::root_span("pipeline.crawl");
+        let crawl_span = psigene_telemetry::span("pipeline.crawl");
         let (attacks, crawl_health) = crawl_training_set_with_health(&CrawlCorpusConfig {
             samples: config.crawl_samples,
             seed: config.seed,
@@ -101,7 +101,7 @@ impl Psigene {
         let mut report = PipelineReport::default();
 
         // ── Phase 2: feature extraction (§II-B) ──
-        let extract_span = psigene_telemetry::root_span("pipeline.extract");
+        let extract_span = psigene_telemetry::span("pipeline.extract");
         let full = FeatureSet::full();
         report.initial_features = full.len();
         let attack_payloads: Vec<&[u8]> = attacks
@@ -136,7 +136,7 @@ impl Psigene {
         report.phase_seconds.extract = extract_span.finish().as_secs_f64();
 
         // ── Phase 3: biclustering (§II-C) ──
-        let bicluster_span = psigene_telemetry::root_span("pipeline.bicluster");
+        let bicluster_span = psigene_telemetry::span("pipeline.bicluster");
         let n = attack_m.rows();
         let cap = config.cluster_sample_cap.max(8);
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x0c10_57e5);
@@ -282,7 +282,7 @@ impl Psigene {
         // biclusters concurrently (each fit's arithmetic is
         // independent of scheduling), pass 3 assembles signatures and
         // incremental state back in rank order.
-        let train_span = psigene_telemetry::root_span("pipeline.train");
+        let train_span = psigene_telemetry::span("pipeline.train");
         psigene_telemetry::gauge("train.threads").set(threads as f64);
         struct FitJob {
             ci: usize,
@@ -509,7 +509,7 @@ impl Psigene {
 
     /// A copy with drift monitoring toggled (default windowing).
     /// Enabled, every evaluated request feeds feature-frequency and
-    /// per-signature score sketches whose PSI/KL scores export as
+    /// per-signature score drift monitors whose PSI/KL scores export as
     /// `drift.*` gauges; disabled, the hot path pays nothing.
     /// Verdicts are identical either way — the monitor observes the
     /// scoring the engine already does.

@@ -26,7 +26,7 @@
 //! # One buffer, one sweep per pass
 //!
 //! [`normalize_into`] is the hot-path entry. One scan
-//! ([`first_abnormal`]) finds the first byte any transformation could
+//! (`first_abnormal`) finds the first byte any transformation could
 //! touch; without one the *input* is returned borrowed (most benign
 //! traffic). Otherwise the payload is copied once into the
 //! caller-owned [`NormScratch`] and every pass is a single in-place

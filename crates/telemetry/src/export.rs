@@ -1,4 +1,5 @@
-//! Snapshot exporters: aligned text for humans, JSON for tooling.
+//! Snapshot exporters: JSON for tooling, the Prometheus text format
+//! for scrapers.
 //!
 //! The JSON writer is hand-rolled (this crate takes no serialization
 //! dependency): names are escaped per RFC 8259, non-finite floats
@@ -7,44 +8,6 @@
 
 use crate::registry::Snapshot;
 use std::fmt::Write;
-
-/// Renders a snapshot as aligned human-readable text.
-pub fn render_text(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    if !snap.counters.is_empty() {
-        out.push_str("counters:\n");
-        let width = snap.counters.keys().map(|k| k.len()).max().unwrap_or(0);
-        for (name, v) in &snap.counters {
-            let _ = writeln!(out, "  {name:<width$}  {v}");
-        }
-    }
-    if !snap.gauges.is_empty() {
-        out.push_str("gauges:\n");
-        let width = snap.gauges.keys().map(|k| k.len()).max().unwrap_or(0);
-        for (name, v) in &snap.gauges {
-            let _ = writeln!(out, "  {name:<width$}  {v:.6}");
-        }
-    }
-    if !snap.histograms.is_empty() {
-        out.push_str("histograms:\n");
-        let width = snap.histograms.keys().map(|k| k.len()).max().unwrap_or(0);
-        for (name, h) in &snap.histograms {
-            match (h.min(), h.p50(), h.p90(), h.p99(), h.max()) {
-                (Some(min), Some(p50), Some(p90), Some(p99), Some(max)) => {
-                    let _ = writeln!(
-                        out,
-                        "  {name:<width$}  count {:<8} min {min}  p50 {p50}  p90 {p90}  p99 {p99}  max {max}",
-                        h.count()
-                    );
-                }
-                _ => {
-                    let _ = writeln!(out, "  {name:<width$}  count 0");
-                }
-            }
-        }
-    }
-    out
-}
 
 /// Renders a snapshot as a JSON document.
 pub fn render_json(snap: &Snapshot) -> String {
@@ -226,16 +189,6 @@ mod tests {
         }
         r.histogram("empty.hist");
         r.snapshot()
-    }
-
-    #[test]
-    fn text_lists_every_instrument() {
-        let text = render_text(&sample());
-        assert!(text.contains("crawler.pages"));
-        assert!(text.contains("fill.rate"));
-        assert!(text.contains("span.pipeline.crawl"));
-        assert!(text.contains("count 3"));
-        assert!(text.contains("count 0"));
     }
 
     #[test]

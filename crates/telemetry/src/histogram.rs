@@ -7,8 +7,8 @@
 //! into 8 sub-buckets, bounding the relative quantile error at one
 //! part in eight (~12 % worst case, ~6 % expected) while keeping the
 //! whole `u64` range addressable with [`N_BUCKETS`] slots. Recording
-//! is lock-free (relaxed atomics); snapshots are cheap copies that
-//! merge associatively, so per-shard histograms can be combined.
+//! is lock-free (relaxed atomics); snapshots are cheap copies whose
+//! differences isolate what was recorded between them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -137,7 +137,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// A point-in-time copy for querying and merging.
+    /// A point-in-time copy for querying.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: self
@@ -227,7 +227,7 @@ impl LocalHistogram {
 }
 
 /// An immutable copy of a [`Histogram`]; supports percentile queries
-/// and associative merging.
+/// and differences.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
@@ -238,7 +238,7 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (the identity for [`merge`](Self::merge)).
+    /// An empty snapshot.
     pub fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: vec![0; N_BUCKETS],
@@ -327,18 +327,6 @@ impl HistogramSnapshot {
     /// 99th percentile.
     pub fn p99(&self) -> Option<u64> {
         self.percentile(0.99)
-    }
-
-    /// Folds another snapshot into this one; equivalent to having
-    /// recorded both value streams into a single histogram.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Approximate number of observations at or below `threshold`
@@ -611,27 +599,5 @@ mod tests {
             assert!(le > prev.0 && c >= prev.1, "{cum:?}");
             prev = (le, c);
         }
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let combined = Histogram::new();
-        for v in 0..500u64 {
-            a.record(v * 3);
-            combined.record(v * 3);
-        }
-        for v in 0..300u64 {
-            b.record(v * 7 + 1);
-            combined.record(v * 7 + 1);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, combined.snapshot());
-        // Merging the identity changes nothing.
-        let mut with_empty = merged.clone();
-        with_empty.merge(&HistogramSnapshot::empty());
-        assert_eq!(with_empty, merged);
     }
 }

@@ -9,8 +9,6 @@
 //! contributes a large-but-finite term instead of ±∞, and no NaN can
 //! leak into an exported gauge (pinned by proptest).
 
-use crate::sketch::DecayedSketch;
-
 /// Smallest smoothing pseudo-count; anything at or below zero is
 /// clamped here so the scores stay finite by construction.
 const MIN_SMOOTHING: f64 = 1e-12;
@@ -109,10 +107,10 @@ pub fn psi_and_kl(reference: &[f64], current: &[f64], smoothing: f64) -> (f64, f
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Observations per window; a window roll snapshots the current
-    /// distribution and applies one decay generation.
+    /// distribution and applies the decay once.
     pub window: u64,
-    /// Per-window decay factor for the running sketch (`1.0` = no
-    /// decay, smaller = faster forgetting).
+    /// Per-window decay factor for the running weights (`1.0` = no
+    /// decay, smaller = faster forgetting); clamped into `(0, 1]`.
     pub decay: f64,
     /// Additive smoothing pseudo-count per bin for PSI/KL. This is an
     /// *absolute* pseudo-count relative to the raw bin weights: with
@@ -135,14 +133,14 @@ impl Default for DriftConfig {
 /// A streaming drift detector over one binned quantity.
 ///
 /// A window's observations are summed per bin in a buffer of their
-/// own and folded into an exponentially-decayed sketch when the window
-/// completes. Every `window` ticks the sketch's normalized
+/// own and folded into exponentially-decayed per-bin weights when the
+/// window completes. Every `window` ticks the weights' normalized
 /// distribution is snapshotted as the *current* window; the first
 /// snapshot (or the one taken at the last [`DriftMonitor::rebaseline`])
 /// is frozen as the *reference*. [`DriftMonitor::psi`] /
 /// [`DriftMonitor::kl`] compare the two.
 ///
-/// **Batches are exact.** Because nothing reaches the sketch before
+/// **Batches are exact.** Because nothing reaches the weights before
 /// the roll, the monitor's state depends only on each window's per-bin
 /// sums. For integer-valued weights (counts, binary `1.0`, bin
 /// increments — every feed the engine makes) those sums are exact in
@@ -154,7 +152,10 @@ impl Default for DriftConfig {
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
     config: DriftConfig,
-    sketch: DecayedSketch,
+    /// Decayed per-bin weights of every closed window.
+    bins: Vec<f64>,
+    /// `bins`' total, kept running so a roll never rescans it.
+    total: f64,
     /// The open window's observations, summed per bin.
     window: Vec<f64>,
     reference: Option<Vec<f64>>,
@@ -167,10 +168,16 @@ impl DriftMonitor {
     /// A monitor over `bins` slots with the given windowing.
     pub fn new(bins: usize, config: DriftConfig) -> DriftMonitor {
         DriftMonitor {
-            sketch: DecayedSketch::new(bins, config.decay),
+            bins: vec![0.0; bins],
+            total: 0.0,
             window: vec![0.0; bins],
             config: DriftConfig {
                 window: config.window.max(1),
+                decay: if config.decay > 0.0 {
+                    config.decay.min(1.0)
+                } else {
+                    1.0
+                },
                 ..config
             },
             reference: None,
@@ -182,7 +189,7 @@ impl DriftMonitor {
 
     /// Adds `weight` to `bin` in the open window (does not tick it).
     /// Out-of-range bins and non-finite or non-positive weights are
-    /// ignored, as the sketch ignores them.
+    /// ignored, so no score goes NaN because one caller fed it garbage.
     pub fn observe(&mut self, bin: usize, weight: f64) {
         if let Some(sum) = self.window.get_mut(bin) {
             if weight.is_finite() && weight > 0.0 {
@@ -218,26 +225,33 @@ impl DriftMonitor {
         self.config.window - self.in_window
     }
 
-    /// Closes the window: folds its sums into the sketch, snapshots
-    /// the distribution into the existing `current` buffer and decays.
-    /// Allocates only on the first roll (and after a roll that found
-    /// the sketch empty).
+    /// Closes the window: folds its sums into the decayed weights,
+    /// snapshots their distribution into the existing `current` buffer
+    /// and decays. Allocates only on the first roll (and after a roll
+    /// that found no weight).
     fn roll(&mut self) {
         self.in_window = 0;
         self.windows += 1;
-        for (bin, sum) in self.window.iter_mut().enumerate() {
-            if *sum > 0.0 {
-                self.sketch.observe(bin, std::mem::take(sum));
+        for (w, sum) in self.bins.iter_mut().zip(&mut self.window) {
+            let sum = std::mem::take(sum);
+            if sum.is_finite() && sum > 0.0 {
+                *w += sum;
+                self.total += sum;
             }
         }
         let mut current = self.current.take().unwrap_or_default();
-        if self.sketch.distribution_into(&mut current) {
+        if self.total > 0.0 {
+            current.clear();
+            current.extend(self.bins.iter().map(|&w| w / self.total));
             self.current = Some(current);
         }
         if self.reference.is_none() {
             self.reference.clone_from(&self.current);
         }
-        self.sketch.advance(1);
+        for w in &mut self.bins {
+            *w *= self.config.decay;
+        }
+        self.total *= self.config.decay;
     }
 
     /// PSI and KL divergence between the reference and the latest
@@ -275,11 +289,6 @@ impl DriftMonitor {
     /// Completed windows so far.
     pub fn windows(&self) -> u64 {
         self.windows
-    }
-
-    /// The windowing configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
     }
 
     /// The frozen reference distribution, if a window has completed.
@@ -377,6 +386,88 @@ mod tests {
     }
 
     #[test]
+    fn a_roll_adds_the_window_then_snapshots_then_decays() {
+        // 0.9 is not a power of two, so every multiply rounds and only
+        // this order reproduces the bits: add each bin's window sum in
+        // bin order (the total kept running), snapshot bins / total,
+        // then scale bins and total by the decay.
+        let decay = 0.9;
+        let mut m = DriftMonitor::new(
+            3,
+            DriftConfig {
+                window: 2,
+                decay,
+                smoothing: 1e-2,
+            },
+        );
+        let (mut bins, mut total) = ([0.0f64; 3], 0.0f64);
+        for sums in [[2u32, 1, 5], [1, 11, 11], [11, 9, 3], [1, 11, 0]] {
+            // Two requests per window, each sum split unevenly.
+            for (bin, &s) in sums.iter().enumerate() {
+                m.observe(bin, f64::from(s / 3));
+            }
+            assert!(!m.tick());
+            for (bin, &s) in sums.iter().enumerate() {
+                m.observe(bin, f64::from(s - s / 3));
+            }
+            assert!(m.tick());
+            for (bin, &s) in sums.iter().enumerate() {
+                if s > 0 {
+                    bins[bin] += f64::from(s);
+                    total += f64::from(s);
+                }
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let expected: Vec<f64> = bins.iter().map(|&b| b / total).collect();
+            assert_eq!(bits(m.current().unwrap()), bits(&expected));
+            for b in &mut bins {
+                *b *= decay;
+            }
+            total *= decay;
+        }
+        assert_eq!(m.windows(), 4);
+    }
+
+    #[test]
+    fn decay_halves_weight_per_roll() {
+        let mut m = DriftMonitor::new(
+            2,
+            DriftConfig {
+                window: 1,
+                decay: 0.5,
+                smoothing: 1e-2,
+            },
+        );
+        m.observe(0, 8.0);
+        for _ in 0..3 {
+            assert!(m.tick());
+        }
+        // Bin 0 has decayed 8 → 1; new weight lands at full strength.
+        m.observe(1, 1.0);
+        assert!(m.tick());
+        assert_eq!(m.current(), Some(&[0.5, 0.5][..]));
+        assert_eq!(m.reference(), Some(&[1.0, 0.0][..]));
+    }
+
+    #[test]
+    fn garbage_weights_are_ignored() {
+        let mut m = DriftMonitor::new(2, DriftConfig::default());
+        m.observe(7, 1.0); // out of range
+        m.observe(0, f64::NAN);
+        m.observe(0, f64::INFINITY);
+        m.observe(0, -3.0);
+        m.observe(0, 0.0);
+        // Finite weights whose window sum overflows are dropped whole.
+        m.observe(1, f64::MAX);
+        m.observe(1, f64::MAX);
+        assert!(m.tick_n(m.remaining()));
+        assert_eq!((m.current(), m.psi()), (None, None));
+        m.observe(0, 2.0);
+        assert!(m.tick_n(m.remaining()));
+        assert_eq!(m.current(), Some(&[1.0, 0.0][..]));
+    }
+
+    #[test]
     fn monitor_sees_a_shift() {
         let mut m = DriftMonitor::new(
             2,
@@ -393,7 +484,7 @@ mod tests {
         }
         assert_eq!(m.psi(), Some(0.0));
         // Shifted traffic: all weight in bin 1 for several windows so
-        // the decayed sketch converges to the new distribution.
+        // the decayed weights converge to the new distribution.
         for _ in 0..30 {
             m.observe(1, 1.0);
             m.tick();

@@ -6,11 +6,11 @@
 //! retraining as traffic shifts) needs before a control plane can
 //! decide anything:
 //!
-//! - [`DecayedSketch`] / [`DriftMonitor`] — exponentially-decayed
-//!   frequency sketches over feature ids (or score bins), snapshotted
-//!   into reference/current windows and compared with [`psi`] and
-//!   [`kl_divergence`]. A rising PSI on the feature-frequency sketch
-//!   is the "traffic has shifted, consider re-fitting" trigger;
+//! - [`DriftMonitor`] — exponentially-decayed per-bin weights over
+//!   feature ids (or score bins), snapshotted once per window into
+//!   reference/current distributions and compared with [`psi`] and
+//!   [`kl_divergence`]. A rising PSI on the feature frequencies is
+//!   the "traffic has shifted, consider re-fitting" trigger;
 //!   a rising PSI on a signature's score histogram is the "this
 //!   model's calibration has drifted" trigger.
 //! - [`Tracer`] / [`TraceContext`] — request-scoped tracing with
@@ -29,7 +29,6 @@
 //! publish its readings as gauges (`drift.*`, `slo.*`) themselves.
 
 pub use crate::drift::{kl_divergence, psi, psi_and_kl, DriftConfig, DriftMonitor};
-pub use crate::sketch::DecayedSketch;
 pub use crate::slo::{BurnRate, BurnRateEvaluator, SloConfig};
 pub use crate::trace::{
     ExemplarBuffer, FinishedTrace, SpanId, SpanRecord, TraceConfig, TraceContext, Tracer,

@@ -8,23 +8,23 @@
 //!   last-value measurements (crawler page counts, matrix fill rate,
 //!   final gradient norms);
 //! - [`Histogram`] — log-bucketed latency/size distributions with
-//!   exact count/sum/min/max and approximate p50/p90/p99, mergeable
-//!   across shards, with a non-atomic [`LocalHistogram`] a hot thread
-//!   fills and publishes in batches;
-//! - [`Span`] — RAII wall-clock timers with per-thread nesting that
-//!   record into `span.<dotted.path>` histograms;
+//!   exact count/sum/min/max and approximate p50/p90/p99, with a
+//!   non-atomic [`LocalHistogram`] a hot thread fills and publishes in
+//!   batches;
+//! - [`Span`] — flat RAII wall-clock timers that record into
+//!   `span.<name>` histograms;
 //! - [`Registry`] — the named-instrument family behind all of the
-//!   above, with deterministic text, JSON and Prometheus exporters;
-//! - [`insight`] — streaming drift monitors (PSI/KL over decayed
-//!   sketches), request-scoped trace trees with deterministic
+//!   above, with deterministic JSON and Prometheus exporters;
+//! - [`insight`] — windowed drift monitors (PSI/KL over decayed
+//!   per-bin weights), request-scoped trace trees with deterministic
 //!   sampling, and multi-window SLO burn-rate evaluation.
 //!
 //! Everything is implemented on `std` alone: recording on hot paths is
 //! a relaxed atomic update, and the only allocations happen at
 //! instrument creation and export time. A process-wide registry is available through
-//! [`global`] and the [`counter`]/[`gauge`]/[`histogram`]/[`span`]/
-//! [`root_span`] shorthands; code that needs isolation (tests, the
-//! bench harness) can construct private [`Registry`] values instead.
+//! [`global`] and the [`counter`]/[`gauge`]/[`histogram`]/[`span`]
+//! shorthands; code that needs isolation (tests, the bench harness)
+//! can construct private [`Registry`] values instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,21 +37,19 @@ mod registry;
 mod span;
 
 // What `insight` re-exports lives in `insight/`, declared at the crate
-// root: its files name each other `crate::sketch`, `crate::drift`, and
+// root: its files name each other `crate::drift`, `crate::trace`, and
 // its unit tests run as `drift::tests::*`, `trace::tests::*`, ….
 #[path = "insight/drift.rs"]
 mod drift;
 #[cfg(test)]
 #[path = "insight/proptests.rs"]
 mod proptests;
-#[path = "insight/sketch.rs"]
-mod sketch;
 #[path = "insight/slo.rs"]
 mod slo;
 #[path = "insight/trace.rs"]
 mod trace;
 
-pub use export::{render_json, render_prometheus, render_text};
+pub use export::{render_json, render_prometheus};
 pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram, N_BUCKETS};
 pub use metrics::{Counter, Gauge};
 pub use registry::{Registry, Snapshot};
@@ -82,15 +80,9 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     global().histogram(name)
 }
 
-/// Opens a nested span on the global registry (see [`Registry::span`]).
-pub fn span(name: &str) -> Span<'static> {
+/// Opens a span on the global registry (see [`Registry::span`]).
+pub fn span(name: &str) -> Span {
     global().span(name)
-}
-
-/// Opens an absolute-named span on the global registry (see
-/// [`Registry::root_span`]).
-pub fn root_span(name: &str) -> Span<'static> {
-    global().root_span(name)
 }
 
 #[cfg(test)]
@@ -107,7 +99,7 @@ mod tests {
     #[test]
     fn global_span_records() {
         {
-            let _s = root_span("lib.test.span");
+            let _s = span("lib.test.span");
         }
         assert!(global().histogram("span.lib.test.span").count() >= 1);
     }

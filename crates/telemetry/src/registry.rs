@@ -65,17 +65,10 @@ impl Registry {
         get_or_create(&self.histograms, name)
     }
 
-    /// Starts a timed span nested under the current thread's open
-    /// spans; see [`Span`] for the naming rules.
-    pub fn span(&self, name: &str) -> Span<'_> {
-        Span::nested(self, name)
-    }
-
-    /// Starts a timed span with an absolute name, ignoring any spans
-    /// already open on this thread. Use for instruments whose metric
-    /// name must not depend on the caller (e.g. pipeline phases).
-    pub fn root_span(&self, name: &str) -> Span<'_> {
-        Span::root(self, name)
+    /// Starts a timed span that records into `span.<name>`; see
+    /// [`Span`].
+    pub fn span(&self, name: &str) -> Span {
+        Span::open(self, name)
     }
 
     /// A consistent point-in-time copy of every instrument.
@@ -96,15 +89,6 @@ impl Registry {
         }
     }
 
-    /// Drops every instrument (outstanding `Arc` handles keep
-    /// recording into detached metrics). Intended for test isolation
-    /// and for benchmark harnesses that report per-section numbers.
-    pub fn reset(&self) {
-        write(&self.counters).clear();
-        write(&self.gauges).clear();
-        write(&self.histograms).clear();
-    }
-
     /// Renders the current state as a JSON document.
     pub fn export_json(&self) -> String {
         crate::export::render_json(&self.snapshot())
@@ -117,9 +101,7 @@ impl Registry {
     }
 }
 
-/// A point-in-time copy of a [`Registry`]'s instruments. Snapshots
-/// from different registries (or different moments) merge
-/// associatively.
+/// A point-in-time copy of a [`Registry`]'s instruments.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -131,23 +113,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Folds another snapshot into this one: counters add, gauges
-    /// take the other's value (last write wins), histograms merge.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms
-                .entry(k.clone())
-                .or_insert_with(HistogramSnapshot::empty)
-                .merge(v);
-        }
-    }
-
     /// The change since an `earlier` snapshot of the same registry:
     /// counters and histograms subtract saturating (instruments
     /// missing from `earlier` pass through whole), gauges keep their
@@ -216,26 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_combines_all_kinds() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("n").add(2);
-        b.counter("n").add(5);
-        b.counter("only_b").inc();
-        a.gauge("g").set(1.0);
-        b.gauge("g").set(2.0);
-        a.histogram("h").record(10);
-        b.histogram("h").record(30);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.counters["n"], 7);
-        assert_eq!(merged.counters["only_b"], 1);
-        assert_eq!(merged.gauges["g"], 2.0);
-        assert_eq!(merged.histograms["h"].count(), 2);
-        assert_eq!(merged.histograms["h"].max(), Some(30));
-    }
-
-    #[test]
     fn delta_since_isolates_recent_activity() {
         let r = Registry::new();
         r.counter("req").add(10);
@@ -252,13 +197,5 @@ mod tests {
         assert_eq!(delta.gauges["level"], 3.0);
         assert_eq!(delta.histograms["lat"].count(), 1);
         assert!(delta.histograms["lat"].sum() >= 900);
-    }
-
-    #[test]
-    fn reset_clears_instruments() {
-        let r = Registry::new();
-        r.counter("x").inc();
-        r.reset();
-        assert!(r.snapshot().counters.is_empty());
     }
 }

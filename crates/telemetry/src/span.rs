@@ -1,91 +1,41 @@
-//! RAII span timers with per-thread nesting.
+//! RAII span timers.
 //!
 //! A span measures the wall time between its creation and its drop
 //! (or explicit [`finish`](Span::finish)) and records it, in
-//! nanoseconds, into a histogram named `span.<path>` on its registry.
-//! `<path>` is the dot-joined chain of the spans open on the current
-//! thread, so
+//! nanoseconds, into the histogram `span.<name>` on its registry.
+//! Spans are flat: one opened inside another records under its own
+//! name, so a metric name never depends on the caller.
 //!
 //! ```
 //! let registry = psigene_telemetry::Registry::new();
 //! {
 //!     let _outer = registry.span("request");
-//!     let _inner = registry.span("parse"); // records span.request.parse
+//!     let _inner = registry.span("parse"); // records span.parse
 //! }
-//! assert_eq!(registry.histogram("span.request.parse").count(), 1);
+//! assert_eq!(registry.histogram("span.parse").count(), 1);
 //! assert_eq!(registry.histogram("span.request").count(), 1);
 //! ```
-//!
-//! Nesting state is thread-local and shared across registries; spans
-//! are not `Send`, so a guard cannot migrate away from the stack
-//! entry it pushed. [`Registry::root_span`](crate::Registry::root_span)
-//! opts out of ambient nesting for instruments whose names must be
-//! caller-independent.
 
+use crate::histogram::Histogram;
 use crate::registry::Registry;
-use std::cell::RefCell;
-use std::marker::PhantomData;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-thread_local! {
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Prefix applied to every span's histogram name.
-const SPAN_PREFIX: &str = "span.";
 
 /// An open span; see the module docs.
 #[derive(Debug)]
-pub struct Span<'r> {
-    registry: &'r Registry,
-    path: String,
-    /// Stack depth to restore on close; `None` for root spans, which
-    /// never touched the stack.
-    restore_depth: Option<usize>,
+pub struct Span {
+    histogram: Arc<Histogram>,
     start: Instant,
     recorded: bool,
-    /// Keeps `Span: !Send` so the thread-local stack stays balanced.
-    _not_send: PhantomData<*const ()>,
 }
 
-impl<'r> Span<'r> {
-    pub(crate) fn nested(registry: &'r Registry, name: &str) -> Span<'r> {
-        let (path, restore_depth) = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let depth = stack.len();
-            stack.push(name.to_string());
-            (stack.join("."), depth)
-        });
+impl Span {
+    pub(crate) fn open(registry: &Registry, name: &str) -> Span {
         Span {
-            registry,
-            path,
-            restore_depth: Some(restore_depth),
+            histogram: registry.histogram(&format!("span.{name}")),
             start: Instant::now(),
             recorded: false,
-            _not_send: PhantomData,
         }
-    }
-
-    pub(crate) fn root(registry: &'r Registry, name: &str) -> Span<'r> {
-        Span {
-            registry,
-            path: name.to_string(),
-            restore_depth: None,
-            start: Instant::now(),
-            recorded: false,
-            _not_send: PhantomData,
-        }
-    }
-
-    /// The dotted path this span records under (without the `span.`
-    /// histogram prefix).
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Wall time since the span opened.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
     }
 
     /// Closes the span now and returns its duration — for callers
@@ -98,18 +48,13 @@ impl<'r> Span<'r> {
         let elapsed = self.start.elapsed();
         if !self.recorded {
             self.recorded = true;
-            if let Some(depth) = self.restore_depth {
-                SPAN_STACK.with(|stack| stack.borrow_mut().truncate(depth));
-            }
-            self.registry
-                .histogram(&format!("{SPAN_PREFIX}{}", self.path))
-                .record_duration(elapsed);
+            self.histogram.record_duration(elapsed);
         }
         elapsed
     }
 }
 
-impl Drop for Span<'_> {
+impl Drop for Span {
     fn drop(&mut self) {
         self.close();
     }
@@ -123,52 +68,24 @@ mod tests {
     fn span_records_into_prefixed_histogram() {
         let r = Registry::new();
         {
-            let s = r.span("work");
-            assert_eq!(s.path(), "work");
+            let _s = r.span("work");
         }
         let snap = r.snapshot();
         assert_eq!(snap.histograms["span.work"].count(), 1);
     }
 
     #[test]
-    fn nesting_builds_dotted_paths() {
+    fn spans_ignore_enclosing_spans() {
         let r = Registry::new();
         {
-            let _a = r.span("outer");
-            {
-                let b = r.span("mid");
-                assert_eq!(b.path(), "outer.mid");
-                let c = r.span("inner");
-                assert_eq!(c.path(), "outer.mid.inner");
-            }
-            // Siblings after a closed subtree nest under the outer
-            // span again.
-            let d = r.span("sibling");
-            assert_eq!(d.path(), "outer.sibling");
+            let _outer = r.span("caller");
+            let _inner = r.span("pipeline.crawl");
         }
         let snap = r.snapshot();
-        for name in [
-            "span.outer",
-            "span.outer.mid",
-            "span.outer.mid.inner",
-            "span.outer.sibling",
-        ] {
+        for name in ["span.caller", "span.pipeline.crawl"] {
             assert_eq!(snap.histograms[name].count(), 1, "{name}");
         }
-    }
-
-    #[test]
-    fn root_spans_ignore_ambient_nesting() {
-        let r = Registry::new();
-        let _outer = r.span("caller");
-        {
-            let s = r.root_span("pipeline.crawl");
-            assert_eq!(s.path(), "pipeline.crawl");
-            // A nested child of a root span still nests under the
-            // thread's open nested spans only.
-            let child = r.span("child");
-            assert_eq!(child.path(), "caller.child");
-        }
+        assert_eq!(snap.histograms.len(), 2);
     }
 
     #[test]
@@ -182,20 +99,5 @@ mod tests {
         assert_eq!(snap.histograms["span.timed"].count(), 1);
         let recorded = snap.histograms["span.timed"].max().unwrap();
         assert!(recorded >= 2_000_000, "recorded {recorded}ns");
-    }
-
-    #[test]
-    fn threads_have_independent_stacks() {
-        let r = Registry::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let _a = r.span("t");
-                    let b = r.span("leaf");
-                    assert_eq!(b.path(), "t.leaf");
-                });
-            }
-        });
-        assert_eq!(r.snapshot().histograms["span.t.leaf"].count(), 4);
     }
 }

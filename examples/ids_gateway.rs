@@ -47,7 +47,7 @@ fn main() {
         .map(|n| n.get().min(4))
         .unwrap_or(4);
     // Serve the drift-monitored engine: every evaluated request also
-    // feeds the feature/score sketches behind the `drift.*` gauges.
+    // feeds the feature/score drift monitors behind the `drift.*` gauges.
     let serving = system.with_insight(true);
     let store = SignatureStore::new(Arc::new(serving.clone()) as Arc<dyn DetectionEngine>);
     let gateway = Gateway::start(

@@ -4,6 +4,7 @@
 //! once requests flow through the detector.
 
 use psigene::{PipelineConfig, Psigene};
+use psigene_corpus::sqlmap::{self, SqlmapConfig};
 use psigene_http::HttpRequest;
 use psigene_rulesets::DetectionEngine;
 
@@ -40,6 +41,22 @@ fn training_populates_phase_timings_and_registry() {
         assert!(h.count() >= 1, "{name} recorded no samples");
         assert!(h.p50().is_some(), "{name} has no percentiles");
     }
+    // Every production span records under its own name, wherever it
+    // is opened from: the training sub-phases run inside the
+    // `pipeline.*` spans and still record as `span.train.*`.
+    let recorded = |snap: &psigene_telemetry::Snapshot, name: &str| {
+        let count = snap.histograms.get(name).map_or(0, |h| h.count());
+        assert!(count >= 1, "{name} recorded no samples");
+    };
+    for phase in ["pairwise", "cophenetic", "assign", "fit"] {
+        recorded(&snap, &format!("span.train.{phase}"));
+    }
+    let fresh = sqlmap::generate(&SqlmapConfig {
+        samples: 20,
+        ..SqlmapConfig::default()
+    });
+    let _ = system.retrain_with(&fresh, 2);
+    recorded(&system.telemetry_snapshot(), "span.incremental.retrain");
 
     // Trainer and feature-extraction instrumentation fired too.
     assert!(*snap.counters.get("learn.newton_iterations").unwrap_or(&0) > 0);
