@@ -292,24 +292,15 @@ impl EngineInsight {
     }
 
     /// Freezes the latest current windows as the new references —
-    /// called after promoting a retrained model.
-    pub fn rebaseline(&self) {
-        let mut st = lock(&self.state);
-        st.features.rebaseline();
-        for s in st.signatures.iter_mut() {
-            s.monitor.rebaseline();
-        }
-    }
-
-    /// Rebaselines with the promoted model's signature set, given in
-    /// its evaluation order. Score monitors are slot-aligned with that
-    /// order (see `DriftState`); a retrain that drops, reorders or
-    /// replaces signatures would otherwise leave a slot accumulating
-    /// one signature's scores against another's reference window and
-    /// report phantom drift forever. Slots whose id still matches are
-    /// rebaselined in place (their history stays useful); slots whose
-    /// id changed are replaced with fresh monitors; extras are
-    /// dropped.
+    /// called after promoting a retrained model — given the promoted
+    /// model's signature set in its evaluation order. Score monitors
+    /// are slot-aligned with that order (see `DriftState`); a retrain
+    /// that drops, reorders or replaces signatures would otherwise
+    /// leave a slot accumulating one signature's scores against
+    /// another's reference window and report phantom drift forever.
+    /// Slots whose id still matches are rebaselined in place (their
+    /// history stays useful); slots whose id changed are replaced with
+    /// fresh monitors; extras are dropped.
     pub fn rebaseline_aligned(&self, ids: &[u32]) {
         let mut st = lock(&self.state);
         st.features.rebaseline();
@@ -458,7 +449,7 @@ mod tests {
         let shifted = ins.scores().features_psi.unwrap();
         assert!(shifted > 0.25, "shifted psi = {shifted}");
         // Rebaselining on the new traffic calms the score.
-        ins.rebaseline();
+        ins.rebaseline_aligned(&[]);
         for _ in 0..32 {
             ins.observe(&[(6, 3.0), (7, 1.0)], std::iter::empty());
         }

@@ -19,8 +19,8 @@ pub fn compile(ast: &Ast, size_limit: usize) -> Result<Program, Error> {
     let mut c = Compiler { prog, size_limit };
     c.push(Inst::Match)?;
     c.prog.matches_empty = ast.is_nullable();
-    c.prog.compute_root_plan();
     c.prog.compute_closures();
+    c.prog.compute_root_plan();
     Ok(c.prog)
 }
 

@@ -15,9 +15,11 @@
 //! consuming instructions taken, highest priority first), whether a
 //! match is already *committed*, and the two context bits epsilon
 //! closure will need — was the previous byte a word byte, is this
-//! position 0. As in `crate::lazydfa`, closure is deferred to the
-//! transition, when the next byte is known, so `^ $ \b \B` resolve
-//! from context instead of splitting states per assertion outcome.
+//! position 0. Closure is deferred to the transition, when the next
+//! byte is known, so `^ $ \b \B` resolve from the position's
+//! `program::context` instead of splitting states per assertion
+//! outcome — the same deferral, closure table and context function
+//! `crate::lazydfa` uses.
 //!
 //! # Transition
 //!
@@ -54,8 +56,7 @@
 //! against.
 
 use crate::nfa::ByteClasses;
-use crate::program::{Inst, Program, REQ_END, REQ_NOT_WORD_BOUNDARY, REQ_START, REQ_WORD_BOUNDARY};
-use crate::vm::is_word_byte;
+use crate::program::{context, is_word_byte, Inst, Program};
 use crate::Regex;
 use std::collections::HashMap;
 
@@ -146,7 +147,7 @@ impl CountDfa {
     }
 
     /// The idle state for position `pos`: its context bits are what
-    /// the VM's `ctx_bits` would derive from `hay[pos - 1]`.
+    /// the VM derives from `hay[pos - 1]`.
     #[inline]
     fn idle_at(&self, hay: &[u8], pos: usize) -> u16 {
         match pos.checked_sub(1) {
@@ -345,15 +346,7 @@ impl<'p> Determinizer<'p> {
     /// The transition word out of `key` on `byte`.
     fn transition(&mut self, key: &Key, byte: u8) -> u16 {
         let next_word = is_word_byte(byte);
-        let mut ctx = if key.prev_word != next_word {
-            REQ_WORD_BOUNDARY
-        } else {
-            REQ_NOT_WORD_BOUNDARY
-        };
-        if key.at_start {
-            ctx |= REQ_START;
-        }
-        self.expand(key, ctx);
+        self.expand(key, context(key.prev_word, next_word, key.at_start, false));
         let mut pending = Vec::new();
         let mut matched = false;
         for &pc in &self.threads {
@@ -383,17 +376,8 @@ impl<'p> Determinizer<'p> {
 
     /// Whether a match completes when the input ends in `key`.
     fn completes_at_end(&mut self, key: &Key) -> bool {
-        let mut ctx = REQ_END;
         // The position past the last byte counts as non-word.
-        ctx |= if key.prev_word {
-            REQ_WORD_BOUNDARY
-        } else {
-            REQ_NOT_WORD_BOUNDARY
-        };
-        if key.at_start {
-            ctx |= REQ_START;
-        }
-        self.expand(key, ctx);
+        self.expand(key, context(key.prev_word, false, key.at_start, true));
         self.threads
             .iter()
             .any(|&pc| matches!(self.prog.insts[pc as usize], Inst::Match | Inst::MatchId(_)))

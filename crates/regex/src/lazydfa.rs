@@ -19,10 +19,12 @@
 //! end of input), which is why match ids are attached to transitions
 //! rather than states.
 //!
-//! Unanchored search re-seeds every pattern's entry point inside every
-//! transition closure; the per-context closure of those entry points
-//! is computed once and cached ([`DfaCache::roots`]), so a transition
-//! miss does not re-walk all patterns.
+//! A transition expands every pending pc — and, for unanchored search,
+//! every pattern's entry point — through the arena's precompiled
+//! closure table, keeping the steps whose assertion mask the position's
+//! context satisfies: the same table and the same context function
+//! (`crate::program`) the Pike VM and the counting automaton read, so
+//! no engine walks epsilon edges or decides an assertion on its own.
 //!
 //! # Bounded memory
 //!
@@ -36,8 +38,8 @@
 //! when handed another, which makes hot reload safe by construction.
 
 use crate::candidates::CandidateSet;
-use crate::nfa::{word_byte, FusedSet, MultiNfa};
-use crate::program::Inst;
+use crate::nfa::FusedSet;
+use crate::program::{context, is_word_byte, ClosureStep, Inst};
 use std::collections::HashMap;
 
 /// Sentinel for a not-yet-computed transition. Must be tested before
@@ -60,33 +62,6 @@ const AT_START: u8 = 2;
 struct StateKey {
     set: Box<[u32]>,
     flags: u8,
-}
-
-/// Cached epsilon closure of all pattern entry points under one
-/// assertion context.
-#[derive(Debug, Clone, Default)]
-struct RootClosure {
-    /// Consuming instructions reachable from the entries.
-    consuming: Vec<u32>,
-    /// Patterns that match the empty string at such a position.
-    matched: Vec<u32>,
-}
-
-/// Assertion context for one closure computation.
-#[derive(Debug, Clone, Copy)]
-struct Ctx {
-    at_start: bool,
-    at_end: bool,
-    prev_word: bool,
-    next_word: bool,
-}
-
-impl Ctx {
-    /// Index into [`DfaCache::roots`] (at_end contexts are not cached
-    /// there — end-of-input closures are memoized per state instead).
-    fn root_slot(self) -> usize {
-        (self.at_start as usize) << 2 | (self.prev_word as usize) << 1 | self.next_word as usize
-    }
 }
 
 /// Per-scan counters, returned by [`FusedSet::scan_into`].
@@ -122,8 +97,7 @@ impl FusedScanStats {
 }
 
 /// Reusable lazy-DFA working memory: the interned states, the
-/// transition table, memoized end-of-input match sets, cached root
-/// closures, and closure scratch space.
+/// transition table and memoized end-of-input match sets.
 ///
 /// A cache belongs to whichever [`FusedSet`] last scanned with it
 /// (tracked by the set's build token) and silently resets when a
@@ -143,24 +117,10 @@ pub struct DfaCache {
     rich: Vec<(u32, Box<[u32]>)>,
     /// Per-state memoized end-of-input match sets.
     eoi: Vec<Option<Box<[u32]>>>,
-    /// Root closures per assertion context (see [`Ctx::root_slot`]).
-    roots: [Option<RootClosure>; 8],
     /// Representative byte per equivalence class.
     reps: Vec<u8>,
     /// Number of byte equivalence classes.
     class_count: usize,
-    /// Closure visit marks, one per program instruction.
-    seen: Vec<u64>,
-    /// Current closure generation for [`DfaCache::seen`].
-    generation: u64,
-    /// Closure work stack.
-    stack: Vec<u32>,
-    /// Scratch: consuming pcs of the pending-set closure.
-    consuming_scratch: Vec<u32>,
-    /// Scratch: matched pids of the pending-set closure.
-    matched_scratch: Vec<u32>,
-    /// Lifetime flush count (telemetry).
-    total_flushes: u64,
 }
 
 impl DfaCache {
@@ -174,11 +134,6 @@ impl DfaCache {
         self.states.len()
     }
 
-    /// Cache flushes since creation.
-    pub fn total_flushes(&self) -> u64 {
-        self.total_flushes
-    }
-
     /// Binds the cache to `set`, dropping everything derived from a
     /// previous owner.
     fn bind(&mut self, set: &FusedSet) {
@@ -188,7 +143,6 @@ impl DfaCache {
         self.trans.clear();
         self.rich.clear();
         self.eoi.clear();
-        self.roots = Default::default();
         let classes = &set.nfa.classes;
         self.class_count = classes.count as usize;
         self.reps.clear();
@@ -201,9 +155,6 @@ impl DfaCache {
                 self.reps[c] = b as u8;
             }
         }
-        self.seen.clear();
-        self.seen.resize(set.nfa.prog.len(), 0);
-        self.generation = 0;
         self.intern(start_key());
     }
 
@@ -221,16 +172,14 @@ impl DfaCache {
         id
     }
 
-    /// Drops all states and transitions (keeps root closures — they
-    /// depend only on the owning program) and re-interns the start
-    /// state as id 0.
+    /// Drops all states and transitions and re-interns the start state
+    /// as id 0.
     fn flush(&mut self) {
         self.states.clear();
         self.map.clear();
         self.trans.clear();
         self.rich.clear();
         self.eoi.clear();
-        self.total_flushes += 1;
         self.intern(start_key());
     }
 }
@@ -240,67 +189,6 @@ fn start_key() -> StateKey {
     StateKey {
         set: Box::new([]),
         flags: AT_START,
-    }
-}
-
-/// Epsilon closure from each pc in `start` under `ctx`, over `nfa`'s
-/// program. Reachable consuming instructions go to `consuming`;
-/// pattern ids whose `MatchId` is reachable go to `matched`. `seen`
-/// marks (against `generation`) prevent revisits; output order is
-/// arbitrary — callers canonicalize.
-#[allow(clippy::too_many_arguments)]
-fn close_collect(
-    nfa: &MultiNfa,
-    start: &[u32],
-    ctx: Ctx,
-    seen: &mut [u64],
-    generation: u64,
-    stack: &mut Vec<u32>,
-    consuming: &mut Vec<u32>,
-    matched: &mut Vec<u32>,
-) {
-    stack.clear();
-    // Reverse keeps low-pc-first exploration; order is irrelevant for
-    // containment but makes traces easier to read.
-    stack.extend(start.iter().rev());
-    while let Some(pc) = stack.pop() {
-        let slot = &mut seen[pc as usize];
-        if *slot == generation {
-            continue;
-        }
-        *slot = generation;
-        match &nfa.prog.insts[pc as usize] {
-            Inst::Jmp(t) => stack.push(*t),
-            Inst::Split(a, b) => {
-                stack.push(*b);
-                stack.push(*a);
-            }
-            Inst::StartText => {
-                if ctx.at_start {
-                    stack.push(pc + 1);
-                }
-            }
-            Inst::EndText => {
-                if ctx.at_end {
-                    stack.push(pc + 1);
-                }
-            }
-            Inst::WordBoundary => {
-                if ctx.prev_word != ctx.next_word {
-                    stack.push(pc + 1);
-                }
-            }
-            Inst::NotWordBoundary => {
-                if ctx.prev_word == ctx.next_word {
-                    stack.push(pc + 1);
-                }
-            }
-            Inst::MatchId(pid) => matched.push(*pid),
-            // Fused programs terminate every pattern with `MatchId`;
-            // a bare `Match` would mean a builder bug.
-            Inst::Match => debug_assert!(false, "Inst::Match in fused program"),
-            Inst::Byte(_) | Inst::Class(_) | Inst::Any | Inst::AnyNoNewline => consuming.push(pc),
-        }
     }
 }
 
@@ -362,50 +250,18 @@ impl FusedSet {
     ) -> u32 {
         let src = cache.states[cur as usize].clone();
         let rep = cache.reps[class];
-        let ctx = Ctx {
-            at_start: src.flags & AT_START != 0,
-            at_end: false,
-            prev_word: src.flags & PREV_WORD != 0,
-            next_word: word_byte(rep),
-        };
-        self.ensure_root(cache, ctx);
-
-        cache.generation += 1;
-        cache.consuming_scratch.clear();
-        cache.matched_scratch.clear();
-        close_collect(
-            &self.nfa,
-            &src.set,
-            ctx,
-            &mut cache.seen,
-            cache.generation,
-            &mut cache.stack,
-            &mut cache.consuming_scratch,
-            &mut cache.matched_scratch,
+        let next_word = is_word_byte(rep);
+        let ctx = context(
+            src.flags & PREV_WORD != 0,
+            next_word,
+            src.flags & AT_START != 0,
+            false,
         );
-
-        let root = cache.roots[ctx.root_slot()]
-            .as_ref()
-            .expect("root closure just ensured");
-        let mut succ: Vec<u32> =
-            Vec::with_capacity(cache.consuming_scratch.len() + root.consuming.len());
-        for &pc in cache.consuming_scratch.iter().chain(root.consuming.iter()) {
-            if self.nfa.prog.accepts(pc, rep) {
-                succ.push(pc + 1);
-            }
-        }
-        succ.sort_unstable();
-        succ.dedup();
-        let mut matched: Vec<u32> =
-            Vec::with_capacity(cache.matched_scratch.len() + root.matched.len());
-        matched.extend_from_slice(&cache.matched_scratch);
-        matched.extend_from_slice(&root.matched);
-        matched.sort_unstable();
-        matched.dedup();
+        let (succ, matched) = self.expand(&src.set, ctx, Some(rep));
 
         let next_key = StateKey {
             set: succ.into_boxed_slice(),
-            flags: if ctx.next_word { PREV_WORD } else { 0 },
+            flags: if next_word { PREV_WORD } else { 0 },
         };
 
         // Enforce the state bound before interning anything new. A
@@ -441,34 +297,15 @@ impl FusedSet {
         stats: &mut FusedScanStats,
     ) {
         if cache.eoi[cur as usize].is_none() {
-            let src = cache.states[cur as usize].clone();
-            let ctx = Ctx {
-                at_start: src.flags & AT_START != 0,
-                at_end: true,
-                prev_word: src.flags & PREV_WORD != 0,
-                next_word: false,
-            };
-            cache.generation += 1;
-            cache.consuming_scratch.clear();
-            cache.matched_scratch.clear();
-            // Pending set and root entries close in one walk; the
-            // consuming output is irrelevant at end of input.
-            let mut starts: Vec<u32> = Vec::with_capacity(src.set.len() + self.nfa.entries.len());
-            starts.extend_from_slice(&src.set);
-            starts.extend_from_slice(&self.nfa.entries);
-            close_collect(
-                &self.nfa,
-                &starts,
-                ctx,
-                &mut cache.seen,
-                cache.generation,
-                &mut cache.stack,
-                &mut cache.consuming_scratch,
-                &mut cache.matched_scratch,
+            let src = &cache.states[cur as usize];
+            // The position past the last byte counts as non-word.
+            let ctx = context(
+                src.flags & PREV_WORD != 0,
+                false,
+                src.flags & AT_START != 0,
+                true,
             );
-            let mut matched = std::mem::take(&mut cache.matched_scratch);
-            matched.sort_unstable();
-            matched.dedup();
+            let (_, matched) = self.expand(&src.set, ctx, None);
             cache.eoi[cur as usize] = Some(matched.into_boxed_slice());
         }
         let pids = cache.eoi[cur as usize].as_ref().expect("just memoized");
@@ -479,27 +316,38 @@ impl FusedSet {
         }
     }
 
-    /// Computes and caches the root closure for `ctx` if absent.
-    fn ensure_root(&self, cache: &mut DfaCache, ctx: Ctx) {
-        let slot = ctx.root_slot();
-        if cache.roots[slot].is_some() {
-            return;
+    /// Expands `pending` and every pattern entry through the closure
+    /// table under `ctx`. Returns the successors (`pc + 1`) of the
+    /// consuming steps that accept `byte` — none at end of input — and
+    /// the ids of the patterns whose `MatchId` fires, both sorted and
+    /// deduplicated.
+    fn expand(&self, pending: &[u32], ctx: u8, byte: Option<u8>) -> (Vec<u32>, Vec<u32>) {
+        let prog = &self.nfa.prog;
+        let mut succ = Vec::new();
+        let mut matched = Vec::new();
+        let mut visit = |steps: &[ClosureStep]| {
+            for step in steps {
+                if step.mask & !ctx != 0 {
+                    continue;
+                }
+                match prog.insts[step.target as usize] {
+                    Inst::MatchId(pid) => matched.push(pid),
+                    _ if byte.is_some_and(|b| prog.accepts(step.target, b)) => {
+                        succ.push(step.target + 1)
+                    }
+                    _ => {}
+                }
+            }
+        };
+        for &pc in pending {
+            visit(prog.closures.steps_of(pc));
         }
-        cache.generation += 1;
-        let mut rc = RootClosure::default();
-        close_collect(
-            &self.nfa,
-            &self.nfa.entries,
-            ctx,
-            &mut cache.seen,
-            cache.generation,
-            &mut cache.stack,
-            &mut rc.consuming,
-            &mut rc.matched,
-        );
-        rc.matched.sort_unstable();
-        rc.matched.dedup();
-        cache.roots[slot] = Some(rc);
+        visit(&self.nfa.entry_steps);
+        succ.sort_unstable();
+        succ.dedup();
+        matched.sort_unstable();
+        matched.dedup();
+        (succ, matched)
     }
 }
 

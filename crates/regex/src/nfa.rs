@@ -19,8 +19,7 @@ use crate::ast::Ast;
 use crate::compiler;
 use crate::error::Error;
 use crate::parser::{self, Flags};
-use crate::program::{Inst, Program};
-use crate::vm::is_word_byte;
+use crate::program::{ClosureStep, Inst, Program};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-pattern ceiling on the expanded AST weight; above it the
@@ -58,9 +57,11 @@ pub(crate) struct MultiNfa {
     /// Shared instruction arena; every pattern ends in
     /// [`Inst::MatchId`].
     pub(crate) prog: Program,
-    /// Entry pc of each fused pattern (the DFA re-seeds all of them
-    /// at every haystack position for unanchored search).
-    pub(crate) entries: Vec<u32>,
+    /// The closure steps of every pattern's entry pc, in pattern
+    /// order: what unanchored search re-seeds at every haystack
+    /// position. Copied out of the closure table once, so a DFA miss
+    /// reads one contiguous list instead of one span per pattern.
+    pub(crate) entry_steps: Vec<ClosureStep>,
     /// Byte → equivalence class, refined so that two bytes in one
     /// class are indistinguishable to every instruction *and* to the
     /// word-boundary predicate.
@@ -195,10 +196,18 @@ impl FusedSetBuilder {
     }
 
     /// Finalizes the NFA; `None` when no pattern was fused.
-    pub fn build(self) -> Option<FusedSet> {
+    pub fn build(mut self) -> Option<FusedSet> {
         if self.entries.is_empty() {
             return None;
         }
+        // The lazy DFA expands through the arena's closure table.
+        self.prog.compute_closures();
+        let entry_steps = self
+            .entries
+            .iter()
+            .flat_map(|&pc| self.prog.closures.steps_of(pc))
+            .copied()
+            .collect();
         // Distinct token per built automaton: a `DfaCache` notices
         // when it is handed a different set (hot reload) and resets
         // instead of serving stale states.
@@ -207,7 +216,7 @@ impl FusedSetBuilder {
         Some(FusedSet {
             nfa: MultiNfa {
                 prog: self.prog,
-                entries: self.entries,
+                entry_steps,
                 classes,
             },
             pattern_count: self.pattern_count,
@@ -264,11 +273,6 @@ impl FusedSet {
     pub fn state_limit(&self) -> usize {
         self.state_limit
     }
-}
-
-/// Word-ness of a byte, re-exported for the DFA's context bits.
-pub(crate) fn word_byte(b: u8) -> bool {
-    is_word_byte(b)
 }
 
 #[cfg(test)]

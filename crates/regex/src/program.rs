@@ -1,4 +1,13 @@
-//! Compiled program representation executed by the Pike VM.
+//! Compiled program representation shared by every matcher.
+//!
+//! Two things here are the only place the crate decides assertion
+//! semantics: [`Program::compute_closures`] is the one walk over
+//! epsilon edges (`Jmp`, `Split`, `^ $ \b \B`), folding each path's
+//! assertions into a mask, and [`context`] is the one map from "where
+//! am I" to the assertion bits a position satisfies. The Pike VM, the
+//! counting automaton, the fused lazy DFA and the root plan all expand
+//! through the closure table, keeping a step when its mask is a subset
+//! of the position's context.
 
 use crate::classes::ClassSet;
 use std::fmt;
@@ -54,9 +63,9 @@ pub struct Program {
     /// Precompiled epsilon closures: for every pc, the consuming and
     /// match instructions reachable through epsilon transitions, in
     /// priority order, each tagged with the assertions crossed on the
-    /// way. The VM's thread-spawn path iterates this flat list instead
-    /// of re-walking splits/jumps with an explicit stack on every
-    /// byte. Computed by [`Program::compute_closures`].
+    /// way. The VM, the counting automaton, the lazy DFA and the root
+    /// plan all expand through this flat list instead of walking
+    /// splits/jumps. Computed by [`Program::compute_closures`].
     pub closures: ClosureTable,
 }
 
@@ -73,6 +82,26 @@ pub const REQ_END: u8 = 2;
 pub const REQ_WORD_BOUNDARY: u8 = 4;
 /// See [`REQ_START`].
 pub const REQ_NOT_WORD_BOUNDARY: u8 = 8;
+
+/// ASCII word byte: letter, digit or underscore.
+pub(crate) fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The `REQ_*` bits a position satisfies, given whether the bytes on
+/// either side of it are word bytes (a haystack edge counts as
+/// non-word) and whether it is the haystack's start or end.
+#[inline]
+pub(crate) fn context(prev_word: bool, next_word: bool, at_start: bool, at_end: bool) -> u8 {
+    let boundary = if prev_word != next_word {
+        REQ_WORD_BOUNDARY
+    } else {
+        REQ_NOT_WORD_BOUNDARY
+    };
+    let start = if at_start { REQ_START } else { 0 };
+    let end = if at_end { REQ_END } else { 0 };
+    boundary | start | end
+}
 
 /// One precompiled epsilon-closure step; see [`Program::closures`].
 #[derive(Debug, Clone, Copy)]
@@ -129,64 +158,32 @@ pub struct RootPlan {
 }
 
 impl Program {
-    /// Computes the root plan; call once after the instruction stream
-    /// is final. Leaves `root_plan` as `None` when the root closure
-    /// contains anchors, boundaries, or a `Match` (empty-capable).
+    /// Reads the root plan off pc 0's closure; call after
+    /// [`Program::compute_closures`]. Leaves `root_plan` as `None` when
+    /// a root step needs an assertion (anchors, boundaries) or reaches
+    /// a match (empty-capable).
     pub fn compute_root_plan(&mut self) {
         self.root_plan = None;
         if self.insts.is_empty() {
             return;
         }
-        // Epsilon closure from pc 0 in priority (preorder) order.
-        let mut seen = vec![false; self.insts.len()];
-        let mut stack = vec![0u32];
-        let mut consuming: Vec<u32> = Vec::new();
-        while let Some(pc) = stack.pop() {
-            if seen[pc as usize] {
-                continue;
-            }
-            seen[pc as usize] = true;
-            match &self.insts[pc as usize] {
-                Inst::Jmp(t) => stack.push(*t),
-                Inst::Split(a, b) => {
-                    stack.push(*b);
-                    stack.push(*a);
-                }
-                // Position-dependent or empty-capable roots cannot be
-                // precomputed.
-                Inst::StartText
-                | Inst::EndText
-                | Inst::WordBoundary
-                | Inst::NotWordBoundary
-                | Inst::Match
-                | Inst::MatchId(_) => return,
-                _ => consuming.push(pc),
-            }
+        let steps = self.closures.steps_of(0);
+        let fixed = steps.iter().all(|s| {
+            s.mask == 0
+                && !matches!(
+                    self.insts[s.target as usize],
+                    Inst::Match | Inst::MatchId(_)
+                )
+        });
+        if !fixed {
+            return;
         }
         let mut by_byte: Vec<Vec<u32>> = vec![Vec::new(); 256];
-        for &pc in &consuming {
-            match &self.insts[pc as usize] {
-                Inst::Byte(b) => by_byte[*b as usize].push(pc + 1),
-                Inst::Class(idx) => {
-                    for r in self.classes[*idx as usize].ranges() {
-                        for b in r.lo..=r.hi {
-                            by_byte[b as usize].push(pc + 1);
-                        }
-                    }
+        for step in steps {
+            for (b, bucket) in by_byte.iter_mut().enumerate() {
+                if self.accepts(step.target, b as u8) {
+                    bucket.push(step.target + 1);
                 }
-                Inst::Any => {
-                    for bucket in by_byte.iter_mut() {
-                        bucket.push(pc + 1);
-                    }
-                }
-                Inst::AnyNoNewline => {
-                    for (b, bucket) in by_byte.iter_mut().enumerate() {
-                        if b != b'\n' as usize {
-                            bucket.push(pc + 1);
-                        }
-                    }
-                }
-                _ => unreachable!("non-consuming inst in consuming list"),
             }
         }
         self.root_plan = Some(RootPlan { by_byte });
@@ -268,6 +265,7 @@ impl Program {
 
     /// Whether the consuming instruction at `pc` accepts `byte`; the
     /// determinizers' step function (the VM inlines the same match).
+    #[inline]
     pub(crate) fn accepts(&self, pc: u32, byte: u8) -> bool {
         match &self.insts[pc as usize] {
             Inst::Byte(b) => *b == byte,
@@ -323,6 +321,19 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(p.classes.len(), 2);
+    }
+
+    #[test]
+    fn context_is_the_truth_table_of_its_four_inputs() {
+        for row in 0..16u8 {
+            let [prev_word, next_word, at_start, at_end] = [1, 2, 4, 8].map(|bit| row & bit != 0);
+            let ctx = context(prev_word, next_word, at_start, at_end);
+            let boundary = ctx & REQ_WORD_BOUNDARY != 0;
+            assert_ne!(boundary, ctx & REQ_NOT_WORD_BOUNDARY != 0, "row {row}");
+            assert_eq!(boundary, prev_word != next_word, "row {row}");
+            assert_eq!(ctx & REQ_START != 0, at_start, "row {row}");
+            assert_eq!(ctx & REQ_END != 0, at_end, "row {row}");
+        }
     }
 
     #[test]

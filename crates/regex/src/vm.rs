@@ -7,7 +7,7 @@
 //! time with no backtracking blow-up.
 
 use crate::prefilter::PrefixSkip;
-use crate::program::{Inst, Program, REQ_END, REQ_NOT_WORD_BOUNDARY, REQ_START, REQ_WORD_BOUNDARY};
+use crate::program::{context, is_word_byte, Inst, Program};
 use crate::Match;
 
 /// Reusable scratch space for the VM; callers that run many searches
@@ -103,7 +103,7 @@ pub fn find_at(
         }
         // The position's assertion context, computed once per position
         // and tested against each precompiled closure step's mask.
-        let ctx = if asserts { ctx_bits(hay, pos) } else { 0 };
+        let ctx = if asserts { context_at(hay, pos) } else { 0 };
         // While no match is committed, a fresh root thread is added at
         // every position. Appending at the end gives earlier starts
         // higher priority, which is exactly the leftmost rule. With a
@@ -123,7 +123,7 @@ pub fn find_at(
         // Successor threads land at `pos + 1`; their closures are
         // filtered by that position's context.
         let nctx = if asserts && byte.is_some() {
-            ctx_bits(hay, pos + 1)
+            context_at(hay, pos + 1)
         } else {
             0
         };
@@ -228,39 +228,16 @@ fn add_closure(prog: &Program, list: &mut ThreadList, pc: u32, start: usize, ctx
     }
 }
 
-/// The assertion context of position `pos`: which `REQ_*` requirements
-/// the position satisfies. Exactly one of `REQ_WORD_BOUNDARY` /
-/// `REQ_NOT_WORD_BOUNDARY` is set.
+/// The [`context`] of position `pos` in `hay`.
 #[inline]
-fn ctx_bits(hay: &[u8], pos: usize) -> u8 {
-    let mut ctx = if at_word_boundary(hay, pos) {
-        REQ_WORD_BOUNDARY
-    } else {
-        REQ_NOT_WORD_BOUNDARY
-    };
-    if pos == 0 {
-        ctx |= REQ_START;
-    }
-    if pos == hay.len() {
-        ctx |= REQ_END;
-    }
-    ctx
-}
-
-/// ASCII word byte: letter, digit or underscore. Shared with the
-/// lazy DFA so both engines resolve `\b` identically.
-pub(crate) fn is_word_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// True when position `pos` sits between a word byte and a non-word
-/// byte (haystack edges count as non-word).
-fn at_word_boundary(hay: &[u8], pos: usize) -> bool {
-    let before = pos.checked_sub(1).and_then(|i| hay.get(i).copied());
-    let after = hay.get(pos).copied();
-    let w1 = before.map(is_word_byte).unwrap_or(false);
-    let w2 = after.map(is_word_byte).unwrap_or(false);
-    w1 != w2
+fn context_at(hay: &[u8], pos: usize) -> u8 {
+    let word = |i: Option<usize>| i.and_then(|i| hay.get(i)).is_some_and(|&b| is_word_byte(b));
+    context(
+        word(pos.checked_sub(1)),
+        word(Some(pos)),
+        pos == 0,
+        pos == hay.len(),
+    )
 }
 
 #[cfg(test)]
