@@ -430,11 +430,10 @@ pub fn fig4(system: &Psigene, setup: &Setup) -> String {
 /// Experiment 2: incremental learning with 20 % / 40 % of the SQLmap
 /// set folded into training.
 pub fn exp2(system: &Psigene, setup: &Setup) -> String {
-    use rand::SeedableRng;
     let mut sqlmap_ds = setup.sqlmap_test();
     // "we first randomized the SQLmap set and then divided it" —
     // shuffle before splitting.
-    sqlmap_ds.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(0x001e_a4ed));
+    sqlmap_ds.shuffle(0x001e_a4ed);
     let benign_ds = setup.benign_test();
     let mut out = String::new();
     let _ = writeln!(out, "EXPERIMENT 2 — incremental learning\n");
@@ -642,607 +641,6 @@ pub fn ablation(setup: &Setup) -> String {
             cm.fpr() * 100.0
         );
     }
-
-    // (4) Regex prefilter on/off (engine-level optimization).
-    let _ = writeln!(
-        out,
-        "
-(4) regex literal prefilter (1000 benign payloads x 30 features)"
-    );
-    let feats = psigene_features::FeatureSet::full();
-    let patterns: Vec<&str> = feats
-        .features()
-        .iter()
-        .take(30)
-        .map(|f| f.pattern.as_str())
-        .collect();
-    let hay: Vec<Vec<u8>> = benign_ds
-        .samples
-        .iter()
-        .take(1000)
-        .map(|s| s.request.detection_payload().to_vec())
-        .collect();
-    for (pf, label) in [(true, "prefilter on "), (false, "prefilter off")] {
-        let regexes: Vec<psigene_regex::Regex> = patterns
-            .iter()
-            .map(|p| {
-                psigene_regex::Regex::builder()
-                    .case_insensitive(true)
-                    .prefilter(pf)
-                    .build(p)
-                    .expect("pattern compiles")
-            })
-            .collect();
-        let span = psigene_telemetry::span(&format!(
-            "bench.ablation.prefilter_{}",
-            if pf { "on" } else { "off" }
-        ));
-        let mut total = 0usize;
-        for h in &hay {
-            for re in &regexes {
-                total += re.count_all(h);
-            }
-        }
-        let _ = writeln!(
-            out,
-            "    {label}: {:>8.1} ms ({} total matches)",
-            span.finish().as_secs_f64() * 1000.0,
-            total
-        );
-    }
-    out
-}
-
-/// Serving benchmark: gateway throughput at 1/2/4/8 worker shards
-/// (requests/sec plus end-to-end p50/p99 under concurrent
-/// submitters), then a hot signature reload under sustained load —
-/// the incremental trainer's output swapped in mid-traffic — checked
-/// for zero dropped requests and verdicts consistent with sequential
-/// evaluation.
-pub fn serve(system: &Psigene, setup: &Setup) -> String {
-    use psigene_rulesets::Verdict;
-    use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    // A mixed serving stream, ~20 % attacks.
-    let total = ((20_000.0 * setup.scale) as usize).clamp(1_000, 40_000);
-    let mut stream = Dataset::new();
-    stream.extend(sqlmap::generate(&sqlmap::SqlmapConfig {
-        samples: total / 5,
-        ..Default::default()
-    }));
-    stream.extend(benign::generate(&benign::BenignConfig {
-        requests: total - total / 5,
-        include_novel_tail: true,
-        ..Default::default()
-    }));
-    let requests: Vec<psigene_http::HttpRequest> =
-        stream.samples.iter().map(|s| s.request.clone()).collect();
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "SERVING — gateway throughput and hot reload ({} mixed requests, \
-         {} core(s) available)\n",
-        requests.len(),
-        cores
-    );
-    let _ = writeln!(
-        out,
-        "pSigene engine (CPU-bound; shard speedup is bounded by available cores):"
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:>12} {:>12} {:>12} {:>10}",
-        "SHARDS", "REQ/S", "P50 (µs)", "P99 (µs)", "SPEEDUP"
-    );
-
-    let n_submitters = 8usize;
-    let mut base_rps = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let store = SignatureStore::new(Arc::new(system.clone()) as Arc<dyn DetectionEngine>);
-        let gateway = Gateway::start(
-            store,
-            GatewayConfig {
-                shards,
-                queue_capacity: 256,
-                policy: OverloadPolicy::Block,
-                ..GatewayConfig::default()
-            },
-        );
-        let wall = Instant::now();
-        // Each submitter pipelines a bounded window of outstanding
-        // tickets so worker capacity — not the submitter round-trip —
-        // is what the throughput number measures. Latency is
-        // submit-to-verdict, i.e. includes queue wait under load.
-        let window = 32usize;
-        let mut latencies: Vec<u64> = std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for t in 0..n_submitters {
-                let gateway = &gateway;
-                let requests = &requests;
-                handles.push(s.spawn(move || {
-                    let mut lat = Vec::new();
-                    let mut inflight = std::collections::VecDeque::new();
-                    for r in requests.iter().skip(t).step_by(n_submitters) {
-                        if inflight.len() >= window {
-                            let (start, ticket): (Instant, psigene_serve::Ticket) =
-                                inflight.pop_front().expect("window");
-                            let _ = ticket.wait();
-                            lat.push(start.elapsed().as_nanos() as u64);
-                        }
-                        inflight.push_back((Instant::now(), gateway.submit(r.clone())));
-                    }
-                    for (start, ticket) in inflight {
-                        let _ = ticket.wait();
-                        lat.push(start.elapsed().as_nanos() as u64);
-                    }
-                    lat
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("submitter"))
-                .collect()
-        });
-        let elapsed = wall.elapsed().as_secs_f64();
-        let stats = gateway.shutdown();
-        assert_eq!(stats.served, requests.len() as u64, "requests dropped");
-        latencies.sort_unstable();
-        let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q) as usize] as f64 / 1000.0;
-        let rps = requests.len() as f64 / elapsed;
-        if shards == 1 {
-            base_rps = rps;
-        }
-        let _ = writeln!(
-            out,
-            "{shards:<8} {rps:>12.0} {:>12.1} {:>12.1} {:>9.2}x",
-            pct(0.50),
-            pct(0.99),
-            rps / base_rps.max(1.0)
-        );
-    }
-
-    // The same sweep against a latency-bound engine (a 200 µs stall
-    // per request, standing in for an engine that waits on I/O — a
-    // remote signature backend, a database lookup). Shards overlap
-    // stalls, so the scaling curve is visible even on a single core.
-    struct StallEngine;
-    impl DetectionEngine for StallEngine {
-        fn name(&self) -> &str {
-            "stall-200us"
-        }
-        fn evaluate(&self, _r: &psigene_http::HttpRequest) -> psigene_rulesets::Detection {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            psigene_rulesets::Detection::default()
-        }
-        fn rule_count(&self) -> usize {
-            0
-        }
-    }
-    let _ = writeln!(
-        out,
-        "\nlatency-bound engine (200 µs stall per request; shards overlap stalls):"
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:>12} {:>12} {:>12} {:>10}",
-        "SHARDS", "REQ/S", "P50 (µs)", "P99 (µs)", "SPEEDUP"
-    );
-    let stall_requests: Vec<psigene_http::HttpRequest> =
-        requests.iter().take(1_000).cloned().collect();
-    let mut stall_base = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let gateway = Gateway::start(
-            SignatureStore::new(Arc::new(StallEngine) as Arc<dyn DetectionEngine>),
-            GatewayConfig {
-                shards,
-                queue_capacity: 256,
-                policy: OverloadPolicy::Block,
-                ..GatewayConfig::default()
-            },
-        );
-        let wall = Instant::now();
-        let mut latencies: Vec<u64> = std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for t in 0..n_submitters {
-                let gateway = &gateway;
-                let stall_requests = &stall_requests;
-                handles.push(s.spawn(move || {
-                    let mut lat = Vec::new();
-                    for r in stall_requests.iter().skip(t).step_by(n_submitters) {
-                        let start = Instant::now();
-                        let _ = gateway.check(r.clone());
-                        lat.push(start.elapsed().as_nanos() as u64);
-                    }
-                    lat
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("submitter"))
-                .collect()
-        });
-        let elapsed = wall.elapsed().as_secs_f64();
-        let stats = gateway.shutdown();
-        assert_eq!(
-            stats.served,
-            stall_requests.len() as u64,
-            "requests dropped"
-        );
-        latencies.sort_unstable();
-        let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q) as usize] as f64 / 1000.0;
-        let rps = stall_requests.len() as f64 / elapsed;
-        if shards == 1 {
-            stall_base = rps;
-        }
-        let _ = writeln!(
-            out,
-            "{shards:<8} {rps:>12.0} {:>12.1} {:>12.1} {:>9.2}x",
-            pct(0.50),
-            pct(0.99),
-            rps / stall_base.max(1.0)
-        );
-    }
-
-    // Hot reload under sustained load: expected verdicts are computed
-    // sequentially under the pre- and post-reload engines; every
-    // gateway verdict must match one of the two (in-flight requests
-    // finish on the snapshot they started with).
-    let fresh = sqlmap::generate(&sqlmap::SqlmapConfig {
-        samples: (total / 20).max(50),
-        seed: 0x5e12_7e10,
-        ..Default::default()
-    });
-    let (retrained, update) = system.retrain_with(&fresh, 2);
-    let reload_stream: Vec<psigene_http::HttpRequest> = requests
-        .iter()
-        .take((total / 2).max(500))
-        .cloned()
-        .collect();
-    let before: Vec<bool> = reload_stream
-        .iter()
-        .map(|r| system.evaluate(r).flagged)
-        .collect();
-    let after: Vec<bool> = reload_stream
-        .iter()
-        .map(|r| retrained.evaluate(r).flagged)
-        .collect();
-
-    let store = SignatureStore::new(Arc::new(system.clone()) as Arc<dyn DetectionEngine>);
-    let gateway = Gateway::start(
-        Arc::clone(&store),
-        GatewayConfig {
-            shards: 4,
-            queue_capacity: 256,
-            policy: OverloadPolicy::Block,
-            ..GatewayConfig::default()
-        },
-    );
-    let mismatches = std::sync::atomic::AtomicU64::new(0);
-    let received = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for t in 0..4usize {
-            let gateway = &gateway;
-            let reload_stream = &reload_stream;
-            let (before, after) = (&before, &after);
-            let (mismatches, received) = (&mismatches, &received);
-            s.spawn(move || {
-                for (i, r) in reload_stream.iter().enumerate().skip(t).step_by(4) {
-                    let v = gateway.check(r.clone());
-                    received.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let flagged = matches!(v, Verdict::Evaluated(ref d) if d.flagged);
-                    if flagged != before[i] && flagged != after[i] {
-                        mismatches.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-        let store = &store;
-        let retrained = retrained.clone();
-        s.spawn(move || {
-            // Land the swap squarely mid-traffic.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            store.swap(Arc::new(retrained) as Arc<dyn DetectionEngine>);
-        });
-    });
-    let stats = gateway.shutdown();
-    let received = received.load(std::sync::atomic::Ordering::Relaxed);
-    let mismatches = mismatches.load(std::sync::atomic::Ordering::Relaxed);
-    let _ = writeln!(
-        out,
-        "\nhot reload under load ({} requests, 4 shards):",
-        reload_stream.len()
-    );
-    let _ = writeln!(
-        out,
-        "  retrain: {} fresh samples offered, {} assigned, {} signatures refitted",
-        update.offered, update.assigned, update.retrained_signatures
-    );
-    let _ = writeln!(
-        out,
-        "  swapped to signature version {} mid-traffic",
-        store.version()
-    );
-    let _ = writeln!(
-        out,
-        "  dropped: {} (submitted {} / served {} / received {})",
-        stats.submitted - stats.served,
-        stats.submitted,
-        stats.served,
-        received
-    );
-    let _ = writeln!(
-        out,
-        "  verdicts inconsistent with sequential evaluation: {mismatches}"
-    );
-    let ok = stats.submitted == stats.served
-        && received == reload_stream.len() as u64
-        && mismatches == 0
-        && store.version() == 2;
-    let _ = writeln!(
-        out,
-        "  hot reload: {}",
-        if ok {
-            "OK — zero drops, verdicts consistent"
-        } else {
-            "FAILED"
-        }
-    );
-    out
-}
-
-/// Observability demo: serve a steady stream, inject a mid-run
-/// distribution shift, and print what the drift monitors, the
-/// latency-SLO burn evaluator and the slowest-trace exemplars saw.
-/// The PSI jump on the injected shift is the signal the paper's §V
-/// incremental-retraining loop would trigger on.
-pub fn obsv(system: &Psigene, setup: &Setup) -> String {
-    use psigene_serve::{Gateway, GatewayConfig, LatencySlo, OverloadPolicy, SignatureStore};
-    use psigene_telemetry::insight::{DriftConfig, SloConfig, TraceConfig};
-    use std::sync::Arc;
-
-    let total = ((8_000.0 * setup.scale) as usize).clamp(1_500, 16_000);
-    let steady_n = total / 2;
-    let shifted_n = total - steady_n;
-
-    // Steady phase: the benign-dominant mix the signatures were
-    // trained against (~10 % attacks).
-    let mut steady = Dataset::new();
-    steady.extend(benign::generate(&benign::BenignConfig {
-        requests: steady_n - steady_n / 10,
-        ..Default::default()
-    }));
-    steady.extend(sqlmap::generate(&sqlmap::SqlmapConfig {
-        samples: steady_n / 10,
-        ..Default::default()
-    }));
-    // Shuffle so every drift window sees the same mix — the measured
-    // shift must come from the injected phase, not stream ordering.
-    use rand::SeedableRng as _;
-    steady.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(0x000b_5e11));
-    // Injected shift: mostly attacks from a different generator plus
-    // the novel SQL-ish benign tail — the feature mix moves hard.
-    let mut shifted = Dataset::new();
-    shifted.extend(arachni::generate(&arachni::ArachniConfig {
-        samples: shifted_n - shifted_n / 4,
-        ..Default::default()
-    }));
-    shifted.extend(benign::generate(&benign::BenignConfig {
-        requests: shifted_n / 4,
-        sqlish_fraction: 0.2,
-        include_novel_tail: true,
-        seed: 0xd21f_7001,
-    }));
-    shifted.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(0x000b_5e12));
-
-    let monitored = system.with_drift_config(DriftConfig {
-        window: 128,
-        ..DriftConfig::default()
-    });
-    let engine: Arc<dyn DetectionEngine> = Arc::new(monitored.clone());
-    let gateway = Gateway::start(
-        SignatureStore::new(engine),
-        GatewayConfig {
-            shards: 2,
-            queue_capacity: 256,
-            policy: OverloadPolicy::Block,
-            trace: TraceConfig {
-                sample_every: 16,
-                ..TraceConfig::default()
-            },
-            ..GatewayConfig::default()
-        },
-    );
-    // SLO: 99 % of requests within 5 ms end-to-end, evaluated every
-    // 250 served requests.
-    let slo = LatencySlo::new(5_000_000, SloConfig::default());
-
-    let drive = |requests: &[psigene_http::HttpRequest]| {
-        for chunk in requests.chunks(250) {
-            for r in chunk {
-                let _ = gateway.check(r.clone());
-            }
-            slo.tick();
-        }
-    };
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "OBSERVABILITY — drift, burn rate and exemplar traces \
-         ({steady_n} steady + {shifted_n} shifted requests)\n"
-    );
-    let _ = writeln!(
-        out,
-        "{:<22} {:>14} {:>14} {:>14} {:>9}",
-        "PHASE", "FEATURES PSI", "FEATURES KL", "MAX SIG PSI", "WINDOWS"
-    );
-    let mut row = |phase: &str| {
-        let s = monitored.drift_scores().expect("insight enabled");
-        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.4}"));
-        let sig_psi = s
-            .signatures
-            .iter()
-            .filter_map(|&(_, p)| p)
-            .fold(None::<f64>, |acc, p| Some(acc.map_or(p, |a| a.max(p))));
-        let _ = writeln!(
-            out,
-            "{phase:<22} {:>14} {:>14} {:>14} {:>9}",
-            fmt(s.features_psi),
-            fmt(s.features_kl),
-            fmt(sig_psi),
-            s.windows
-        );
-        s
-    };
-
-    let steady_reqs: Vec<psigene_http::HttpRequest> =
-        steady.samples.iter().map(|s| s.request.clone()).collect();
-    drive(&steady_reqs);
-    let steady_scores = row("steady traffic");
-
-    let shifted_reqs: Vec<psigene_http::HttpRequest> =
-        shifted.samples.iter().map(|s| s.request.clone()).collect();
-    drive(&shifted_reqs);
-    let shifted_scores = row("injected shift");
-
-    let burn = slo.burn();
-    let fmt_burn = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.2}"));
-    let _ = writeln!(
-        out,
-        "\nlatency SLO (99% < 5 ms): fast burn {}, slow burn {}, alerting: {}",
-        fmt_burn(burn.fast),
-        fmt_burn(burn.slow),
-        slo.alerting()
-    );
-
-    let exemplars = gateway.trace_exemplars();
-    let telemetry = psigene_telemetry::global();
-    let _ = writeln!(
-        out,
-        "traces sampled: {} (1 in {}), exemplars retained: {}",
-        telemetry.counter("serve.traces").get(),
-        gateway.config().trace.sample_every,
-        exemplars.len()
-    );
-    if let Some(slowest) = exemplars.first() {
-        let _ = writeln!(out, "\nslowest sampled request:");
-        for line in slowest.render_tree().lines() {
-            let _ = writeln!(out, "  {line}");
-        }
-    }
-    let stats = gateway.shutdown();
-
-    let steady_psi = steady_scores.features_psi.unwrap_or(0.0);
-    let shifted_psi = shifted_scores.features_psi.unwrap_or(0.0);
-    let ok = stats.served == (steady_reqs.len() + shifted_reqs.len()) as u64
-        && steady_psi < 0.1
-        && shifted_psi > 0.25
-        && shifted_psi > steady_psi;
-    let _ = writeln!(
-        out,
-        "\ndrift detection: {}",
-        if ok {
-            "OK — steady PSI under 0.1, injected shift past the 0.25 retraining threshold"
-        } else {
-            "FAILED"
-        }
-    );
-    out
-}
-
-/// Training-throughput sweep: wall clock of `train_from_datasets`
-/// at 1/2/4/8 worker threads over the same corpora, the per-phase
-/// breakdown, and a bit-identity fingerprint across thread counts
-/// (the parallel trainer must reproduce the sequential bits exactly).
-pub fn train(setup: &Setup) -> String {
-    use std::time::Instant;
-
-    let base = setup.pipeline_config();
-    let attacks = setup.training_set();
-    let benign_ds = benign::generate(&benign::BenignConfig {
-        requests: base.benign_train,
-        sqlish_fraction: base.benign_sqlish_fraction,
-        include_novel_tail: false,
-        seed: base.seed ^ 0xbe9116,
-    });
-
-    // FNV-1a over every signature's bias and weight bits.
-    fn fingerprint(sys: &Psigene) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for s in sys.signatures() {
-            for w in std::iter::once(&s.model.bias).chain(&s.model.weights) {
-                h ^= w.to_bits();
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h
-    }
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "TRAINING — thread sweep over train_from_datasets \
-         ({} attacks / {} benign, cluster cap {}, {} core(s) available)\n",
-        attacks.len(),
-        benign_ds.len(),
-        base.cluster_sample_cap,
-        cores
-    );
-    let _ = writeln!(
-        out,
-        "training is CPU-bound: wall-clock speedup is capped by the core \
-         count;\nthe invariant that must hold everywhere is the bit-identical \
-         fingerprint.\n"
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:>10} {:>9} {:>10} {:>10} {:>9} {:>6} {:>18}",
-        "THREADS", "WALL (s)", "SPEEDUP", "EXTRACT", "BICLUSTER", "FIT", "SIGS", "FINGERPRINT"
-    );
-    let mut base_wall = 0.0f64;
-    let mut base_fp: Option<u64> = None;
-    let mut identical = true;
-    for threads in [1usize, 2, 4, 8] {
-        let config = PipelineConfig {
-            threads,
-            ..base.clone()
-        };
-        let start = Instant::now();
-        let sys = Psigene::train_from_datasets(&attacks, &benign_ds, &config);
-        let wall = start.elapsed().as_secs_f64();
-        if threads == 1 {
-            base_wall = wall;
-        }
-        let fp = fingerprint(&sys);
-        match base_fp {
-            None => base_fp = Some(fp),
-            Some(f) => identical &= f == fp,
-        }
-        let ph = &sys.report().phase_seconds;
-        let _ = writeln!(
-            out,
-            "{threads:<8} {wall:>10.2} {:>8.2}x {:>9.2}s {:>9.2}s {:>8.2}s {:>6} {fp:>18x}",
-            base_wall / wall.max(1e-9),
-            ph.extract,
-            ph.bicluster,
-            ph.train,
-            sys.signatures().len()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nbit-identical across thread counts: {}",
-        if identical { "yes" } else { "NO — BUG" }
-    );
     out
 }
 
@@ -1252,79 +650,4 @@ fn truncate(s: &str, n: usize) -> String {
     } else {
         s.chars().take(n - 1).collect::<String>() + "…"
     }
-}
-
-/// Crawl resilience sweep: sample-recovery rate and throughput as the
-/// injected fault rate rises (the ISSUE 4 headline: ≥99 % recovery at
-/// a 20 % per-attempt fault rate), plus a portal-down scenario.
-pub fn crawl(setup: &Setup) -> String {
-    use psigene_corpus::crawler::{crawl_with_faults, CrawlerConfig};
-    use psigene_corpus::portal::{build_portals, PortalConfig};
-    use psigene_corpus::web::FaultPlan;
-    use std::collections::HashSet;
-    use std::time::Instant;
-
-    let samples = (30_000.0 * setup.scale.max(0.001)) as usize;
-    let corpus = build_portals(&PortalConfig {
-        samples,
-        seed: setup.seed,
-        ..PortalConfig::default()
-    });
-    let config = CrawlerConfig::default();
-    let planted: HashSet<&str> = corpus.planted.iter().map(|p| p.payload.as_str()).collect();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "CRAWL RESILIENCE — recovery vs injected fault rate ({} planted samples)\n",
-        planted.len()
-    );
-    let _ = writeln!(
-        out,
-        "fault-rate  pages  retries  salvaged  dead  recovery  pages/sec"
-    );
-    for rate in [0.0, 0.05, 0.10, 0.20, 0.30, 0.50] {
-        let plan = if rate == 0.0 {
-            FaultPlan::none()
-        } else {
-            FaultPlan::uniform(rate, setup.seed ^ 0xfa17)
-        };
-        let start = Instant::now();
-        let result = crawl_with_faults(&corpus.web, &corpus.seeds, &config, &plan);
-        let wall = start.elapsed().as_secs_f64().max(1e-9);
-        let recovered = result
-            .samples
-            .iter()
-            .filter(|s| planted.contains(s.payload.as_str()))
-            .count();
-        let _ = writeln!(
-            out,
-            "{:>9.0}%  {:>5}  {:>7}  {:>8}  {:>4}  {:>7.2}%  {:>9.0}",
-            rate * 100.0,
-            result.stats.pages_fetched,
-            result.stats.retries,
-            result.stats.salvaged,
-            result.dead_letters.len(),
-            recovered as f64 / planted.len().max(1) as f64 * 100.0,
-            result.stats.pages_fetched as f64 / wall
-        );
-    }
-
-    // One portal down for the whole crawl: the other three still
-    // deliver, and the dead host is bounded by the politeness budget.
-    let plan = FaultPlan::none().with_dead_host("bugtraq.example");
-    let result = crawl_with_faults(&corpus.web, &corpus.seeds, &config, &plan);
-    let recovered = result
-        .samples
-        .iter()
-        .filter(|s| planted.contains(s.payload.as_str()))
-        .count();
-    let _ = writeln!(
-        out,
-        "\nportal down (bugtraq.example): {} dead letters, {}/{} samples from healthy portals",
-        result.dead_letters.len(),
-        recovered,
-        planted.len()
-    );
-    out
 }

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Subcommands: `table1`..`table6`, `fig2`, `fig3`, `fig4`, `exp2`,
-//! `exp3`, `exp4`, `serve`, `obsv`, `crawl`, `train`, `ablation`, `all`. Options: `--scale <f>` (corpus
+//! `exp3`, `exp4`, `ablation`, `all`. Options: `--scale <f>` (corpus
 //! scale relative to the paper, default 0.1), `--seed <n>`,
 //! `--out <dir>` (artifact directory, default `results/`),
 //! `--telemetry <file>` (dump the global telemetry registry as JSON
@@ -17,6 +17,12 @@ mod harness;
 use harness::Setup;
 use psigene::Psigene;
 use std::path::PathBuf;
+
+/// Every target, in the order `all` runs them.
+const TARGETS: [&str; 13] = [
+    "table1", "table2", "table3", "table4", "table5", "table6", "fig2", "fig3", "fig4", "exp2",
+    "exp3", "exp4", "ablation",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,19 +71,21 @@ fn main() {
         return;
     }
     let expanded: Vec<&str> = if commands.iter().any(|c| c == "all") {
-        vec![
-            "table1", "table2", "table3", "table4", "table5", "table6", "fig2", "fig3", "fig4",
-            "exp2", "exp3", "exp4", "crawl", "ablation",
-        ]
+        TARGETS.to_vec()
     } else {
         commands.iter().map(String::as_str).collect()
     };
+    if let Some(other) = expanded.iter().find(|c| !TARGETS.contains(c)) {
+        eprintln!("unknown command {other}");
+        usage();
+        std::process::exit(2);
+    }
 
     // The trained system is shared by most experiments.
     let needs_system = expanded.iter().any(|c| {
         matches!(
             *c,
-            "table3" | "table5" | "table6" | "fig3" | "fig4" | "exp2" | "exp4" | "serve" | "obsv"
+            "table3" | "table5" | "table6" | "fig3" | "fig4" | "exp2" | "exp4"
         )
     });
     let system: Option<Psigene> = if needs_system {
@@ -114,16 +122,8 @@ fn main() {
             "exp2" => harness::exp2(system.as_ref().expect("system"), &setup),
             "exp3" => harness::exp3(&setup),
             "exp4" => harness::exp4(system.as_ref().expect("system"), &setup),
-            "serve" => harness::serve(system.as_ref().expect("system"), &setup),
-            "obsv" => harness::obsv(system.as_ref().expect("system"), &setup),
-            "crawl" => harness::crawl(&setup),
-            "train" => harness::train(&setup),
             "ablation" => harness::ablation(&setup),
-            other => {
-                eprintln!("unknown command {other}");
-                usage();
-                std::process::exit(2);
-            }
+            other => unreachable!("{other} is not in TARGETS"),
         };
         println!("{report}");
         println!("{}", "─".repeat(78));
@@ -142,8 +142,8 @@ fn usage() {
     eprintln!(
         "usage: repro [--scale <f>] [--seed <n>] [--out <dir>] [--telemetry <file>] \
          <command>...\n\
-         commands: table1 table2 table3 table4 table5 table6 fig2 fig3 fig4 \
-         exp2 exp3 exp4 serve obsv crawl train ablation all"
+         commands: {} all",
+        TARGETS.join(" ")
     );
 }
 

@@ -1,7 +1,7 @@
 //! Pipeline configuration.
 
 use psigene_cluster::BiclusterConfig;
-use psigene_corpus::{FaultPlan, ObfuscationProfile};
+use psigene_corpus::ObfuscationProfile;
 use psigene_learn::TrainOptions;
 
 /// Everything that parameterizes a pSigene training run.
@@ -18,9 +18,6 @@ pub struct PipelineConfig {
     pub crawl_samples: usize,
     /// Obfuscation profile of the portal-published samples.
     pub portal_profile: ObfuscationProfile,
-    /// Fault plan for the crawl phase (clean by default; see
-    /// `psigene_corpus::web::FaultPlan` for the failure menu).
-    pub crawl_faults: FaultPlan,
     /// Number of benign requests in the training trace.
     pub benign_train: usize,
     /// Fraction of benign training requests that legitimately carry
@@ -59,7 +56,6 @@ impl Default for PipelineConfig {
             seed: 0x0051_6e61,
             crawl_samples: 3000,
             portal_profile: ObfuscationProfile::portal(),
-            crawl_faults: FaultPlan::none(),
             benign_train: 24_000,
             benign_sqlish_fraction: 0.01,
             cluster_sample_cap: 1500,

@@ -9,7 +9,7 @@ use psigene_cluster::{
     bicluster::bicluster_with_dendrogram, cophenetic_correlation_streaming, hac::cluster_condensed,
 };
 use psigene_corpus::benign::{self, BenignConfig};
-use psigene_corpus::{crawl_training_set_with_health, CrawlCorpusConfig, Dataset};
+use psigene_corpus::{crawl_training_set, CrawlCorpusConfig, Dataset};
 use psigene_features::{extract, FeatureSet};
 use psigene_learn::{train_sparse, TrainOptions};
 use psigene_linalg::distance::{euclidean_from_gram, pairwise_euclidean_sparse};
@@ -68,11 +68,10 @@ impl Psigene {
     pub fn train(config: &PipelineConfig) -> Psigene {
         // ── Phase 1: webcrawling for attack samples (§II-A) ──
         let crawl_span = psigene_telemetry::span("pipeline.crawl");
-        let (attacks, crawl_health) = crawl_training_set_with_health(&CrawlCorpusConfig {
+        let attacks = crawl_training_set(&CrawlCorpusConfig {
             samples: config.crawl_samples,
             seed: config.seed,
             profile: config.portal_profile,
-            faults: config.crawl_faults.clone(),
         });
         let benign = benign::generate(&BenignConfig {
             requests: config.benign_train,
@@ -83,7 +82,6 @@ impl Psigene {
         let crawl_seconds = crawl_span.finish().as_secs_f64();
         let mut system = Psigene::train_from_datasets(&attacks, &benign, config);
         system.report.phase_seconds.crawl = crawl_seconds;
-        system.report.crawl_health = Some(crawl_health);
         system
     }
 

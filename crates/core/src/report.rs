@@ -1,7 +1,5 @@
 //! Diagnostics recorded during a pipeline run.
 
-pub use psigene_corpus::CrawlHealth;
-
 /// Per-bicluster diagnostics (one row of Table VI, plus bookkeeping).
 #[derive(Debug, Clone)]
 pub struct ClusterInfo {
@@ -71,10 +69,6 @@ pub struct PipelineReport {
     pub clusters: Vec<ClusterInfo>,
     /// Wall-clock spent in each phase.
     pub phase_seconds: PhaseTimings,
-    /// How the crawl phase fared under its fault plan. `None` when
-    /// training skipped the crawl
-    /// ([`Psigene::train_from_datasets`](crate::Psigene::train_from_datasets)).
-    pub crawl_health: Option<CrawlHealth>,
 }
 
 impl PipelineReport {

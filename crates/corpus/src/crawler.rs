@@ -92,87 +92,6 @@ pub struct CrawlResult {
     pub dead_letters: Vec<DeadLetter>,
 }
 
-/// Health summary of the crawl phase, surfaced on the pipeline report
-/// so a degraded data-collection phase is visible next to the model
-/// quality numbers it can poison.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CrawlHealth {
-    /// Pages fetched (including salvaged).
-    pub pages_fetched: usize,
-    /// Pages recovered from damaged copies.
-    pub pages_salvaged: usize,
-    /// Pages abandoned.
-    pub dead_letters: usize,
-    /// Retry attempts spent.
-    pub retries: u64,
-    /// Faults observed.
-    pub faults: u64,
-    /// 429s among them.
-    pub rate_limited: u64,
-    /// Deadline violations among them.
-    pub timeouts: u64,
-    /// Virtual backoff total, nanoseconds.
-    pub backoff_nanos: u64,
-    /// Labeled samples that made it into the training set.
-    pub samples_recovered: usize,
-    /// Samples the portals actually published.
-    pub samples_expected: usize,
-}
-
-impl CrawlHealth {
-    /// Builds the summary from a finished crawl plus the corpus-level
-    /// sample accounting.
-    pub fn from_crawl(result: &CrawlResult, recovered: usize, expected: usize) -> CrawlHealth {
-        CrawlHealth {
-            pages_fetched: result.stats.pages_fetched,
-            pages_salvaged: result.stats.salvaged,
-            dead_letters: result.dead_letters.len(),
-            retries: result.stats.retries,
-            faults: result.stats.faults,
-            rate_limited: result.stats.rate_limited,
-            timeouts: result.stats.timeouts,
-            backoff_nanos: result.stats.backoff_nanos,
-            samples_recovered: recovered,
-            samples_expected: expected,
-        }
-    }
-
-    /// Fraction of published samples recovered (1.0 when nothing was
-    /// expected).
-    pub fn recovery_rate(&self) -> f64 {
-        if self.samples_expected == 0 {
-            1.0
-        } else {
-            self.samples_recovered as f64 / self.samples_expected as f64
-        }
-    }
-
-    /// Whether the crawl needed any of the recovery machinery.
-    pub fn degraded(&self) -> bool {
-        self.dead_letters > 0 || self.pages_salvaged > 0 || self.faults > 0
-    }
-
-    /// One-line render for reports.
-    pub fn render(&self) -> String {
-        format!(
-            "crawl health: {} pages ({} salvaged, {} dead-lettered), {} retries \
-             over {} faults ({} rate-limited, {} timeouts), {:.1} ms virtual backoff, \
-             {}/{} samples recovered ({:.2}%)",
-            self.pages_fetched,
-            self.pages_salvaged,
-            self.dead_letters,
-            self.retries,
-            self.faults,
-            self.rate_limited,
-            self.timeouts,
-            self.backoff_nanos as f64 / 1e6,
-            self.samples_recovered,
-            self.samples_expected,
-            self.recovery_rate() * 100.0
-        )
-    }
-}
-
 /// Crawler configuration.
 #[derive(Debug, Clone)]
 pub struct CrawlerConfig {

@@ -39,10 +39,8 @@ pub mod sqlmap;
 pub mod vulndb;
 pub mod web;
 
-pub use crawler::CrawlHealth;
 pub use dataset::{Dataset, Label, Sample, Source};
 pub use families::{AttackFamily, ObfuscationProfile};
-pub use web::FaultPlan;
 
 use psigene_http::HttpRequest;
 use std::collections::HashMap;
@@ -56,8 +54,6 @@ pub struct CrawlCorpusConfig {
     pub seed: u64,
     /// Obfuscation profile of published samples.
     pub profile: ObfuscationProfile,
-    /// Fault plan the crawl runs through (clean by default).
-    pub faults: FaultPlan,
 }
 
 impl Default for CrawlCorpusConfig {
@@ -66,7 +62,6 @@ impl Default for CrawlCorpusConfig {
             samples: 3000,
             seed: 0xc0a1_e5ce,
             profile: ObfuscationProfile::portal(),
-            faults: FaultPlan::none(),
         }
     }
 }
@@ -78,13 +73,6 @@ impl Default for CrawlCorpusConfig {
 /// back to the planted corpus (exact string match; the crawler is
 /// lossless by construction and tested to be).
 pub fn crawl_training_set(config: &CrawlCorpusConfig) -> Dataset {
-    crawl_training_set_with_health(config).0
-}
-
-/// Like [`crawl_training_set`], but also reports how the crawl phase
-/// itself fared — retries, salvage, dead letters and the fraction of
-/// published samples that made it into the training set.
-pub fn crawl_training_set_with_health(config: &CrawlCorpusConfig) -> (Dataset, CrawlHealth) {
     let corpus = portal::build_portals(&portal::PortalConfig {
         samples: config.samples,
         seed: config.seed,
@@ -95,11 +83,10 @@ pub fn crawl_training_set_with_health(config: &CrawlCorpusConfig) -> (Dataset, C
         .iter()
         .map(|p| (p.payload.as_str(), p.family))
         .collect();
-    let result = crawler::crawl_with_faults(
+    let result = crawler::crawl(
         &corpus.web,
         &corpus.seeds,
         &crawler::CrawlerConfig::default(),
-        &config.faults,
     );
     let mut ds = Dataset::new();
     for s in &result.samples {
@@ -117,8 +104,7 @@ pub fn crawl_training_set_with_health(config: &CrawlCorpusConfig) -> (Dataset, C
             },
         });
     }
-    let health = CrawlHealth::from_crawl(&result, ds.len(), corpus.planted.len());
-    (ds, health)
+    ds
 }
 
 #[cfg(test)]

@@ -86,28 +86,6 @@ impl ExtractStats {
         self
     }
 
-    /// Fraction of potential counting runs the fused scan eliminated.
-    pub fn skip_ratio(&self) -> f64 {
-        let total = self.vm_runs + self.vm_runs_skipped;
-        if total == 0 {
-            0.0
-        } else {
-            self.vm_runs_skipped as f64 / total as f64
-        }
-    }
-
-    /// Fraction of fused-feature counting runs the fused scan eliminated
-    /// (the fused analog of [`ExtractStats::skip_ratio`]); 0 when the
-    /// fused engine was not involved.
-    pub fn fused_skip_ratio(&self) -> f64 {
-        let total = self.fused_matched + self.fused_skipped;
-        if total == 0 {
-            0.0
-        } else {
-            self.fused_skipped as f64 / total as f64
-        }
-    }
-
     /// Fraction of lazy-DFA transitions served from the state cache;
     /// `None` when the DFA scanned no bytes. Clamped to `[0, 1]` —
     /// flush-forced re-determinization can miss more than once per
@@ -128,10 +106,6 @@ struct ExtractMetrics {
     regex_evals: Arc<Counter>,
     vm_runs_skipped: Arc<Counter>,
     count_vm_runs: Arc<Counter>,
-    rows_extracted: Arc<Counter>,
-    skip_ratio: Arc<Gauge>,
-    matrix_fill_rate: Arc<Gauge>,
-    fused_skip_ratio: Arc<Gauge>,
     fused_fallback_vm_runs: Arc<Counter>,
     fused_cache_states: Arc<Gauge>,
     fused_cache_hit_ratio: Arc<Gauge>,
@@ -148,10 +122,6 @@ fn metrics() -> &'static ExtractMetrics {
             regex_evals: telemetry.counter("features.regex_evals"),
             vm_runs_skipped: telemetry.counter("features.vm_runs_skipped"),
             count_vm_runs: telemetry.counter("features.count_vm_runs"),
-            rows_extracted: telemetry.counter("features.rows_extracted"),
-            skip_ratio: telemetry.gauge("features.vm_skip_ratio"),
-            matrix_fill_rate: telemetry.gauge("features.matrix_fill_rate"),
-            fused_skip_ratio: telemetry.gauge("features.fused_skip_ratio"),
             fused_fallback_vm_runs: telemetry.counter("regex.fused.fallback_vm_runs"),
             fused_cache_states: telemetry.gauge("regex.fused.cache_states"),
             fused_cache_hit_ratio: telemetry.gauge("regex.fused.cache_hit_ratio"),
@@ -167,25 +137,20 @@ fn metrics() -> &'static ExtractMetrics {
 /// `features.regex_evals` counts the counting runs that *actually
 /// happened* (not `rows × features` — the fused scan skips most of
 /// those), with the skipped complement in `features.vm_runs_skipped`,
-/// the running skip fraction in `features.vm_skip_ratio`, the runs
-/// that fell to the Pike VM in `features.count_vm_runs`, and of those
-/// the runs for features the fuser refused in
+/// the runs that fell to the Pike VM in `features.count_vm_runs`, and
+/// of those the runs for features the fuser refused in
 /// `regex.fused.fallback_vm_runs`. Sets with a fused automaton
-/// additionally feed `features.fused_skip_ratio` and the
-/// `regex.fused.cache_*` family (state-cache occupancy, hit ratio,
-/// flushes).
-fn record_stats(stats: &ExtractStats, rows: u64) {
+/// additionally feed the `regex.fused.cache_*` family (state-cache
+/// occupancy, hit ratio, flushes).
+fn record_stats(stats: &ExtractStats) {
     let m = metrics();
     m.normalize_passes.add(stats.normalize_passes);
     m.normalize_cap_hits.add(stats.normalize_cap_hits);
     m.regex_evals.add(stats.vm_runs);
     m.vm_runs_skipped.add(stats.vm_runs_skipped);
     m.count_vm_runs.add(stats.count_vm_runs);
-    m.rows_extracted.add(rows);
-    m.skip_ratio.set(stats.skip_ratio());
     m.fused_fallback_vm_runs.add(stats.fallback_vm_runs);
     if stats.fused_matched + stats.fused_skipped > 0 {
-        m.fused_skip_ratio.set(stats.fused_skip_ratio());
         m.fused_cache_states.set(stats.dfa_states as f64);
         m.fused_cache_flushes.add(stats.dfa_flushes);
         if let Some(hit) = stats.dfa_hit_ratio() {
@@ -240,7 +205,7 @@ impl ScanScratch {
 
     fn flush_stats(&mut self) {
         if self.pending_rows > 0 {
-            record_stats(&self.pending, self.pending_rows);
+            record_stats(&self.pending);
             self.pending = ExtractStats::default();
             self.pending_rows = 0;
         }
@@ -462,9 +427,8 @@ pub fn extract_matrix(set: &FeatureSet, payloads: &[&[u8]], threads: usize) -> C
             stats.absorb(s);
             b.push_row(&row);
         }
-        let m = b.build();
-        record_matrix_telemetry(&m, &stats);
-        return m;
+        record_stats(&stats);
+        return b.build();
     }
     // Build the automaton before fanning out so workers share it
     // instead of racing to build their own.
@@ -502,22 +466,8 @@ pub fn extract_matrix(set: &FeatureSet, payloads: &[&[u8]], threads: usize) -> C
             b.push_row(&row);
         }
     }
-    let m = b.build();
-    record_matrix_telemetry(&m, &stats);
-    m
-}
-
-/// Accounts one extracted matrix in the global registry: actual
-/// counting runs (not `rows × features`), the skip ratio, and
-/// the fill rate as the fraction of nonzero cells.
-fn record_matrix_telemetry(m: &CsrMatrix, stats: &ExtractStats) {
-    record_stats(stats, m.rows() as u64);
-    let cells = m.rows() * m.cols();
-    if cells > 0 {
-        metrics()
-            .matrix_fill_rate
-            .set(m.nnz() as f64 / cells as f64);
-    }
+    record_stats(&stats);
+    b.build()
 }
 
 #[cfg(test)]
@@ -609,10 +559,11 @@ mod tests {
         assert_eq!(stats.fallback_vm_runs, 0);
         assert_eq!(row.len() as u64, stats.vm_runs);
         assert!(stats.dfa_bytes > 0, "{stats:?}");
+        let fused_skip_ratio =
+            stats.fused_skipped as f64 / (stats.fused_matched + stats.fused_skipped) as f64;
         assert!(
-            stats.fused_skip_ratio() > 0.8,
-            "attack fused skip ratio only {:.2} ({stats:?})",
-            stats.fused_skip_ratio()
+            fused_skip_ratio > 0.8,
+            "attack fused skip ratio only {fused_skip_ratio:.2} ({stats:?})"
         );
     }
 
@@ -734,10 +685,11 @@ mod tests {
     fn benign_traffic_skips_most_vm_runs() {
         let set = FeatureSet::full();
         let (_, stats) = extract_row_uncounted(&set, b"page=2&sort=asc&term=2012");
+        let skip_ratio =
+            stats.vm_runs_skipped as f64 / (stats.vm_runs + stats.vm_runs_skipped) as f64;
         assert!(
-            stats.skip_ratio() > 0.5,
-            "benign skip ratio only {:.2} ({stats:?})",
-            stats.skip_ratio()
+            skip_ratio > 0.5,
+            "benign skip ratio only {skip_ratio:.2} ({stats:?})"
         );
     }
 

@@ -103,26 +103,15 @@ impl Match {
 }
 
 /// Configures and builds a [`Regex`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegexBuilder {
     case_insensitive: bool,
-    prefilter: bool,
-}
-
-impl Default for RegexBuilder {
-    fn default() -> RegexBuilder {
-        RegexBuilder {
-            case_insensitive: false,
-            prefilter: true,
-        }
-    }
 }
 
 impl RegexBuilder {
-    /// Creates a builder with default settings: case-sensitive,
-    /// prefilter enabled. `.` excludes `\n` unless the pattern says
-    /// `(?s)`, and the compiled program is capped at
-    /// `compiler::DEFAULT_SIZE_LIMIT` instructions.
+    /// Creates a builder with default settings: case-sensitive. `.`
+    /// excludes `\n` unless the pattern says `(?s)`, and the compiled
+    /// program is capped at `compiler::DEFAULT_SIZE_LIMIT` instructions.
     pub fn new() -> RegexBuilder {
         RegexBuilder::default()
     }
@@ -130,12 +119,6 @@ impl RegexBuilder {
     /// Enables ASCII case-insensitive matching for the whole pattern.
     pub fn case_insensitive(mut self, yes: bool) -> RegexBuilder {
         self.case_insensitive = yes;
-        self
-    }
-
-    /// Enables or disables the mandatory-literal prefilter.
-    pub fn prefilter(mut self, yes: bool) -> RegexBuilder {
-        self.prefilter = yes;
         self
     }
 
@@ -147,15 +130,10 @@ impl RegexBuilder {
         };
         let ast = parser::parse(pattern, flags)?;
         let prog = compiler::compile(&ast, compiler::DEFAULT_SIZE_LIMIT)?;
-        let prefilter = if self.prefilter {
-            Prefilter::from_ast(&ast)
-        } else {
-            None
-        };
         Ok(Regex {
             pattern: pattern.to_string(),
             prog,
-            prefilter,
+            prefilter: Prefilter::from_ast(&ast),
         })
     }
 }
@@ -339,23 +317,6 @@ mod tests {
         for (pat, hay, want) in cases {
             let re = Regex::new(pat).unwrap();
             assert_eq!(re.is_match(hay), *want, "pattern {pat:?} on {hay:?}");
-        }
-    }
-
-    #[test]
-    fn prefilter_does_not_change_results() {
-        let pat = r"(?i)select.+from";
-        let with = Regex::builder().prefilter(true).build(pat).unwrap();
-        let without = Regex::builder().prefilter(false).build(pat).unwrap();
-        let hays: &[&[u8]] = &[
-            b"SELECT a FROM b",
-            b"select from",
-            b"nothing",
-            b"selec t fro m",
-        ];
-        for hay in hays {
-            assert_eq!(with.is_match(hay), without.is_match(hay), "{hay:?}");
-            assert_eq!(with.count_all(hay), without.count_all(hay), "{hay:?}");
         }
     }
 

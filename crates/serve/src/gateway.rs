@@ -274,11 +274,6 @@ impl Gateway {
         &self.store
     }
 
-    /// The configuration the gateway was started with.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
     /// Submits one request; returns a [`Ticket`] resolving to its
     /// verdict. Under `Shed` the ticket may already be resolved to
     /// [`Verdict::Overloaded`].
@@ -348,12 +343,6 @@ impl Gateway {
             t.begin("gateway.queue");
         }
         trace
-    }
-
-    /// The request-trace sampler (deterministic in the configured
-    /// seed; useful for predicting which ids are sampled).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The slowest finished traces seen so far, slowest first — the

@@ -20,7 +20,6 @@ use psigene_learn::ConfusionMatrix;
 use psigene_rulesets::DetectionEngine;
 use psigene_serve::{Gateway, GatewayConfig, LatencySlo, OverloadPolicy, SignatureStore};
 use psigene_telemetry::insight::SloConfig;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -74,7 +73,7 @@ fn main() {
         samples: stream_attacks,
         ..Default::default()
     }));
-    stream.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(0xf00d));
+    stream.shuffle(0xf00d);
 
     println!(
         "serving {} requests ({} attacks hidden in the stream) on {} shards\n",

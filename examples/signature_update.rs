@@ -10,7 +10,6 @@
 use psigene::{PipelineConfig, Psigene};
 use psigene_corpus::sqlmap::{self, SqlmapConfig};
 use psigene_rulesets::DetectionEngine;
-use rand::SeedableRng;
 
 fn main() {
     println!("training the initial signature set...");
@@ -27,7 +26,7 @@ fn main() {
         samples: 1000,
         ..Default::default()
     });
-    campaign.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(42));
+    campaign.shuffle(42);
 
     let tpr = |sys: &Psigene, ds: &psigene_corpus::Dataset| -> f64 {
         let hits = ds

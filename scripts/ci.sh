@@ -112,6 +112,15 @@ cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
     --workload encoded_direct --seed 1 --seconds 2 --trace 1 >/dev/null
 
+# Every paper target of the reproduction harness at 2 % scale, into a
+# throwaway directory: the reports are not compared, but each target
+# must run to completion.
+echo "==> repro all at --scale 0.02"
+repro_out=$(mktemp -d)
+cargo run --release --offline --quiet -p psigene-bench --bin repro -- \
+    --scale 0.02 --out "$repro_out" all >/dev/null
+rm -rf "$repro_out"
+
 # Nothing above may write outside the ignored build directories:
 # `results/` is tracked, so a stray report would be committed.
 echo "==> no untracked files left behind"

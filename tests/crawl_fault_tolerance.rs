@@ -124,26 +124,3 @@ fn checkpoint_resume_equals_uninterrupted_crawl() {
     );
     assert_eq!(resumed.dead_letters, uninterrupted.dead_letters);
 }
-
-#[test]
-fn training_set_health_reflects_faulty_crawl() {
-    use psigene_corpus::{crawl_training_set_with_health, CrawlCorpusConfig};
-    let (ds, health) = crawl_training_set_with_health(&CrawlCorpusConfig {
-        samples: 400,
-        faults: FaultPlan::uniform(0.20, FIXED_SEED),
-        ..CrawlCorpusConfig::default()
-    });
-    assert_eq!(health.samples_expected, 400);
-    assert_eq!(health.samples_recovered, ds.len());
-    assert!(health.recovery_rate() >= 0.99, "{}", health.render());
-    assert!(health.degraded());
-    assert!(health.retries > 0);
-
-    // Clean crawls report a clean bill of health.
-    let (_, clean) = crawl_training_set_with_health(&CrawlCorpusConfig {
-        samples: 200,
-        ..CrawlCorpusConfig::default()
-    });
-    assert!(!clean.degraded());
-    assert!((clean.recovery_rate() - 1.0).abs() < 1e-9);
-}

@@ -8,7 +8,6 @@ use psigene_corpus::{
     Dataset,
 };
 use psigene_rulesets::DetectionEngine;
-use rand::SeedableRng;
 
 fn tpr(sys: &Psigene, ds: &Dataset) -> f64 {
     ds.samples
@@ -31,7 +30,7 @@ fn incremental_training_raises_tpr_on_held_out_traffic() {
         samples: 800,
         ..Default::default()
     });
-    campaign.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(0x1e_a4ed));
+    campaign.shuffle(0x1e_a4ed);
 
     let (added, held_out) = campaign.split_fraction(0.4);
     let before = tpr(&system, &held_out);
