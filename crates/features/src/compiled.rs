@@ -1,5 +1,6 @@
 //! The set-level scan: one pass over the normalized payload decides
-//! which features need counting at all.
+//! which features need counting at all, and counts the fixed-width
+//! ones itself.
 //!
 //! pSigene's operational phase (§IV of the paper) evaluates every
 //! request against the full feature library before scoring
@@ -7,7 +8,10 @@
 //! benign traffic, in the paper's measurements — match almost
 //! nothing. [`CompiledFeatureSet`] fuses every feature pattern into
 //! one automaton ([`psigene_regex::FusedSet`]) whose single lazy-DFA
-//! pass reports the *exact* set of matching features. A pattern the
+//! pass reports the *exact* set of matching features, and the match
+//! count of every feature whose matches all have one width
+//! (`CompiledFeatureSet::scan_count`; 267 of the 439 in the shipped
+//! library, such as `\bselect\b`, `'` and `--`). A pattern the
 //! fuser refuses (too large to determinize profitably — none in the
 //! shipped library) goes on the fallback list instead: its bit is
 //! pre-set on every payload, so it is always counted by its own VM
@@ -89,6 +93,13 @@ impl CompiledFeatureSet {
         bits.clone_from(&self.refused);
         let stats = self.fused.as_ref()?.scan_into(norm, dfa, bits);
         Some(FusedScanReport { stats })
+    }
+
+    /// Feature `id`'s count from the last scan through `dfa`, for the
+    /// fused features the scan counts itself (every match one width);
+    /// `None` for the rest, which need a counting run of their own.
+    pub(crate) fn scan_count(&self, dfa: &DfaCache, id: usize) -> Option<usize> {
+        self.fused.as_ref()?.scan_count(dfa, id)
     }
 
     /// The fused multi-pattern automaton, when one exists.
@@ -177,6 +188,23 @@ mod tests {
             largest <= Some(128),
             "largest automaton: {largest:?} states"
         );
+    }
+
+    #[test]
+    fn the_scan_counts_every_fixed_width_library_feature() {
+        // Features whose every match has one width are counted by the
+        // fused scan itself, the rest by a counting run of their own. A
+        // library edit that moves features between the two moves
+        // request-path work: it must be made here, on purpose.
+        let set = crate::FeatureSet::full();
+        let c = CompiledFeatureSet::build(set.features());
+        let mut dfa = DfaCache::new();
+        c.fused_candidates_into(b"", &mut CandidateSet::new(0), &mut dfa)
+            .expect("full library has a fused engine");
+        let counted = (0..set.len())
+            .filter(|&id| c.scan_count(&dfa, id).is_some())
+            .count();
+        assert_eq!((counted, set.len()), (267, 439));
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! §II-A. Extraction then makes **one pass** over the normalized
 //! bytes with the fused lazy-DFA scan of
 //! [`crate::compiled::CompiledFeatureSet`], which reports the *exact*
-//! set of matching features, and counts only those — each by its
-//! precompiled counting automaton ([`psigene_regex::CountDfa`]), or by
-//! its Pike VM when the pattern has none (plus any feature the fuser
-//! refused, which is counted by its own VM on every payload). The
+//! set of matching features and counts those whose matches all have
+//! one width as it goes. Only the other matched features are counted
+//! afterwards — each by its precompiled counting automaton
+//! ([`psigene_regex::CountDfa`]), or by its Pike VM when the pattern
+//! has none (plus any feature the fuser refused, which is counted by
+//! its own VM on every payload). The
 //! output is identical to running `count_all` of every feature —
 //! verified by property test in `crate::proptests`. Matrix extraction
 //! parallelizes over samples with scoped threads (each sample is
@@ -25,8 +27,9 @@ use std::sync::{Arc, OnceLock};
 /// Accounting for one or more extractions: what normalization cost,
 /// and how many features were actually counted versus skipped by the
 /// fused scan. A *counting run* is one feature counted over one
-/// payload, by whichever engine — the `vm_` in the field names
-/// predates the counting automaton.
+/// payload, by whichever engine — the fused scan's own tally, the
+/// counting automaton or the Pike VM; the `vm_` in the field names
+/// predates the other two.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractStats {
     /// Normalization pipeline passes counted
@@ -299,12 +302,15 @@ fn count_norm_traced(
     let mut fallback_vm_runs = 0u64;
     for id in bits.iter() {
         let f = &features[id];
-        // A fused feature's bit is an exact match, so its own
+        // The scan counted the fixed-width features as it found them.
+        // Any other fused feature's bit is an exact match, so its own
         // prefilter could only re-confirm what the DFA proved — skip
         // it and go straight to counting. A refused feature's bit is
         // set on every payload and says nothing: it keeps the
         // prefilter, and the VM behind it.
-        let n = if compiled.is_fused(id) {
+        let n = if let Some(n) = compiled.scan_count(dfa, id) {
+            n
+        } else if compiled.is_fused(id) {
             count_vm_runs += u64::from(f.count_dfa().is_none());
             f.count_known_match(norm, vm)
         } else {

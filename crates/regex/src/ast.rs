@@ -69,6 +69,35 @@ impl Ast {
         }
     }
 
+    /// The width in bytes shared by every match, or `None` when
+    /// matches of different widths exist. Assertions and the empty
+    /// string are zero wide; an alternation is fixed when its branches
+    /// agree, a repetition when its count is or its body is zero wide.
+    pub fn fixed_width(&self) -> Option<usize> {
+        match self {
+            Ast::Empty
+            | Ast::StartText
+            | Ast::EndText
+            | Ast::WordBoundary
+            | Ast::NotWordBoundary => Some(0),
+            Ast::Literal(_) | Ast::Class(_) | Ast::Dot { .. } => Some(1),
+            Ast::Concat(parts) => parts.iter().map(Ast::fixed_width).sum(),
+            Ast::Alternate(parts) => {
+                let first = parts.first().map_or(Some(0), Ast::fixed_width)?;
+                parts
+                    .iter()
+                    .all(|p| p.fixed_width() == Some(first))
+                    .then_some(first)
+            }
+            Ast::Repeat { ast, min, max, .. } => match ast.fixed_width()? {
+                0 => Some(0),
+                w if *max == Some(*min) => w.checked_mul(*min as usize),
+                _ => None,
+            },
+            Ast::Group(inner) => inner.fixed_width(),
+        }
+    }
+
     /// A rough node count used to enforce compiled-size limits before
     /// repetition expansion blows a pattern up.
     pub fn weight(&self) -> usize {
@@ -126,6 +155,28 @@ mod tests {
         assert!(!cat.is_nullable());
         let alt = Ast::Alternate(vec![Ast::Literal(b'x'), Ast::Empty]);
         assert!(alt.is_nullable());
+    }
+
+    #[test]
+    fn fixed_width_table() {
+        let flags = crate::parser::Flags {
+            case_insensitive: true,
+            dot_matches_newline: false,
+        };
+        let cases: &[(&str, Option<usize>)] = &[
+            (r"\bselect\b", Some(6)),
+            (r"(ab|cd)", Some(2)),
+            (r"a{3}", Some(3)),
+            (r"--$", Some(2)),
+            (r"[a-z]\d", Some(2)),
+            (r"(ab|c)", None),
+            (r"a{2,3}", None),
+            (r"a*", None),
+        ];
+        for &(pat, want) in cases {
+            let ast = crate::parser::parse(pat, flags).expect("parses");
+            assert_eq!(ast.fixed_width(), want, "{pat:?}");
+        }
     }
 
     #[test]

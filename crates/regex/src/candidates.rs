@@ -50,6 +50,15 @@ impl CandidateSet {
         self.bits.resize(universe.div_ceil(64), 0);
     }
 
+    /// Widens the set to at least `universe` ids, keeping its bits;
+    /// allocates only when the set was never that wide.
+    pub(crate) fn cover(&mut self, universe: usize) {
+        if self.universe < universe {
+            self.universe = universe;
+            self.bits.resize(universe.div_ceil(64), 0);
+        }
+    }
+
     /// Inserts `id`; returns true when it was not already present.
     pub fn insert(&mut self, id: usize) -> bool {
         let (w, b) = (id / 64, 1u64 << (id % 64));

@@ -2,7 +2,8 @@
 //! only the parser and the AST with them.
 //!
 //! The Pike VM's spans and counts, the fused lazy DFA's match set and
-//! the counting automaton's counts are each held to the oracle. The
+//! the counts its scan makes of fixed-width patterns, and the counting
+//! automaton's counts are each held to the oracle. The
 //! shipped feature library comes from `psigene-features` as pattern
 //! strings: that crate links the non-test build of this one, so its
 //! `Regex` is a different type from the one under test here.
@@ -47,18 +48,40 @@ struct Pair {
     re: Regex,
     dfa: Option<CountDfa>,
     oracle: Oracle,
+    /// True when every match has one width w ≥ 1, so a fused scan
+    /// counts the pattern itself.
+    scan_counted: bool,
 }
 
 impl Pair {
     fn new(pattern: &str, ci: bool) -> Result<Pair, crate::Error> {
         let re = Regex::builder().case_insensitive(ci).build(pattern)?;
+        let flags = crate::parser::Flags {
+            case_insensitive: ci,
+            dot_matches_newline: false,
+        };
+        let width = crate::parser::parse(pattern, flags)?.fixed_width();
         Ok(Pair {
             pattern: pattern.to_string(),
             ci,
             dfa: CountDfa::new(&re),
             re,
             oracle: Oracle::new(pattern, ci)?,
+            scan_counted: width.is_some_and(|w| w >= 1),
         })
+    }
+
+    /// A fused scan's count of this pattern, under id `pid`, equals the
+    /// oracle's where the scan counts it, and is absent elsewhere.
+    fn check_scan_count(&self, set: &FusedSet, cache: &DfaCache, pid: usize, hay: &[u8]) {
+        let want = self.scan_counted.then(|| self.oracle.count(hay));
+        assert_eq!(
+            set.scan_count(cache, pid),
+            want,
+            "fused scan count {:?} (ci={}) on {hay:?}",
+            self.pattern,
+            self.ci
+        );
     }
 
     /// The Pike VM's spans and count equal the oracle's.
@@ -148,8 +171,8 @@ fn fixed_patterns_on_crafted_haystacks() {
 }
 
 /// Holds every engine to the oracle on one case-sensitive pattern: the
-/// Pike VM's spans, both counts, and the fused scan's match bit.
-/// Returns the oracle's spans.
+/// Pike VM's spans, both counts, and the fused scan's match bit and,
+/// for a fixed-width pattern, its count. Returns the oracle's spans.
 fn check_every_engine(pat: &str, hay: &[u8]) -> Vec<(usize, usize)> {
     let pair = Pair::new(pat, false).expect("compiles");
     pair.check_vm(hay);
@@ -158,14 +181,36 @@ fn check_every_engine(pat: &str, hay: &[u8]) -> Vec<(usize, usize)> {
     fuser.add(0, pat, false).expect("valid pattern");
     let mut out = CandidateSet::new(1);
     let set = fuser.build().expect("one pattern fused");
-    set.scan_into(hay, &mut DfaCache::new(), &mut out);
+    let mut cache = DfaCache::new();
+    set.scan_into(hay, &mut cache, &mut out);
     let want = pair.oracle.find_all(hay);
     assert_eq!(
         out.contains(0),
         !want.is_empty(),
         "fused {pat:?} on {hay:?}"
     );
+    pair.check_scan_count(&set, &cache, 0, hay);
     want
+}
+
+/// SQL-ish fragments spliced between random bytes, so haystacks reach
+/// the match, override and restart paths and not only the idle hop.
+const TOKENS: &[&str] = &[
+    "select", "UNION", "from", "null", "all", "or", "and", "char", "sleep", "like", " ", "  ",
+    "\n", "/*", "*/", "--", ";", ",", "'", "\"", "(", ")", "=", "+", "1", "0x3a", "_", "a", "#",
+    "%", "@@", "||", "<", ">",
+];
+
+/// A token of [`TOKENS`] per pick in range, the byte otherwise.
+fn splice(parts: &[(usize, u8)]) -> Vec<u8> {
+    let mut hay = Vec::new();
+    for &(pick, byte) in parts {
+        match TOKENS.get(pick) {
+            Some(token) => hay.extend_from_slice(token.as_bytes()),
+            None => hay.push(byte),
+        }
+    }
+    hay
 }
 
 /// Cases whose answer is worked out by hand from the oracle's stated
@@ -212,6 +257,15 @@ fn named_cases_hold_on_every_engine() {
         (r"a|ab", b"abab", &[(0, 1), (2, 3)]),
         (r"ab|abc", b"abcabc", &[(0, 2), (3, 5)]),
         (r"select.+?from", b"select a from b from", &[(0, 13)]),
+        // Fixed-width patterns, which the fused scan counts from the
+        // match ends it reports: back to back, at the last byte, at
+        // assertions and across alternatives of one width.
+        (r"aa", b"aaaa", &[(0, 2), (2, 4)]),
+        (r"'", b"''''", &[(0, 1), (1, 2), (2, 3), (3, 4)]),
+        (r"\bor\b", b"or or,or", &[(0, 2), (3, 5), (6, 8)]),
+        (r"--$", b"-- --", &[(3, 5)]),
+        (r"^ab", b"abab", &[(0, 2)]),
+        (r"(ab|cd)", b"abcd", &[(0, 2), (2, 4)]),
     ];
     for &(pat, hay, want) in cases {
         assert_eq!(check_every_engine(pat, hay), want, "{pat:?} on {hay:?}");
@@ -295,8 +349,9 @@ mod fused {
     //! The fused lazy DFA against the oracle over the whole shipped
     //! library plus the fixed patterns: the matched pattern-id set of
     //! one fused scan must equal the set of patterns the oracle finds a
-    //! match for — on arbitrary bytes, with and without state-cache
-    //! pressure.
+    //! match for, and the scan's count of every fixed-width pattern the
+    //! oracle's count — on arbitrary bytes, on SQL-spliced bytes, and
+    //! under state-cache pressure.
 
     use super::*;
 
@@ -323,6 +378,9 @@ mod fused {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(got, want, "fused vs oracle on {hay:?}");
+        for (i, pair) in library_and_fixed().iter().enumerate() {
+            pair.check_scan_count(set, cache, i, hay);
+        }
     }
 
     proptest! {
@@ -335,6 +393,15 @@ mod fused {
             static SET: OnceLock<FusedSet> = OnceLock::new();
             let set = SET.get_or_init(|| build(4096));
             check(set, &mut DfaCache::new(), &hay);
+        }
+
+        #[test]
+        fn fused_set_equals_oracle_on_sql_spliced_bytes(
+            parts in proptest::collection::vec((0usize..TOKENS.len() + 8, any::<u8>()), 0..60),
+        ) {
+            static SET: OnceLock<FusedSet> = OnceLock::new();
+            let set = SET.get_or_init(|| build(4096));
+            check(set, &mut DfaCache::new(), &splice(&parts));
         }
 
         #[test]
@@ -357,26 +424,6 @@ mod count_dfa {
     //! patterns and random small patterns, on arbitrary bytes.
 
     use super::*;
-
-    /// SQL-ish fragments spliced between random bytes, so haystacks
-    /// reach the match, override and restart paths and not only the
-    /// idle hop.
-    const TOKENS: &[&str] = &[
-        "select", "UNION", "from", "null", "all", "or", "and", "char", "sleep", "like", " ", "  ",
-        "\n", "/*", "*/", "--", ";", ",", "'", "\"", "(", ")", "=", "+", "1", "0x3a", "_", "a",
-        "#", "%", "@@", "||", "<", ">",
-    ];
-
-    fn splice(parts: &[(usize, u8)]) -> Vec<u8> {
-        let mut hay = Vec::new();
-        for &(pick, byte) in parts {
-            match TOKENS.get(pick) {
-                Some(token) => hay.extend_from_slice(token.as_bytes()),
-                None => hay.push(byte),
-            }
-        }
-        hay
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]

@@ -2,9 +2,11 @@
 //!
 //! [`FusedSet::scan_into`] makes exactly one left-to-right pass over
 //! the haystack and inserts into a [`CandidateSet`] the id of every
-//! pattern with at least one match — the *exact* match set, so the
-//! caller only needs per-pattern VMs to recover match counts for
-//! patterns already known to match.
+//! pattern with at least one match — the *exact* match set. The same
+//! pass counts the matches of every pattern whose matches all have one
+//! width ([`FusedSet::scan_count`]), from the match ends it reports, so
+//! the caller needs a per-pattern counting run only for the other
+//! patterns known to match.
 //!
 //! # Determinization with deferred closure
 //!
@@ -28,9 +30,9 @@
 //!
 //! # Bounded memory
 //!
-//! States, transitions, and match sets live in a caller-owned
-//! [`DfaCache`] so gateway worker threads reuse one allocation across
-//! requests. The cache holds at most `state_limit` states; on
+//! States, transitions, match sets and the per-pattern tallies of the
+//! last scan live in a caller-owned [`DfaCache`] so gateway worker
+//! threads reuse one allocation across requests. The cache holds at most `state_limit` states; on
 //! overflow it is flushed wholesale (the in-flight scan keeps going —
 //! its current state is re-interned) so adversarial state-explosion
 //! inputs degrade to re-determinization, never to unbounded memory.
@@ -62,6 +64,40 @@ const AT_START: u8 = 2;
 struct StateKey {
     set: Box<[u32]>,
     flags: u8,
+}
+
+/// One pattern's running count within a scan: the scan it belongs to
+/// (a stale `scan` reads as zero, so nothing is cleared between scans),
+/// the matches counted and the end of the last one.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// The pattern's match width; 0 when the scan does not count it.
+    width: u32,
+    scan: u32,
+    count: usize,
+    end: usize,
+}
+
+impl Tally {
+    /// Takes a match ending at `end`, reported in ascending order and
+    /// once per end: it counts when it starts at or after the end of
+    /// the last one counted.
+    fn report(&mut self, scan: u32, end: usize) {
+        if self.width == 0 {
+            return;
+        }
+        if self.scan != scan {
+            *self = Tally {
+                scan,
+                count: 1,
+                end,
+                ..*self
+            };
+        } else if end >= self.end + self.width as usize {
+            self.count += 1;
+            self.end = end;
+        }
+    }
 }
 
 /// Per-scan counters, returned by [`FusedSet::scan_into`].
@@ -121,6 +157,10 @@ pub struct DfaCache {
     reps: Vec<u8>,
     /// Number of byte equivalence classes.
     class_count: usize,
+    /// Per pattern id, what the last scan counted.
+    tallies: Vec<Tally>,
+    /// Scans run since binding, wrapping; tags the current tallies.
+    scan: u32,
 }
 
 impl DfaCache {
@@ -134,6 +174,18 @@ impl DfaCache {
         self.states.len()
     }
 
+    /// Starts a scan's tallies: a new tag, so every count from an
+    /// earlier scan reads as zero. On wrap-around the old tags are
+    /// cleared, so none can be mistaken for the new one.
+    fn next_scan(&mut self) -> u32 {
+        self.scan = self.scan.wrapping_add(1);
+        if self.scan == 0 {
+            self.tallies.iter_mut().for_each(|t| t.scan = 0);
+            self.scan = 1;
+        }
+        self.scan
+    }
+
     /// Binds the cache to `set`, dropping everything derived from a
     /// previous owner.
     fn bind(&mut self, set: &FusedSet) {
@@ -143,6 +195,12 @@ impl DfaCache {
         self.trans.clear();
         self.rich.clear();
         self.eoi.clear();
+        self.tallies.clear();
+        self.tallies.extend(set.widths.iter().map(|&width| Tally {
+            width,
+            ..Tally::default()
+        }));
+        self.scan = 0;
         let classes = &set.nfa.classes;
         self.class_count = classes.count as usize;
         self.reps.clear();
@@ -194,9 +252,21 @@ fn start_key() -> StateKey {
 
 impl FusedSet {
     /// Scans `hay` once and inserts every matching pattern id into
-    /// `out`. Returns per-scan statistics. `cache` may be fresh,
-    /// warm, or previously bound to a different set — all are
-    /// handled; reuse one per worker thread for peak throughput.
+    /// `out`, widening `out` to the largest id first. Returns per-scan
+    /// statistics. `cache` may be fresh, warm, or previously bound to
+    /// a different set — all are handled; reuse one per worker thread
+    /// for peak throughput.
+    ///
+    /// The same pass counts the matches of every pattern whose matches
+    /// all have one width w ≥ 1 ([`FusedSet::scan_count`]). The scan
+    /// reports each (pattern, end) pair once, in ascending end order:
+    /// an end `e` while consuming byte `e`, the end `hay.len()` at end
+    /// of input. The first end counts, and a later one counts when it
+    /// is at least the last counted end plus w. That is `count_all`'s
+    /// leftmost-first, non-overlapping count: every match starting at
+    /// `s` ends at `s + w`, and `^ $ \b \B` are decided at absolute
+    /// positions whatever the search start, so the leftmost match at or
+    /// after a restart is the earliest reported end at least w past it.
     pub fn scan_into(
         &self,
         hay: &[u8],
@@ -206,13 +276,15 @@ impl FusedSet {
         if cache.owner != self.token {
             cache.bind(self);
         }
+        out.cover(self.widths.len());
+        let scan = cache.next_scan();
         let mut stats = FusedScanStats {
             bytes: hay.len() as u64,
             ..FusedScanStats::default()
         };
         let nc = cache.class_count;
         let mut cur = 0u32;
-        for &b in hay {
+        for (end, &b) in hay.iter().enumerate() {
             let class = self.nfa.classes.map[b as usize] as usize;
             let mut t = cache.trans[cur as usize * nc + class];
             if t == UNKNOWN {
@@ -225,15 +297,33 @@ impl FusedSet {
                     if out.insert(pid as usize) {
                         stats.matched += 1;
                     }
+                    cache.tallies[pid as usize].report(scan, end);
                 }
                 *next
             } else {
                 t
             };
         }
-        self.emit_eoi(cache, cur, out, &mut stats);
+        self.emit_eoi(cache, cur, hay.len(), out, &mut stats);
         stats.states = cache.states.len() as u32;
         stats
+    }
+
+    /// The match count the last scan through `cache` made of pattern
+    /// `pid` — `Regex::count_all`'s count — when that scan was of this
+    /// set and counts the pattern (see [`FusedSet::scan_into`]); `None`
+    /// for a pattern it does not count, or a cache last bound to
+    /// another set.
+    pub fn scan_count(&self, cache: &DfaCache, pid: usize) -> Option<usize> {
+        if cache.owner != self.token {
+            return None;
+        }
+        let tally = cache.tallies.get(pid).filter(|t| t.width != 0)?;
+        Some(if tally.scan == cache.scan {
+            tally.count
+        } else {
+            0
+        })
     }
 
     /// Determinizes one transition: from state `cur` on byte class
@@ -293,6 +383,7 @@ impl FusedSet {
         &self,
         cache: &mut DfaCache,
         cur: u32,
+        end: usize,
         out: &mut CandidateSet,
         stats: &mut FusedScanStats,
     ) {
@@ -313,6 +404,7 @@ impl FusedSet {
             if out.insert(pid as usize) {
                 stats.matched += 1;
             }
+            cache.tallies[pid as usize].report(cache.scan, end);
         }
     }
 
@@ -520,6 +612,43 @@ mod tests {
                 "haystack {hay:?}"
             );
         }
+    }
+
+    #[test]
+    fn sparse_ids_are_covered_and_counted() {
+        let mut b = FusedSetBuilder::new();
+        assert_eq!(b.add(3, "or", true).unwrap(), FuseOutcome::Fused);
+        assert_eq!(
+            b.add(1000, r"\bselect\b", true).unwrap(),
+            FuseOutcome::Fused
+        );
+        let set = b.build().unwrap();
+        assert_eq!(set.pattern_count(), 2);
+        let mut cache = DfaCache::new();
+        let mut out = CandidateSet::new(set.pattern_count());
+        set.scan_into(b"or SELECT ore", &mut cache, &mut out);
+        assert_eq!(out.iter().collect::<Vec<_>>(), vec![3, 1000]);
+        assert_eq!(out.universe(), 1001);
+        assert_eq!(set.scan_count(&cache, 3), Some(2));
+        assert_eq!(set.scan_count(&cache, 1000), Some(1));
+        assert_eq!(set.scan_count(&cache, 4), None, "no pattern under id 4");
+        // A scan of another set through the cache voids these counts.
+        let (other, _) = build(&["x"]);
+        other.scan_into(b"x", &mut cache, &mut out);
+        assert_eq!(set.scan_count(&cache, 3), None);
+    }
+
+    #[test]
+    fn tallies_survive_the_scan_tag_wrapping() {
+        let (set, _) = build(&["or"]);
+        let mut cache = DfaCache::new();
+        let mut out = CandidateSet::new(set.pattern_count());
+        set.scan_into(b"or", &mut cache, &mut out);
+        assert_eq!(set.scan_count(&cache, 0), Some(1));
+        // The next scan's tag wraps to the one this count carries.
+        cache.scan = u32::MAX;
+        set.scan_into(b"xx", &mut cache, &mut out);
+        assert_eq!(set.scan_count(&cache, 0), Some(0));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! * [`FusedSet`] fuses a whole pattern library into one
 //!   multi-pattern NFA, executed as a lazily-determinized DFA
 //!   ([`FusedSet::scan_into`]): one haystack pass reports the *exact*
-//!   set of matching patterns, so per-pattern VMs only run to count
-//!   matches for patterns known to match. Patterns too large to fuse
-//!   are refused ([`FuseOutcome::Fallback`]) and stay on their own VM.
+//!   set of matching patterns and counts the matches of those whose
+//!   matches all have one width, so per-pattern counting only runs for
+//!   the other patterns known to match. Patterns too large to fuse are
+//!   refused ([`FuseOutcome::Fallback`]) and stay on their own VM.
 //!
 //! # Example
 //!

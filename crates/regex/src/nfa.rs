@@ -126,6 +126,7 @@ impl ByteClasses {
 pub struct FusedSetBuilder {
     prog: Program,
     entries: Vec<u32>,
+    widths: Vec<u32>,
     pattern_count: usize,
     state_limit: usize,
 }
@@ -142,6 +143,7 @@ impl FusedSetBuilder {
         FusedSetBuilder {
             prog: Program::default(),
             entries: Vec::new(),
+            widths: Vec::new(),
             pattern_count: 0,
             state_limit: DEFAULT_STATE_LIMIT,
         }
@@ -160,7 +162,9 @@ impl FusedSetBuilder {
     /// builder; the feature library uses feature indices). Returns
     /// [`FuseOutcome::Fallback`] — leaving the builder unchanged —
     /// when the pattern is valid but unfusable, and `Err` only when
-    /// the pattern does not parse at all.
+    /// the pattern does not parse at all. A fused pattern whose every
+    /// match has one width w ≥ 1 (`Ast::fixed_width`) is also counted
+    /// by the scan; see [`FusedSet::scan_into`].
     pub fn add(
         &mut self,
         pid: u32,
@@ -181,6 +185,14 @@ impl FusedSetBuilder {
             Ok(entry) => {
                 self.prog.insts.push(Inst::MatchId(pid));
                 self.entries.push(entry);
+                let pid = pid as usize;
+                if self.widths.len() <= pid {
+                    self.widths.resize(pid + 1, 0);
+                }
+                // Zero marks "not counted by the scan": zero-wide and
+                // variable-width patterns alike.
+                let width = ast.fixed_width().and_then(|w| u32::try_from(w).ok());
+                self.widths[pid] = width.unwrap_or(0);
                 self.pattern_count += 1;
                 Ok(FuseOutcome::Fused)
             }
@@ -219,6 +231,7 @@ impl FusedSetBuilder {
                 entry_steps,
                 classes,
             },
+            widths: self.widths,
             pattern_count: self.pattern_count,
             state_limit: self.state_limit,
             token: TOKEN.fetch_add(1, Ordering::Relaxed),
@@ -258,6 +271,11 @@ fn has_large_counted_rep(ast: &Ast) -> bool {
 #[derive(Debug, Clone)]
 pub struct FusedSet {
     pub(crate) nfa: MultiNfa,
+    /// Match width per pattern id, 0 where the scan does not count the
+    /// pattern (variable or zero width, or no pattern under that id).
+    /// Its length, the largest id plus one, is the id range a scan
+    /// reports into.
+    pub(crate) widths: Vec<u32>,
     pattern_count: usize,
     pub(crate) state_limit: usize,
     pub(crate) token: u64,

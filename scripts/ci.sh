@@ -76,6 +76,13 @@ echo "==> observability integration test (drift / tracing / overhead)"
 env -u RUST_TEST_THREADS cargo test --release -p psigene-serve \
     --test observability -q -- --test-threads=1
 
+# Extraction against the per-feature oracle at the benchmark's pool
+# size and seeds (20 000 requests per generator, seeds 1 and 7): the
+# e2e smokes below compare `evaluate` with itself, this compares it and
+# `extract_row` with the oracle on the traffic the benchmark replays.
+echo "==> extraction oracle on benchmark-sized pools"
+cargo test --release -p psigene --test extraction_oracle -q -- --ignored
+
 # Control-loop integration test: a drift-inducing traffic shift must
 # drive the full closed loop (background retrain, differential replay,
 # canary, promotion) with zero dropped requests, and a sabotaged
@@ -93,8 +100,9 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve --test control_lo
 # test of the sparse verdict path: a traced pass checks every
 # `evaluate` verdict (monitors on and off) and the dense
 # `score_features` of the same request against one reference —
-# `benign_direct` where the counters idle, `attack_direct` where ten
-# features per request are counted, `encoded_direct` where every
+# `benign_direct` where the counters idle, `attack_direct` where about
+# ten features per request are counted (about four of them by the fused
+# scan itself), `encoded_direct` where every
 # request takes the normalizer's multi-pass path the other two never
 # reach.
 echo "==> e2e benchmark: unit tests + mixed_gateway smoke + traced benign_direct, attack_direct and encoded_direct smokes"
