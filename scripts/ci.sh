@@ -94,9 +94,12 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve --test control_lo
 
 # The end-to-end benchmark is a package of its own (BENCHMARK.json,
 # crates/bench/src/bin/e2e/README.md), so the root `cargo test` does
-# not reach its unit tests. The 2-second smoke exits non-zero unless
+# not reach its unit tests. The 2-second smokes exit non-zero unless
 # every verdict of the direct, `submit` and `submit_batch` paths
-# matches the reference. The traced smokes are a free differential
+# matches the reference, nothing is shed and no ticket is lost:
+# `mixed_gateway` submits under `Block`, where an idle shard is served
+# by the submitting thread, and `mixed_gateway_open` under `Shed`, the
+# gateway path that always keeps the thread hand-off. The traced smokes are a free differential
 # test of the sparse verdict path: a traced pass checks every
 # `evaluate` verdict (monitors on and off) and the dense
 # `score_features` of the same request against one reference —
@@ -105,11 +108,14 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve --test control_lo
 # scan itself), `encoded_direct` where every
 # request takes the normalizer's multi-pass path the other two never
 # reach.
-echo "==> e2e benchmark: unit tests + mixed_gateway smoke + traced benign_direct, attack_direct and encoded_direct smokes"
+echo "==> e2e benchmark: unit tests + mixed_gateway and mixed_gateway_open smokes + traced benign_direct, attack_direct and encoded_direct smokes"
 cargo test --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml -q
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
     --workload mixed_gateway --seed 1 --seconds 2 --trace 0 >/dev/null
+cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
+    --workload mixed_gateway_open --seed 1 --seconds 2 --trace 0 >/dev/null
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
     --workload benign_direct --seed 1 --seconds 2 --trace 1 >/dev/null

@@ -1,5 +1,6 @@
 //! Concurrency integration tests for the serving gateway: verdict
-//! equivalence under parallel submission, hot signature reload under
+//! equivalence under parallel submission, one evaluation per shard
+//! whether a worker or a submitter runs it, hot signature reload under
 //! traffic, and the shed policy at the queue bound.
 //!
 //! Run with `RUST_TEST_THREADS` unset so the submitter fan-out gets
@@ -17,8 +18,10 @@ use psigene_serve::control::VerdictSink;
 use psigene_serve::{
     BatchTicket, Gateway, GatewayConfig, GatewayStats, OverloadPolicy, SignatureStore, Ticket,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::thread::ThreadId;
 
 fn train() -> Psigene {
     Psigene::train(&PipelineConfig {
@@ -470,6 +473,124 @@ fn shed_policy_fires_at_the_configured_bound() {
         .all(|v| !v.flagged()));
     let final_stats = gateway.shutdown();
     assert_eq!(final_stats.served + final_stats.shed, total as u64);
+}
+
+/// Under `Block` a submitter on an idle shard evaluates on its own
+/// thread, and a worker evaluates what was queued: a shard must still
+/// run one evaluation at a time, and no request may be lost, doubled
+/// or evaluated twice by the two paths.
+#[test]
+fn one_evaluation_per_shard_whoever_runs_it() {
+    /// The trained system, counting how many evaluations run at once
+    /// and on which threads.
+    struct Occupancy {
+        inner: Psigene,
+        running: AtomicUsize,
+        most: AtomicUsize,
+        threads: Mutex<HashSet<ThreadId>>,
+    }
+
+    impl DetectionEngine for Occupancy {
+        fn name(&self) -> &str {
+            "occupancy"
+        }
+        fn evaluate(&self, request: &HttpRequest) -> Detection {
+            let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+            self.most.fetch_max(now, Ordering::SeqCst);
+            let detection = self.inner.evaluate(request);
+            self.running.fetch_sub(1, Ordering::SeqCst);
+            self.threads
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(std::thread::current().id());
+            detection
+        }
+        fn rule_count(&self) -> usize {
+            self.inner.rule_count()
+        }
+    }
+
+    struct Tap(Vec<AtomicU64>);
+    impl VerdictSink for Tap {
+        fn observe(&self, id: u64, _request: &HttpRequest, _d: &Detection) {
+            self.0[id as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    const SUBMITTERS: usize = 8;
+    const ROUNDS: usize = 4;
+    let requests = stream(16, 48);
+    let sequential: Vec<Detection> = requests.iter().map(|r| system().evaluate(r)).collect();
+    let total = requests.len() * (1 + SUBMITTERS * ROUNDS);
+    for shards in [1, 2] {
+        let engine = Arc::new(Occupancy {
+            inner: system().clone(),
+            running: AtomicUsize::new(0),
+            most: AtomicUsize::new(0),
+            threads: Mutex::new(HashSet::new()),
+        });
+        let tap = Arc::new(Tap((0..total).map(|_| AtomicU64::new(0)).collect()));
+        let gateway = Gateway::start(
+            SignatureStore::new(Arc::clone(&engine) as Arc<dyn DetectionEngine>),
+            GatewayConfig {
+                shards,
+                queue_capacity: 64,
+                policy: OverloadPolicy::Block,
+                tap: Some(Arc::clone(&tap) as Arc<dyn VerdictSink>),
+                ..GatewayConfig::default()
+            },
+        );
+
+        // One sequential submitter: every shard it meets is idle, so
+        // each request runs on its own thread and no worker wakes.
+        for r in &requests {
+            let _ = gateway.check(r.clone());
+        }
+        let threads = engine
+            .threads
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        assert_eq!(
+            threads,
+            HashSet::from([std::thread::current().id()]),
+            "{shards} shard(s): a sequential submitter's requests left its thread"
+        );
+
+        std::thread::scope(|s| {
+            for t in 0..SUBMITTERS {
+                let (gateway, requests, sequential) = (&gateway, &requests, &sequential);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        for (i, r) in requests.iter().enumerate() {
+                            let v = gateway.check(r.clone());
+                            let d = v.detection().expect("Block policy never sheds");
+                            assert!(
+                                same_detection(d, &sequential[i]),
+                                "submitter {t}, round {round}, request {i}: {d:?}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        let most = engine.most.load(Ordering::SeqCst);
+        assert!(
+            most <= shards,
+            "{most} evaluations at once on {shards} shard(s)"
+        );
+        let stats = gateway.shutdown();
+        assert_eq!(
+            (stats.submitted, stats.served, stats.shed),
+            (total as u64, total as u64, 0)
+        );
+        for (id, seen) in tap.0.iter().enumerate() {
+            assert_eq!(
+                seen.load(Ordering::Relaxed),
+                1,
+                "{shards} shard(s), id {id}"
+            );
+        }
+    }
 }
 
 /// The calls `crates/bench/src/bin/e2e/src/serve.rs` makes, through
