@@ -511,6 +511,63 @@ fn gateway_submit_path_allocates_exactly_the_reply_slot() {
     drop(gateway);
 }
 
+/// The queued sibling of the test above: under `Shed` a submission
+/// always goes through the shard's queue (push, the worker's `take`,
+/// the reply across threads), and that path, too, allocates nothing
+/// but the reply slot.
+#[test]
+fn gateway_queue_path_allocates_exactly_the_reply_slot() {
+    let _guard = lock();
+    let engine = system();
+    let gateway = Gateway::start(
+        SignatureStore::new(Arc::new(engine.clone())),
+        GatewayConfig {
+            shards: 1,
+            queue_capacity: 16,
+            policy: OverloadPolicy::Shed { fail_open: false },
+            trace: TraceConfig {
+                sample_every: 0,
+                seed: 0,
+            },
+            tap: None,
+        },
+    );
+    let n = 64;
+    let requests = workload(n);
+    // Warm this thread's scratch and the worker's, and grow the
+    // shard's queue, over the very same requests.
+    for _ in 0..2 {
+        for r in &requests {
+            std::hint::black_box(engine.evaluate(r).flagged);
+            std::hint::black_box(gateway.submit(r.clone()).wait().flagged());
+        }
+    }
+    let before = allocations();
+    let direct_flagged = requests
+        .iter()
+        .filter(|r| engine.evaluate(r).flagged)
+        .count();
+    let engine_allocs = allocations() - before;
+    let owned = requests.clone();
+    let before = allocations();
+    let mut flagged = 0usize;
+    for r in owned {
+        if gateway.submit(r).wait().flagged() {
+            flagged += 1;
+        }
+    }
+    let gateway_allocs = allocations() - before;
+    assert_eq!(gateway.stats().shed, 0, "one request at a time never sheds");
+    assert!(flagged > 0, "workload produced no detections");
+    assert_eq!(flagged, direct_flagged);
+    assert_eq!(
+        gateway_allocs - engine_allocs,
+        n as u64,
+        "queued submit path: {gateway_allocs} allocations for {n} requests, engine alone {engine_allocs}"
+    );
+    drop(gateway);
+}
+
 #[test]
 fn extracted_rows_are_bitwise_the_oracle_on_dirty_scratch() {
     let _guard = lock();
