@@ -14,9 +14,9 @@
 //! library, such as `\bselect\b`, `'` and `--`). A pattern the
 //! fuser refuses (too large to determinize profitably — none in the
 //! shipped library) goes on the fallback list instead: its bit is
-//! pre-set on every payload, so it is always counted by its own VM
-//! behind its own prefilter. Exactness holds by construction either
-//! way and is verified by property test in `crate::proptests`.
+//! pre-set on every payload, so it is always counted by its own
+//! counting automaton. Exactness holds by construction either way and
+//! is verified by property test in `crate::proptests`.
 
 use crate::feature::Feature;
 use psigene_regex::{
@@ -32,8 +32,8 @@ pub struct CompiledFeatureSet {
     /// Fused multi-pattern automaton over every fusable feature;
     /// `None` when nothing fused. Pattern ids are feature ids.
     fused: Option<FusedSet>,
-    /// Feature ids the fuser refused (kept on the per-feature VM),
-    /// ascending, with the refusal reason.
+    /// Feature ids the fuser refused (counted by their own automaton on
+    /// every payload), ascending, with the refusal reason.
     fallback: Vec<(u32, &'static str)>,
     /// Bitset with exactly the fallback ids pre-set; cloned into the
     /// scan scratch so one ascending bitset walk visits the refused
@@ -112,15 +112,8 @@ impl CompiledFeatureSet {
         self.n_features - self.fallback.len()
     }
 
-    /// True when feature `id` rides the fused automaton — its
-    /// candidate bit, when set, is then an exact "this feature
-    /// matches", so it is counted without the redundant prefilter gate.
-    pub fn is_fused(&self, id: usize) -> bool {
-        id < self.n_features && !self.refused.contains(id)
-    }
-
     /// Features the fuser refused, with the per-feature reason; these
-    /// run their own VM (behind their own prefilter) on every payload.
+    /// are counted by their own automaton on every payload.
     pub fn fallback_features(&self) -> &[(u32, &'static str)] {
         &self.fallback
     }
@@ -162,31 +155,24 @@ mod tests {
     }
 
     #[test]
-    fn every_library_feature_but_the_listed_ones_counts_by_table() {
-        // Patterns whose ordered determinization passes the automaton's
-        // state cap and therefore stay on the Pike VM. A library edit
-        // that grows this list moves request-path work back onto the
-        // VM: it must be made here, on purpose.
-        const ON_THE_VM: &[&str] = &[r"sig:union(\s|\+|/\*.*?\*/)+(all(\s|\+|/\*.*?\*/)+)?select"];
+    fn every_library_feature_counts_by_table() {
+        // Every feature has a counting automaton (`Feature::new`
+        // refuses a pattern without one); their sizes are pinned. The
+        // one large automaton is named with its size, and the rest
+        // stay small: a library edit that grows one shows here, well
+        // before the automaton's state cap refuses it.
+        const LARGEST: &str = r"sig:union(\s|\+|/\*.*?\*/)+(all(\s|\+|/\*.*?\*/)+)?select";
         let set = crate::FeatureSet::full();
-        let refused: Vec<&str> = set
+        let (large, small): (Vec<_>, Vec<_>) = set
             .features()
             .iter()
-            .filter(|f| f.count_dfa().is_none())
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(refused, ON_THE_VM);
-        let largest = set
-            .features()
-            .iter()
-            .filter_map(|f| f.count_dfa())
-            .map(|dfa| dfa.state_count())
-            .max();
-        // 51 today against the automaton's cap of 512: a pattern
-        // creeping up on the cap shows here before it is refused.
+            .map(|f| (f.name.as_str(), f.count_dfa().state_count()))
+            .partition(|&(name, _)| name == LARGEST);
+        assert_eq!(large, [(LARGEST, 7627)]);
+        let largest = small.iter().max_by_key(|&&(_, states)| states);
         assert!(
-            largest <= Some(128),
-            "largest automaton: {largest:?} states"
+            largest.is_some_and(|&(_, states)| states <= 128),
+            "largest other automaton: {largest:?}"
         );
     }
 
@@ -226,7 +212,11 @@ mod tests {
             let mut fused_matched = 0u32;
             for f in set.features() {
                 let matches = f.count(p) > 0;
-                if c.is_fused(f.id) {
+                let fused = !c
+                    .fallback_features()
+                    .iter()
+                    .any(|&(id, _)| id as usize == f.id);
+                if fused {
                     // Fused features get the exact answer.
                     assert_eq!(
                         bits.contains(f.id),
@@ -236,7 +226,7 @@ mod tests {
                     );
                     fused_matched += u32::from(matches);
                 } else {
-                    // Refused features are always due a VM run.
+                    // Refused features are always due a counting run.
                     assert!(bits.contains(f.id), "fallback feature {} unset", f.name);
                 }
             }

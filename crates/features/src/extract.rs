@@ -6,19 +6,17 @@
 //! [`crate::compiled::CompiledFeatureSet`], which reports the *exact*
 //! set of matching features and counts those whose matches all have
 //! one width as it goes. Only the other matched features are counted
-//! afterwards — each by its precompiled counting automaton
-//! ([`psigene_regex::CountDfa`]), or by its Pike VM when the pattern
-//! has none (plus any feature the fuser refused, which is counted by
-//! its own VM on every payload). The
-//! output is identical to running `count_all` of every feature —
-//! verified by property test in `crate::proptests`. Matrix extraction
-//! parallelizes over samples with scoped threads (each sample is
-//! independent).
+//! afterwards, each by its precompiled counting automaton
+//! ([`psigene_regex::CountDfa`]); so is any feature the fuser refused,
+//! on every payload. The output is identical to running `count_all` of
+//! every feature — verified by property test in `crate::proptests`.
+//! Matrix extraction parallelizes over samples with scoped threads
+//! (each sample is independent).
 
 use crate::set::FeatureSet;
 use psigene_http::normalize::{normalize_into, NormScratch};
 use psigene_linalg::{CsrBuilder, CsrMatrix};
-use psigene_regex::{CandidateSet, DfaCache, VmCache};
+use psigene_regex::{CandidateSet, DfaCache};
 use psigene_telemetry::insight::TraceContext;
 use psigene_telemetry::{Counter, Gauge};
 use std::cell::RefCell;
@@ -27,9 +25,8 @@ use std::sync::{Arc, OnceLock};
 /// Accounting for one or more extractions: what normalization cost,
 /// and how many features were actually counted versus skipped by the
 /// fused scan. A *counting run* is one feature counted over one
-/// payload, by whichever engine — the fused scan's own tally, the
-/// counting automaton or the Pike VM; the `vm_` in the field names
-/// predates the other two.
+/// payload, by whichever engine — the fused scan's own tally or the
+/// counting automaton; the `vm_` in the field names predates both.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractStats {
     /// Normalization pipeline passes counted
@@ -42,9 +39,6 @@ pub struct ExtractStats {
     pub vm_runs: u64,
     /// Counting runs the fused scan proved unnecessary.
     pub vm_runs_skipped: u64,
-    /// Counting runs that fell to the Pike VM: a feature without a
-    /// counting automaton, or one outside the fused automaton.
-    pub count_vm_runs: u64,
     /// Fused features with at least one match (their counting runs are
     /// the only fused ones — the fused scan is exact).
     pub fused_matched: u64,
@@ -52,7 +46,7 @@ pub struct ExtractStats {
     /// unnecessary.
     pub fused_skipped: u64,
     /// Counting runs for features outside the fused automaton (the
-    /// fallback list); always on the VM, behind its prefilter.
+    /// fallback list): one per such feature and payload.
     pub fallback_vm_runs: u64,
     /// Lazy-DFA transitions that had to be determinized.
     pub dfa_misses: u64,
@@ -71,7 +65,6 @@ impl ExtractStats {
         self.normalize_cap_hits += other.normalize_cap_hits;
         self.vm_runs += other.vm_runs;
         self.vm_runs_skipped += other.vm_runs_skipped;
-        self.count_vm_runs += other.count_vm_runs;
         self.fused_matched += other.fused_matched;
         self.fused_skipped += other.fused_skipped;
         self.fallback_vm_runs += other.fallback_vm_runs;
@@ -108,7 +101,6 @@ struct ExtractMetrics {
     normalize_cap_hits: Arc<Counter>,
     regex_evals: Arc<Counter>,
     vm_runs_skipped: Arc<Counter>,
-    count_vm_runs: Arc<Counter>,
     fused_fallback_vm_runs: Arc<Counter>,
     fused_cache_states: Arc<Gauge>,
     fused_cache_hit_ratio: Arc<Gauge>,
@@ -124,7 +116,6 @@ fn metrics() -> &'static ExtractMetrics {
             normalize_cap_hits: telemetry.counter("http.normalize_cap_hits"),
             regex_evals: telemetry.counter("features.regex_evals"),
             vm_runs_skipped: telemetry.counter("features.vm_runs_skipped"),
-            count_vm_runs: telemetry.counter("features.count_vm_runs"),
             fused_fallback_vm_runs: telemetry.counter("regex.fused.fallback_vm_runs"),
             fused_cache_states: telemetry.gauge("regex.fused.cache_states"),
             fused_cache_hit_ratio: telemetry.gauge("regex.fused.cache_hit_ratio"),
@@ -139,9 +130,8 @@ fn metrics() -> &'static ExtractMetrics {
 /// here (a bare `normalize` call elsewhere moves neither);
 /// `features.regex_evals` counts the counting runs that *actually
 /// happened* (not `rows × features` — the fused scan skips most of
-/// those), with the skipped complement in `features.vm_runs_skipped`,
-/// the runs that fell to the Pike VM in `features.count_vm_runs`, and
-/// of those the runs for features the fuser refused in
+/// those), with the skipped complement in `features.vm_runs_skipped`
+/// and the runs for features the fuser refused in
 /// `regex.fused.fallback_vm_runs`. Sets with a fused automaton
 /// additionally feed the `regex.fused.cache_*` family (state-cache
 /// occupancy, hit ratio, flushes).
@@ -151,7 +141,6 @@ fn record_stats(stats: &ExtractStats) {
     m.normalize_cap_hits.add(stats.normalize_cap_hits);
     m.regex_evals.add(stats.vm_runs);
     m.vm_runs_skipped.add(stats.vm_runs_skipped);
-    m.count_vm_runs.add(stats.count_vm_runs);
     m.fused_fallback_vm_runs.add(stats.fallback_vm_runs);
     if stats.fused_matched + stats.fused_skipped > 0 {
         m.fused_cache_states.set(stats.dfa_states as f64);
@@ -173,11 +162,9 @@ fn record_stats(stats: &ExtractStats) {
 pub const METRICS_FLUSH_ROWS: u64 = 32;
 
 /// Per-thread working memory for the whole extraction hot path: the
-/// normalization buffer, the candidate bitset (one per
-/// extraction, written by the fused scan), the lazy-DFA state cache
-/// (warm across requests — the whole point of lazy determinization),
-/// the VM scratch (touched only by features that fall to the Pike
-/// VM), a pooled
+/// normalization buffer, the candidate bitset (one per extraction,
+/// written by the fused scan), the lazy-DFA state cache (warm across
+/// requests — the whole point of lazy determinization), a pooled
 /// sparse-row buffer for `extract_row`, and the buffered telemetry
 /// window (flushed every [`METRICS_FLUSH_ROWS`] rows, on
 /// [`flush_extract_metrics`], and when the thread exits). One warm
@@ -189,7 +176,6 @@ struct ScanScratch {
     norm: NormScratch,
     bits: CandidateSet,
     dfa: DfaCache,
-    vm: VmCache,
     row: Vec<(usize, f64)>,
     pending: ExtractStats,
     pending_rows: u64,
@@ -253,11 +239,7 @@ fn extract_traced(
     SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
         let ScanScratch {
-            norm,
-            bits,
-            dfa,
-            vm,
-            ..
+            norm, bits, dfa, ..
         } = scratch;
         let span = trace.as_mut().map(|t| t.begin("features.normalize"));
         let normalized = normalize_into(payload, norm);
@@ -265,14 +247,14 @@ fn extract_traced(
             t.end(s);
         }
         let stats =
-            count_norm_traced(set, normalized, emit, trace, bits, dfa, vm).with_normalization(norm);
+            count_norm_traced(set, normalized, emit, trace, bits, dfa).with_normalization(norm);
         scratch.buffer_stats(stats);
     })
 }
 
 /// Runs every due feature over the already-normalized `norm`,
 /// emitting `(feature id, count)` in ascending id order (including
-/// zero counts for refused features that their VM then rejects), and
+/// zero counts for refused features that match nothing), and
 /// returns what ran versus what the fused scan skipped. Optional
 /// per-stage spans (`features.scan`, `features.count`) are recorded
 /// into a request-scoped trace; with `trace = None` the span
@@ -284,7 +266,6 @@ fn count_norm_traced(
     mut trace: Option<&mut TraceContext>,
     bits: &mut CandidateSet,
     dfa: &mut DfaCache,
-    vm: &mut VmCache,
 ) -> ExtractStats {
     let features = set.features();
     let compiled = set.compiled();
@@ -298,26 +279,13 @@ fn count_norm_traced(
     }
     let span = trace.as_mut().map(|t| t.begin("features.count"));
     let mut vm_runs = 0u64;
-    let mut count_vm_runs = 0u64;
-    let mut fallback_vm_runs = 0u64;
     for id in bits.iter() {
-        let f = &features[id];
-        // The scan counted the fixed-width features as it found them.
-        // Any other fused feature's bit is an exact match, so its own
-        // prefilter could only re-confirm what the DFA proved — skip
-        // it and go straight to counting. A refused feature's bit is
-        // set on every payload and says nothing: it keeps the
-        // prefilter, and the VM behind it.
-        let n = if let Some(n) = compiled.scan_count(dfa, id) {
-            n
-        } else if compiled.is_fused(id) {
-            count_vm_runs += u64::from(f.count_dfa().is_none());
-            f.count_known_match(norm, vm)
-        } else {
-            fallback_vm_runs += 1;
-            count_vm_runs += 1;
-            f.count_with(norm, vm)
-        };
+        // The scan counted the fixed-width features as it found them;
+        // every other bit (a fused match, or a refused feature's bit,
+        // set on every payload) is counted by the feature's automaton.
+        let n = compiled
+            .scan_count(dfa, id)
+            .unwrap_or_else(|| features[id].count_dfa().count(norm));
         emit(id, n);
         vm_runs += 1;
     }
@@ -328,10 +296,10 @@ fn count_norm_traced(
     ExtractStats {
         vm_runs,
         vm_runs_skipped: features.len() as u64 - vm_runs,
-        count_vm_runs,
         fused_matched,
         fused_skipped: compiled.fused_features() as u64 - fused_matched,
-        fallback_vm_runs,
+        // Refused ids are pre-set, so each was counted once.
+        fallback_vm_runs: compiled.fallback_features().len() as u64,
         dfa_misses: u64::from(scan.misses),
         dfa_flushes: u64::from(scan.flushes),
         dfa_bytes: scan.bytes,
@@ -357,7 +325,6 @@ fn extract_row_uncounted(set: &FeatureSet, payload: &[u8]) -> (Vec<(usize, f64)>
             norm,
             bits,
             dfa,
-            vm,
             row,
             ..
         } = scratch;
@@ -374,7 +341,6 @@ fn extract_row_uncounted(set: &FeatureSet, payload: &[u8]) -> (Vec<(usize, f64)>
             None,
             bits,
             dfa,
-            vm,
         )
         .with_normalization(norm);
         // Accumulate into the pooled row, then clone out one
@@ -559,8 +525,9 @@ mod tests {
         let set = FeatureSet::full();
         let (row, stats) =
             extract_row_uncounted(&set, b"id=-1+union+select+1,2,concat(version(),0x3a),4--+-");
-        // Every fused VM run produced a match, and the shipped library
-        // has nothing on the fallback list, so the row *is* the VM runs.
+        // Every fused counting run produced a match, and the shipped
+        // library has nothing on the fallback list, so the row *is* the
+        // counting runs.
         assert_eq!(stats.fused_matched + stats.fallback_vm_runs, stats.vm_runs);
         assert_eq!(stats.fallback_vm_runs, 0);
         assert_eq!(row.len() as u64, stats.vm_runs);
@@ -571,24 +538,6 @@ mod tests {
             fused_skip_ratio > 0.8,
             "attack fused skip ratio only {fused_skip_ratio:.2} ({stats:?})"
         );
-    }
-
-    #[test]
-    fn only_features_without_a_counting_automaton_fall_to_the_vm() {
-        let set = FeatureSet::full();
-        let (row, stats) = extract_row_uncounted(&set, b"id=1'+or+1=1--+-&q=char(58),char(58)");
-        assert!(row.len() >= 5, "{row:?}");
-        assert_eq!(stats.vm_runs, row.len() as u64);
-        assert_eq!(stats.count_vm_runs, 0, "{stats:?}");
-        // `union(\s|\+|/\*.*?\*/)+…select` is the one library pattern
-        // past the automaton's state cap.
-        let counter = psigene_telemetry::global().counter("features.count_vm_runs");
-        let before = counter.get();
-        let (_, stats) = extract_row_uncounted(&set, b"id=1+union/**/select+1,2");
-        assert_eq!(stats.count_vm_runs, 1, "{stats:?}");
-        assert_eq!(stats.fallback_vm_runs, 0);
-        extract_matrix(&set, &[b"id=1+union/**/select+1,2"], 1);
-        assert!(counter.get() > before);
     }
 
     fn feat(pattern: &str) -> Feature {
@@ -621,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn refused_patterns_are_counted_by_their_own_vm() {
+    fn refused_patterns_are_counted_by_their_own_automaton() {
         // The path the shipped library never takes: two of the four
         // patterns repeat past the fuse limit.
         let set = FeatureSet::from_features(vec![
@@ -641,7 +590,6 @@ mod tests {
             .collect();
         assert_eq!(refused, [1, 3]);
         assert_eq!(compiled.fused_features(), 2);
-        assert!(compiled.is_fused(0) && !compiled.is_fused(1));
         // Both long-run patterns do count on some payload, so the
         // oracle comparison below is not vacuous.
         let hits = |id: usize| {

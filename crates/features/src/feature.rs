@@ -1,7 +1,11 @@
-//! A single counting feature.
+//! A single counting feature: its pattern compiled twice, once for the
+//! Pike VM (the per-feature oracle, [`Feature::count`]) and once as a
+//! counting automaton (what extraction counts with,
+//! [`Feature::count_dfa`]). A pattern the automaton refuses is refused
+//! as a feature.
 
 use crate::sources::FeatureSource;
-use psigene_regex::{CountDfa, Regex, RegexBuilder, VmCache};
+use psigene_regex::{CountDfa, Regex, RegexBuilder};
 
 /// One feature: a compiled pattern whose non-overlapping match count
 /// over the normalized payload is the feature value (§II-B: "each one
@@ -18,13 +22,15 @@ pub struct Feature {
     /// Which of Table II's three sources produced it.
     pub source: FeatureSource,
     regex: Regex,
-    /// `regex` determinized for counting; `None` when the pattern was
-    /// refused (see [`CountDfa::new`]) and stays on the Pike VM.
-    count_dfa: Option<CountDfa>,
+    /// `regex` determinized for counting.
+    count_dfa: CountDfa,
 }
 
 impl Feature {
-    /// Compiles a feature (case-insensitive, as IDS rules are).
+    /// Compiles a feature (case-insensitive, as IDS rules are). Fails
+    /// when the pattern does not compile, and when [`CountDfa::new`]
+    /// refuses it: a pattern that matches the empty string, or one
+    /// whose counting automaton needs too many states.
     pub fn new(
         id: usize,
         name: impl Into<String>,
@@ -33,7 +39,7 @@ impl Feature {
     ) -> Result<Feature, psigene_regex::Error> {
         let pattern = pattern.into();
         let regex = RegexBuilder::new().case_insensitive(true).build(&pattern)?;
-        let count_dfa = CountDfa::new(&regex);
+        let count_dfa = CountDfa::new(&regex)?;
         Ok(Feature {
             id,
             name: name.into(),
@@ -51,31 +57,10 @@ impl Feature {
         self.regex.count_all(normalized_payload)
     }
 
-    /// Like [`Feature::count`] but reusing caller-provided VM scratch
-    /// space — identical result, no per-call allocation. The
-    /// extraction hot path shares one cache across every feature it
-    /// counts on a payload.
-    pub fn count_with(&self, normalized_payload: &[u8], cache: &mut VmCache) -> usize {
-        self.regex.count_all_with(normalized_payload, cache)
-    }
-
-    /// The count for payloads the fused scan already proved this
-    /// feature matches, from the feature's counting automaton. A
-    /// pattern without one runs its VM, minus the prefilter gate (a
-    /// redundant haystack traversal — the prefilter never rejects a
-    /// matching payload). Identical to [`Feature::count`] either way.
-    pub fn count_known_match(&self, normalized_payload: &[u8], cache: &mut VmCache) -> usize {
-        match &self.count_dfa {
-            Some(dfa) => dfa.count(normalized_payload),
-            None => self
-                .regex
-                .count_all_prefiltered_with(normalized_payload, cache),
-        }
-    }
-
-    /// The counting automaton, when the pattern has one.
-    pub fn count_dfa(&self) -> Option<&CountDfa> {
-        self.count_dfa.as_ref()
+    /// The counting automaton: its `count` equals [`Feature::count`]
+    /// on every payload.
+    pub fn count_dfa(&self) -> &CountDfa {
+        &self.count_dfa
     }
 
     /// Borrow of the compiled pattern.
@@ -87,6 +72,7 @@ impl Feature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psigene_regex::ErrorKind;
 
     #[test]
     fn counting_semantics() {
@@ -104,5 +90,20 @@ mod tests {
     #[test]
     fn invalid_pattern_is_an_error() {
         assert!(Feature::new(0, "bad", "(", FeatureSource::ReferenceDocuments).is_err());
+    }
+
+    #[test]
+    fn patterns_without_a_counting_automaton_are_refused() {
+        let kind = |pattern: &str| {
+            let err = Feature::new(0, pattern, pattern, FeatureSource::NidsSignatures)
+                .expect_err(pattern);
+            err.kind().clone()
+        };
+        assert_eq!(kind("a*"), ErrorKind::MatchesEmpty);
+        assert_eq!(kind("(ab)?"), ErrorKind::MatchesEmpty);
+        assert!(matches!(
+            kind("[ab]*a[ab]{11}"),
+            ErrorKind::TooManyStates { .. }
+        ));
     }
 }

@@ -63,6 +63,23 @@ mod proptests {
             .collect()
     }
 
+    /// SQL tokens spliced between arbitrary bytes, so payloads reach the
+    /// variable-width counting runs (comments between keywords, above
+    /// all) and not only the fused scan's skip.
+    const TOKENS: &[&str] = &["union", "all", "select", "/*", "*/", "+", " ", "  "];
+
+    /// A token of [`TOKENS`] per pick in range, the byte otherwise.
+    fn splice(parts: &[(usize, u8)]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for &(pick, byte) in parts {
+            match TOKENS.get(pick) {
+                Some(token) => payload.extend_from_slice(token.as_bytes()),
+                None => payload.push(byte),
+            }
+        }
+        payload
+    }
+
     /// The sparse row a dense vector stands for: its nonzero entries
     /// in ascending id order.
     pub(crate) fn nonzero(dense: &[f64]) -> Vec<(usize, f64)> {
@@ -92,17 +109,21 @@ mod proptests {
         /// *identical* to naive per-feature extraction — same columns
         /// in the same order with the same counts, not merely the
         /// same nonzero support — and identical full dense vectors
-        /// (zeros included).
+        /// (zeros included). Also on SQL-token splices, which reach
+        /// the counting automata that arbitrary bytes rarely wake.
         #[test]
         fn extraction_equals_per_feature_counts_on_arbitrary_bytes(
             payload in proptest::collection::vec(any::<u8>(), 0..300),
+            parts in proptest::collection::vec((0usize..TOKENS.len() + 2, any::<u8>()), 0..60),
         ) {
             let set = full_set();
-            let naive = naive_dense(set, &payload);
-            prop_assert_eq!(&extract::extract_row(set, &payload), &nonzero(&naive));
-            let mut dense = Vec::new();
-            extract::extract_dense_into(set, &payload, &mut dense);
-            prop_assert_eq!(&dense, &naive);
+            for payload in [payload, splice(&parts)] {
+                let naive = naive_dense(set, &payload);
+                prop_assert_eq!(&extract::extract_row(set, &payload), &nonzero(&naive));
+                let mut dense = Vec::new();
+                extract::extract_dense_into(set, &payload, &mut dense);
+                prop_assert_eq!(&dense, &naive);
+            }
         }
 
         #[test]

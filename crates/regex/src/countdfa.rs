@@ -47,25 +47,33 @@
 //!
 //! # Refusals
 //!
-//! Patterns that can match the empty string are refused: with every
-//! match consuming a byte the recorded end is always past the search
-//! start, so no start offset is needed and restarts strictly advance.
-//! Patterns whose ordered determinization exceeds [`STATE_LIMIT`]
-//! states are refused too. Both stay on the Pike VM, which also remains
-//! the engine behind `find*` and the oracle this module is tested
-//! against.
+//! [`CountDfa::new`] refuses two kinds of pattern with an error.
+//! Patterns that can match the empty string: with every match
+//! consuming a byte the recorded end is always past the search start,
+//! so no start offset is needed and restarts strictly advance. And
+//! patterns whose ordered determinization exceeds [`STATE_LIMIT`]
+//! states. The limit is sized from the shipped feature library, whose
+//! largest automaton — `union(\s|\+|/\*.*?\*/)+(all(…)+)?select` —
+//! has 7 627 states over 16 byte classes. The Pike VM remains the
+//! engine behind `find*` and [`Regex::count_all`], and the oracle this
+//! module is tested against.
 
+use crate::error::{Error, ErrorKind};
 use crate::nfa::ByteClasses;
 use crate::program::{context, is_word_byte, Inst, Program};
 use crate::Regex;
 use std::collections::HashMap;
 
 /// Determinization gives up past this many states.
-const STATE_LIMIT: usize = 512;
+const STATE_LIMIT: usize = 8192;
 
 /// Transition-word flag: a match ends at the position of the byte
 /// being consumed. The low 15 bits name the next state.
 const MATCH: u16 = 1 << 15;
+
+// State ids are cast to `u16` below the `MATCH` bit, and `run` may
+// intern one row (at most 256 states) past the limit before it refuses.
+const _: () = assert!(STATE_LIMIT + 256 < MATCH as usize);
 
 /// A precompiled automaton computing [`Regex::count_all`] for one
 /// pattern; see the module docs.
@@ -90,13 +98,17 @@ pub struct CountDfa {
 }
 
 impl CountDfa {
-    /// Determinizes `re`; `None` when the pattern can match the empty
-    /// string or needs more than 512 states.
-    pub fn new(re: &Regex) -> Option<CountDfa> {
+    /// Determinizes `re`. Fails with [`ErrorKind::MatchesEmpty`] when
+    /// the pattern can match the empty string, and with
+    /// [`ErrorKind::TooManyStates`] when it needs more than 8 192
+    /// states.
+    pub fn new(re: &Regex) -> Result<CountDfa, Error> {
         if re.prog.matches_empty {
-            return None;
+            return Err(Error::new(ErrorKind::MatchesEmpty, 0));
         }
-        Determinizer::new(&re.prog).run()
+        Determinizer::new(&re.prog)
+            .run()
+            .ok_or_else(|| Error::new(ErrorKind::TooManyStates { limit: STATE_LIMIT }, 0))
     }
 
     /// Number of states (a size proxy; the table is this many rows of
@@ -220,7 +232,6 @@ impl<'p> Determinizer<'p> {
         if let Some(&id) = self.ids.get(&key) {
             return id;
         }
-        // STATE_LIMIT is far below `MATCH`, so ids fit the word.
         let id = self.keys.len() as u16;
         self.keys.push(key.clone());
         self.ids.insert(key, id);
@@ -390,7 +401,7 @@ mod tests {
 
     fn dfa(pat: &str) -> CountDfa {
         let re = Regex::new(pat).expect("pattern compiles");
-        CountDfa::new(&re).unwrap_or_else(|| panic!("{pat:?} must determinize"))
+        CountDfa::new(&re).unwrap_or_else(|e| panic!("{pat:?} must determinize: {e}"))
     }
 
     /// Counts with the automaton after checking it against the VM.
@@ -491,21 +502,28 @@ mod tests {
     fn nullable_patterns_are_refused() {
         for pat in ["a*", "", r"\b", "^", "(ab)?", "x|"] {
             let re = Regex::new(pat).unwrap();
-            assert!(CountDfa::new(&re).is_none(), "{pat:?}");
+            let err = CountDfa::new(&re).expect_err(pat);
+            assert_eq!(err.kind(), &ErrorKind::MatchesEmpty, "{pat:?}");
         }
     }
 
     #[test]
     fn patterns_past_the_state_cap_are_refused() {
-        // Two comment-or-space loops around an optional keyword: the
-        // ordered determinization runs to thousands of states.
+        // "An `a` twelve bytes from the end" must remember the last
+        // twelve bytes: the determinization blows up past the cap.
+        let re = Regex::new(r"[ab]*a[ab]{11}").unwrap();
+        let err = CountDfa::new(&re).expect_err("past the cap");
+        assert_eq!(err.kind(), &ErrorKind::TooManyStates { limit: STATE_LIMIT });
+        // Two comment-or-space loops around an optional keyword run to
+        // thousands of states, but within the cap.
         let re = Regex::builder()
             .case_insensitive(true)
             .build(r"union(\s|\+|/\*.*?\*/)+(all(\s|\+|/\*.*?\*/)+)?select")
             .unwrap();
-        assert!(CountDfa::new(&re).is_none());
+        let states = CountDfa::new(&re).expect("within the cap").state_count();
+        assert!((512..=STATE_LIMIT).contains(&states), "{states} states");
         // The same shape without the comment arm is small.
-        assert!(dfa(r"union(\s|\+)+(all(\s|\+)+)?select").state_count() <= STATE_LIMIT);
+        assert!(dfa(r"union(\s|\+)+(all(\s|\+)+)?select").state_count() <= 512);
     }
 
     #[test]

@@ -35,6 +35,15 @@ pub enum ErrorKind {
         /// The configured limit.
         limit: usize,
     },
+    /// The pattern matches the empty string, which a counting
+    /// automaton refuses (see [`crate::CountDfa::new`]).
+    MatchesEmpty,
+    /// The pattern's counting automaton would need more states than
+    /// its limit allows (see [`crate::CountDfa::new`]).
+    TooManyStates {
+        /// The state limit.
+        limit: usize,
+    },
 }
 
 /// An error produced while parsing or compiling a pattern.
@@ -78,6 +87,10 @@ impl fmt::Display for Error {
             ErrorKind::ProgramTooBig { estimated, limit } => format!(
                 "compiled program too big: estimated {estimated} instructions, limit {limit}"
             ),
+            ErrorKind::MatchesEmpty => "pattern matches the empty string".to_string(),
+            ErrorKind::TooManyStates { limit } => {
+                format!("counting automaton needs more than {limit} states")
+            }
         };
         write!(f, "{} at pattern offset {}", msg, self.position)
     }

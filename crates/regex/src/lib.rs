@@ -15,7 +15,9 @@
 //!   adds an equivalent `count_all()` to the Bro IDS).
 //! * [`CountDfa`] is that count precompiled: the pattern's
 //!   leftmost-first search determinized once into a table, for callers
-//!   that count the same pattern over many haystacks.
+//!   that count the same pattern over many haystacks. Patterns that
+//!   match the empty string or need too many states are refused at
+//!   construction.
 //! * A mandatory-literal prefilter skips the VM entirely for the
 //!   (very common) haystacks that cannot possibly match.
 //! * [`FusedSet`] fuses a whole pattern library into one
@@ -24,7 +26,8 @@
 //!   set of matching patterns and counts the matches of those whose
 //!   matches all have one width, so per-pattern counting only runs for
 //!   the other patterns known to match. Patterns too large to fuse are
-//!   refused ([`FuseOutcome::Fallback`]) and stay on their own VM.
+//!   refused ([`FuseOutcome::Fallback`]) and must be counted on their
+//!   own.
 //!
 //! # Example
 //!
@@ -64,10 +67,10 @@ pub use crate::countdfa::CountDfa;
 pub use crate::error::{Error, ErrorKind};
 pub use crate::lazydfa::{DfaCache, FusedScanStats};
 pub use crate::nfa::{FuseOutcome, FusedSet, FusedSetBuilder};
-pub use crate::vm::VmCache;
 
 use crate::prefilter::Prefilter;
 use crate::program::Program;
+use crate::vm::VmCache;
 
 /// A successful match: byte offsets into the haystack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,13 +179,6 @@ impl Regex {
         self.find_iter(hay).next()
     }
 
-    /// The leftmost match starting at or after `start`, past the
-    /// prefilter gate, searching with `cache`.
-    fn find_at_with(&self, hay: &[u8], start: usize, cache: &mut VmCache) -> Option<Match> {
-        let skip = self.prefilter.as_ref().and_then(|pf| pf.prefix_skip());
-        vm::find_at(&self.prog, skip, hay, start, cache)
-    }
-
     /// Iterates over non-overlapping matches, leftmost-first: the next
     /// search starts where a match ended, one byte later after a
     /// zero-width one.
@@ -192,9 +188,10 @@ impl Regex {
         } else {
             hay.len() + 1
         };
+        let skip = self.prefilter.as_ref().and_then(|pf| pf.prefix_skip());
         let mut cache = VmCache::new();
         std::iter::from_fn(move || {
-            let m = self.find_at_with(hay, next_start, &mut cache)?;
+            let m = vm::find_at(&self.prog, skip, hay, next_start, &mut cache)?;
             next_start = m.end + usize::from(m.is_empty());
             Some(m)
         })
@@ -205,36 +202,7 @@ impl Regex {
     /// This is the primitive pSigene features are built on: every
     /// feature value is `count_all(feature_pattern, request)`.
     pub fn count_all(&self, hay: &[u8]) -> usize {
-        self.count_all_with(hay, &mut VmCache::new())
-    }
-
-    /// Like [`Regex::count_all`] but reusing caller-provided scratch
-    /// space; use this when counting many patterns over one payload
-    /// (the feature-extraction hot path). Identical semantics to
-    /// `count_all`: non-overlapping, leftmost-first, zero-width
-    /// matches advance the scan position by one.
-    pub fn count_all_with(&self, hay: &[u8], cache: &mut VmCache) -> usize {
-        if self.passes_prefilter(hay) {
-            self.count_all_prefiltered_with(hay, cache)
-        } else {
-            0
-        }
-    }
-
-    /// [`Regex::count_all_with`] minus the up-front prefilter gate,
-    /// for callers that already *know* the pattern matches `hay`
-    /// (e.g. the fused lazy-DFA scan reported it). The prefilter is
-    /// sound — it never rejects a matching haystack — so skipping it
-    /// cannot change the count; it only saves a redundant haystack
-    /// traversal. On haystacks that do not match, this is strictly
-    /// slower than `count_all_with`, never wrong.
-    pub fn count_all_prefiltered_with(&self, hay: &[u8], cache: &mut VmCache) -> usize {
-        let (mut n, mut next_start) = (0, 0);
-        while let Some(m) = self.find_at_with(hay, next_start, cache) {
-            n += 1;
-            next_start = m.end + usize::from(m.is_empty());
-        }
-        n
+        self.find_iter(hay).count()
     }
 
     /// False when the prefilter proves `hay` holds no match.

@@ -12,8 +12,9 @@
 //! Not every pattern goes in. Patterns whose counted repetitions
 //! would expand into large programs (and with them large DFA state
 //! sets) are refused with [`FuseOutcome::Fallback`] so the caller
-//! keeps them on the per-pattern Pike VM; the contract is that the
-//! fused scan plus the fallback list together cover the library.
+//! counts them one by one (the feature library, with each pattern's
+//! counting automaton); the contract is that the fused scan plus the
+//! fallback list together cover the library.
 
 use crate::ast::Ast;
 use crate::compiler;
@@ -27,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// fuse profitably.
 const FUSE_WEIGHT_LIMIT: usize = 512;
 
-/// Counted repetitions beyond this bound stay on the VM: `a{40}`
+/// Counted repetitions beyond this bound are not fused: `a{40}`
 /// expands into 40 copies whose positional progress the DFA would
 /// have to track as distinct states.
 const FUSE_REP_LIMIT: u32 = 16;
@@ -44,7 +45,7 @@ const DEFAULT_STATE_LIMIT: usize = 4096;
 pub enum FuseOutcome {
     /// The pattern is part of the fused automaton.
     Fused,
-    /// The pattern must stay on the per-pattern VM; the payload is a
+    /// The pattern must be counted on its own; the payload is a
     /// human-readable reason.
     Fallback(&'static str),
 }
@@ -240,7 +241,7 @@ impl FusedSetBuilder {
 }
 
 /// Decides fusability from the parsed AST; `Some(reason)` routes the
-/// pattern to the VM fallback list.
+/// pattern to the fallback list.
 fn fallback_reason(ast: &Ast) -> Option<&'static str> {
     if ast.weight() > FUSE_WEIGHT_LIMIT {
         return Some("expanded program too large to fuse");

@@ -13,14 +13,14 @@ use crate::Match;
 /// Reusable scratch space for the VM; callers that run many searches
 /// over the same program should reuse one cache.
 #[derive(Debug, Default)]
-pub struct VmCache {
+pub(crate) struct VmCache {
     clist: ThreadList,
     nlist: ThreadList,
 }
 
 impl VmCache {
     /// Creates an empty cache; it grows to fit the program on first use.
-    pub fn new() -> VmCache {
+    pub(crate) fn new() -> VmCache {
         VmCache::default()
     }
 }

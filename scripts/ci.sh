@@ -143,7 +143,7 @@ if git status --porcelain | grep '^??'; then
     exit 1
 fi
 
-# The size ROADMAP item 5 is judged on: tracked Rust lines outside the
+# The size ROADMAP item 6 is judged on: tracked Rust lines outside the
 # end-to-end benchmark's package.
 echo "==> tracked .rs lines outside crates/bench/src/bin/e2e: $(git ls-files -z '*.rs' \
     ':!:crates/bench/src/bin/e2e/**' | xargs -0 cat | wc -l)"
