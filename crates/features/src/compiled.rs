@@ -137,10 +137,11 @@ impl std::fmt::Debug for CompiledFeatureSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proptests::full_set;
 
     #[test]
     fn fused_engine_covers_most_of_the_library() {
-        let set = crate::FeatureSet::full();
+        let set = full_set();
         let c = CompiledFeatureSet::build(set.features());
         assert_eq!(c.feature_count(), set.len());
         // The shipped library fuses whole: the fallback path below is
@@ -162,7 +163,7 @@ mod tests {
         // stay small: a library edit that grows one shows here, well
         // before the automaton's state cap refuses it.
         const LARGEST: &str = r"sig:union(\s|\+|/\*.*?\*/)+(all(\s|\+|/\*.*?\*/)+)?select";
-        let set = crate::FeatureSet::full();
+        let set = full_set();
         let (large, small): (Vec<_>, Vec<_>) = set
             .features()
             .iter()
@@ -182,7 +183,7 @@ mod tests {
         // fused scan itself, the rest by a counting run of their own. A
         // library edit that moves features between the two moves
         // request-path work: it must be made here, on purpose.
-        let set = crate::FeatureSet::full();
+        let set = full_set();
         let c = CompiledFeatureSet::build(set.features());
         let mut dfa = DfaCache::new();
         c.fused_candidates_into(b"", &mut CandidateSet::new(0), &mut dfa)
@@ -195,7 +196,7 @@ mod tests {
 
     #[test]
     fn fused_scan_is_exact_for_fused_and_sound_for_fallback() {
-        let set = crate::FeatureSet::full();
+        let set = full_set();
         let c = CompiledFeatureSet::build(set.features());
         let mut bits = CandidateSet::new(0);
         let mut dfa = psigene_regex::DfaCache::new();

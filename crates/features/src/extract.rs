@@ -445,13 +445,13 @@ pub fn extract_matrix(set: &FeatureSet, payloads: &[&[u8]], threads: usize) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proptests::{naive_dense, nonzero};
+    use crate::proptests::{full_set, naive_dense, nonzero};
     use crate::{Feature, FeatureSource};
 
     #[test]
     fn union_select_payload_lights_up_features() {
-        let set = FeatureSet::full();
-        let row = extract_row(&set, b"id=-1+UNION+SELECT+1,2,concat(version(),0x3a),4--+-");
+        let set = full_set();
+        let row = extract_row(set, b"id=-1+UNION+SELECT+1,2,concat(version(),0x3a),4--+-");
         assert!(!row.is_empty());
         // At least the union and select reserved words must count.
         let names: Vec<&str> = row
@@ -465,8 +465,8 @@ mod tests {
 
     #[test]
     fn benign_payload_is_nearly_silent() {
-        let set = FeatureSet::full();
-        let row = extract_row(&set, b"page=2&sort=asc&term=2012");
+        let set = full_set();
+        let row = extract_row(set, b"page=2&sort=asc&term=2012");
         // A couple of incidental hits are fine (`=`-style features);
         // the row must be far sparser than an attack's.
         assert!(row.len() < 10, "benign row too hot: {row:?}");
@@ -474,8 +474,8 @@ mod tests {
 
     #[test]
     fn counts_not_flags() {
-        let set = FeatureSet::full();
-        let row = extract_row(&set, b"q=char(58),char(58),char(58)");
+        let set = full_set();
+        let row = extract_row(set, b"q=char(58),char(58),char(58)");
         let char_count = row
             .iter()
             .find(|&&(c, _)| set.features()[c].name == "sig:char\\s*\\(")
@@ -485,13 +485,13 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let set = FeatureSet::full();
+        let set = full_set();
         let payloads: Vec<Vec<u8>> = (0..40)
             .map(|i| format!("id={i}+union+select+{i},version()--").into_bytes())
             .collect();
         let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-        let seq = extract_matrix(&set, &refs, 1);
-        let par = extract_matrix(&set, &refs, 4);
+        let seq = extract_matrix(set, &refs, 1);
+        let par = extract_matrix(set, &refs, 4);
         assert_eq!(seq.rows(), par.rows());
         assert_eq!(seq.nnz(), par.nnz());
         for r in 0..seq.rows() {
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_rows_equal_per_feature_counts() {
-        let set = FeatureSet::full();
+        let set = full_set();
         let payloads: &[&[u8]] = &[
             b"id=-1+union+select+1,2,3--",
             b"page=2&sort=asc&term=2012",
@@ -512,19 +512,19 @@ mod tests {
             b"%27%20OR%201=1--",
         ];
         for p in payloads {
-            let dense = naive_dense(&set, p);
+            let dense = naive_dense(set, p);
             let mut got = Vec::new();
-            extract_dense_into(&set, p, &mut got);
+            extract_dense_into(set, p, &mut got);
             assert_eq!(got, dense, "{p:?}");
-            assert_eq!(extract_row(&set, p), nonzero(&dense), "{p:?}");
+            assert_eq!(extract_row(set, p), nonzero(&dense), "{p:?}");
         }
     }
 
     #[test]
     fn vms_run_only_for_fused_matches_plus_fallback() {
-        let set = FeatureSet::full();
+        let set = full_set();
         let (row, stats) =
-            extract_row_uncounted(&set, b"id=-1+union+select+1,2,concat(version(),0x3a),4--+-");
+            extract_row_uncounted(set, b"id=-1+union+select+1,2,concat(version(),0x3a),4--+-");
         // Every fused counting run produced a match, and the shipped
         // library has nothing on the fallback list, so the row *is* the
         // counting runs.
@@ -627,18 +627,18 @@ mod tests {
 
     #[test]
     fn warm_dfa_cache_stops_missing() {
-        let set = FeatureSet::full();
+        let set = full_set();
         let payload = b"id=-1+union+select+1,2,3--";
-        let _ = extract_row_uncounted(&set, payload);
-        let (_, warm) = extract_row_uncounted(&set, payload);
+        let _ = extract_row_uncounted(set, payload);
+        let (_, warm) = extract_row_uncounted(set, payload);
         assert_eq!(warm.dfa_misses, 0, "{warm:?}");
         assert_eq!(warm.dfa_hit_ratio(), Some(1.0));
     }
 
     #[test]
     fn benign_traffic_skips_most_vm_runs() {
-        let set = FeatureSet::full();
-        let (_, stats) = extract_row_uncounted(&set, b"page=2&sort=asc&term=2012");
+        let set = full_set();
+        let (_, stats) = extract_row_uncounted(set, b"page=2&sort=asc&term=2012");
         let skip_ratio =
             stats.vm_runs_skipped as f64 / (stats.vm_runs + stats.vm_runs_skipped) as f64;
         assert!(
@@ -649,14 +649,14 @@ mod tests {
 
     #[test]
     fn regex_evals_counts_actual_vm_runs() {
-        let set = FeatureSet::full();
+        let set = full_set();
         // Per-row invariant: runs + skips account for every feature,
         // and benign traffic actually skips (the old accounting
         // charged rows × features unconditionally).
         let payloads: &[&[u8]] = &[b"page=2&sort=asc", b"q=summer+housing"];
         let mut total = ExtractStats::default();
         for p in payloads {
-            let (_, stats) = extract_row_uncounted(&set, p);
+            let (_, stats) = extract_row_uncounted(set, p);
             assert_eq!(stats.vm_runs + stats.vm_runs_skipped, set.len() as u64);
             assert!(stats.vm_runs < set.len() as u64, "nothing skipped on {p:?}");
             total.absorb(stats);
@@ -666,7 +666,7 @@ mod tests {
         let telemetry = psigene_telemetry::global();
         let evals_before = telemetry.counter("features.regex_evals").get();
         let skipped_before = telemetry.counter("features.vm_runs_skipped").get();
-        extract_matrix(&set, payloads, 1);
+        extract_matrix(set, payloads, 1);
         let evals = telemetry.counter("features.regex_evals").get() - evals_before;
         let skipped = telemetry.counter("features.vm_runs_skipped").get() - skipped_before;
         assert!(evals >= total.vm_runs, "{evals} < {}", total.vm_runs);
@@ -675,18 +675,18 @@ mod tests {
 
     #[test]
     fn traced_extraction_is_identical_and_records_stages() {
-        let set = FeatureSet::full();
+        let set = full_set();
         for payload in [
             b"id=-1+union+select+1,2,3--".as_slice(),
             b"page=2&sort=asc",
             b"",
         ] {
             let mut plain = Vec::new();
-            extract_sparse_into(&set, payload, &mut plain, None);
-            assert_eq!(plain, extract_row(&set, payload), "{payload:?}");
+            extract_sparse_into(set, payload, &mut plain, None);
+            assert_eq!(plain, extract_row(set, payload), "{payload:?}");
             let mut traced = Vec::new();
             let mut trace = TraceContext::new(1);
-            extract_sparse_into(&set, payload, &mut traced, Some(&mut trace));
+            extract_sparse_into(set, payload, &mut traced, Some(&mut trace));
             assert_eq!(plain, traced, "{payload:?}");
             let t = trace.finish();
             let names: Vec<&str> = t.spans.iter().map(|s| s.name).collect();
@@ -700,21 +700,21 @@ mod tests {
     fn attack_matrix_is_sparse_like_the_papers() {
         // §II-B: 85 % zeros. Our library is wider, so expect at least
         // that sparsity on attack traffic.
-        let set = FeatureSet::full();
+        let set = full_set();
         let payloads: Vec<Vec<u8>> = (0..30)
             .map(|i| format!("id=-1' or {i}={i} union select null,{i}-- -").into_bytes())
             .collect();
         let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-        let m = extract_matrix(&set, &refs, 2);
+        let m = extract_matrix(set, &refs, 2);
         assert!(m.sparsity() > 0.8, "sparsity {}", m.sparsity());
     }
 
     #[test]
     fn empty_inputs() {
-        let set = FeatureSet::full();
-        let m = extract_matrix(&set, &[], 4);
+        let set = full_set();
+        let m = extract_matrix(set, &[], 4);
         assert_eq!(m.rows(), 0);
-        let row = extract_row(&set, b"");
+        let row = extract_row(set, b"");
         assert!(row.is_empty());
     }
 }

@@ -1,11 +1,14 @@
-//! A single counting feature: its pattern compiled twice, once for the
-//! Pike VM (the per-feature oracle, [`Feature::count`]) and once as a
-//! counting automaton (what extraction counts with,
-//! [`Feature::count_dfa`]). A pattern the automaton refuses is refused
-//! as a feature.
+//! A single counting feature: its pattern determinized as a counting
+//! automaton (what extraction counts with, [`Feature::count_dfa`]) and,
+//! on first use, lowered for the backtracking oracle (the per-feature
+//! reference the extraction tests compare against, [`Feature::count`]).
+//! The two share only the parser. A pattern the automaton refuses is
+//! refused as a feature.
 
 use crate::sources::FeatureSource;
-use psigene_regex::{CountDfa, Regex, RegexBuilder};
+use psigene_regex::oracle::Oracle;
+use psigene_regex::CountDfa;
+use std::sync::OnceLock;
 
 /// One feature: a compiled pattern whose non-overlapping match count
 /// over the normalized payload is the feature value (§II-B: "each one
@@ -21,8 +24,11 @@ pub struct Feature {
     pub pattern: String,
     /// Which of Table II's three sources produced it.
     pub source: FeatureSource,
-    regex: Regex,
-    /// `regex` determinized for counting.
+    /// `pattern` lowered for the oracle by the first
+    /// [`Feature::count`]: only tests count with it, so a deployed
+    /// engine never holds one.
+    oracle: OnceLock<Oracle>,
+    /// `pattern` determinized for counting.
     count_dfa: CountDfa,
 }
 
@@ -38,34 +44,32 @@ impl Feature {
         source: FeatureSource,
     ) -> Result<Feature, psigene_regex::Error> {
         let pattern = pattern.into();
-        let regex = RegexBuilder::new().case_insensitive(true).build(&pattern)?;
-        let count_dfa = CountDfa::new(&regex)?;
+        let count_dfa = CountDfa::new(&pattern, true)?;
         Ok(Feature {
             id,
             name: name.into(),
             pattern,
             source,
-            regex,
+            oracle: OnceLock::new(),
             count_dfa,
         })
     }
 
     /// The feature value for a normalized payload: the number of
-    /// non-overlapping matches. Always the Pike VM — the per-feature
-    /// oracle the extraction tests compare against.
+    /// non-overlapping matches. Always the backtracking oracle — the
+    /// per-feature reference the extraction tests compare against,
+    /// several times slower than [`Feature::count_dfa`].
     pub fn count(&self, normalized_payload: &[u8]) -> usize {
-        self.regex.count_all(normalized_payload)
+        let oracle = self
+            .oracle
+            .get_or_init(|| Oracle::new(&self.pattern, true).expect("parsed by CountDfa::new"));
+        oracle.count(normalized_payload)
     }
 
     /// The counting automaton: its `count` equals [`Feature::count`]
     /// on every payload.
     pub fn count_dfa(&self) -> &CountDfa {
         &self.count_dfa
-    }
-
-    /// Borrow of the compiled pattern.
-    pub fn regex(&self) -> &Regex {
-        &self.regex
     }
 }
 

@@ -241,15 +241,12 @@ pub const SIGNATURE_FRAGMENTS: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psigene_regex::{Regex, RegexBuilder};
+    use psigene_regex::oracle::Oracle;
 
     #[test]
     fn all_fragments_compile_case_insensitively() {
         for frag in SIGNATURE_FRAGMENTS {
-            RegexBuilder::new()
-                .case_insensitive(true)
-                .build(frag)
-                .unwrap_or_else(|e| panic!("fragment {frag:?} failed: {e}"));
+            Oracle::new(frag, true).unwrap_or_else(|e| panic!("fragment {frag:?} failed: {e}"));
         }
     }
 
@@ -297,10 +294,7 @@ mod tests {
     #[test]
     fn fragments_hit_their_targets() {
         let check = |pat: &str, hay: &[u8]| {
-            let re = RegexBuilder::new()
-                .case_insensitive(true)
-                .build(pat)
-                .unwrap();
+            let re = Oracle::new(pat, true).unwrap();
             assert!(re.is_match(hay), "{pat:?} should match {hay:?}");
         };
         check(r"union\s+select", b"1 union select 2");
@@ -316,7 +310,7 @@ mod tests {
 
     #[test]
     fn word_boundary_fragment_counts() {
-        let re = Regex::new(r"(%[0-9a-f]{2}){4,}").unwrap();
+        let re = Oracle::new(r"(%[0-9a-f]{2}){4,}", false).unwrap();
         assert!(re.is_match(b"%55%4e%49%4f%4e"));
         assert!(!re.is_match(b"%55%4e"));
     }

@@ -45,9 +45,9 @@ mod proptests {
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
-    /// The full library, built once (compiling ~450 regexes per
-    /// proptest case would dominate the run).
-    fn full_set() -> &'static FeatureSet {
+    /// The full library, built once per test binary (compiling ~450
+    /// regexes per test or proptest case would dominate the run).
+    pub(crate) fn full_set() -> &'static FeatureSet {
         static SET: OnceLock<FeatureSet> = OnceLock::new();
         SET.get_or_init(FeatureSet::full)
     }

@@ -98,15 +98,12 @@ pub const REFERENCE_PATTERNS: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psigene_regex::RegexBuilder;
+    use psigene_regex::oracle::Oracle;
 
     #[test]
     fn all_patterns_compile() {
         for pat in REFERENCE_PATTERNS {
-            RegexBuilder::new()
-                .case_insensitive(true)
-                .build(pat)
-                .unwrap_or_else(|e| panic!("pattern {pat:?} failed: {e}"));
+            Oracle::new(pat, true).unwrap_or_else(|e| panic!("pattern {pat:?} failed: {e}"));
         }
     }
 
@@ -125,10 +122,7 @@ mod tests {
 
     #[test]
     fn papers_order_by_example_matches() {
-        let re = RegexBuilder::new()
-            .case_insensitive(true)
-            .build(r"'\s*order\s+by\s+[0-9]+\s*--\s-")
-            .unwrap();
+        let re = Oracle::new(r"'\s*order\s+by\s+[0-9]+\s*--\s-", true).unwrap();
         assert!(re.is_match(b"' ORDER BY 10-- -"));
         assert!(!re.is_match(b"order by name"));
     }
@@ -136,10 +130,7 @@ mod tests {
     #[test]
     fn cheat_sheet_idioms_match_their_payloads() {
         let check = |pat: &str, hay: &[u8]| {
-            let re = RegexBuilder::new()
-                .case_insensitive(true)
-                .build(pat)
-                .unwrap();
+            let re = Oracle::new(pat, true).unwrap();
             assert!(re.is_match(hay), "{pat:?} should match {hay:?}");
         };
         check(r"'\s*or\s*'1'\s*=\s*'1", b"x' or '1'='1");

@@ -164,11 +164,12 @@ impl FeatureSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proptests::full_set;
     use psigene_linalg::CsrBuilder;
 
     #[test]
     fn full_library_size_is_paper_scale() {
-        let set = FeatureSet::full();
+        let set = full_set();
         // The paper starts from 477 features; our three sources land
         // in the same band.
         assert!(
@@ -180,7 +181,7 @@ mod tests {
 
     #[test]
     fn histogram_covers_all_sources() {
-        let set = FeatureSet::full();
+        let set = full_set();
         for (source, n) in set.source_histogram() {
             assert!(n > 0, "{source:?} contributed nothing");
         }
@@ -188,7 +189,7 @@ mod tests {
 
     #[test]
     fn ids_are_column_indices() {
-        let set = FeatureSet::full();
+        let set = full_set();
         for (i, f) in set.features().iter().enumerate() {
             assert_eq!(f.id, i);
         }
@@ -196,7 +197,7 @@ mod tests {
 
     #[test]
     fn pruning_drops_unobserved_columns() {
-        let set = FeatureSet::full();
+        let set = full_set();
         let n = set.len();
         // A matrix where only columns 3 and 7 are ever non-zero.
         let mut b = CsrBuilder::new(n);

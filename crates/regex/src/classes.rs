@@ -1,8 +1,8 @@
 //! Byte-range sets backing character classes.
 //!
 //! A [`ClassSet`] is a sorted list of disjoint, non-adjacent inclusive
-//! byte ranges. All set operations keep that invariant, which lets the
-//! VM test membership with a short binary search.
+//! byte ranges. All set operations keep that invariant, which lets a
+//! determinizer test membership with a short binary search.
 
 /// An inclusive range of bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

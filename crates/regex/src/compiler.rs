@@ -18,9 +18,7 @@ pub fn compile(ast: &Ast, size_limit: usize) -> Result<Program, Error> {
     compile_onto(ast, &mut prog, size_limit)?;
     let mut c = Compiler { prog, size_limit };
     c.push(Inst::Match)?;
-    c.prog.matches_empty = ast.is_nullable();
     c.prog.compute_closures();
-    c.prog.compute_root_plan();
     Ok(c.prog)
 }
 
@@ -256,7 +254,6 @@ mod tests {
         let p = compiled("a*");
         assert!(matches!(p.insts[0], Inst::Split(1, 3)));
         assert!(matches!(p.insts[2], Inst::Split(1, 3)));
-        assert!(p.matches_empty);
     }
 
     #[test]

@@ -1,22 +1,24 @@
-//! A precompiled counting automaton: [`Regex::count_all`] as one table
-//! load per byte.
+//! A precompiled counting automaton: the number of non-overlapping
+//! leftmost-first matches of one pattern (pSigene's `count_all()`) as
+//! one table load per byte.
 //!
 //! Counting non-overlapping leftmost-first matches needs no captures
 //! and no match *start* — only where each match ends, because the next
 //! search begins there. That is a regular property of the haystack
-//! prefix, so the Pike VM's ordered thread list can be determinized
-//! ahead of time. [`CountDfa::new`] does so eagerly, once per pattern;
-//! the automaton is immutable afterwards and shared by every thread.
+//! prefix, so the ordered thread list of a prioritized simulation of
+//! the pattern's program can be determinized ahead of time.
+//! [`CountDfa::new`] does so eagerly, once per pattern; the automaton
+//! is immutable afterwards and shared by every thread.
 //!
 //! # State
 //!
-//! A state is what the VM carries between two bytes of one search: the
-//! **ordered** list of pending program counters (the pcs just after the
-//! consuming instructions taken, highest priority first), whether a
-//! match is already *committed*, and the two context bits epsilon
-//! closure will need — was the previous byte a word byte, is this
-//! position 0. Closure is deferred to the transition, when the next
-//! byte is known, so `^ $ \b \B` resolve from the position's
+//! A state is what the simulation carries between two bytes of one
+//! search: the **ordered** list of pending program counters (the pcs
+//! just after the consuming instructions taken, highest priority
+//! first), whether a match is already *committed*, and the two context
+//! bits epsilon closure will need — was the previous byte a word byte,
+//! is this position 0. Closure is deferred to the transition, when the
+//! next byte is known, so `^ $ \b \B` resolve from the position's
 //! `program::context` instead of splitting states per assertion
 //! outcome — the same deferral, closure table and context function
 //! `crate::lazydfa` uses.
@@ -24,26 +26,26 @@
 //! # Transition
 //!
 //! Expand the pending pcs through the program's precompiled
-//! [`crate::program::ClosureTable`] in order (first path to a pc wins,
-//! exactly the VM's `seen` marks); until a match is committed the root
-//! closure rides behind them at the lowest priority, which is the
-//! leftmost rule. Walk the expanded threads in order: the first
-//! `Match` records "a match ends here" on the transition word and
-//! **cuts** every thread behind it; threads ahead of it survive and may
-//! still override the recorded end with a later, higher-priority one.
-//! Threads whose instruction accepts the byte become the next pending
-//! list. A committed state with nothing pending is the *dead* state:
-//! nothing can override the recorded end, so the search is over.
+//! [`crate::program::ClosureTable`] in order (first path to a pc wins);
+//! until a match is committed the root closure rides behind them at
+//! the lowest priority, which is the leftmost rule. Walk the expanded
+//! threads in order: the first `Match` records "a match ends here" on
+//! the transition word and **cuts** every thread behind it; threads
+//! ahead of it survive and may still override the recorded end with a
+//! later, higher-priority one. Threads whose instruction accepts the
+//! byte become the next pending list. A committed state with nothing
+//! pending is the *dead* state: nothing can override the recorded end,
+//! so the search is over.
 //!
 //! # Counting
 //!
 //! [`CountDfa::count`] runs one search to the dead state (or the end of
 //! input, where a per-state bit says whether `$` or a trailing `\b`
 //! completes a match), counts one, and restarts at the last recorded
-//! end in the idle state chosen by the byte before it — the context
-//! `find_at(hay, end)` would compute. The idle states (nothing pending,
-//! nothing committed) hop over every byte that cannot leave idle via
-//! the 256-entry `wakes` table, the analog of the VM's prefix skip.
+//! end in the idle state chosen by the byte before it — the context a
+//! search starting there would compute. The idle states (nothing
+//! pending, nothing committed) hop over every byte that cannot leave
+//! idle via the 256-entry `wakes` table.
 //!
 //! # Refusals
 //!
@@ -54,14 +56,15 @@
 //! patterns whose ordered determinization exceeds [`STATE_LIMIT`]
 //! states. The limit is sized from the shipped feature library, whose
 //! largest automaton — `union(\s|\+|/\*.*?\*/)+(all(…)+)?select` —
-//! has 7 627 states over 16 byte classes. The Pike VM remains the
-//! engine behind `find*` and [`Regex::count_all`], and the oracle this
-//! module is tested against.
+//! has 7 627 states over 16 byte classes. The automaton is tested
+//! against the backtracker in `crate::oracle`, which shares only the
+//! parser with it.
 
+use crate::compiler;
 use crate::error::{Error, ErrorKind};
 use crate::nfa::ByteClasses;
+use crate::parser::{self, Flags};
 use crate::program::{context, is_word_byte, Inst, Program};
-use crate::Regex;
 use std::collections::HashMap;
 
 /// Determinization gives up past this many states.
@@ -75,8 +78,8 @@ const MATCH: u16 = 1 << 15;
 // intern one row (at most 256 states) past the limit before it refuses.
 const _: () = assert!(STATE_LIMIT + 256 < MATCH as usize);
 
-/// A precompiled automaton computing [`Regex::count_all`] for one
-/// pattern; see the module docs.
+/// A precompiled automaton counting the non-overlapping
+/// leftmost-first matches of one pattern; see the module docs.
 #[derive(Debug, Clone)]
 pub struct CountDfa {
     /// Byte → equivalence class of the pattern's program.
@@ -98,15 +101,22 @@ pub struct CountDfa {
 }
 
 impl CountDfa {
-    /// Determinizes `re`. Fails with [`ErrorKind::MatchesEmpty`] when
-    /// the pattern can match the empty string, and with
-    /// [`ErrorKind::TooManyStates`] when it needs more than 8 192
-    /// states.
-    pub fn new(re: &Regex) -> Result<CountDfa, Error> {
-        if re.prog.matches_empty {
+    /// Parses, compiles and determinizes `pattern` (`.` excludes `\n`
+    /// unless the pattern says `(?s)`). Fails when the pattern does not
+    /// parse or compile, with [`ErrorKind::MatchesEmpty`] when it can
+    /// match the empty string, and with [`ErrorKind::TooManyStates`]
+    /// when it needs more than 8 192 states.
+    pub fn new(pattern: &str, case_insensitive: bool) -> Result<CountDfa, Error> {
+        let flags = Flags {
+            case_insensitive,
+            dot_matches_newline: false,
+        };
+        let ast = parser::parse(pattern, flags)?;
+        if ast.is_nullable() {
             return Err(Error::new(ErrorKind::MatchesEmpty, 0));
         }
-        Determinizer::new(&re.prog)
+        let prog = compiler::compile(&ast, compiler::DEFAULT_SIZE_LIMIT)?;
+        Determinizer::new(&prog)
             .run()
             .ok_or_else(|| Error::new(ErrorKind::TooManyStates { limit: STATE_LIMIT }, 0))
     }
@@ -117,8 +127,8 @@ impl CountDfa {
         self.eoi.len()
     }
 
-    /// Counts non-overlapping leftmost-first matches in `hay`: exactly
-    /// [`Regex::count_all`].
+    /// Counts non-overlapping leftmost-first matches in `hay`: the next
+    /// search starts where the last match ended.
     pub fn count(&self, hay: &[u8]) -> usize {
         let mut count = 0;
         let mut from = 0;
@@ -159,7 +169,7 @@ impl CountDfa {
     }
 
     /// The idle state for position `pos`: its context bits are what
-    /// the VM derives from `hay[pos - 1]`.
+    /// `hay[pos - 1]` says about it.
     #[inline]
     fn idle_at(&self, hay: &[u8], pos: usize) -> u16 {
         match pos.checked_sub(1) {
@@ -335,8 +345,8 @@ impl<'p> Determinizer<'p> {
     }
 
     /// Fills `self.threads` with `key`'s closure under `ctx`: the
-    /// thread list the VM would hold at this position, in priority
-    /// order.
+    /// thread list a simulation would hold at this position, in
+    /// priority order.
     fn expand(&mut self, key: &Key, ctx: u8) {
         self.generation += 1;
         self.threads.clear();
@@ -399,16 +409,17 @@ impl<'p> Determinizer<'p> {
 mod tests {
     use super::*;
 
+    use crate::oracle::Oracle;
+
     fn dfa(pat: &str) -> CountDfa {
-        let re = Regex::new(pat).expect("pattern compiles");
-        CountDfa::new(&re).unwrap_or_else(|e| panic!("{pat:?} must determinize: {e}"))
+        CountDfa::new(pat, false).unwrap_or_else(|e| panic!("{pat:?} must determinize: {e}"))
     }
 
-    /// Counts with the automaton after checking it against the VM.
+    /// Counts with the automaton after checking it against the oracle.
     fn count(pat: &str, hay: &str) -> usize {
-        let re = Regex::new(pat).expect("pattern compiles");
+        let oracle = Oracle::new(pat, false).expect("pattern compiles");
         let n = dfa(pat).count(hay.as_bytes());
-        assert_eq!(n, re.count_all(hay.as_bytes()), "{pat:?} on {hay:?}");
+        assert_eq!(n, oracle.count(hay.as_bytes()), "{pat:?} on {hay:?}");
         n
     }
 
@@ -473,14 +484,11 @@ mod tests {
     fn non_overlapping_and_case_insensitive() {
         assert_eq!(count("aa", "aaaaa"), 2);
         assert_eq!(count("a+", "aa b aaa"), 2);
-        let re = Regex::builder()
-            .case_insensitive(true)
-            .build(r"union\s+(all\s+)?select")
-            .unwrap();
+        let pat = r"union\s+(all\s+)?select";
         let hay = b"union select 1; UNION ALL SELECT 2; union all selec";
-        let dfa = CountDfa::new(&re).unwrap();
+        let dfa = CountDfa::new(pat, true).unwrap();
         assert_eq!(dfa.count(hay), 2);
-        assert_eq!(dfa.count(hay), re.count_all(hay));
+        assert_eq!(dfa.count(hay), Oracle::new(pat, true).unwrap().count(hay));
     }
 
     #[test]
@@ -501,8 +509,7 @@ mod tests {
     #[test]
     fn nullable_patterns_are_refused() {
         for pat in ["a*", "", r"\b", "^", "(ab)?", "x|"] {
-            let re = Regex::new(pat).unwrap();
-            let err = CountDfa::new(&re).expect_err(pat);
+            let err = CountDfa::new(pat, false).expect_err(pat);
             assert_eq!(err.kind(), &ErrorKind::MatchesEmpty, "{pat:?}");
         }
     }
@@ -511,16 +518,14 @@ mod tests {
     fn patterns_past_the_state_cap_are_refused() {
         // "An `a` twelve bytes from the end" must remember the last
         // twelve bytes: the determinization blows up past the cap.
-        let re = Regex::new(r"[ab]*a[ab]{11}").unwrap();
-        let err = CountDfa::new(&re).expect_err("past the cap");
+        let err = CountDfa::new(r"[ab]*a[ab]{11}", false).expect_err("past the cap");
         assert_eq!(err.kind(), &ErrorKind::TooManyStates { limit: STATE_LIMIT });
         // Two comment-or-space loops around an optional keyword run to
         // thousands of states, but within the cap.
-        let re = Regex::builder()
-            .case_insensitive(true)
-            .build(r"union(\s|\+|/\*.*?\*/)+(all(\s|\+|/\*.*?\*/)+)?select")
-            .unwrap();
-        let states = CountDfa::new(&re).expect("within the cap").state_count();
+        let union = r"union(\s|\+|/\*.*?\*/)+(all(\s|\+|/\*.*?\*/)+)?select";
+        let states = CountDfa::new(union, true)
+            .expect("within the cap")
+            .state_count();
         assert!((512..=STATE_LIMIT).contains(&states), "{states} states");
         // The same shape without the comment arm is small.
         assert!(dfa(r"union(\s|\+)+(all(\s|\+)+)?select").state_count() <= 512);

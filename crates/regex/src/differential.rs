@@ -1,15 +1,16 @@
 //! Differential tests: every engine against [`Oracle`], which shares
 //! only the parser and the AST with them.
 //!
-//! The Pike VM's spans and counts, the fused lazy DFA's match set and
-//! the counts its scan makes of fixed-width patterns, and the counting
-//! automaton's counts are each held to the oracle. The
+//! The fused lazy DFA's match set and the counts its scan makes of
+//! fixed-width patterns — over the whole library in one automaton and
+//! over each pattern in a set of its own ([`FusedSet::single`]) — and
+//! the counting automaton's counts are each held to the oracle. The
 //! shipped feature library comes from `psigene-features` as pattern
 //! strings: that crate links the non-test build of this one, so its
-//! `Regex` is a different type from the one under test here.
+//! types are different types from the ones under test here.
 
 use crate::oracle::Oracle;
-use crate::{CandidateSet, CountDfa, DfaCache, FusedSet, FusedSetBuilder, Regex};
+use crate::{CandidateSet, CountDfa, DfaCache, FusedSet, FusedSetBuilder};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -40,12 +41,12 @@ const PATTERNS: &[&str] = &[
     r"\B\d+",
 ];
 
-/// One pattern compiled by the engine, determinized where it can be,
-/// and lowered by the oracle.
+/// One pattern in a set of its own, determinized where it can be, and
+/// lowered by the oracle.
 struct Pair {
     pattern: String,
     ci: bool,
-    re: Regex,
+    single: FusedSet,
     dfa: Option<CountDfa>,
     oracle: Oracle,
     /// True when every match has one width w ≥ 1, so a fused scan
@@ -55,7 +56,6 @@ struct Pair {
 
 impl Pair {
     fn new(pattern: &str, ci: bool) -> Result<Pair, crate::Error> {
-        let re = Regex::builder().case_insensitive(ci).build(pattern)?;
         let flags = crate::parser::Flags {
             case_insensitive: ci,
             dot_matches_newline: false,
@@ -64,8 +64,8 @@ impl Pair {
         Ok(Pair {
             pattern: pattern.to_string(),
             ci,
-            dfa: CountDfa::new(&re).ok(),
-            re,
+            single: FusedSet::single(0, pattern, ci)?,
+            dfa: CountDfa::new(pattern, ci).ok(),
             oracle: Oracle::new(pattern, ci)?,
             scan_counted: width.is_some_and(|w| w >= 1),
         })
@@ -84,39 +84,39 @@ impl Pair {
         );
     }
 
-    /// The Pike VM's spans and count equal the oracle's.
-    fn check_vm(&self, hay: &[u8]) {
-        let (pat, ci) = (&self.pattern, self.ci);
-        let want = self.oracle.find_all(hay);
-        let spans: Vec<_> = self
-            .re
-            .find_iter(hay)
-            .map(|m| (m.start(), m.end()))
-            .collect();
-        assert_eq!(spans, want, "find_iter {pat:?} (ci={ci}) on {hay:?}");
+    /// The set of one's match bit and, for a fixed-width pattern, its
+    /// scan count equal the oracle's.
+    fn check_single(&self, hay: &[u8]) {
+        let mut cache = DfaCache::new();
+        let mut out = CandidateSet::new(1);
+        self.single.scan_into(hay, &mut cache, &mut out);
         assert_eq!(
-            self.re.count_all(hay),
-            want.len(),
-            "count_all {pat:?} (ci={ci}) on {hay:?}"
+            out.contains(0),
+            self.oracle.is_match(hay),
+            "set of one {:?} (ci={}) on {hay:?}",
+            self.pattern,
+            self.ci
         );
+        self.check_scan_count(&self.single, &cache, 0, hay);
     }
 
-    /// The Pike VM's count and the counting automaton's, where there is
-    /// one, equal the oracle's.
+    /// The counting automaton's count, where there is one, equals the
+    /// oracle's.
     fn check_counts(&self, hay: &[u8]) {
-        let (pat, ci, want) = (&self.pattern, self.ci, self.oracle.count(hay));
-        assert_eq!(
-            self.re.count_all(hay),
-            want,
-            "Pike VM {pat:?} (ci={ci}) on {hay:?}"
-        );
         if let Some(dfa) = &self.dfa {
+            let (pat, ci) = (&self.pattern, self.ci);
             assert_eq!(
                 dfa.count(hay),
-                want,
+                self.oracle.count(hay),
                 "CountDfa {pat:?} (ci={ci}) on {hay:?}"
             );
         }
+    }
+
+    /// Every engine on one haystack.
+    fn check(&self, hay: &[u8]) {
+        self.check_single(hay);
+        self.check_counts(hay);
     }
 }
 
@@ -165,32 +165,18 @@ fn fixed_patterns_on_crafted_haystacks() {
     ];
     for pair in fixed() {
         for hay in hays {
-            pair.check_vm(hay);
+            pair.check(hay);
         }
     }
 }
 
 /// Holds every engine to the oracle on one case-sensitive pattern: the
-/// Pike VM's spans, both counts, and the fused scan's match bit and,
-/// for a fixed-width pattern, its count. Returns the oracle's spans.
-fn check_every_engine(pat: &str, hay: &[u8]) -> Vec<(usize, usize)> {
+/// counting automaton's count, and the set of one's match bit and, for
+/// a fixed-width pattern, its count. Returns the oracle's spans.
+pub(crate) fn check_every_engine(pat: &str, hay: &[u8]) -> Vec<(usize, usize)> {
     let pair = Pair::new(pat, false).expect("compiles");
-    pair.check_vm(hay);
-    pair.check_counts(hay);
-    let mut fuser = FusedSetBuilder::new();
-    fuser.add(0, pat, false).expect("valid pattern");
-    let mut out = CandidateSet::new(1);
-    let set = fuser.build().expect("one pattern fused");
-    let mut cache = DfaCache::new();
-    set.scan_into(hay, &mut cache, &mut out);
-    let want = pair.oracle.find_all(hay);
-    assert_eq!(
-        out.contains(0),
-        !want.is_empty(),
-        "fused {pat:?} on {hay:?}"
-    );
-    pair.check_scan_count(&set, &cache, 0, hay);
-    want
+    pair.check(hay);
+    pair.oracle.find_all(hay)
 }
 
 /// SQL-ish fragments spliced between random bytes, so haystacks reach
@@ -320,7 +306,7 @@ proptest! {
     #[test]
     fn random_haystacks_agree(hay in proptest::collection::vec(any::<u8>(), 0..80)) {
         for pair in fixed() {
-            pair.check_vm(&hay);
+            pair.check(&hay);
         }
     }
 
@@ -329,7 +315,7 @@ proptest! {
         hay in "[ -~]{0,60}",
     ) {
         for pair in fixed() {
-            pair.check_vm(hay.as_bytes());
+            pair.check(hay.as_bytes());
         }
     }
 
@@ -338,7 +324,7 @@ proptest! {
         pat in r"[abc01]([abc01.]|\\d|\\s){0,8}",
         hay in "[abc01 .x]{0,40}",
     ) {
-        Pair::new(&pat, false).expect("compiles").check_vm(hay.as_bytes());
+        Pair::new(&pat, false).expect("compiles").check(hay.as_bytes());
     }
 
     #[test]
@@ -354,7 +340,9 @@ proptest! {
         pat_idx in 0usize..PATTERNS.len(),
         hay in proptest::collection::vec(any::<u8>(), 0..200),
     ) {
-        let _ = fixed()[pat_idx].re.count_all(&hay);
+        let pair = &fixed()[pat_idx];
+        let _ = pair.dfa.as_ref().map(|dfa| dfa.count(&hay));
+        pair.single.scan_into(&hay, &mut DfaCache::new(), &mut CandidateSet::new(1));
     }
 }
 
@@ -431,10 +419,10 @@ mod fused {
 }
 
 mod count_dfa {
-    //! The counting automaton and the Pike VM against the oracle:
-    //! `CountDfa::count` and `Regex::count_all` must equal the oracle's
-    //! count for the shipped feature library, the fixed IDS-style
-    //! patterns and random small patterns, on arbitrary bytes.
+    //! The counting automaton against the oracle: `CountDfa::count`
+    //! must equal the oracle's count for the shipped feature library,
+    //! the fixed IDS-style patterns and random small patterns, on
+    //! arbitrary bytes.
 
     use super::*;
 

@@ -25,8 +25,8 @@
 //! every pattern's entry point — through the arena's precompiled
 //! closure table, keeping the steps whose assertion mask the position's
 //! context satisfies: the same table and the same context function
-//! (`crate::program`) the Pike VM and the counting automaton read, so
-//! no engine walks epsilon edges or decides an assertion on its own.
+//! (`crate::program`) the counting automaton reads, so neither engine
+//! walks epsilon edges or decides an assertion on its own.
 //!
 //! # Bounded memory
 //!
@@ -310,7 +310,7 @@ impl FusedSet {
     }
 
     /// The match count the last scan through `cache` made of pattern
-    /// `pid` — `Regex::count_all`'s count — when that scan was of this
+    /// `pid` — its non-overlapping leftmost-first count — when that scan was of this
     /// set and counts the pattern (see [`FusedSet::scan_into`]); `None`
     /// for a pattern it does not count, or a cache last bound to
     /// another set.
@@ -448,7 +448,7 @@ mod tests {
     use super::*;
     use crate::nfa::FusedSetBuilder;
     use crate::oracle::Oracle;
-    use crate::{FuseOutcome, Regex};
+    use crate::FuseOutcome;
 
     /// Patterns exercising every assertion and instruction kind the
     /// DFA must agree with the oracle on.
@@ -517,11 +517,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_equal_per_pattern_vm() {
+    fn fused_matches_equal_per_pattern_sets() {
         let (set, oracles) = build(LIBRARY);
-        let vms: Vec<Regex> = LIBRARY
+        let singles: Vec<FusedSet> = LIBRARY
             .iter()
-            .map(|pat| Regex::builder().case_insensitive(true).build(pat).unwrap())
+            .enumerate()
+            .map(|(i, pat)| FusedSet::single(i as u32, pat, true).unwrap())
             .collect();
         let mut cache = DfaCache::new();
         let hays: &[&[u8]] = &[
@@ -543,8 +544,16 @@ mod tests {
         ];
         for hay in hays {
             let want = oracle_ids(&oracles, hay);
-            let vm: Vec<usize> = (0..vms.len()).filter(|&i| vms[i].is_match(hay)).collect();
-            assert_eq!(vm, want, "VM on {:?}", String::from_utf8_lossy(hay));
+            let alone: Vec<usize> = singles
+                .iter()
+                .flat_map(|single| fused_ids(single, &mut cache, hay))
+                .collect();
+            assert_eq!(
+                alone,
+                want,
+                "sets of one on {:?}",
+                String::from_utf8_lossy(hay)
+            );
             assert_eq!(
                 fused_ids(&set, &mut cache, hay),
                 want,

@@ -5,41 +5,43 @@
 //! signatures — literals, character classes, `.`, alternation,
 //! groups, greedy/lazy quantifiers, `^`/`$`, `\d`/`\s`/`\w` (and
 //! negations), `\xHH` escapes, and the inline flags `i` and `s` —
-//! and compiles patterns to a prioritized Pike VM that runs in time
-//! linear in the haystack, immune to backtracking blow-ups.
+//! and compiles patterns to automata that run in time linear in the
+//! haystack, immune to backtracking blow-ups. There are two:
 //!
-//! Four features are specific to the IDS use case:
-//!
-//! * [`Regex::count_all`] counts non-overlapping matches, the
-//!   operation pSigene's feature extraction is built on (the paper
-//!   adds an equivalent `count_all()` to the Bro IDS).
-//! * [`CountDfa`] is that count precompiled: the pattern's
-//!   leftmost-first search determinized once into a table, for callers
-//!   that count the same pattern over many haystacks. Patterns that
-//!   match the empty string or need too many states are refused at
-//!   construction.
-//! * A mandatory-literal prefilter skips the VM entirely for the
-//!   (very common) haystacks that cannot possibly match.
 //! * [`FusedSet`] fuses a whole pattern library into one
 //!   multi-pattern NFA, executed as a lazily-determinized DFA
 //!   ([`FusedSet::scan_into`]): one haystack pass reports the *exact*
 //!   set of matching patterns and counts the matches of those whose
-//!   matches all have one width, so per-pattern counting only runs for
-//!   the other patterns known to match. Patterns too large to fuse are
-//!   refused ([`FuseOutcome::Fallback`]) and must be counted on their
-//!   own.
+//!   matches all have one width. Patterns too large to share an
+//!   automaton are refused ([`FuseOutcome::Fallback`]);
+//!   [`FusedSet::single`] gives such a pattern a set of its own.
+//! * [`CountDfa`] counts the non-overlapping matches of one pattern,
+//!   the operation pSigene's features are built on (the paper adds an
+//!   equivalent `count_all()` to the Bro IDS): the pattern's
+//!   leftmost-first search determinized once into a table. Patterns
+//!   that match the empty string or need too many states are refused
+//!   at construction.
+//!
+//! Both are tested against a backtracking oracle (the hidden `oracle`
+//! module) that shares only the parser with them.
 //!
 //! # Example
 //!
 //! ```
-//! use psigene_regex::Regex;
+//! use psigene_regex::{CandidateSet, CountDfa, DfaCache, FusedSetBuilder};
 //!
-//! let re = Regex::builder()
-//!     .case_insensitive(true)
-//!     .build(r"union\s+(all\s+)?select")
-//!     .unwrap();
-//! assert!(re.is_match(b"id=1 UNION SELECT password FROM users"));
-//! assert_eq!(re.count_all(b"union select 1; UNION ALL SELECT 2"), 2);
+//! let union = r"union\s+(all\s+)?select";
+//! let dfa = CountDfa::new(union, true).unwrap();
+//! assert_eq!(dfa.count(b"union select 1; UNION ALL SELECT 2"), 2);
+//!
+//! let mut builder = FusedSetBuilder::new();
+//! builder.add(0, union, true).unwrap();
+//! builder.add(1, r"\bor\b", true).unwrap();
+//! let set = builder.build().unwrap();
+//! let mut matched = CandidateSet::new(set.pattern_count());
+//! let hay = b"id=1 UNION SELECT password FROM users";
+//! set.scan_into(hay, &mut DfaCache::new(), &mut matched);
+//! assert_eq!(matched.iter().collect::<Vec<_>>(), [0]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,12 +57,10 @@ mod differential;
 mod error;
 mod lazydfa;
 mod nfa;
-#[cfg(test)]
-mod oracle;
+#[doc(hidden)]
+pub mod oracle;
 mod parser;
-mod prefilter;
 mod program;
-mod vm;
 
 pub use crate::candidates::CandidateSet;
 pub use crate::countdfa::CountDfa;
@@ -68,195 +68,54 @@ pub use crate::error::{Error, ErrorKind};
 pub use crate::lazydfa::{DfaCache, FusedScanStats};
 pub use crate::nfa::{FuseOutcome, FusedSet, FusedSetBuilder};
 
-use crate::prefilter::Prefilter;
-use crate::program::Program;
-use crate::vm::VmCache;
-
-/// A successful match: byte offsets into the haystack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Match {
-    start: usize,
-    end: usize,
-}
-
-impl Match {
-    /// Start offset (inclusive).
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// End offset (exclusive).
-    pub fn end(&self) -> usize {
-        self.end
-    }
-
-    /// Length of the matched span in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// True for zero-width matches.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// The matched bytes of `hay`.
-    pub fn as_bytes<'h>(&self, hay: &'h [u8]) -> &'h [u8] {
-        &hay[self.start..self.end]
-    }
-}
-
-/// Configures and builds a [`Regex`].
-#[derive(Debug, Clone, Default)]
-pub struct RegexBuilder {
-    case_insensitive: bool,
-}
-
-impl RegexBuilder {
-    /// Creates a builder with default settings: case-sensitive. `.`
-    /// excludes `\n` unless the pattern says `(?s)`, and the compiled
-    /// program is capped at `compiler::DEFAULT_SIZE_LIMIT` instructions.
-    pub fn new() -> RegexBuilder {
-        RegexBuilder::default()
-    }
-
-    /// Enables ASCII case-insensitive matching for the whole pattern.
-    pub fn case_insensitive(mut self, yes: bool) -> RegexBuilder {
-        self.case_insensitive = yes;
-        self
-    }
-
-    /// Compiles `pattern` with this configuration.
-    pub fn build(&self, pattern: &str) -> Result<Regex, Error> {
-        let flags = parser::Flags {
-            case_insensitive: self.case_insensitive,
-            dot_matches_newline: false,
-        };
-        let ast = parser::parse(pattern, flags)?;
-        let prog = compiler::compile(&ast, compiler::DEFAULT_SIZE_LIMIT)?;
-        Ok(Regex {
-            pattern: pattern.to_string(),
-            prog,
-            prefilter: Prefilter::from_ast(&ast),
-        })
-    }
-}
-
-/// A compiled regular expression.
-///
-/// Matching operates on `&[u8]` haystacks; IDS payloads are raw bytes
-/// and need no UTF-8 guarantees.
-#[derive(Debug, Clone)]
-pub struct Regex {
-    pattern: String,
-    prog: Program,
-    prefilter: Option<Prefilter>,
-}
-
-impl Regex {
-    /// Compiles `pattern` with default settings.
-    pub fn new(pattern: &str) -> Result<Regex, Error> {
-        RegexBuilder::new().build(pattern)
-    }
-
-    /// Returns a fresh [`RegexBuilder`].
-    pub fn builder() -> RegexBuilder {
-        RegexBuilder::new()
-    }
-
-    /// The original pattern text.
-    pub fn pattern(&self) -> &str {
-        &self.pattern
-    }
-
-    /// True when the pattern matches anywhere in `hay`.
-    pub fn is_match(&self, hay: &[u8]) -> bool {
-        self.find(hay).is_some()
-    }
-
-    /// Finds the leftmost match.
-    pub fn find(&self, hay: &[u8]) -> Option<Match> {
-        self.find_iter(hay).next()
-    }
-
-    /// Iterates over non-overlapping matches, leftmost-first: the next
-    /// search starts where a match ended, one byte later after a
-    /// zero-width one.
-    pub fn find_iter<'a>(&'a self, hay: &'a [u8]) -> impl Iterator<Item = Match> + 'a {
-        let mut next_start = if self.passes_prefilter(hay) {
-            0
-        } else {
-            hay.len() + 1
-        };
-        let skip = self.prefilter.as_ref().and_then(|pf| pf.prefix_skip());
-        let mut cache = VmCache::new();
-        std::iter::from_fn(move || {
-            let m = vm::find_at(&self.prog, skip, hay, next_start, &mut cache)?;
-            next_start = m.end + usize::from(m.is_empty());
-            Some(m)
-        })
-    }
-
-    /// Counts non-overlapping matches in `hay`.
-    ///
-    /// This is the primitive pSigene features are built on: every
-    /// feature value is `count_all(feature_pattern, request)`.
-    pub fn count_all(&self, hay: &[u8]) -> usize {
-        self.find_iter(hay).count()
-    }
-
-    /// False when the prefilter proves `hay` holds no match.
-    fn passes_prefilter(&self, hay: &[u8]) -> bool {
-        self.prefilter
-            .as_ref()
-            .is_none_or(|pf| pf.maybe_matches(hay))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
+
+    /// Whether `pattern` matches anywhere in `hay`, by a set of one.
+    fn matches(pattern: &str, case_insensitive: bool, hay: &[u8]) -> bool {
+        let set = FusedSet::single(0, pattern, case_insensitive).expect("compiles");
+        let mut out = CandidateSet::new(1);
+        set.scan_into(hay, &mut DfaCache::new(), &mut out);
+        out.contains(0)
+    }
 
     #[test]
     fn count_all_non_overlapping() {
-        let re = Regex::new("aa").unwrap();
-        assert_eq!(re.count_all(b"aaaa"), 2);
-        assert_eq!(re.count_all(b"aaa"), 1);
-        assert_eq!(re.count_all(b""), 0);
+        let dfa = CountDfa::new("aa", false).unwrap();
+        assert_eq!(dfa.count(b"aaaa"), 2);
+        assert_eq!(dfa.count(b"aaa"), 1);
+        assert_eq!(dfa.count(b""), 0);
     }
 
     #[test]
     fn count_all_zero_width() {
-        let re = Regex::new("a*").unwrap();
-        // hay = a a b a: "aa" at 0..2, "" at 2..2, "a" at 3..4, "" at 4..4
-        // (same segmentation as Python's re.findall and the regex crate).
-        assert_eq!(re.count_all(b"aaba"), 4);
+        // The counting automaton refuses a nullable pattern; the
+        // oracle counts it. hay = a a b a: "aa" at 0..2, "" at 2..2,
+        // "a" at 3..4, "" at 4..4 (same segmentation as Python's
+        // re.findall and the regex crate).
+        assert!(CountDfa::new("a*", false).is_err());
+        assert_eq!(Oracle::new("a*", false).unwrap().count(b"aaba"), 4);
     }
 
     #[test]
     fn case_insensitive_matching() {
-        let re = Regex::builder()
-            .case_insensitive(true)
-            .build("select")
-            .unwrap();
-        assert!(re.is_match(b"SeLeCt * from t"));
-        assert!(!re.is_match(b"selec"));
+        assert!(matches("select", true, b"SeLeCt * from t"));
+        assert!(!matches("select", true, b"selec"));
+        assert!(!matches("select", false, b"SELECT"));
     }
 
     #[test]
     fn inline_flag_matches_ids_style_rules() {
-        let re = Regex::new(r"(?i:union\s+select)").unwrap();
-        assert!(re.is_match(b"1 UNION SELECT 2"));
+        assert!(matches(r"(?i:union\s+select)", false, b"1 UNION SELECT 2"));
     }
 
     #[test]
     fn find_iter_positions() {
-        let re = Regex::new(r"\d+").unwrap();
-        let spans: Vec<(usize, usize)> = re
-            .find_iter(b"a12b345c6")
-            .map(|m| (m.start(), m.end()))
-            .collect();
-        assert_eq!(spans, vec![(1, 3), (4, 7), (8, 9)]);
+        let oracle = Oracle::new(r"\d+", false).unwrap();
+        assert_eq!(oracle.find_all(b"a12b345c6"), vec![(1, 3), (4, 7), (8, 9)]);
+        assert_eq!(CountDfa::new(r"\d+", false).unwrap().count(b"a12b345c6"), 3);
     }
 
     #[test]
@@ -284,31 +143,126 @@ mod tests {
             ),
         ];
         for (pat, hay, want) in cases {
-            let re = Regex::new(pat).unwrap();
-            assert_eq!(re.is_match(hay), *want, "pattern {pat:?} on {hay:?}");
+            assert_eq!(
+                matches(pat, false, hay),
+                *want,
+                "pattern {pat:?} on {hay:?}"
+            );
         }
     }
 
     #[test]
-    fn match_accessors() {
-        let re = Regex::new("bc").unwrap();
-        let m = re.find(b"abcd").unwrap();
-        assert_eq!((m.start(), m.end(), m.len()), (1, 3, 2));
-        assert!(!m.is_empty());
-        assert_eq!(m.as_bytes(b"abcd"), b"bc");
-    }
-
-    #[test]
     fn invalid_patterns_error() {
-        assert!(Regex::new("(a").is_err());
-        assert!(Regex::new("[z-a]").is_err());
+        assert!(FusedSet::single(0, "(a", false).is_err());
+        assert!(CountDfa::new("[z-a]", false).is_err());
+        assert!(FusedSetBuilder::new().add(0, "(a", false).is_err());
     }
 
     #[test]
     fn oversized_pattern_rejected() {
         // Counted repetitions expand: 8 bytes × 20 000 copies is past
-        // the default cap.
-        let err = Regex::new("(abcdefgh){20000}").unwrap_err();
+        // the program size cap, which a set of one keeps.
+        let err = FusedSet::single(0, "(abcdefgh){20000}", false).unwrap_err();
         assert!(matches!(err.kind(), ErrorKind::ProgramTooBig { .. }));
+        let err = CountDfa::new("(abcdefgh){20000}", false).unwrap_err();
+        assert!(matches!(err.kind(), ErrorKind::ProgramTooBig { .. }));
+    }
+}
+
+/// The search cases the Pike VM was specified by, kept under their
+/// names now that the VM is gone: each holds the oracle, the counting
+/// automaton and a set of one to the spans worked out by hand.
+#[cfg(test)]
+mod vm {
+    #[cfg(test)]
+    mod tests {
+        use crate::differential::check_every_engine;
+        use crate::oracle::Oracle;
+
+        /// Every match of `pat` in `hay`, leftmost first, once every
+        /// engine has agreed on them.
+        fn spans(pat: &str, hay: &str) -> Vec<(usize, usize)> {
+            check_every_engine(pat, hay.as_bytes())
+        }
+
+        #[test]
+        fn literal_find() {
+            assert_eq!(spans("bc", "abcd"), [(1, 3)]);
+            assert_eq!(spans("xy", "abcd"), []);
+        }
+
+        #[test]
+        fn leftmost_preference() {
+            // Both `bb` at 2 and `b` at 1 can match; leftmost wins.
+            assert_eq!(spans("bb|b", "abbb"), [(1, 3), (3, 4)]);
+        }
+
+        #[test]
+        fn alternation_first_branch_preference() {
+            // Same start: the first branch wins even though shorter.
+            assert_eq!(spans("ab|abc", "abc"), [(0, 2)]);
+            assert_eq!(spans("abc|ab", "abc"), [(0, 3)]);
+        }
+
+        #[test]
+        fn greedy_vs_lazy() {
+            assert_eq!(spans("a+", "aaa"), [(0, 3)]);
+            assert_eq!(spans("a+?", "aaa"), [(0, 1), (1, 2), (2, 3)]);
+            assert_eq!(spans("a*", "bbb"), [(0, 0), (1, 1), (2, 2), (3, 3)]);
+        }
+
+        #[test]
+        fn anchors() {
+            assert_eq!(spans("^ab", "abab"), [(0, 2)]);
+            assert_eq!(spans("ab$", "abab"), [(2, 4)]);
+            assert_eq!(spans("^ab$", "abab"), []);
+            assert_eq!(spans("^$", ""), [(0, 0)]);
+        }
+
+        #[test]
+        fn counted_reps() {
+            assert_eq!(spans("a{2,3}", "aaaa"), [(0, 3)]);
+            assert_eq!(spans("a{2,3}?", "aaaa"), [(0, 2), (2, 4)]);
+            assert_eq!(spans("a{5}", "aaaa"), []);
+        }
+
+        #[test]
+        fn classes_and_dot() {
+            assert_eq!(spans(r"[0-9]+", "ab123cd"), [(2, 5)]);
+            assert_eq!(spans(r"a.c", "abc"), [(0, 3)]);
+            assert_eq!(spans(r"a.c", "a\nc"), []);
+            assert_eq!(spans(r"(?s)a.c", "a\nc"), [(0, 3)]);
+        }
+
+        #[test]
+        fn word_boundaries() {
+            assert_eq!(spans(r"\bunion\b", "a union b"), [(2, 7)]);
+            assert_eq!(spans(r"\bunion\b", "reunion"), []);
+            assert_eq!(spans(r"\bunion\b", "unions"), []);
+            assert_eq!(spans(r"\bunion\b", "union"), [(0, 5)]);
+            assert_eq!(spans(r"\Bnion", "union"), [(1, 5)]);
+            assert_eq!(spans(r"\Bunion", "union"), []);
+        }
+
+        #[test]
+        fn pathological_pattern_is_linear() {
+            // (a|a)* a^n against a^n b — classic backtracking bomb,
+            // which the automata run in linear time.
+            let hay = format!("{}b", "a".repeat(64));
+            assert_eq!(spans("(a|a)*c", &hay), []);
+        }
+
+        #[test]
+        fn empty_pattern_matches_empty_prefix() {
+            assert_eq!(spans("", "abc"), [(0, 0), (1, 1), (2, 2), (3, 3)]);
+        }
+
+        #[test]
+        fn search_from_offset() {
+            assert_eq!(spans("a", "abca"), [(0, 1), (3, 4)]);
+            let oracle = Oracle::new("a", false).unwrap();
+            assert_eq!(oracle.find_at(b"abca", 1), Some((3, 4)));
+            assert_eq!(oracle.find_at(b"abca", 4), None);
+        }
     }
 }

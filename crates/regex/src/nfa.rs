@@ -7,14 +7,17 @@
 //! pattern id. The result, a [`FusedSet`], is executed by the lazy
 //! DFA in `crate::lazydfa`: one left-to-right pass over a haystack
 //! reports *exactly* the set of patterns with at least one match —
-//! not a superset like the literal prefilter, the true match set.
+//! the true match set, not a superset.
 //!
 //! Not every pattern goes in. Patterns whose counted repetitions
 //! would expand into large programs (and with them large DFA state
-//! sets) are refused with [`FuseOutcome::Fallback`] so the caller
-//! counts them one by one (the feature library, with each pattern's
-//! counting automaton); the contract is that the fused scan plus the
-//! fallback list together cover the library.
+//! sets) are refused with [`FuseOutcome::Fallback`] so that one of
+//! them cannot bloat the automaton every other pattern shares; the
+//! contract is that the fused scan plus the fallback list together
+//! cover the library. The caller handles a refused pattern on its
+//! own: the feature library counts it with its counting automaton,
+//! the rulesets give it a set of its own ([`FusedSet::single`]),
+//! which the per-pattern limits do not apply to.
 
 use crate::ast::Ast;
 use crate::compiler;
@@ -180,9 +183,19 @@ impl FusedSetBuilder {
         if let Some(reason) = fallback_reason(&ast) {
             return Ok(FuseOutcome::Fallback(reason));
         }
+        Ok(match self.push(pid, &ast, FUSE_PROGRAM_LIMIT) {
+            Ok(()) => FuseOutcome::Fused,
+            Err(_) => FuseOutcome::Fallback("shared arena budget exhausted"),
+        })
+    }
+
+    /// Compiles `ast` into the arena under id `pid`, keeping the arena
+    /// within `size_limit` instructions. On error the builder is left
+    /// as it was.
+    fn push(&mut self, pid: u32, ast: &Ast, size_limit: usize) -> Result<(), Error> {
         let insts_mark = self.prog.insts.len();
         let classes_mark = self.prog.classes.len();
-        match compiler::compile_onto(&ast, &mut self.prog, FUSE_PROGRAM_LIMIT) {
+        match compiler::compile_onto(ast, &mut self.prog, size_limit) {
             Ok(entry) => {
                 self.prog.insts.push(Inst::MatchId(pid));
                 self.entries.push(entry);
@@ -195,15 +208,15 @@ impl FusedSetBuilder {
                 let width = ast.fixed_width().and_then(|w| u32::try_from(w).ok());
                 self.widths[pid] = width.unwrap_or(0);
                 self.pattern_count += 1;
-                Ok(FuseOutcome::Fused)
+                Ok(())
             }
-            Err(_) => {
+            Err(e) => {
                 // Roll back the partial compilation; classes interned
                 // before this pattern are untouched (truncation only
                 // drops ones referenced by the dropped instructions).
                 self.prog.insts.truncate(insts_mark);
                 self.prog.classes.truncate(classes_mark);
-                Ok(FuseOutcome::Fallback("shared arena budget exhausted"))
+                Err(e)
             }
         }
     }
@@ -283,6 +296,23 @@ pub struct FusedSet {
 }
 
 impl FusedSet {
+    /// A set of the one pattern `pattern` under id `pid`, with the
+    /// default DFA state budget. The per-pattern fuse limits do not
+    /// apply: they keep one pattern from bloating an automaton others
+    /// share, and a set of one shares nothing; the lazy DFA's state
+    /// budget still bounds its memory. Fails when the pattern does not
+    /// parse or its program exceeds the compiler's size cap.
+    pub fn single(pid: u32, pattern: &str, case_insensitive: bool) -> Result<FusedSet, Error> {
+        let flags = Flags {
+            case_insensitive,
+            dot_matches_newline: false,
+        };
+        let ast = parser::parse(pattern, flags)?;
+        let mut builder = FusedSetBuilder::new();
+        builder.push(pid, &ast, compiler::DEFAULT_SIZE_LIMIT)?;
+        Ok(builder.build().expect("one pattern pushed"))
+    }
+
     /// Number of fused patterns.
     pub fn pattern_count(&self) -> usize {
         self.pattern_count

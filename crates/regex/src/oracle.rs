@@ -1,13 +1,18 @@
-//! A reference matcher for the engine's tests, independent of it.
+//! A reference matcher, independent of the engine: the oracle that
+//! every automaton is tested against, and the per-feature count
+//! (`Feature::count` in `psigene-features`) that extraction is tested
+//! against.
 //!
-//! The engine computes `count_all` four ways — the Pike VM, the fused
-//! lazy DFA, the counting automaton and the literal prefilter — and the
-//! last three are built from the first one's `Program`, so comparing
-//! them with each other cannot catch a compiler bug. This module shares
-//! only the parser and the [`Ast`]: it lowers the tree itself to five
-//! instruction kinds (byte set, prioritized split, jump, assertion,
-//! match) and backtracks depth-first in priority order, in the style of
-//! RE2's BitState.
+//! The engine matches two ways — the counting automaton
+//! ([`crate::CountDfa`]) and the fused lazy DFA ([`crate::FusedSet`]) —
+//! and both are built from the compiler's `Program` and its closure
+//! table, so comparing them with each other cannot catch a compiler
+//! bug. This module shares only the parser and the AST: it lowers the
+//! tree itself to five instruction kinds (byte set, prioritized split,
+//! jump, assertion, match) and backtracks depth-first in priority
+//! order, in the style of RE2's BitState. It is compiled into every
+//! build so other crates' tests can use it, and hidden from the docs:
+//! nothing on a request path calls it.
 //!
 //! # Semantics, from first principles
 //!
@@ -63,16 +68,18 @@ enum Op {
     Match,
 }
 
-/// A pattern lowered for backtracking; see the module docs.
+/// A pattern lowered for backtracking; see the module docs. Lower a
+/// pattern once and count with it many times: [`Oracle::new`] parses,
+/// the searches only walk the lowered program.
 #[derive(Debug, Clone)]
-pub(crate) struct Oracle {
+pub struct Oracle {
     ops: Vec<Op>,
 }
 
 impl Oracle {
     /// Parses `pattern` as the engine would (`.` excludes `\n` unless
     /// `(?s)`) and lowers it.
-    pub(crate) fn new(pattern: &str, case_insensitive: bool) -> Result<Oracle, Error> {
+    pub fn new(pattern: &str, case_insensitive: bool) -> Result<Oracle, Error> {
         let flags = Flags {
             case_insensitive,
             dot_matches_newline: false,
@@ -85,7 +92,7 @@ impl Oracle {
 
     /// The leftmost-first match starting at or after `from`, as
     /// `(start, end)`.
-    pub(crate) fn find_at(&self, hay: &[u8], from: usize) -> Option<(usize, usize)> {
+    pub fn find_at(&self, hay: &[u8], from: usize) -> Option<(usize, usize)> {
         let width = hay.len() + 1;
         let mut visited = vec![0u64; (self.ops.len() * width).div_ceil(64)];
         let mut stack = Vec::new();
@@ -127,7 +134,7 @@ impl Oracle {
     }
 
     /// Every non-overlapping match, left to right.
-    pub(crate) fn find_all(&self, hay: &[u8]) -> Vec<(usize, usize)> {
+    pub fn find_all(&self, hay: &[u8]) -> Vec<(usize, usize)> {
         let mut spans = Vec::new();
         let mut from = 0;
         while let Some((start, end)) = self.find_at(hay, from) {
@@ -138,12 +145,12 @@ impl Oracle {
     }
 
     /// Whether `hay` holds a match anywhere.
-    pub(crate) fn is_match(&self, hay: &[u8]) -> bool {
+    pub fn is_match(&self, hay: &[u8]) -> bool {
         self.find_at(hay, 0).is_some()
     }
 
     /// The number of non-overlapping matches: `count_all`'s answer.
-    pub(crate) fn count(&self, hay: &[u8]) -> usize {
+    pub fn count(&self, hay: &[u8]) -> usize {
         self.find_all(hay).len()
     }
 }

@@ -4,15 +4,15 @@
 //! semantics: [`Program::compute_closures`] is the one walk over
 //! epsilon edges (`Jmp`, `Split`, `^ $ \b \B`), folding each path's
 //! assertions into a mask, and [`context`] is the one map from "where
-//! am I" to the assertion bits a position satisfies. The Pike VM, the
-//! counting automaton, the fused lazy DFA and the root plan all expand
-//! through the closure table, keeping a step when its mask is a subset
-//! of the position's context.
+//! am I" to the assertion bits a position satisfies. The counting
+//! automaton and the fused lazy DFA both expand through the closure
+//! table, keeping a step when its mask is a subset of the position's
+//! context.
 
 use crate::classes::ClassSet;
 use std::fmt;
 
-/// One VM instruction. Program counters are indices into
+/// One NFA instruction. Program counters are indices into
 /// [`Program::insts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Inst {
@@ -40,7 +40,7 @@ pub enum Inst {
     Match,
     /// Report a match of one pattern of a fused multi-pattern program
     /// (see `crate::nfa`). Single-pattern programs never contain it;
-    /// the VM treats it exactly like [`Inst::Match`].
+    /// the counting automaton treats it exactly like [`Inst::Match`].
     MatchId(u32),
 }
 
@@ -52,20 +52,11 @@ pub struct Program {
     pub insts: Vec<Inst>,
     /// Character classes referenced by index.
     pub classes: Vec<ClassSet>,
-    /// True when no instruction can match the empty haystack prefix
-    /// anchored anywhere (i.e. pattern can match the empty string).
-    pub matches_empty: bool,
-    /// Precomputed root-closure dispatch: for each possible first
-    /// byte, the successor pcs of the root closure's consuming
-    /// instructions, in priority order. `None` when the root closure
-    /// is position-dependent (anchors/boundaries) or can match empty.
-    pub root_plan: Option<RootPlan>,
     /// Precompiled epsilon closures: for every pc, the consuming and
     /// match instructions reachable through epsilon transitions, in
     /// priority order, each tagged with the assertions crossed on the
-    /// way. The VM, the counting automaton, the lazy DFA and the root
-    /// plan all expand through this flat list instead of walking
-    /// splits/jumps. Computed by [`Program::compute_closures`].
+    /// way. The counting automaton and the lazy DFA both expand through
+    /// this flat list instead of walking splits/jumps. Computed by [`Program::compute_closures`].
     pub closures: ClosureTable,
 }
 
@@ -120,9 +111,9 @@ pub struct ClosureTable {
     /// entries.
     spans: Vec<u32>,
     /// True when some step carries a non-empty mask. Assertion-free
-    /// programs (most IDS signature fragments) let the VM skip
-    /// computing position context entirely: every mask test passes
-    /// for any context.
+    /// programs (most IDS signature fragments) let the counting
+    /// automaton drop the context bits from its states: every mask
+    /// test passes for any context.
     has_assertions: bool,
 }
 
@@ -140,71 +131,22 @@ impl ClosureTable {
     }
 }
 
-/// Byte-indexed dispatch table for starting new match attempts.
-///
-/// For unanchored search the VM conceptually adds a fresh root thread
-/// at every haystack position; since the root epsilon-closure of a
-/// non-anchored, non-nullable pattern is position-independent, the
-/// set of threads that survive consuming byte `b` can be precomputed
-/// once. Huge alternations (IDS keyword-inventory rules with hundreds
-/// of branches) then cost only as many thread spawns per position as
-/// actually accept the current byte.
-#[derive(Debug, Clone)]
-pub struct RootPlan {
-    /// `by_byte[b]` = successor pcs (pc after the consuming
-    /// instruction) for root threads that accept byte `b`, in
-    /// priority order.
-    pub by_byte: Vec<Vec<u32>>,
-}
-
 impl Program {
-    /// Reads the root plan off pc 0's closure; call after
-    /// [`Program::compute_closures`]. Leaves `root_plan` as `None` when
-    /// a root step needs an assertion (anchors, boundaries) or reaches
-    /// a match (empty-capable).
-    pub fn compute_root_plan(&mut self) {
-        self.root_plan = None;
-        if self.insts.is_empty() {
-            return;
-        }
-        let steps = self.closures.steps_of(0);
-        let fixed = steps.iter().all(|s| {
-            s.mask == 0
-                && !matches!(
-                    self.insts[s.target as usize],
-                    Inst::Match | Inst::MatchId(_)
-                )
-        });
-        if !fixed {
-            return;
-        }
-        let mut by_byte: Vec<Vec<u32>> = vec![Vec::new(); 256];
-        for step in steps {
-            for (b, bucket) in by_byte.iter_mut().enumerate() {
-                if self.accepts(step.target, b as u8) {
-                    bucket.push(step.target + 1);
-                }
-            }
-        }
-        self.root_plan = Some(RootPlan { by_byte });
-    }
-
     /// Precompiles the epsilon closure of every pc; call once after
     /// the instruction stream is final.
     ///
-    /// Each closure is the preorder walk [`crate::vm`] used to do per
-    /// spawn — splits/jumps flattened away, assertions folded into a
-    /// per-step requirement mask. The walk must list, for every
-    /// position context, exactly the steps a walk under that one
-    /// context would reach, in its order; the VM's per-step `seen`
-    /// marks then keep the first of any repeats. So a pc is re-explored
-    /// only under a mask that is not a superset of one it was already
-    /// reached under: any context satisfying the larger mask satisfies
-    /// the smaller one too, and under it the pc was already walked — or
-    /// is still being walked, an epsilon cycle back to it. Cutting that
-    /// cycle is what makes an empty loop iteration end its loop even
-    /// when it crossed an assertion. Masks only grow along a path, so
-    /// cycles terminate.
+    /// Each closure is a preorder walk from the pc — splits/jumps
+    /// flattened away, assertions folded into a per-step requirement
+    /// mask. The walk must list, for every position context, exactly
+    /// the steps a walk under that one context would reach, in its
+    /// order; the determinizers' per-step `seen` marks then keep the
+    /// first of any repeats. So a pc is re-explored only under a mask
+    /// that is not a superset of one it was already reached under: any
+    /// context satisfying the larger mask satisfies the smaller one
+    /// too, and under it the pc was already walked — or is still being
+    /// walked, an epsilon cycle back to it. Cutting that cycle is what
+    /// makes an empty loop iteration end its loop even when it crossed
+    /// an assertion. Masks only grow along a path, so cycles terminate.
     pub fn compute_closures(&mut self) {
         let n = self.insts.len();
         let mut steps: Vec<ClosureStep> = Vec::new();
@@ -258,13 +200,8 @@ impl Program {
         self.insts.len()
     }
 
-    /// True for the trivial empty program.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-
     /// Whether the consuming instruction at `pc` accepts `byte`; the
-    /// determinizers' step function (the VM inlines the same match).
+    /// determinizers' step function.
     #[inline]
     pub(crate) fn accepts(&self, pc: u32, byte: u8) -> bool {
         match &self.insts[pc as usize] {

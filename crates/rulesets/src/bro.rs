@@ -10,7 +10,7 @@
 //! on any signature match.
 
 use crate::engine::{Detection, DetectionEngine};
-use crate::rule::{Rule, Severity};
+use crate::rule::{CompiledRules, Rule, Severity};
 use psigene_http::decode::percent_decode;
 use psigene_http::HttpRequest;
 
@@ -85,13 +85,15 @@ pub fn bro_rules() -> Vec<Rule> {
 /// the percent-decoded payload.
 #[derive(Debug)]
 pub struct BroEngine {
-    rules: Vec<Rule>,
+    pub(crate) rules: CompiledRules,
 }
 
 impl BroEngine {
     /// Builds the engine with the standard six signatures.
     pub fn new() -> BroEngine {
-        BroEngine { rules: bro_rules() }
+        BroEngine {
+            rules: CompiledRules::new(bro_rules()),
+        }
     }
 }
 
@@ -108,22 +110,17 @@ impl DetectionEngine for BroEngine {
 
     fn evaluate(&self, request: &HttpRequest) -> Detection {
         let payload = percent_decode(request.detection_payload());
-        let mut matched = Vec::new();
-        for rule in &self.rules {
-            if rule.matches(&payload) {
-                matched.push(rule.id);
-                break;
-            }
-        }
+        // Like Snort, Bro records the first matching signature only.
+        let first = self.rules.first_match(&payload);
         Detection {
-            flagged: !matched.is_empty(),
-            score: if matched.is_empty() { 0.0 } else { 1.0 },
-            matched_rules: matched,
+            flagged: first.is_some(),
+            score: if first.is_some() { 1.0 } else { 0.0 },
+            matched_rules: first.map(|rule| rule.id).into_iter().collect(),
         }
     }
 
     fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.rules.rules().len()
     }
 }
 

@@ -8,7 +8,10 @@ use psigene_telemetry::insight::TraceContext;
 pub struct Detection {
     /// Whether the engine raises an alert.
     pub flagged: bool,
-    /// Ids of the rules (or signatures) that matched.
+    /// Ids of the rules (or signatures) that matched. Snort and Bro
+    /// stop at their first alert, so they record only the first
+    /// matching rule in rule order; ModSecurity records every rule that
+    /// scored and pSigene every signature at or above its threshold.
     pub matched_rules: Vec<u32>,
     /// Engine-specific score: anomaly points for ModSec-style
     /// engines, max signature probability for pSigene, 0/1 for

@@ -5,8 +5,10 @@
 //! enabled shares, regex usage and length distributions mirror Table
 //! IV; matching semantics mirror each system (deterministic
 //! first-match for Snort and Bro, weighted anomaly scoring for
-//! ModSecurity). The [`DetectionEngine`] trait is what the
-//! evaluation harness and pSigene itself implement.
+//! ModSecurity). Each engine compiles its regex rules once, at
+//! construction, into fused automata that report every matching rule
+//! in one scan per payload (see [`rule`]). The [`DetectionEngine`]
+//! trait is what the evaluation harness and pSigene itself implement.
 //!
 //! # Example
 //!

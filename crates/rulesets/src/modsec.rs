@@ -13,7 +13,7 @@
 //! own transformation pipeline: urlDecode, lowercase, ...).
 
 use crate::engine::{Detection, DetectionEngine};
-use crate::rule::{Rule, Severity};
+use crate::rule::{CompiledRules, Rule, Severity};
 use psigene_http::normalize::normalize;
 use psigene_http::HttpRequest;
 
@@ -569,7 +569,7 @@ pub fn modsec_rules() -> Vec<Rule> {
 /// The ModSecurity-style scoring engine.
 #[derive(Debug)]
 pub struct ModsecEngine {
-    rules: Vec<Rule>,
+    pub(crate) rules: CompiledRules,
     threshold: u32,
 }
 
@@ -577,16 +577,13 @@ impl ModsecEngine {
     /// Builds the engine with the CRS-style rules and default
     /// threshold.
     pub fn new() -> ModsecEngine {
-        ModsecEngine {
-            rules: modsec_rules(),
-            threshold: DEFAULT_THRESHOLD,
-        }
+        ModsecEngine::with_threshold(DEFAULT_THRESHOLD)
     }
 
     /// Overrides the anomaly threshold.
     pub fn with_threshold(threshold: u32) -> ModsecEngine {
         ModsecEngine {
-            rules: modsec_rules(),
+            rules: CompiledRules::new(modsec_rules()),
             threshold,
         }
     }
@@ -610,34 +607,25 @@ impl DetectionEngine for ModsecEngine {
         // does per-rule with t:replaceComments).
         let payload = normalize(request.detection_payload());
         // The comment-stripped variant only differs (and only needs
-        // evaluating) when an inline comment opener is present.
-        let stripped = if payload.windows(2).any(|w| w == b"/*") {
-            Some(strip_inline_comments(&payload))
-        } else {
-            None
+        // scanning) when an inline comment opener is present.
+        let stripped = payload
+            .windows(2)
+            .any(|w| w == b"/*")
+            .then(|| strip_inline_comments(&payload));
+        let matched = match &stripped {
+            Some(stripped) => self.rules.all_matches(&[&payload, stripped]),
+            None => self.rules.all_matches(&[&payload]),
         };
-        let mut matched = Vec::new();
-        let mut score = 0u32;
-        for rule in &self.rules {
-            let hit = rule.matches(&payload)
-                || stripped
-                    .as_deref()
-                    .map(|s| rule.matches(s))
-                    .unwrap_or(false);
-            if hit {
-                matched.push(rule.id);
-                score += rule.weight;
-            }
-        }
+        let score: u32 = matched.iter().map(|rule| rule.weight).sum();
         Detection {
             flagged: score >= self.threshold,
-            matched_rules: matched,
+            matched_rules: matched.iter().map(|rule| rule.id).collect(),
             score: score as f64,
         }
     }
 
     fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.rules.rules().len()
     }
 }
 

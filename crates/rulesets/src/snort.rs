@@ -14,7 +14,7 @@
 //! normalization) and alerts on the first matching rule.
 
 use crate::engine::{Detection, DetectionEngine};
-use crate::rule::{Rule, Severity};
+use crate::rule::{CompiledRules, Rule, Severity};
 use psigene_http::decode::percent_decode;
 use psigene_http::HttpRequest;
 
@@ -506,7 +506,7 @@ pub fn et_active_rules() -> Vec<Rule> {
 /// percent-decoded payload.
 #[derive(Debug)]
 pub struct SnortEngine {
-    rules: Vec<Rule>,
+    pub(crate) rules: CompiledRules,
 }
 
 impl SnortEngine {
@@ -517,7 +517,9 @@ impl SnortEngine {
         let mut rules = snort_rules();
         rules.extend(et_active_rules());
         rules.retain(|r| r.enabled);
-        SnortEngine { rules }
+        SnortEngine {
+            rules: CompiledRules::new(rules),
+        }
     }
 }
 
@@ -534,24 +536,18 @@ impl DetectionEngine for SnortEngine {
 
     fn evaluate(&self, request: &HttpRequest) -> Detection {
         let payload = percent_decode(request.detection_payload());
-        let mut matched = Vec::new();
-        for rule in &self.rules {
-            if rule.matches(&payload) {
-                matched.push(rule.id);
-                // Snort alerts per rule; first alert is enough to
-                // flag, but we record all matches for diagnostics.
-                break;
-            }
-        }
+        // The first alert is enough to flag, so only the first matching
+        // rule in rule order is recorded, not every rule that matches.
+        let first = self.rules.first_match(&payload);
         Detection {
-            flagged: !matched.is_empty(),
-            score: if matched.is_empty() { 0.0 } else { 1.0 },
-            matched_rules: matched,
+            flagged: first.is_some(),
+            score: if first.is_some() { 1.0 } else { 0.0 },
+            matched_rules: first.map(|rule| rule.id).into_iter().collect(),
         }
     }
 
     fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.rules.rules().len()
     }
 }
 

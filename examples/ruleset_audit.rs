@@ -37,11 +37,10 @@ fn main() {
     for (i, a) in snort.iter().enumerate() {
         for b in snort.iter().skip(i + 1) {
             if let (
-                psigene::psigene_rulesets::Matcher::Regex(ra),
-                psigene::psigene_rulesets::Matcher::Regex(rb),
+                psigene::psigene_rulesets::Matcher::Regex(pa),
+                psigene::psigene_rulesets::Matcher::Regex(pb),
             ) = (&a.matcher, &b.matcher)
             {
-                let (pa, pb) = (ra.pattern(), rb.pattern());
                 let min = pa.len().min(pb.len());
                 if min > 4 && pa.len().abs_diff(pb.len()) <= 1 && pa[..min - 1] == pb[..min - 1] {
                     near_dupes += 1;

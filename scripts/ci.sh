@@ -83,6 +83,12 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve \
 echo "==> extraction oracle on benchmark-sized pools"
 cargo test --release -p psigene --test extraction_oracle -q -- --ignored
 
+# The comparison engines on the same pools: Snort, Bro and ModSecurity
+# `evaluate` against the rule-by-rule oracle reference (first match,
+# or the weight sum over both ModSecurity payload forms).
+echo "==> ruleset oracle on benchmark-sized pools"
+cargo test --release -p psigene --test ruleset_oracle -q -- --ignored
+
 # Control-loop integration test: a drift-inducing traffic shift must
 # drive the full closed loop (background retrain, differential replay,
 # canary, promotion) with zero dropped requests, and a sabotaged

@@ -99,6 +99,12 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The full feature library, built once per test binary.
+fn full_set() -> &'static FeatureSet {
+    static SET: OnceLock<FeatureSet> = OnceLock::new();
+    SET.get_or_init(FeatureSet::full)
+}
+
 /// One small trained system shared by every test in this binary.
 fn system() -> &'static Psigene {
     static SYSTEM: OnceLock<Psigene> = OnceLock::new();
@@ -224,8 +230,8 @@ fn traced_engine_path_stays_within_the_alloc_budget() {
 }
 
 /// Attack requests are where counting runs — about ten features per
-/// request, each by its counting automaton (or, for a refused pattern,
-/// its VM on the thread's scratch). None of that may allocate: a warm
+/// request, each by the fused scan's own tally or its counting
+/// automaton. None of that may allocate: a warm
 /// `evaluate` allocates the flagged verdict's id list and nothing else.
 #[test]
 fn counting_runs_on_attack_requests_allocate_nothing() {
@@ -571,11 +577,11 @@ fn gateway_queue_path_allocates_exactly_the_reply_slot() {
 #[test]
 fn extracted_rows_are_bitwise_the_oracle_on_dirty_scratch() {
     let _guard = lock();
-    let set = FeatureSet::full();
+    let set = full_set();
     for r in &workload(32) {
         let p = r.detection_payload();
         // f64 counts compared through to_bits, not ==.
-        let want: Vec<(usize, u64)> = common::oracle_dense(&set, p)
+        let want: Vec<(usize, u64)> = common::oracle_dense(set, p)
             .iter()
             .enumerate()
             .filter(|&(_, &v)| v != 0.0)
@@ -584,7 +590,7 @@ fn extracted_rows_are_bitwise_the_oracle_on_dirty_scratch() {
         // Extract twice: the second run reuses dirty thread-local
         // scratch and must be bit-identical to the first.
         for _ in 0..2 {
-            let got: Vec<(usize, u64)> = extract::extract_row(&set, p)
+            let got: Vec<(usize, u64)> = extract::extract_row(set, p)
                 .iter()
                 .map(|&(c, v)| (c, v.to_bits()))
                 .collect();
@@ -627,14 +633,14 @@ fn diag_layer_allocs() {
         (thread_allocations() - before) as f64 / payloads.len() as f64
     );
 
-    let set = FeatureSet::full();
+    let set = full_set();
     set.compiled();
     for p in &payloads {
-        std::hint::black_box(extract::extract_row(&set, p).len());
+        std::hint::black_box(extract::extract_row(set, p).len());
     }
     let before = thread_allocations();
     for p in &payloads {
-        std::hint::black_box(extract::extract_row(&set, p).len());
+        std::hint::black_box(extract::extract_row(set, p).len());
     }
     eprintln!(
         "extract_row(full): {:.2}/payload",

@@ -103,8 +103,9 @@ fn benchmark_probes_compile_and_read_what_they_expect() {
         assert_eq!(passes, 2);
     }
 
-    // `regex.fused.fallback_vm_runs` means VM runs for patterns the
-    // fuser refused: one per row for a library with one such pattern.
+    // `regex.fused.fallback_vm_runs` counts the counting runs of the
+    // patterns the fuser refused: one per row for a library with one
+    // such pattern.
     let custom = FeatureSet::from_features(
         ["union", "x{40}"]
             .iter()

@@ -8,6 +8,13 @@ use psigene_corpus::{
     CrawlCorpusConfig,
 };
 use psigene_features::{extract, FeatureSet};
+use std::sync::OnceLock;
+
+/// The full feature library, built once per test binary.
+fn full_set() -> &'static FeatureSet {
+    static SET: OnceLock<FeatureSet> = OnceLock::new();
+    SET.get_or_init(FeatureSet::full)
+}
 
 #[test]
 fn crawler_recovers_the_whole_corpus_across_portal_styles() {
@@ -36,13 +43,13 @@ fn feature_matrix_has_paper_like_shape() {
         samples: 1000,
         ..Default::default()
     });
-    let full = FeatureSet::full();
+    let full = full_set();
     let payloads: Vec<&[u8]> = ds
         .samples
         .iter()
         .map(|s| s.request.detection_payload())
         .collect();
-    let matrix = extract::extract_matrix(&full, &payloads, 2);
+    let matrix = extract::extract_matrix(full, &payloads, 2);
     let (pruned, kept) = full.prune_unobserved(&matrix);
     let m = matrix.select_cols(&kept);
 
@@ -85,10 +92,10 @@ fn normalization_unifies_obfuscated_duplicates() {
         b"id=1%20union%20select%20a",
         b"id=1\tUnIoN\nSeLeCt a",
     ];
-    let set = FeatureSet::full();
+    let set = full_set();
     let rows: Vec<Vec<(usize, f64)>> = variants
         .iter()
-        .map(|v| extract::extract_row(&set, v))
+        .map(|v| extract::extract_row(set, v))
         .collect();
     assert_eq!(normalize(variants[0]), normalize(variants[1]));
     assert_eq!(normalize(variants[1]), normalize(variants[2]));

@@ -1,10 +1,10 @@
 //! Whole-path exactness of feature extraction on attack-shaped
 //! traffic: for every payload, `extract_row` — fused scan, the counts
-//! the scan makes itself, counting automata and the Pike VM fallback —
-//! equals the nonzero entries of the per-feature oracle
-//! (`common::oracle_dense`), for the whole shipped library and for the
-//! features a default-config training run keeps; and that system's
-//! `evaluate` is the oracle's verdict, bit for bit.
+//! the scan makes itself and the counting automata — equals the nonzero
+//! entries of the per-feature oracle (`common::oracle_dense`, the
+//! backtracker behind `Feature::count`), for the whole shipped library
+//! and for the features a default-config training run keeps; and that
+//! system's `evaluate` is the oracle's verdict, bit for bit.
 //!
 //! The payloads are what the end-to-end benchmark replays: generator
 //! requests serialised with `to_wire()` and parsed back, sqlmap and
@@ -13,73 +13,14 @@
 //! scan-counted keywords, quotes and comments on nearly every request.
 
 mod common;
+mod pools;
 
-use psigene::psigene_corpus::arachni::{self, ArachniConfig};
-use psigene::psigene_corpus::benign::{self, BenignConfig};
-use psigene::psigene_corpus::sqlmap::{self, SqlmapConfig};
-use psigene::psigene_corpus::{Dataset, ObfuscationProfile};
+use pools::pools;
 use psigene::psigene_features::extract::extract_row;
 use psigene::psigene_features::FeatureSet;
-use psigene::psigene_http::{parse_request, HttpRequest};
+use psigene::psigene_http::HttpRequest;
 use psigene::psigene_rulesets::DetectionEngine;
 use psigene::{PipelineConfig, Psigene};
-
-/// The generator pools of one seed, `n` requests each, as
-/// `parse_request` reads their wire bytes.
-fn pools(n: usize, seed: u64) -> Vec<(&'static str, Vec<HttpRequest>)> {
-    let twice = ObfuscationProfile {
-        url_encode: 1.0,
-        double_encode: 1.0,
-        ..ObfuscationProfile::sqlmap()
-    };
-    let datasets = [
-        (
-            "sqlmap",
-            sqlmap::generate(&SqlmapConfig {
-                samples: n,
-                seed,
-                ..Default::default()
-            }),
-        ),
-        (
-            "arachni",
-            arachni::generate(&ArachniConfig {
-                samples: n,
-                seed,
-                ..Default::default()
-            }),
-        ),
-        (
-            "sqlmap encoded twice",
-            sqlmap::generate(&SqlmapConfig {
-                samples: n,
-                seed,
-                profile: twice,
-            }),
-        ),
-        (
-            "benign",
-            benign::generate(&BenignConfig {
-                requests: n,
-                sqlish_fraction: 0.03,
-                include_novel_tail: true,
-                // The benchmark derives its benign seed the same way.
-                seed: seed ^ 0xbe91_6e00,
-            }),
-        ),
-    ];
-    datasets
-        .into_iter()
-        .map(|(name, data): (&str, Dataset)| {
-            let requests = data
-                .samples
-                .iter()
-                .map(|s| parse_request(&s.request.to_wire()).expect("generated requests parse"))
-                .collect();
-            (name, requests)
-        })
-        .collect()
-}
 
 /// A default-config training run, as the benchmark trains it.
 fn default_system() -> Psigene {
