@@ -172,3 +172,76 @@ mod tests {
         );
     }
 }
+
+#[cfg(test)]
+mod wire {
+    //! The honest wire: a generator request serialised with `to_wire`
+    //! and parsed back normalizes to what the request itself does.
+
+    use crate::arachni::{self, ArachniConfig};
+    use crate::benign::{self, BenignConfig};
+    use crate::portal::{self, PortalConfig};
+    use crate::sqlmap::{self, SqlmapConfig};
+    use proptest::prelude::*;
+    use psigene_http::{normalize_into, parse_request, HttpRequest, NormScratch};
+
+    /// Requests per generator and case.
+    const SAMPLES: usize = 200;
+
+    /// The requests of generator `which` (sqlmap, arachni, benign with
+    /// both SQL-ish tails, portal plants as the crawler turns them into
+    /// requests) for `seed`.
+    fn requests(which: usize, seed: u64) -> Vec<HttpRequest> {
+        let samples = |ds: crate::Dataset| ds.samples.into_iter().map(|s| s.request).collect();
+        match which {
+            0 => samples(sqlmap::generate(&SqlmapConfig {
+                samples: SAMPLES,
+                seed,
+                ..SqlmapConfig::default()
+            })),
+            1 => samples(arachni::generate(&ArachniConfig {
+                samples: SAMPLES,
+                seed,
+                ..ArachniConfig::default()
+            })),
+            2 => samples(benign::generate(&BenignConfig {
+                requests: SAMPLES,
+                sqlish_fraction: 0.2,
+                include_novel_tail: true,
+                seed,
+            })),
+            _ => portal::build_portals(&PortalConfig {
+                samples: SAMPLES,
+                seed,
+                ..PortalConfig::default()
+            })
+            .planted
+            .iter()
+            .map(|s| HttpRequest::get("victim.example", "/vulnerable.php", &s.payload))
+            .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The bytes are equal; so are the pass counts, except that a
+        /// wire query that carries escapes takes at least two passes
+        /// (a sweep that decodes them, then the confirming one) where
+        /// the request's first sweep may change nothing and end at one.
+        #[test]
+        fn the_wire_form_normalizes_like_the_request(which in 0usize..4, seed in any::<u64>()) {
+            let (mut memory, mut wire) = (NormScratch::new(), NormScratch::new());
+            for request in requests(which, seed) {
+                let parsed = parse_request(&request.to_wire()).expect("generated requests parse");
+                let want = normalize_into(request.detection_payload(), &mut memory).to_vec();
+                let got = normalize_into(parsed.detection_payload(), &mut wire);
+                prop_assert_eq!(got, want.as_slice(), "{:?}", request);
+                let escaped = parsed.detection_payload() != request.detection_payload();
+                let passes = memory.last_passes();
+                let want_passes = if escaped { passes.max(2) } else { passes };
+                prop_assert_eq!(wire.last_passes(), want_passes, "{:?}", request);
+            }
+        }
+    }
+}

@@ -11,7 +11,9 @@
 //! pass reports the *exact* set of matching features, and the match
 //! count of every feature whose matches all have one width
 //! (`CompiledFeatureSet::scan_count`; 267 of the 439 in the shipped
-//! library, such as `\bselect\b`, `'` and `--`). A pattern the
+//! library, such as `\bselect\b`, `'` and `--`), and where the
+//! other matched features' matches end (`CompiledFeatureSet::scan_ends`),
+//! so their counting runs cover only that span. A pattern the
 //! fuser refuses (too large to determinize profitably — none in the
 //! shipped library) goes on the fallback list instead: its bit is
 //! pre-set on every payload, so it is always counted by its own
@@ -102,6 +104,13 @@ impl CompiledFeatureSet {
         self.fused.as_ref()?.scan_count(dfa, id)
     }
 
+    /// The least and the greatest match end of fused feature `id` the
+    /// last scan through `dfa` reported; `None` when it did not match,
+    /// or is a refused feature.
+    pub(crate) fn scan_ends(&self, dfa: &DfaCache, id: usize) -> Option<(usize, usize)> {
+        self.fused.as_ref()?.scan_ends(dfa, id)
+    }
+
     /// The fused multi-pattern automaton, when one exists.
     pub fn fused(&self) -> Option<&FusedSet> {
         self.fused.as_ref()
@@ -139,6 +148,9 @@ mod tests {
     use super::*;
     use crate::proptests::full_set;
 
+    /// Byte classes of the shipped library's fused automaton.
+    const CLASSES: usize = 63;
+
     #[test]
     fn fused_engine_covers_most_of_the_library() {
         let set = full_set();
@@ -153,6 +165,10 @@ mod tests {
         );
         assert_eq!(c.fused_features(), set.len());
         assert_eq!(c.fused().map(|f| f.pattern_count()), Some(set.len()));
+        // The byte classes the fused table is indexed by: a library
+        // edit that splits or merges some moves every scan's table
+        // footprint, so it must be made here, on purpose.
+        assert_eq!(c.fused().map(|f| f.class_count()), Some(CLASSES));
     }
 
     #[test]

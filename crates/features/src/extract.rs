@@ -4,12 +4,16 @@
 //! §II-A. Extraction then makes **one pass** over the normalized
 //! bytes with the fused lazy-DFA scan of
 //! [`crate::compiled::CompiledFeatureSet`], which reports the *exact*
-//! set of matching features and counts those whose matches all have
-//! one width as it goes. Only the other matched features are counted
+//! set of matching features, counts those whose matches all have
+//! one width as it goes, and records the first and last end of every
+//! other feature's matches. Only the other matched features are counted
 //! afterwards, each by its precompiled counting automaton
-//! ([`psigene_regex::CountDfa`]); so is any feature the fuser refused,
-//! on every payload. The output is identical to running `count_all` of
-//! every feature — verified by property test in `crate::proptests`.
+//! ([`psigene_regex::CountDfa::count_between`]) over the span between
+//! those ends widened by the feature's widest match — or not at all
+//! when the span has room for one match only. Any feature the fuser
+//! refused is counted over the whole payload, on every payload. The
+//! output is identical to running `count_all` of every feature —
+//! verified by property test in `crate::proptests`.
 //! Matrix extraction parallelizes over samples with scoped threads
 //! (each sample is independent).
 
@@ -280,12 +284,18 @@ fn count_norm_traced(
     let span = trace.as_mut().map(|t| t.begin("features.count"));
     let mut vm_runs = 0u64;
     for id in bits.iter() {
-        // The scan counted the fixed-width features as it found them;
-        // every other bit (a fused match, or a refused feature's bit,
-        // set on every payload) is counted by the feature's automaton.
-        let n = compiled
-            .scan_count(dfa, id)
-            .unwrap_or_else(|| features[id].count_dfa().count(norm));
+        // The scan counted the fixed-width features as it found them.
+        // Every other fused match is counted by the feature's automaton
+        // between the first and the last match end the scan reported,
+        // and a refused feature's bit, set on every payload, over the
+        // whole payload.
+        let n = compiled.scan_count(dfa, id).unwrap_or_else(|| {
+            let automaton = features[id].count_dfa();
+            match compiled.scan_ends(dfa, id) {
+                Some((first, last)) => automaton.count_between(norm, first, last),
+                None => automaton.count(norm),
+            }
+        });
         emit(id, n);
         vm_runs += 1;
     }

@@ -217,7 +217,11 @@ mod proptests {
         }
 
         /// `to_wire` and `parse_request` are inverses on requests
-        /// whose parts hold none of the wire format's separators.
+        /// whose parts hold none of the wire format's separators and
+        /// whose query holds only bytes a request target carries as
+        /// they are: `to_wire` percent-encodes the others, which a
+        /// parse does not decode (their normalized payload is the
+        /// same: `psigene-corpus`'s `the_wire_form_normalizes_like_the_request`).
         #[test]
         fn to_wire_then_parse_is_the_identity(
             method in 0usize..4,
@@ -235,8 +239,10 @@ mod proptests {
             let mut path = solid(path);
             path.retain(|&b| b != b'?');
             path.insert(0, b'/');
+            let mut query = query;
+            query.retain(|&b| b > 0x20 && b < 0x7f && b != b'#');
             let request =
-                crate::HttpRequest::from_parts(method, &path, &solid(query), &solid(host), &body);
+                crate::HttpRequest::from_parts(method, &path, &query, &solid(host), &body);
             prop_assert_eq!(crate::parse::parse_request(&request.to_wire()), Ok(request));
         }
 

@@ -180,19 +180,26 @@ impl HttpRequest {
         self.query_string()
     }
 
-    /// The full request target as it would appear on the request line
-    /// (decoded lossily).
+    /// The full request target as it would appear on the request line:
+    /// the path (decoded lossily), then `?` and the query with the
+    /// bytes a target cannot carry percent-encoded, as in
+    /// [`HttpRequest::to_wire`].
     pub fn request_target(&self) -> String {
         let mut target = self.path().into_owned();
-        if !self.raw_query_bytes().is_empty() {
+        let query = self.raw_query_bytes();
+        if !query.is_empty() {
+            let mut wire = Vec::with_capacity(query.len());
+            push_wire_query(&mut wire, query);
             target.push('?');
-            target.push_str(&self.raw_query());
+            target.push_str(&String::from_utf8_lossy(&wire));
         }
         target
     }
 
     /// Serializes the request head + body in wire format (enough for
-    /// trace files; not a full RFC 7230 implementation).
+    /// trace files; not a full RFC 7230 implementation). The query is
+    /// written as [`HttpRequest::request_target`] writes it, so a
+    /// parser that ends the target at the first space reads all of it.
     pub fn to_wire(&self) -> Vec<u8> {
         let (query, body) = (self.raw_query_bytes(), self.body());
         let mut out = Vec::with_capacity(64 + self.buf.len());
@@ -201,7 +208,7 @@ impl HttpRequest {
         out.extend_from_slice(self.path_bytes());
         if !query.is_empty() {
             out.push(b'?');
-            out.extend_from_slice(query);
+            push_wire_query(&mut out, query);
         }
         out.extend_from_slice(b" HTTP/1.1\r\nHost: ");
         out.extend_from_slice(self.host_bytes());
@@ -213,6 +220,23 @@ impl HttpRequest {
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(body);
         out
+    }
+}
+
+/// Appends `query` as a request target carries it (RFC 9112 §3.2,
+/// RFC 3986 §3.4): each space or control byte (`≤ 0x20`), DEL or
+/// non-ASCII byte (`≥ 0x7f`) and `#`, which would start a fragment,
+/// percent-encoded; every other byte as it is. The first
+/// percent-decoding sweep of §II-A maps the escapes back, so the
+/// normalized payload does not change.
+fn push_wire_query(out: &mut Vec<u8>, query: &[u8]) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    for &b in query {
+        if b <= 0x20 || b >= 0x7f || b == b'#' {
+            out.extend_from_slice(&[b'%', HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
+        } else {
+            out.push(b);
+        }
     }
 }
 
@@ -272,6 +296,28 @@ mod tests {
         let text = String::from_utf8(wire).unwrap();
         assert!(text.starts_with("GET /p?a=1 HTTP/1.1\r\n"));
         assert!(text.contains("Host: h.example"));
+    }
+
+    #[test]
+    fn the_wire_query_escapes_what_a_target_cannot_carry() {
+        let r = HttpRequest::from_parts(
+            Method::Get,
+            b"/p",
+            b"id=1 AND 'a'#\t\x7f\xff%27+x",
+            b"h",
+            b"",
+        );
+        let target = "/p?id=1%20AND%20'a'%23%09%7F%FF%27+x";
+        assert_eq!(r.request_target(), target);
+        let wire = r.to_wire();
+        assert!(wire.starts_with(format!("GET {target} HTTP/1.1\r\n").as_bytes()));
+        // The parser reads the whole query back, escaped.
+        let parsed = crate::parse_request(&wire).unwrap();
+        assert_eq!(parsed.raw_query_bytes(), &target.as_bytes()[3..]);
+        assert_eq!(
+            crate::normalize::normalize(parsed.detection_payload()),
+            crate::normalize::normalize(r.detection_payload())
+        );
     }
 
     #[test]

@@ -70,10 +70,38 @@ impl Ast {
     }
 
     /// The width in bytes shared by every match, or `None` when
-    /// matches of different widths exist. Assertions and the empty
-    /// string are zero wide; an alternation is fixed when its branches
-    /// agree, a repetition when its count is or its body is zero wide.
+    /// matches of different widths exist: [`Ast::min_width`] when it
+    /// equals [`Ast::max_width`].
     pub fn fixed_width(&self) -> Option<usize> {
+        let min = self.min_width();
+        (self.max_width() == Some(min)).then_some(min)
+    }
+
+    /// A lower bound on the width in bytes of every match: assertions
+    /// and the empty string are zero wide, an alternation is as narrow
+    /// as its narrowest branch, a repetition its body times its least
+    /// count. It is 0 exactly when the node is nullable.
+    pub fn min_width(&self) -> usize {
+        match self {
+            Ast::Empty
+            | Ast::StartText
+            | Ast::EndText
+            | Ast::WordBoundary
+            | Ast::NotWordBoundary => 0,
+            Ast::Literal(_) | Ast::Class(_) | Ast::Dot { .. } => 1,
+            Ast::Concat(parts) => parts.iter().map(Ast::min_width).sum(),
+            Ast::Alternate(parts) => parts.iter().map(Ast::min_width).min().unwrap_or(0),
+            Ast::Repeat { ast, min, .. } => ast.min_width().saturating_mul(*min as usize),
+            Ast::Group(inner) => inner.min_width(),
+        }
+    }
+
+    /// An upper bound on the width in bytes of every match, `None`
+    /// when matches can be arbitrarily wide: an alternation is as wide
+    /// as its widest branch, a repetition its body times its greatest
+    /// count, and an unbounded repetition of a zero-wide body is zero
+    /// wide.
+    pub fn max_width(&self) -> Option<usize> {
         match self {
             Ast::Empty
             | Ast::StartText
@@ -81,20 +109,18 @@ impl Ast {
             | Ast::WordBoundary
             | Ast::NotWordBoundary => Some(0),
             Ast::Literal(_) | Ast::Class(_) | Ast::Dot { .. } => Some(1),
-            Ast::Concat(parts) => parts.iter().map(Ast::fixed_width).sum(),
-            Ast::Alternate(parts) => {
-                let first = parts.first().map_or(Some(0), Ast::fixed_width)?;
-                parts
-                    .iter()
-                    .all(|p| p.fixed_width() == Some(first))
-                    .then_some(first)
-            }
-            Ast::Repeat { ast, min, max, .. } => match ast.fixed_width()? {
-                0 => Some(0),
-                w if *max == Some(*min) => w.checked_mul(*min as usize),
-                _ => None,
+            Ast::Concat(parts) => parts
+                .iter()
+                .try_fold(0usize, |sum, p| sum.checked_add(p.max_width()?)),
+            Ast::Alternate(parts) => parts
+                .iter()
+                .try_fold(0usize, |widest, p| Some(widest.max(p.max_width()?))),
+            Ast::Repeat { ast, max, .. } => match (ast.max_width()?, max) {
+                (0, _) => Some(0),
+                (w, Some(max)) => w.checked_mul(*max as usize),
+                (_, None) => None,
             },
-            Ast::Group(inner) => inner.fixed_width(),
+            Ast::Group(inner) => inner.max_width(),
         }
     }
 
@@ -176,6 +202,38 @@ mod tests {
         for &(pat, want) in cases {
             let ast = crate::parser::parse(pat, flags).expect("parses");
             assert_eq!(ast.fixed_width(), want, "{pat:?}");
+        }
+    }
+
+    /// `(pattern, min_width, max_width)`, parsed as the feature
+    /// library is (case-insensitively).
+    const WIDTHS: &[(&str, usize, Option<usize>)] = &[
+        (r"\bselect\b", 6, Some(6)),
+        (r"(ab|c)", 1, Some(2)),
+        (r"(a|bcd|ef)", 1, Some(3)),
+        (r"(abc|d|ef)", 1, Some(3)),
+        (r"a{2,3}", 2, Some(3)),
+        (r"(ab){2,3}", 4, Some(6)),
+        (r"a{2,}", 2, None),
+        (r"a*", 0, None),
+        (r"a+b?", 1, None),
+        (r"x(\s|\+|/\*.*?\*/)+y", 3, None),
+        (r"ch(a)?r\s*?\(", 4, None),
+        (r"(\b|^)*", 0, Some(0)),
+        (r"--$", 2, Some(2)),
+        (r"(and|or)\s\d{1,3}", 4, Some(7)),
+    ];
+
+    #[test]
+    fn min_and_max_width_table() {
+        let flags = crate::parser::Flags {
+            case_insensitive: true,
+            dot_matches_newline: false,
+        };
+        for &(pat, min, max) in WIDTHS {
+            let ast = crate::parser::parse(pat, flags).expect("parses");
+            assert_eq!((ast.min_width(), ast.max_width()), (min, max), "{pat:?}");
+            assert_eq!(ast.min_width() == 0, ast.is_nullable(), "{pat:?}");
         }
     }
 

@@ -132,11 +132,6 @@ impl ClassSet {
         }
     }
 
-    /// The underlying sorted disjoint ranges.
-    pub fn ranges(&self) -> &[ByteRange] {
-        &self.ranges
-    }
-
     fn normalize(&mut self) {
         if self.ranges.is_empty() {
             return;
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn merges_overlapping_ranges() {
         let s = ClassSet::from_ranges([(b'a', b'f'), (b'd', b'k'), (b'l', b'm')]);
-        assert_eq!(s.ranges().len(), 1);
+        assert_eq!(s.ranges.len(), 1);
         assert!(s.contains(b'a') && s.contains(b'm'));
         assert!(!s.contains(b'n'));
     }

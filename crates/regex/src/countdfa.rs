@@ -47,6 +47,22 @@
 //! pending, nothing committed) hop over every byte that cannot leave
 //! idle via the 256-entry `wakes` table.
 //!
+//! # Counting between reported ends
+//!
+//! A set-based scan of the haystack (`crate::lazydfa`) reports the end
+//! of every match of the pattern, overlapping or not; given the least
+//! and the greatest, `first` and `last`, [`CountDfa::count_between`]
+//! narrows the work with the pattern's width bounds
+//! (`Ast::min_width`, `Ast::max_width`). Every match ends in
+//! `first..=last` and so starts at or after `first − max_width`. When
+//! `last < first + min_width` no second, non-overlapping match fits and
+//! the count is 1 without a run (the single-match rule); otherwise the
+//! count starts at `first − max_width` (at 0 when the width is
+//! unbounded) and stops after byte `last`. A restart reads its context
+//! from the byte before it either way, and end-of-input assertions
+//! complete a match at the cut only when the cut is the haystack's end,
+//! so the count is the whole haystack's.
+//!
 //! # Refusals
 //!
 //! [`CountDfa::new`] refuses two kinds of pattern with an error.
@@ -56,7 +72,8 @@
 //! patterns whose ordered determinization exceeds [`STATE_LIMIT`]
 //! states. The limit is sized from the shipped feature library, whose
 //! largest automaton — `union(\s|\+|/\*.*?\*/)+(all(…)+)?select` —
-//! has 7 627 states over 16 byte classes. The automaton is tested
+//! has 7 627 states over 16 byte classes (`nfa::ByteClasses`, the
+//! partition the fused automaton uses too). The automaton is tested
 //! against the backtracker in `crate::oracle`, which shares only the
 //! parser with it.
 
@@ -98,6 +115,10 @@ pub struct CountDfa {
     idle: [u16; 3],
     /// The dead state's id; every idle state's id is smaller.
     dead: u16,
+    /// The narrowest match's width (≥ 1: nullable patterns are refused).
+    min_width: usize,
+    /// The widest match's width; `None` when unbounded.
+    max_width: Option<usize>,
 }
 
 impl CountDfa {
@@ -117,7 +138,7 @@ impl CountDfa {
         }
         let prog = compiler::compile(&ast, compiler::DEFAULT_SIZE_LIMIT)?;
         Determinizer::new(&prog)
-            .run()
+            .run(ast.min_width(), ast.max_width())
             .ok_or_else(|| Error::new(ErrorKind::TooManyStates { limit: STATE_LIMIT }, 0))
     }
 
@@ -130,10 +151,36 @@ impl CountDfa {
     /// Counts non-overlapping leftmost-first matches in `hay`: the next
     /// search starts where the last match ended.
     pub fn count(&self, hay: &[u8]) -> usize {
+        self.count_from(hay, 0, true)
+    }
+
+    /// Counts like [`CountDfa::count`], given `first` and `last`, the
+    /// least and the greatest end of *any* match of the pattern in
+    /// `hay` — what a set-based scan of `hay` reports for it
+    /// ([`crate::FusedSet::scan_ends`]). At least one match exists.
+    ///
+    /// When `last < first + min_width` a second, non-overlapping match
+    /// could not end by `last`, so the count is 1 and nothing runs.
+    /// Otherwise the searches run over `hay[first - max_width..=last]`
+    /// only (from 0 when the pattern's width is unbounded): no match
+    /// starts before or ends after it, and the restarts read their
+    /// context from the byte before them, as in `hay`.
+    pub fn count_between(&self, hay: &[u8], first: usize, last: usize) -> usize {
+        if last < first + self.min_width {
+            return 1;
+        }
+        let from = self.max_width.map_or(0, |w| first.saturating_sub(w));
+        let stop = hay.len().min(last + 1);
+        self.count_from(&hay[..stop], from, stop == hay.len())
+    }
+
+    /// Counts the matches starting at or after `from` in `hay`, whose
+    /// end is the haystack's end when `eoi` is set (`$` and a trailing
+    /// `\b` can complete a match there) and a cut otherwise.
+    fn count_from(&self, hay: &[u8], mut from: usize, eoi: bool) -> usize {
         let mut count = 0;
-        let mut from = 0;
         // Every match consumes a byte, so `from` strictly advances.
-        while let Some(end) = self.find_end(hay, from) {
+        while let Some(end) = self.find_end(hay, from, eoi) {
             count += 1;
             from = end;
         }
@@ -141,7 +188,7 @@ impl CountDfa {
     }
 
     /// End of the leftmost-first match starting at or after `pos`.
-    fn find_end(&self, hay: &[u8], mut pos: usize) -> Option<usize> {
+    fn find_end(&self, hay: &[u8], mut pos: usize, eoi: bool) -> Option<usize> {
         let mut state = self.idle_at(hay, pos);
         let mut end = None;
         while pos < hay.len() {
@@ -162,7 +209,7 @@ impl CountDfa {
             state = word & !MATCH;
             pos += 1;
         }
-        if self.eoi[state as usize] {
+        if eoi && self.eoi[state as usize] {
             end = Some(hay.len());
         }
         end
@@ -248,8 +295,8 @@ impl<'p> Determinizer<'p> {
         id
     }
 
-    fn run(mut self) -> Option<CountDfa> {
-        let (classes, reps) = self.byte_classes();
+    fn run(mut self, min_width: usize, max_width: Option<usize>) -> Option<CountDfa> {
+        let ByteClasses { map: classes, reps } = ByteClasses::from_program(self.prog);
         let stride = reps.len();
 
         let track = self.track_context;
@@ -294,54 +341,9 @@ impl<'p> Determinizer<'p> {
             wakes,
             idle,
             dead,
+            min_width,
+            max_width,
         })
-    }
-
-    /// The coarsest byte partition the program can tell apart, as a
-    /// byte → class map plus one representative byte per class. The
-    /// fused engine's contiguous-run partition is the starting point;
-    /// runs that every consuming instruction (and `\b`, when the
-    /// program asserts anything) treats alike are merged, which keeps a
-    /// case-insensitive keyword at one class per letter and the table a
-    /// few columns wide.
-    fn byte_classes(&self) -> ([u8; 256], Vec<u8>) {
-        let runs = ByteClasses::from_program(self.prog);
-        // One pc per distinct consuming instruction.
-        let insts = &self.prog.insts;
-        let mut consuming: Vec<u32> = Vec::new();
-        for (pc, inst) in insts.iter().enumerate() {
-            let consumes = matches!(
-                inst,
-                Inst::Byte(_) | Inst::Class(_) | Inst::Any | Inst::AnyNoNewline
-            );
-            if consumes && !consuming.iter().any(|&seen| insts[seen as usize] == *inst) {
-                consuming.push(pc as u32);
-            }
-        }
-        let mut classes = [0u8; 256];
-        let mut reps: Vec<u8> = Vec::new();
-        let mut signatures: Vec<Vec<bool>> = Vec::new();
-        let mut class_of_run = vec![None; runs.count as usize];
-        for b in 0..=255u8 {
-            let run = runs.map[b as usize] as usize;
-            let class = *class_of_run[run].get_or_insert_with(|| {
-                let signature: Vec<bool> = consuming
-                    .iter()
-                    .map(|&pc| self.prog.accepts(pc, b))
-                    .chain([self.track_context && is_word_byte(b)])
-                    .collect();
-                signatures
-                    .iter()
-                    .position(|s| *s == signature)
-                    .unwrap_or_else(|| {
-                        signatures.push(signature);
-                        reps.push(b);
-                        reps.len() - 1
-                    })
-            });
-            classes[b as usize] = class as u8;
-        }
-        (classes, reps)
     }
 
     /// Fills `self.threads` with `key`'s closure under `ctx`: the

@@ -3,8 +3,10 @@
 //!
 //! The fused lazy DFA's match set and the counts its scan makes of
 //! fixed-width patterns — over the whole library in one automaton and
-//! over each pattern in a set of its own ([`FusedSet::single`]) — and
-//! the counting automaton's counts are each held to the oracle. The
+//! over each pattern in a set of its own ([`FusedSet::single`]) — the
+//! counting automaton's counts over the whole haystack, and its counts
+//! bounded by the match ends either scan reports
+//! ([`CountDfa::count_between`]), are each held to the oracle. The
 //! shipped feature library comes from `psigene-features` as pattern
 //! strings: that crate links the non-test build of this one, so its
 //! types are different types from the ones under test here.
@@ -84,8 +86,33 @@ impl Pair {
         );
     }
 
-    /// The set of one's match bit and, for a fixed-width pattern, its
-    /// scan count equal the oracle's.
+    /// The counting automaton's count bounded by the match ends a fused
+    /// scan reported for this pattern, under id `pid`, equals the
+    /// oracle's, and the scan reports ends exactly when there is a
+    /// match.
+    fn check_span_count(&self, set: &FusedSet, cache: &DfaCache, pid: usize, hay: &[u8]) {
+        let (pat, ci) = (&self.pattern, self.ci);
+        let want = self.oracle.count(hay);
+        match set.scan_ends(cache, pid) {
+            None => assert_eq!(want, 0, "no ends reported for {pat:?} (ci={ci}) on {hay:?}"),
+            Some((first, last)) => {
+                assert!(
+                    first <= last && last <= hay.len(),
+                    "{pat:?} ends {first}..={last}"
+                );
+                if let Some(dfa) = &self.dfa {
+                    assert_eq!(
+                        dfa.count_between(hay, first, last),
+                        want,
+                        "CountDfa {pat:?} (ci={ci}) between ends {first} and {last} of {hay:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The set of one's match bit, its match ends and, for a
+    /// fixed-width pattern, its scan count agree with the oracle.
     fn check_single(&self, hay: &[u8]) {
         let mut cache = DfaCache::new();
         let mut out = CandidateSet::new(1);
@@ -98,6 +125,7 @@ impl Pair {
             self.ci
         );
         self.check_scan_count(&self.single, &cache, 0, hay);
+        self.check_span_count(&self.single, &cache, 0, hay);
     }
 
     /// The counting automaton's count, where there is one, equals the
@@ -271,6 +299,49 @@ fn named_cases_hold_on_every_engine() {
     }
 }
 
+/// Span-bounded counts on cases that each take one branch of
+/// [`CountDfa::count_between`]: the single-match rule where a second
+/// match cannot fit and where one just fits, a run that must start a
+/// full maximum width before the first reported end, with the widest
+/// alternative not the first, and an unbounded width, where the run
+/// starts at 0.
+#[test]
+fn span_bounded_counts_on_named_cases() {
+    type Case = (&'static str, &'static [u8], (usize, usize), usize);
+    let cases: &[Case] = &[
+        // No second match fits: counted without a run.
+        (r"union\s+select", b"union  select", (13, 13), 1),
+        (r"\d\d+", b"a123b", (3, 4), 1),
+        // A second match just fits: `last == first + min_width`.
+        (r"ab*", b"aa", (1, 2), 2),
+        (r"(a|bc)d?", b"bca", (2, 3), 2),
+        // The first reported end is that of the leftmost match, which
+        // starts the widest alternative's width before it.
+        (r"(a|bcd)", b"bcdbcd", (3, 6), 2),
+        (r"(a|bcd)", b"xbcdxa", (4, 6), 2),
+        // Unbounded: the run starts at 0.
+        (r"a+b", b"aab aab", (3, 7), 2),
+    ];
+    for &(pat, hay, ends, want) in cases {
+        let pair = Pair::new(pat, false).expect("compiles");
+        let mut cache = DfaCache::new();
+        pair.single
+            .scan_into(hay, &mut cache, &mut CandidateSet::new(1));
+        assert_eq!(
+            pair.single.scan_ends(&cache, 0),
+            Some(ends),
+            "{pat:?} on {hay:?}"
+        );
+        let dfa = pair.dfa.as_ref().expect("not nullable");
+        assert_eq!(
+            dfa.count_between(hay, ends.0, ends.1),
+            want,
+            "{pat:?} on {hay:?}"
+        );
+        assert_eq!(pair.oracle.count(hay), want, "{pat:?} on {hay:?}");
+    }
+}
+
 /// A random pattern drawn from `picks`: sequences of `a`, `b`, `.`, the
 /// four assertions and groups of one to three alternatives (any of
 /// them possibly empty), with every quantifier on what may carry one,
@@ -350,7 +421,9 @@ mod fused {
     //! The fused lazy DFA against the oracle over the whole shipped
     //! library plus the fixed patterns: the matched pattern-id set of
     //! one fused scan must equal the set of patterns the oracle finds a
-    //! match for, and the scan's count of every fixed-width pattern the
+    //! match for, the scan's count of every fixed-width pattern the
+    //! oracle's count, and every pattern's count bounded by the match
+    //! ends the scan reported for it (single-match rule included) the
     //! oracle's count — on arbitrary bytes, on SQL-spliced bytes, and
     //! under state-cache pressure.
 
@@ -381,6 +454,7 @@ mod fused {
         assert_eq!(got, want, "fused vs oracle on {hay:?}");
         for (i, pair) in library_and_fixed().iter().enumerate() {
             pair.check_scan_count(set, cache, i, hay);
+            pair.check_span_count(set, cache, i, hay);
         }
     }
 

@@ -4,9 +4,12 @@
 //! the haystack and inserts into a [`CandidateSet`] the id of every
 //! pattern with at least one match — the *exact* match set. The same
 //! pass counts the matches of every pattern whose matches all have one
-//! width ([`FusedSet::scan_count`]), from the match ends it reports, so
-//! the caller needs a per-pattern counting run only for the other
-//! patterns known to match.
+//! width ([`FusedSet::scan_count`]), from the match ends it reports,
+//! and records the first and the last end it reported for every
+//! pattern ([`FusedSet::scan_ends`]). The caller needs a counting run
+//! only for the other patterns known to match, and only between those
+//! ends; when one match is all that fits between them, none
+//! ([`crate::CountDfa::count_between`]).
 //!
 //! # Determinization with deferred closure
 //!
@@ -66,36 +69,42 @@ struct StateKey {
     flags: u8,
 }
 
-/// One pattern's running count within a scan: the scan it belongs to
-/// (a stale `scan` reads as zero, so nothing is cleared between scans),
-/// the matches counted and the end of the last one.
+/// What one scan saw of one pattern: the scan it belongs to (a stale
+/// `scan` reads as no match, so nothing is cleared between scans), the
+/// first and the last match end reported and, for a pattern of one
+/// match width, the matches counted and the end of the last one.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tally {
     /// The pattern's match width; 0 when the scan does not count it.
     width: u32,
     scan: u32,
+    first: usize,
+    last: usize,
     count: usize,
-    end: usize,
+    counted: usize,
 }
 
 impl Tally {
     /// Takes a match ending at `end`, reported in ascending order and
-    /// once per end: it counts when it starts at or after the end of
-    /// the last one counted.
+    /// once per end. For a counted pattern it counts when it starts at
+    /// or after the end of the last one counted.
+    #[inline]
     fn report(&mut self, scan: u32, end: usize) {
-        if self.width == 0 {
-            return;
-        }
         if self.scan != scan {
             *self = Tally {
                 scan,
+                first: end,
+                last: end,
                 count: 1,
-                end,
+                counted: end,
                 ..*self
             };
-        } else if end >= self.end + self.width as usize {
+            return;
+        }
+        self.last = end;
+        if self.width != 0 && end >= self.counted + self.width as usize {
             self.count += 1;
-            self.end = end;
+            self.counted = end;
         }
     }
 }
@@ -153,8 +162,6 @@ pub struct DfaCache {
     rich: Vec<(u32, Box<[u32]>)>,
     /// Per-state memoized end-of-input match sets.
     eoi: Vec<Option<Box<[u32]>>>,
-    /// Representative byte per equivalence class.
-    reps: Vec<u8>,
     /// Number of byte equivalence classes.
     class_count: usize,
     /// Per pattern id, what the last scan counted.
@@ -201,18 +208,7 @@ impl DfaCache {
             ..Tally::default()
         }));
         self.scan = 0;
-        let classes = &set.nfa.classes;
-        self.class_count = classes.count as usize;
-        self.reps.clear();
-        self.reps.resize(self.class_count, 0);
-        let mut filled = vec![false; self.class_count];
-        for b in 0..256u16 {
-            let c = classes.map[b as usize] as usize;
-            if !filled[c] {
-                filled[c] = true;
-                self.reps[c] = b as u8;
-            }
-        }
+        self.class_count = set.nfa.classes.count();
         self.intern(start_key());
     }
 
@@ -258,7 +254,9 @@ impl FusedSet {
     /// for peak throughput.
     ///
     /// The same pass counts the matches of every pattern whose matches
-    /// all have one width w ≥ 1 ([`FusedSet::scan_count`]). The scan
+    /// all have one width w ≥ 1 ([`FusedSet::scan_count`]), and keeps
+    /// every pattern's first and last match end
+    /// ([`FusedSet::scan_ends`]). The scan
     /// reports each (pattern, end) pair once, in ascending end order:
     /// an end `e` while consuming byte `e`, the end `hay.len()` at end
     /// of input. The first end counts, and a later one counts when it
@@ -326,6 +324,20 @@ impl FusedSet {
         })
     }
 
+    /// The least and the greatest end of a match of pattern `pid` that
+    /// the last scan through `cache` reported, when that scan was of
+    /// this set and the pattern matched; `None` otherwise. The scan
+    /// reports the end of every match, overlapping or not, so every
+    /// leftmost-first match ends between the two
+    /// ([`crate::CountDfa::count_between`]).
+    pub fn scan_ends(&self, cache: &DfaCache, pid: usize) -> Option<(usize, usize)> {
+        if cache.owner != self.token {
+            return None;
+        }
+        let tally = cache.tallies.get(pid).filter(|t| t.scan == cache.scan)?;
+        Some((tally.first, tally.last))
+    }
+
     /// Determinizes one transition: from state `cur` on byte class
     /// `class`, returning the encoded transition word (also stored in
     /// the table). May flush the cache, which renumbers `cur` — the
@@ -339,7 +351,7 @@ impl FusedSet {
         stats: &mut FusedScanStats,
     ) -> u32 {
         let src = cache.states[cur as usize].clone();
-        let rep = cache.reps[class];
+        let rep = self.nfa.classes.reps[class];
         let next_word = is_word_byte(rep);
         let ctx = context(
             src.flags & PREV_WORD != 0,

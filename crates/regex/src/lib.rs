@@ -11,16 +11,18 @@
 //! * [`FusedSet`] fuses a whole pattern library into one
 //!   multi-pattern NFA, executed as a lazily-determinized DFA
 //!   ([`FusedSet::scan_into`]): one haystack pass reports the *exact*
-//!   set of matching patterns and counts the matches of those whose
-//!   matches all have one width. Patterns too large to share an
+//!   set of matching patterns, counts the matches of those whose
+//!   matches all have one width, and keeps where every pattern's
+//!   matches end ([`FusedSet::scan_ends`]). Patterns too large to share an
 //!   automaton are refused ([`FuseOutcome::Fallback`]);
 //!   [`FusedSet::single`] gives such a pattern a set of its own.
 //! * [`CountDfa`] counts the non-overlapping matches of one pattern,
 //!   the operation pSigene's features are built on (the paper adds an
 //!   equivalent `count_all()` to the Bro IDS): the pattern's
-//!   leftmost-first search determinized once into a table. Patterns
-//!   that match the empty string or need too many states are refused
-//!   at construction.
+//!   leftmost-first search determinized once into a table, run over
+//!   the whole haystack or only between the match ends a scan reported
+//!   ([`CountDfa::count_between`]). Patterns that match the empty
+//!   string or need too many states are refused at construction.
 //!
 //! Both are tested against a backtracking oracle (the hidden `oracle`
 //! module) that shares only the parser with them.

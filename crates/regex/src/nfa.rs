@@ -23,7 +23,7 @@ use crate::ast::Ast;
 use crate::compiler;
 use crate::error::Error;
 use crate::parser::{self, Flags};
-use crate::program::{ClosureStep, Inst, Program};
+use crate::program::{is_word_byte, ClosureStep, Inst, Program};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-pattern ceiling on the expanded AST weight; above it the
@@ -66,62 +66,83 @@ pub(crate) struct MultiNfa {
     /// position. Copied out of the closure table once, so a DFA miss
     /// reads one contiguous list instead of one span per pattern.
     pub(crate) entry_steps: Vec<ClosureStep>,
-    /// Byte → equivalence class, refined so that two bytes in one
-    /// class are indistinguishable to every instruction *and* to the
-    /// word-boundary predicate.
+    /// Byte → equivalence class: two bytes in one class are
+    /// indistinguishable to every instruction of the arena and, when
+    /// it asserts anything, to the word-boundary predicate.
     pub(crate) classes: ByteClasses,
 }
 
-/// Byte equivalence classes over the whole arena.
+/// Byte equivalence classes of one program: the automata index their
+/// transition tables by class.
 #[derive(Debug, Clone)]
 pub(crate) struct ByteClasses {
     /// Byte value → class index.
     pub(crate) map: [u8; 256],
-    /// Number of classes (≤ 256).
-    pub(crate) count: u16,
+    /// The least byte of each class, by class index: the byte a
+    /// transition of that class is determinized on.
+    pub(crate) reps: Vec<u8>,
 }
 
 impl ByteClasses {
-    /// Computes the coarsest partition of byte values that every
-    /// instruction of `prog` (and `\b`'s word/non-word split) cannot
-    /// tell apart. The DFA transition table is indexed by class, so a
-    /// smaller partition means proportionally less cache memory.
+    /// Computes the coarsest partition of byte values that no
+    /// consuming instruction of `prog` — nor, when the program asserts
+    /// anything, `\b`'s word/non-word split — can tell apart. Classes
+    /// are numbered in the order of their least byte. A case-insensitive
+    /// keyword keeps one class per letter, and bytes no instruction
+    /// names share one, so a table row is a few columns wide.
+    ///
+    /// Each distinct byte set the program reads (a literal byte, an
+    /// interned class, `.`'s newline) refines the partition once: two
+    /// bytes stay together while every set holds both or neither.
     pub(crate) fn from_program(prog: &Program) -> ByteClasses {
-        // `boundary[b]` marks the start of a new run at byte b.
-        let mut boundary = [false; 257];
-        boundary[0] = true;
-        let mut split = |lo: u8, hi: u8| {
-            boundary[lo as usize] = true;
-            boundary[hi as usize + 1] = true;
+        let mut label = [0u8; 256];
+        let mut refine = |member: &dyn Fn(u8) -> bool| {
+            // New label per (old label, membership), first come first
+            // numbered: at most 256 of them, as there are 256 bytes.
+            let mut relabel = [[u16::MAX; 2]; 256];
+            let mut next = 0u16;
+            for b in 0..=255u8 {
+                let slot = &mut relabel[label[b as usize] as usize][usize::from(member(b))];
+                if *slot == u16::MAX {
+                    *slot = next;
+                    next += 1;
+                }
+                label[b as usize] = *slot as u8;
+            }
         };
-        // Word-ness participates in closure decisions (`\b`, `\B`).
-        for (lo, hi) in [(b'0', b'9'), (b'A', b'Z'), (b'_', b'_'), (b'a', b'z')] {
-            split(lo, hi);
+        // Word-ness decides `\b` and `\B`, and the automata keep it
+        // in their states only when the program asserts.
+        if prog.closures.has_assertions() {
+            refine(&is_word_byte);
         }
+        let mut literal = [false; 256];
+        let mut newline = false;
         for inst in &prog.insts {
-            match inst {
-                Inst::Byte(b) => split(*b, *b),
-                Inst::AnyNoNewline => split(b'\n', b'\n'),
+            match *inst {
+                Inst::Byte(b) => literal[b as usize] = true,
+                Inst::AnyNoNewline => newline = true,
                 _ => {}
             }
         }
+        for b in (0..=255u8).filter(|&b| literal[b as usize] || (newline && b == b'\n')) {
+            refine(&|x| x == b);
+        }
         for class in &prog.classes {
-            for r in class.ranges() {
-                split(r.lo, r.hi);
+            refine(&|b| class.contains(b));
+        }
+        // The last refinement numbered classes by their least byte.
+        let mut reps = Vec::new();
+        for b in 0..=255u8 {
+            if label[b as usize] as usize == reps.len() {
+                reps.push(b);
             }
         }
-        let mut map = [0u8; 256];
-        let mut current = 0usize;
-        for b in 0..256 {
-            if b > 0 && boundary[b] {
-                current += 1;
-            }
-            map[b] = current as u8;
-        }
-        ByteClasses {
-            map,
-            count: (current + 1) as u16,
-        }
+        ByteClasses { map: label, reps }
+    }
+
+    /// Number of classes: the width of one transition-table row.
+    pub(crate) fn count(&self) -> usize {
+        self.reps.len()
     }
 }
 
@@ -318,6 +339,12 @@ impl FusedSet {
         self.pattern_count
     }
 
+    /// Number of byte equivalence classes: the width of one row of the
+    /// lazy DFA's transition table.
+    pub fn class_count(&self) -> usize {
+        self.nfa.classes.count()
+    }
+
     /// The DFA state-cache bound in force.
     pub fn state_limit(&self) -> usize {
         self.state_limit
@@ -340,7 +367,7 @@ mod tests {
         let set = b.build().expect("non-empty");
         assert_eq!(set.pattern_count(), 5);
         assert!(set.nfa.prog.len() > 5);
-        assert!((4..=256).contains(&set.nfa.classes.count));
+        assert!((4..=256).contains(&set.nfa.classes.count()));
     }
 
     #[test]
@@ -372,21 +399,31 @@ mod tests {
 
     #[test]
     fn byte_classes_split_word_and_literal_bytes() {
-        let mut b = FusedSetBuilder::new();
-        b.add(0, "select", true).unwrap();
-        let set = b.build().unwrap();
-        let c = &set.nfa.classes;
+        let classes_of = |pattern: &str| {
+            let mut b = FusedSetBuilder::new();
+            b.add(0, pattern, true).unwrap();
+            b.build().unwrap().nfa.classes
+        };
+        let c = classes_of(r"\bselect\b");
         // 's' and 'e' are distinct literal bytes → distinct classes.
         assert_ne!(c.map[b's' as usize], c.map[b'e' as usize]);
-        // Case folding put both cases in the pattern's classes.
-        assert_ne!(
-            c.map[b'S' as usize], c.map[b'0' as usize],
-            "letters and digits must not share a class (word-ness aside, 'S' is a pattern byte)"
-        );
-        // Two never-referenced non-word bytes share a class.
-        assert_eq!(c.map[0x01], c.map[0x02]);
-        // Word vs non-word bytes never share a class.
+        // Case folding put both cases of a letter in one class.
+        assert_eq!(c.map[b'S' as usize], c.map[b's' as usize]);
+        // Two never-referenced non-word bytes share a class, and so do
+        // two never-referenced word bytes.
+        assert_eq!(c.map[0x01], c.map[b'!' as usize]);
+        assert_eq!(c.map[b'9' as usize], c.map[b'z' as usize]);
+        // `\b` tells word from non-word bytes.
         assert_ne!(c.map[b'9' as usize], c.map[b'!' as usize]);
+        // s, e, l, c, t, the other word bytes, the non-word bytes; each
+        // class represented by its least byte.
+        assert_eq!(c.count(), 7);
+        assert_eq!(c.reps, b"\x000CELST");
+        // Without an assertion nothing reads word-ness, so a letter the
+        // pattern does not name shares a class with punctuation.
+        let plain = classes_of("select");
+        assert_eq!(plain.map[b'9' as usize], plain.map[b'!' as usize]);
+        assert_eq!(plain.count(), 6);
     }
 
     #[test]

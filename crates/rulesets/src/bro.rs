@@ -108,6 +108,10 @@ impl DetectionEngine for BroEngine {
         "Bro"
     }
 
+    fn prepare(&self) {
+        self.rules.prepare();
+    }
+
     fn evaluate(&self, request: &HttpRequest) -> Detection {
         let payload = percent_decode(request.detection_payload());
         // Like Snort, Bro records the first matching signature only.

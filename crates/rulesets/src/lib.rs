@@ -48,6 +48,21 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use psigene_http::HttpRequest;
+    use std::sync::OnceLock;
+
+    /// The three engines, built once per test binary: building one
+    /// compiles its rules, which costs more than the cases themselves.
+    fn engines() -> &'static (BroEngine, SnortEngine, ModsecEngine) {
+        static ENGINES: OnceLock<(BroEngine, SnortEngine, ModsecEngine)> = OnceLock::new();
+        ENGINES.get_or_init(|| (BroEngine::new(), SnortEngine::new(), ModsecEngine::new()))
+    }
+
+    /// `ModsecEngine::with_threshold(t)` for every `t` in `1..10`, built
+    /// once per test binary; index `t - 1`.
+    fn modsec_by_threshold() -> &'static [ModsecEngine] {
+        static ENGINES: OnceLock<Vec<ModsecEngine>> = OnceLock::new();
+        ENGINES.get_or_init(|| (1..10).map(ModsecEngine::with_threshold).collect())
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -58,9 +73,10 @@ mod proptests {
         ) {
             let raw = String::from_utf8_lossy(&query).into_owned();
             let req = HttpRequest::get("h", "/p", &raw);
-            let _ = BroEngine::new().evaluate(&req);
-            let _ = SnortEngine::new().evaluate(&req);
-            let _ = ModsecEngine::new().evaluate(&req);
+            let (bro, snort, modsec) = engines();
+            let _ = bro.evaluate(&req);
+            let _ = snort.evaluate(&req);
+            let _ = modsec.evaluate(&req);
         }
 
         #[test]
@@ -71,8 +87,9 @@ mod proptests {
         ) {
             let req = HttpRequest::get("h", "/p", &q);
             let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-            let strict = ModsecEngine::with_threshold(lo).evaluate(&req);
-            let lax = ModsecEngine::with_threshold(hi).evaluate(&req);
+            let engines = modsec_by_threshold();
+            let strict = engines[lo as usize - 1].evaluate(&req);
+            let lax = engines[hi as usize - 1].evaluate(&req);
             // Anything the laxer threshold flags, the stricter must too.
             if lax.flagged {
                 prop_assert!(strict.flagged);

@@ -600,6 +600,10 @@ impl DetectionEngine for ModsecEngine {
         "ModSecurity"
     }
 
+    fn prepare(&self) {
+        self.rules.prepare();
+    }
+
     fn evaluate(&self, request: &HttpRequest) -> Detection {
         // CRS transformation pipeline: full normalization, plus a
         // comment-stripped variant; a rule scores if it matches

@@ -169,6 +169,14 @@ impl CompiledRules {
         }
     }
 
+    /// Warms one cache bundle: one scan per set over [`WARM_UP`], so
+    /// the first request served does not determinize the transitions
+    /// every SQL injection takes. Idempotent: the bundle goes back to
+    /// the pool, and a second call finds it warm.
+    pub(crate) fn prepare(&self) {
+        self.scan(&[WARM_UP]);
+    }
+
     /// The rules, in order.
     pub(crate) fn rules(&self) -> &[Rule] {
         &self.rules
@@ -214,6 +222,13 @@ impl CompiledRules {
     }
 }
 
+/// What [`CompiledRules::prepare`] scans: SQL injection shapes in both
+/// cases, as the rulesets see them after percent-decoding (Snort, Bro)
+/// and after normalization (ModSecurity).
+const WARM_UP: &[u8] = b"id=1' AND 1=1 UNION ALL SELECT NULL,CONCAT(0x3a,VERSION()),CHAR(58)-- -\
+    &q=x' or 'a'='a' union select 1,2 from information_schema.tables where sleep(5)#\
+    &r=1;drop table users/**/waitfor delay '0:0:5' order by 1 benchmark(1000,md5(1))";
+
 /// The panic of [`CompiledRules::new`] for a pattern that does not
 /// compile.
 fn bad_pattern(id: u32, pattern: &str, e: Error) -> ! {
@@ -230,7 +245,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bro, modsec, snort, BroEngine, ModsecEngine, SnortEngine};
+    use crate::{bro, modsec, snort, BroEngine, DetectionEngine, ModsecEngine, SnortEngine};
 
     /// The ids of `rules` matching `payload`: the first, and all.
     fn hits(rules: &CompiledRules, payload: &[u8]) -> (Option<u32>, Vec<u32>) {
@@ -300,6 +315,29 @@ mod tests {
         // A rule is data; its pattern compiles with the engine.
         let rule = Rule::regex(8, "bad", "(", Severity::Notice, true);
         let _ = CompiledRules::new(vec![rule]);
+    }
+
+    /// An engine's `prepare` leaves one cache bundle in the pool, warm
+    /// for the warm-up payload, however often it is called.
+    #[test]
+    fn prepare_leaves_one_warm_bundle() {
+        let (snort, bro, modsec) = (SnortEngine::new(), BroEngine::new(), ModsecEngine::new());
+        let engines: [(&dyn DetectionEngine, &CompiledRules); 3] = [
+            (&snort, &snort.rules),
+            (&bro, &bro.rules),
+            (&modsec, &modsec.rules),
+        ];
+        for (engine, rules) in engines {
+            engine.prepare();
+            engine.prepare();
+            let mut pool = lock(&rules.caches);
+            assert_eq!(pool.len(), 1, "{}", engine.name());
+            for (set, cache) in rules.sets.iter().zip(&mut pool[0]) {
+                let mut hits = CandidateSet::new(rules.rules().len());
+                let stats = set.scan_into(WARM_UP, cache, &mut hits);
+                assert_eq!(stats.misses, 0, "{}", engine.name());
+            }
+        }
     }
 
     /// Patterns per set: the fused automaton first, then the sets of

@@ -534,6 +534,10 @@ impl DetectionEngine for SnortEngine {
         "Snort - Emerging Threats"
     }
 
+    fn prepare(&self) {
+        self.rules.prepare();
+    }
+
     fn evaluate(&self, request: &HttpRequest) -> Detection {
         let payload = percent_decode(request.detection_payload());
         // The first alert is enough to flag, so only the first matching

@@ -89,6 +89,12 @@ cargo test --release -p psigene --test extraction_oracle -q -- --ignored
 echo "==> ruleset oracle on benchmark-sized pools"
 cargo test --release -p psigene --test ruleset_oracle -q -- --ignored
 
+# The wire path at the same size and seeds: 20 000 sqlmap attacks
+# through `to_wire()` and `parse_request` are flagged exactly as they
+# are in memory, so no payload reaches the detector cut short.
+echo "==> wire detection on benchmark-sized pools"
+cargo test --release -p psigene --test wire_detection -q -- --ignored
+
 # Control-loop integration test: a drift-inducing traffic shift must
 # drive the full closed loop (background retrain, differential replay,
 # canary, promotion) with zero dropped requests, and a sabotaged
@@ -110,8 +116,9 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve --test control_lo
 # `evaluate` verdict (monitors on and off) and the dense
 # `score_features` of the same request against one reference —
 # `benign_direct` where the counters idle, `attack_direct` where about
-# ten features per request are counted (about four of them by the fused
-# scan itself), `encoded_direct` where every
+# thirteen features per request are counted (5.6 of them by the fused
+# scan itself, 4.9 by the single-match rule and 2.4 by counting-automaton
+# runs over about half the payload), `encoded_direct` where every
 # request takes the normalizer's multi-pass path the other two never
 # reach.
 echo "==> e2e benchmark: unit tests + mixed_gateway and mixed_gateway_open smokes + traced benign_direct, attack_direct and encoded_direct smokes"
