@@ -375,9 +375,13 @@ impl DriftBatch {
                 *sum += value;
             }
         }
-        for (k, (&p, &quiet)) in scores.iter().zip(plan.quiet_scores()).enumerate() {
-            if p.to_bits() != quiet.to_bits() {
-                self.loud[k * SCORE_BINS + score_bin(p)] += 1;
+        // A row that touched no signature is scored by the plan's own
+        // quiet column: no slot can be loud, so the comparison is skipped.
+        if !std::ptr::eq(scores, plan.quiet_scores()) {
+            for (k, (&p, &quiet)) in scores.iter().zip(plan.quiet_scores()).enumerate() {
+                if p.to_bits() != quiet.to_bits() {
+                    self.loud[k * SCORE_BINS + score_bin(p)] += 1;
+                }
             }
         }
         self.requests += 1;
@@ -536,6 +540,7 @@ mod tests {
         use super::*;
         use crate::config::PipelineConfig;
         use crate::pipeline::Psigene;
+        use crate::plan::ScoreScratch;
         use proptest::collection::vec;
         use proptest::prelude::*;
         use psigene_http::HttpRequest;
@@ -613,7 +618,10 @@ mod tests {
             /// and scores from the trained engine: one thread's batches,
             /// published when due and at arbitrary extra points (a
             /// snapshot, a pair change), leave every score, window count
-            /// and per-signature PSI bit-equal.
+            /// and per-signature PSI bit-equal. The batch is fed what
+            /// `evaluate` feeds it, the plan's scores (its own quiet
+            /// column for a row that touches no signature), and the
+            /// reference the dense scores.
             #[test]
             fn batched_publishes_equal_per_request_observe(
                 stream in vec((0usize..QUERIES.len(), (0u8..6).prop_map(|k| k == 0)), 0..200),
@@ -631,10 +639,12 @@ mod tests {
                 let reference = EngineInsight::new(engine.feature_set().len(), config);
                 let insight = Arc::new(EngineInsight::new(engine.feature_set().len(), config));
                 let mut batch = DriftBatch::default();
+                let mut scratch = ScoreScratch::default();
                 for &(q, flush) in &stream {
                     let (row, scores) = &fed[q];
                     reference.observe(row, ids.iter().copied().zip(scores.iter().copied()));
-                    batch.record(&insight, plan, row, scores);
+                    let (_, planned) = plan.score(row, &mut scratch);
+                    batch.record(&insight, plan, row, planned);
                     if flush {
                         batch.publish();
                     }

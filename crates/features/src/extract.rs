@@ -39,7 +39,11 @@ pub struct ExtractStats {
     /// Payloads whose decoding the pass cap cut short
     /// ([`NormScratch::last_hit_cap`]).
     pub normalize_cap_hits: u64,
-    /// Counting runs that happened.
+    /// Counting runs that happened: the sum of
+    /// [`scan_tallies`](Self::scan_tallies),
+    /// [`single_match_counts`](Self::single_match_counts),
+    /// [`automaton_runs`](Self::automaton_runs) and
+    /// [`fallback_vm_runs`](Self::fallback_vm_runs).
     pub vm_runs: u64,
     /// Counting runs the fused scan proved unnecessary.
     pub vm_runs_skipped: u64,
@@ -49,8 +53,19 @@ pub struct ExtractStats {
     /// Fused features whose counting run the fused scan proved
     /// unnecessary.
     pub fused_skipped: u64,
+    /// Matched fused features counted by the fused scan's own tally
+    /// (every match one width): no automaton runs.
+    pub scan_tallies: u64,
+    /// Matched fused features whose first and last match end leave room
+    /// for one match only, counted 1 without a run
+    /// ([`CountDfa::single_match`](psigene_regex::CountDfa::single_match)).
+    pub single_match_counts: u64,
+    /// Matched fused features counted by their counting automaton over
+    /// the span between their first and last match end.
+    pub automaton_runs: u64,
     /// Counting runs for features outside the fused automaton (the
-    /// fallback list): one per such feature and payload.
+    /// fallback list): one per such feature and payload, over the
+    /// whole payload.
     pub fallback_vm_runs: u64,
     /// Lazy-DFA transitions that had to be determinized.
     pub dfa_misses: u64,
@@ -71,6 +86,9 @@ impl ExtractStats {
         self.vm_runs_skipped += other.vm_runs_skipped;
         self.fused_matched += other.fused_matched;
         self.fused_skipped += other.fused_skipped;
+        self.scan_tallies += other.scan_tallies;
+        self.single_match_counts += other.single_match_counts;
+        self.automaton_runs += other.automaton_runs;
         self.fallback_vm_runs += other.fallback_vm_runs;
         self.dfa_misses += other.dfa_misses;
         self.dfa_flushes += other.dfa_flushes;
@@ -105,6 +123,9 @@ struct ExtractMetrics {
     normalize_cap_hits: Arc<Counter>,
     regex_evals: Arc<Counter>,
     vm_runs_skipped: Arc<Counter>,
+    scan_tallies: Arc<Counter>,
+    single_match_counts: Arc<Counter>,
+    automaton_runs: Arc<Counter>,
     fused_fallback_vm_runs: Arc<Counter>,
     fused_cache_states: Arc<Gauge>,
     fused_cache_hit_ratio: Arc<Gauge>,
@@ -120,6 +141,9 @@ fn metrics() -> &'static ExtractMetrics {
             normalize_cap_hits: telemetry.counter("http.normalize_cap_hits"),
             regex_evals: telemetry.counter("features.regex_evals"),
             vm_runs_skipped: telemetry.counter("features.vm_runs_skipped"),
+            scan_tallies: telemetry.counter("features.scan_tallies"),
+            single_match_counts: telemetry.counter("features.single_match_counts"),
+            automaton_runs: telemetry.counter("features.automaton_runs"),
             fused_fallback_vm_runs: telemetry.counter("regex.fused.fallback_vm_runs"),
             fused_cache_states: telemetry.gauge("regex.fused.cache_states"),
             fused_cache_hit_ratio: telemetry.gauge("regex.fused.cache_hit_ratio"),
@@ -134,9 +158,13 @@ fn metrics() -> &'static ExtractMetrics {
 /// here (a bare `normalize` call elsewhere moves neither);
 /// `features.regex_evals` counts the counting runs that *actually
 /// happened* (not `rows × features` — the fused scan skips most of
-/// those), with the skipped complement in `features.vm_runs_skipped`
-/// and the runs for features the fuser refused in
-/// `regex.fused.fallback_vm_runs`. Sets with a fused automaton
+/// those), with the skipped complement in `features.vm_runs_skipped`.
+/// The runs split four ways: the fused scan's own tallies
+/// (`features.scan_tallies`), single-match-rule counts
+/// (`features.single_match_counts`), counting-automaton runs over a
+/// match span (`features.automaton_runs`) and the whole-payload runs
+/// for features the fuser refused (`regex.fused.fallback_vm_runs`).
+/// Sets with a fused automaton
 /// additionally feed the `regex.fused.cache_*` family (state-cache
 /// occupancy, hit ratio, flushes).
 fn record_stats(stats: &ExtractStats) {
@@ -145,6 +173,9 @@ fn record_stats(stats: &ExtractStats) {
     m.normalize_cap_hits.add(stats.normalize_cap_hits);
     m.regex_evals.add(stats.vm_runs);
     m.vm_runs_skipped.add(stats.vm_runs_skipped);
+    m.scan_tallies.add(stats.scan_tallies);
+    m.single_match_counts.add(stats.single_match_counts);
+    m.automaton_runs.add(stats.automaton_runs);
     m.fused_fallback_vm_runs.add(stats.fallback_vm_runs);
     if stats.fused_matched + stats.fused_skipped > 0 {
         m.fused_cache_states.set(stats.dfa_states as f64);
@@ -283,19 +314,33 @@ fn count_norm_traced(
     }
     let span = trace.as_mut().map(|t| t.begin("features.count"));
     let mut vm_runs = 0u64;
+    let (mut scan_tallies, mut single_match_counts, mut automaton_runs) = (0u64, 0u64, 0u64);
     for id in bits.iter() {
         // The scan counted the fixed-width features as it found them.
         // Every other fused match is counted by the feature's automaton
-        // between the first and the last match end the scan reported,
-        // and a refused feature's bit, set on every payload, over the
-        // whole payload.
-        let n = compiled.scan_count(dfa, id).unwrap_or_else(|| {
-            let automaton = features[id].count_dfa();
-            match compiled.scan_ends(dfa, id) {
-                Some((first, last)) => automaton.count_between(norm, first, last),
-                None => automaton.count(norm),
+        // between the first and the last match end the scan reported
+        // (or is 1 when only one match fits there), and a refused
+        // feature's bit, set on every payload, over the whole payload.
+        let n = match compiled.scan_count(dfa, id) {
+            Some(n) => {
+                scan_tallies += 1;
+                n
             }
-        });
+            None => {
+                let automaton = features[id].count_dfa();
+                match compiled.scan_ends(dfa, id) {
+                    Some((first, last)) if automaton.single_match(first, last) => {
+                        single_match_counts += 1;
+                        1
+                    }
+                    Some((first, last)) => {
+                        automaton_runs += 1;
+                        automaton.count_between(norm, first, last)
+                    }
+                    None => automaton.count(norm),
+                }
+            }
+        };
         emit(id, n);
         vm_runs += 1;
     }
@@ -308,6 +353,9 @@ fn count_norm_traced(
         vm_runs_skipped: features.len() as u64 - vm_runs,
         fused_matched,
         fused_skipped: compiled.fused_features() as u64 - fused_matched,
+        scan_tallies,
+        single_match_counts,
+        automaton_runs,
         // Refused ids are pre-set, so each was counted once.
         fallback_vm_runs: compiled.fallback_features().len() as u64,
         dfa_misses: u64::from(scan.misses),
@@ -547,6 +595,63 @@ mod tests {
         assert!(
             fused_skip_ratio > 0.8,
             "attack fused skip ratio only {fused_skip_ratio:.2} ({stats:?})"
+        );
+    }
+
+    #[test]
+    fn counting_runs_split_into_tallies_single_matches_automaton_runs_and_fallback() {
+        let split = |s: &ExtractStats| {
+            s.scan_tallies + s.single_match_counts + s.automaton_runs + s.fallback_vm_runs
+        };
+        let attacks: &[&[u8]] = &[
+            b"id=-1+union+select+1,2,concat(version(),0x3a,user()),4--+-",
+            b"id=1'+or+'1'='1'+and+sleep(5)--+union+all+select+null,null",
+            b"q=char(58),char(58),char(58)&x=1+or+1=1",
+        ];
+        let mut total = ExtractStats::default();
+        for p in attacks {
+            let (_, stats) = extract_row_uncounted(full_set(), p);
+            assert_eq!(split(&stats), stats.vm_runs, "{p:?}: {stats:?}");
+            total.absorb(stats);
+        }
+        for p in [b"page=2&sort=asc".as_slice(), b""] {
+            let (_, stats) = extract_row_uncounted(full_set(), p);
+            assert_eq!(split(&stats), stats.vm_runs, "{p:?}: {stats:?}");
+        }
+        // Each of the three fused ways counts something on attacks.
+        assert!(total.scan_tallies > 0, "{total:?}");
+        assert!(total.single_match_counts > 0, "{total:?}");
+        assert!(total.automaton_runs > 0, "{total:?}");
+        // And the whole-payload runs of refused features.
+        let set = FeatureSet::from_features(vec![feat("union"), feat("x{40}"), feat(r"\d+")]);
+        for p in long_run_payloads() {
+            let (_, stats) = extract_row_uncounted(&set, &p);
+            assert_eq!(stats.fallback_vm_runs, 1, "{stats:?}");
+            assert_eq!(split(&stats), stats.vm_runs, "{p:?}: {stats:?}");
+        }
+        // The registry counters move by at least this work (they are
+        // process-wide, so concurrent tests may add more).
+        let telemetry = psigene_telemetry::global();
+        let names = [
+            "features.scan_tallies",
+            "features.single_match_counts",
+            "features.automaton_runs",
+        ];
+        let before: Vec<u64> = names.iter().map(|n| telemetry.counter(n).get()).collect();
+        extract_matrix(full_set(), attacks, 1);
+        let moved: Vec<u64> = names
+            .iter()
+            .zip(&before)
+            .map(|(n, b)| telemetry.counter(n).get() - b)
+            .collect();
+        let want = [
+            total.scan_tallies,
+            total.single_match_counts,
+            total.automaton_runs,
+        ];
+        assert!(
+            moved.iter().zip(want).all(|(&m, w)| m >= w),
+            "{moved:?} < {want:?}"
         );
     }
 

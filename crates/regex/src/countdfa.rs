@@ -154,6 +154,13 @@ impl CountDfa {
         self.count_from(hay, 0, true)
     }
 
+    /// Whether matches ending first at `first` and last at `last` leave
+    /// room for one match only (`last < first + min_width`), so that
+    /// [`CountDfa::count_between`] answers 1 without a run.
+    pub fn single_match(&self, first: usize, last: usize) -> bool {
+        last < first + self.min_width
+    }
+
     /// Counts like [`CountDfa::count`], given `first` and `last`, the
     /// least and the greatest end of *any* match of the pattern in
     /// `hay` — what a set-based scan of `hay` reports for it
@@ -166,7 +173,7 @@ impl CountDfa {
     /// starts before or ends after it, and the restarts read their
     /// context from the byte before them, as in `hay`.
     pub fn count_between(&self, hay: &[u8], first: usize, last: usize) -> usize {
-        if last < first + self.min_width {
+        if self.single_match(first, last) {
             return 1;
         }
         let from = self.max_width.map_or(0, |w| first.saturating_sub(w));

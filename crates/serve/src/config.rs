@@ -13,29 +13,35 @@ use std::sync::Arc;
 /// semantics (every request is evaluated, submitters slow down);
 /// `Shed` keeps submitter latency bounded and answers with
 /// [`Verdict::Overloaded`](psigene_rulesets::Verdict) instead.
+///
+/// The policy decides only what happens at the bound. Under either, a
+/// single request that finds its shard idle (nothing queued, worker
+/// holding no job) is evaluated on the submitting thread instead of
+/// waking the worker: always under `check`, and under `submit` when no
+/// other shard is idle (always so with one shard), which makes that
+/// `submit` synchronous. Batches always queue.
+///
+/// A thread that has evaluated this way keeps what a worker keeps,
+/// until it exits: the engine's thread-local scratch (about 1.2 MB on
+/// mostly benign traffic, 2.2 MB on attacks, for a pSigene engine), up
+/// to 31 requests of unpublished verdict telemetry and an unfinished
+/// drift batch. That memory, and the lag of counters and drift
+/// windows, grows with the number of distinct submitting threads, not
+/// with `shards`; a front end running very many long-lived client
+/// threads bounds it with `submit_batch`, the one path that never
+/// evaluates on the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadPolicy {
     /// Backpressure: `submit` blocks until queue space frees up.
-    /// Every accepted request is evaluated. A single request that
-    /// finds its shard idle (nothing queued, worker holding no job) is
-    /// evaluated on the submitting thread instead of waking the
-    /// worker: always under `check`, and under `submit` when no other
-    /// shard is idle (always so with one shard), which makes that
-    /// `submit` synchronous. Batches always queue.
-    ///
-    /// A thread that has evaluated this way keeps what a worker keeps,
-    /// until it exits: the engine's thread-local scratch (about 1.2 MB
-    /// on mostly benign traffic, 2.2 MB on attacks, for a pSigene
-    /// engine), up to 31 requests of unpublished verdict telemetry and
-    /// an unfinished drift batch. That memory, and the lag of counters
-    /// and drift windows, grows with the number of distinct submitting
-    /// threads, not with `shards`; a front end running very many
-    /// long-lived client threads bounds it with `Shed` or
-    /// `submit_batch`, which never evaluate on the caller.
+    /// Every accepted request is evaluated.
     Block,
     /// Load shedding: when all queues are full the request is
-    /// answered immediately without evaluation. Requests always go
-    /// through the queues, so a submitter never waits on evaluation.
+    /// answered immediately without evaluation. A submitter never
+    /// waits for queue space or for another request's evaluation; on
+    /// an idle shard it evaluates its own request. A stalled engine
+    /// can therefore hold the one submitter that claimed the shard
+    /// (where it would otherwise hold the worker), while every other
+    /// submitter sees the shard occupied and sheds at the bound.
     Shed {
         /// `true` = shed traffic passes unflagged (availability over
         /// detection); `false` = shed traffic is flagged (detection
@@ -74,9 +80,9 @@ pub struct GatewayConfig {
     pub trace: TraceConfig,
     /// Verdict tap: invoked for every *evaluated* request — `(gateway
     /// request id, request, detection)` — right after evaluation, on
-    /// the thread that evaluated it: the shard's worker, or under
-    /// [`OverloadPolicy::Block`] a submitter that found its shard
-    /// idle. Shed requests never reach the tap. The control plane's
+    /// the thread that evaluated it: the shard's worker, or a
+    /// submitter that found its shard idle. Shed requests never reach
+    /// the tap. The control plane's
     /// [`SampleBuffer`](crate::control::SampleBuffer) implements the
     /// sink; `None` costs nothing.
     pub tap: Option<Arc<dyn VerdictSink>>,

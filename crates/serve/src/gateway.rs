@@ -130,16 +130,16 @@ struct Shard {
 /// owning a bounded queue, all evaluating against the engine currently
 /// in the shared [`SignatureStore`].
 ///
-/// A shard evaluates one request at a time, whoever evaluates it.
-/// Under [`OverloadPolicy::Block`], a single request that finds its
-/// shard idle (queue empty, worker holding no job) is evaluated on the
-/// submitting thread, sparing the thread hand-off, where that takes no
-/// parallelism away: always for [`check`](Gateway::check), whose caller
-/// would only wait, and for [`submit`](Gateway::submit) when no other
-/// shard's worker is idle (always so with one shard). Otherwise the
-/// job is queued. Batches, and every submission under `Shed` (which
-/// promises a submitter that never waits on evaluation), always go
-/// through the queue.
+/// A shard evaluates one request at a time, whoever evaluates it. A
+/// single request that finds its shard idle (queue empty, worker
+/// holding no job) is evaluated on the submitting thread, sparing the
+/// thread hand-off, where that takes no parallelism away: always for
+/// [`check`](Gateway::check), whose caller would only wait, and for
+/// [`submit`](Gateway::submit) when no other shard's worker is idle
+/// (always so with one shard). Otherwise the job is queued. Batches
+/// always go through the queue. The rule is the same under either
+/// [`OverloadPolicy`], which decides only what a submitter does at the
+/// bound: wait for space, or shed.
 ///
 /// Evaluation scratch of the engine crates (normalization buffer,
 /// candidate bitset, lazy-DFA state cache, feature/score vectors) is
@@ -156,10 +156,9 @@ struct Shard {
 ///
 /// ```text
 /// check()/submit()/submit_batch(): one round-robin pick of shard i
-///   idle shard (Block, check;    the submitter claims it
-///   submit if no other shard       → store.engine_for(id) → evaluate
-///   is idle):
-///   busy shard, batch, or Shed:  push onto shard i's queue (Block:
+///   idle shard (check; submit    the submitter claims it
+///   if no other shard is idle):    → store.engine_for(id) → evaluate
+///   busy shard, or a batch:      push onto shard i's queue (Block:
 ///                                  wait at the bound; Shed: try every
 ///                                  shard, answer Overloaded when all
 ///                                  are full) → worker i: take
@@ -170,7 +169,8 @@ struct Shard {
 /// A shard's bound counts every job accepted and not yet finished,
 /// the one in the worker's hands or a submitter's claim included, so
 /// under `Shed` exactly `queue_capacity` jobs per shard are admitted
-/// ahead of a stalled worker.
+/// ahead of a stalled engine, whether the worker or a claiming
+/// submitter is the one it holds.
 ///
 /// A panic while serving a job fails that job's ticket
 /// ([`Verdict::Overloaded`] in the policy's failure direction), is
@@ -292,15 +292,15 @@ impl Gateway {
     /// verdict. Under `Shed` the ticket may already be resolved to
     /// [`Verdict::Overloaded`].
     ///
-    /// Under `Block`, `submit` is synchronous when its shard is idle
-    /// and every other shard is busy (always so with one shard): it
-    /// evaluates the request on the calling thread and returns a
-    /// resolved ticket. A client pipelining `submit`s therefore keeps
-    /// the other shards' workers evaluating alongside it, and gives up
-    /// only its own shard's overlap with its work between `submit`s —
-    /// on a one-shard gateway, all of it. That thread then keeps the
+    /// `submit` is synchronous when its shard is idle and every other
+    /// shard is busy (always so with one shard): it evaluates the
+    /// request on the calling thread and returns a resolved ticket. A
+    /// client pipelining `submit`s therefore keeps the other shards'
+    /// workers evaluating alongside it, and gives up only its own
+    /// shard's overlap with its work between `submit`s — on a
+    /// one-shard gateway, all of it. That thread then keeps the
     /// engine's evaluation scratch and verdict telemetry batch (see
-    /// [`OverloadPolicy::Block`]).
+    /// [`OverloadPolicy`]).
     pub fn submit(&self, request: HttpRequest) -> Ticket {
         self.submit_one(request, false)
     }
@@ -338,10 +338,10 @@ impl Gateway {
         }
     }
 
-    /// Submits one request and blocks for its verdict. Under `Block`,
-    /// a `check` that finds its shard idle evaluates on the calling
-    /// thread, which would otherwise only wait (see
-    /// [`OverloadPolicy::Block`] for what that thread then keeps).
+    /// Submits one request and blocks for its verdict. A `check` that
+    /// finds its shard idle evaluates on the calling thread, which
+    /// would otherwise only wait (see [`OverloadPolicy`] for what that
+    /// thread then keeps).
     pub fn check(&self, request: HttpRequest) -> Verdict {
         self.submit_one(request, true).wait()
     }
@@ -375,14 +375,12 @@ impl Gateway {
     }
 
     /// Claims shard `start` for the submitter to serve its own job,
-    /// where that takes no parallelism away: only under `Block`, only
-    /// on an idle shard, and only if the caller waits for the verdict
-    /// anyway or no other shard has an idle worker that could evaluate
-    /// alongside the caller.
+    /// where that takes no parallelism away: only on an idle shard, and
+    /// only if the caller waits for the verdict anyway or no other
+    /// shard has an idle worker that could evaluate alongside the
+    /// caller. The same under either overload policy, which decides
+    /// only what happens at the bound.
     fn claim(&self, start: usize, waits: bool) -> Option<handoff::Claim<'_, Job>> {
-        if self.config.policy != OverloadPolicy::Block {
-            return None;
-        }
         let n = self.shards.len();
         if !waits && (1..n).any(|i| self.shards[(start + i) % n].queue.idle()) {
             return None;
@@ -700,36 +698,66 @@ mod tests {
 
     #[test]
     fn shed_fires_at_exactly_the_bound_in_the_configured_direction() {
+        use std::sync::mpsc;
+        use std::time::Duration;
         for (capacity, fail_open) in [(2u64, true), (1, false)] {
-            let gate = Arc::new(AtomicBool::new(false));
-            let engine: Arc<dyn DetectionEngine> = Arc::new(TestEngine {
-                gate: Some(Arc::clone(&gate)),
+            let (done, finished) = mpsc::channel();
+            // The scenario runs on its own thread, so that a leaked
+            // claim, or a submission that claims the gated shard and
+            // spins on the gate, fails the test on the timeout below
+            // instead of hanging it.
+            std::thread::spawn(move || {
+                let gate = Arc::new(AtomicBool::new(false));
+                let engine: Arc<dyn DetectionEngine> = Arc::new(TestEngine {
+                    gate: Some(Arc::clone(&gate)),
+                });
+                let gateway = Gateway::start(
+                    SignatureStore::new(engine),
+                    GatewayConfig {
+                        shards: 1,
+                        queue_capacity: capacity as usize,
+                        policy: OverloadPolicy::Shed { fail_open },
+                        ..GatewayConfig::default()
+                    },
+                );
+                let returned = AtomicBool::new(false);
+                let (helper, ours, stats) = std::thread::scope(|s| {
+                    // The helper finds the shard idle, claims it and
+                    // evaluates its request itself, held by the gate.
+                    let helper = s.spawn(|| {
+                        let verdict = gateway.submit(HttpRequest::get("h", "/ok", "i=0")).wait();
+                        returned.store(true, Ordering::Release);
+                        verdict
+                    });
+                    while gateway.stats().submitted == 0 {
+                        std::thread::yield_now();
+                    }
+                    // The claim counts against the bound, so this thread
+                    // gets exactly `capacity - 1` accepted, the rest shed.
+                    let tickets: Vec<Ticket> = (1..4)
+                        .map(|i| gateway.submit(HttpRequest::get("h", "/ok", &format!("i={i}"))))
+                        .collect();
+                    let stats = gateway.stats();
+                    let held = !returned.load(Ordering::Acquire);
+                    gate.store(true, Ordering::Release);
+                    let helper = helper.join().expect("helper");
+                    let ours: Vec<Verdict> = tickets.into_iter().map(Ticket::wait).collect();
+                    assert!(held, "the helper's submit returned before its evaluation");
+                    (helper, ours, stats)
+                });
+                let last = gateway.shutdown();
+                done.send((helper, ours, stats, last)).expect("test alive");
             });
-            let gateway = Gateway::start(
-                SignatureStore::new(engine),
-                GatewayConfig {
-                    shards: 1,
-                    queue_capacity: capacity as usize,
-                    policy: OverloadPolicy::Shed { fail_open },
-                    ..GatewayConfig::default()
-                },
-            );
-            // The bound counts accepted-and-unfinished jobs, so whether
-            // or not the (gated) worker has taken the first job yet,
-            // exactly `capacity` submissions are accepted, the rest shed.
-            let tickets: Vec<Ticket> = (0..4)
-                .map(|i| gateway.submit(HttpRequest::get("h", "/ok", &format!("i={i}"))))
-                .collect();
-            let stats = gateway.stats();
+            let (helper, ours, stats, last) = finished
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the scenario unwound or hung on the gate");
+            assert!(helper.detection().is_some(), "{helper:?}");
             assert_eq!((stats.submitted, stats.shed), (capacity, 4 - capacity));
-            gate.store(true, Ordering::Release);
-            let verdicts: Vec<Verdict> = tickets.into_iter().map(Ticket::wait).collect();
-            let shed: Vec<&Verdict> = verdicts.iter().filter(|v| v.is_shed()).collect();
+            let shed: Vec<&Verdict> = ours.iter().filter(|v| v.is_shed()).collect();
             assert_eq!(shed.len() as u64, stats.shed);
             // Sheds pass unflagged when failing open, flagged when closed.
             assert!(shed.iter().all(|v| v.flagged() != fail_open));
-            let stats = gateway.shutdown();
-            assert_eq!((stats.served, stats.shed), (capacity, 4 - capacity));
+            assert_eq!((last.served, last.shed), (capacity, 4 - capacity));
         }
     }
 
@@ -738,10 +766,14 @@ mod tests {
         // `TestEngine` panics on "/poison" (expected output of this test).
         let panics = psigene_telemetry::global().counter("serve.worker_panics");
         let panics_before = panics.get();
+        // Two shards, so that a pipelined `submit` that meets the other
+        // shard idle queues rather than evaluating inline: the panics
+        // land on the workers. (`a_panic_served_inline_…` covers the
+        // submitter's side.)
         let gateway = Gateway::start(
             SignatureStore::new(free_engine()),
             GatewayConfig {
-                shards: 1,
+                shards: 2,
                 queue_capacity: 16,
                 policy: OverloadPolicy::Shed { fail_open: true },
                 ..GatewayConfig::default()
@@ -763,17 +795,20 @@ mod tests {
             assert_eq!(verdict.is_shed(), marked.contains(&i), "{i}: {verdict:?}");
             assert!(!verdict.flagged(), "fails open");
         }
-        // A batch fails as a whole, and the worker still serves after.
+        // A batch fails as a whole, and the workers still serve after:
+        // batches always queue.
         let batch = gateway.check_batch(vec![
             HttpRequest::get("h", "/ok", "a=1"),
             HttpRequest::get("h", "/poison", "b=2"),
         ]);
         assert_eq!(batch.len(), 2);
         assert!(batch.iter().all(Verdict::is_shed), "{batch:?}");
-        let after = gateway.check(HttpRequest::get("h", "/ok", "c=3"));
-        assert!(after.detection().is_some());
+        for i in 0..2 {
+            let after = gateway.check_batch(vec![HttpRequest::get("h", "/ok", &format!("c={i}"))]);
+            assert!(after[0].detection().is_some(), "{after:?}");
+        }
         let stats = gateway.shutdown();
-        assert_eq!((stats.submitted, stats.shed), (12 + 2 + 1, 0));
+        assert_eq!((stats.submitted, stats.shed), (12 + 2 + 2, 0));
         assert_eq!(stats.served + 3 + 2, stats.submitted);
         assert!(panics.get() - panics_before >= 4, "3 singles + 1 batch");
     }
@@ -784,54 +819,69 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
         let panics = psigene_telemetry::global().counter("serve.worker_panics");
-        let (done, finished) = mpsc::channel();
-        // The submitter runs on its own thread, so that a leaked claim
-        // (a shard that never serves again) fails the test on the
-        // timeout below instead of hanging it, and an unwinding
-        // submitter fails it by dropping `done` unsent.
-        let submitter = std::thread::spawn(move || {
-            let gateway = Gateway::start(
-                SignatureStore::new(free_engine()),
-                GatewayConfig {
-                    shards: 1,
-                    queue_capacity: 16,
-                    policy: OverloadPolicy::Block,
-                    ..GatewayConfig::default()
-                },
-            );
-            // The counter is process-wide and another test's worker may
-            // panic meanwhile: each poisoned submission raises it by at
-            // least one, and an undisturbed one by exactly one.
-            let mut rises = Vec::new();
-            for i in 0..8 {
-                let before = panics.get();
-                let ticket = gateway.submit(HttpRequest::get("h", "/poison", &format!("i={i}")));
-                rises.push(panics.get() - before);
-                let verdict = ticket.wait();
-                assert!(
-                    matches!(verdict, Verdict::Overloaded { fail_open: false }),
-                    "{verdict:?}"
+        for policy in [
+            OverloadPolicy::Block,
+            OverloadPolicy::Shed { fail_open: true },
+        ] {
+            let panics = Arc::clone(&panics);
+            let (done, finished) = mpsc::channel();
+            // The submitter runs on its own thread, so that a leaked
+            // claim (a shard that never serves again) fails the test on
+            // the timeout below instead of hanging it, and an unwinding
+            // submitter fails it by dropping `done` unsent.
+            let submitter = std::thread::spawn(move || {
+                let gateway = Gateway::start(
+                    SignatureStore::new(free_engine()),
+                    GatewayConfig {
+                        shards: 1,
+                        queue_capacity: 16,
+                        policy,
+                        ..GatewayConfig::default()
+                    },
                 );
-                if rises.last() == Some(&1) {
-                    break;
+                // The counter is process-wide and another test's worker
+                // may panic meanwhile: each poisoned submission raises
+                // it by at least one, and an undisturbed one by exactly
+                // one.
+                let mut rises = Vec::new();
+                let mut verdicts = Vec::new();
+                for i in 0..8 {
+                    let before = panics.get();
+                    let ticket =
+                        gateway.submit(HttpRequest::get("h", "/poison", &format!("i={i}")));
+                    rises.push(panics.get() - before);
+                    verdicts.push(ticket.wait());
+                    if rises.last() == Some(&1) {
+                        break;
+                    }
                 }
-            }
-            let after = gateway.check(HttpRequest::get("h", "/attack", "c=3"));
-            let stats = gateway.shutdown();
-            done.send((rises, after, stats)).expect("test alive");
-        });
-        let (rises, after, stats) = finished
-            .recv_timeout(Duration::from_secs(30))
-            .expect("the submitter unwound or the shard stopped serving");
-        submitter.join().expect("submitter");
-        assert!(rises.iter().all(|&rise| rise >= 1), "{rises:?}");
-        assert_eq!(rises.last(), Some(&1), "{rises:?}");
-        assert!(
-            after.flagged(),
-            "the shard serves after the panic: {after:?}"
-        );
-        let poisoned = rises.len() as u64;
-        assert_eq!((stats.submitted, stats.served), (poisoned + 1, 1));
+                let after = gateway.check(HttpRequest::get("h", "/attack", "c=3"));
+                let stats = gateway.shutdown();
+                done.send((rises, verdicts, after, stats))
+                    .expect("test alive");
+            });
+            let (rises, verdicts, after, stats) = finished
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the submitter unwound or the shard stopped serving");
+            submitter.join().expect("submitter");
+            // Unevaluated, in the policy's failure direction.
+            assert!(
+                verdicts.iter().all(|v| matches!(v,
+                    Verdict::Overloaded { fail_open } if *fail_open == policy.fail_open())),
+                "{policy:?}: {verdicts:?}"
+            );
+            assert!(rises.iter().all(|&rise| rise >= 1), "{rises:?}");
+            assert_eq!(rises.last(), Some(&1), "{rises:?}");
+            assert!(
+                after.flagged() && after.detection().is_some(),
+                "{policy:?}: the shard serves after the panic: {after:?}"
+            );
+            let poisoned = rises.len() as u64;
+            assert_eq!(
+                (stats.submitted, stats.served, stats.shed),
+                (poisoned + 1, 1, 0)
+            );
+        }
     }
 
     #[test]
@@ -855,14 +905,19 @@ mod tests {
             }
         }
         let me = std::thread::current().id();
-        for shards in [1, 2] {
+        let policies = [
+            OverloadPolicy::Block,
+            OverloadPolicy::Shed { fail_open: true },
+        ];
+        for (shards, policy) in [1, 2].into_iter().flat_map(|n| policies.map(|p| (n, p))) {
             let engine = Arc::new(Threads(Mutex::new(Vec::new())));
             let gateway = Gateway::start(
                 SignatureStore::new(Arc::clone(&engine) as Arc<dyn DetectionEngine>),
                 GatewayConfig {
                     shards,
+                    // Above the 32 submissions: the policy never acts.
                     queue_capacity: 64,
-                    policy: OverloadPolicy::Block,
+                    policy,
                     ..GatewayConfig::default()
                 },
             );
@@ -874,11 +929,14 @@ mod tests {
             if shards == 1 {
                 // No other worker to overlap with: every submit finds
                 // the one shard idle and evaluates inline.
-                assert_eq!(inline, 32);
+                assert_eq!(inline, 32, "{policy:?}");
             } else {
                 // The first submit meets another idle shard and queues,
                 // so the workers evaluate alongside the submitter.
-                assert!(inline < 32, "{inline} of 32 inline on {shards} shards");
+                assert!(
+                    inline < 32,
+                    "{policy:?}: {inline} of 32 inline on {shards} shards"
+                );
             }
             assert_eq!(gateway.shutdown().served, 32);
         }

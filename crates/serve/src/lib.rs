@@ -8,18 +8,19 @@
 //!   bounded queue. Requests are submitted from any number of
 //!   threads; each shard drains its queue in order and answers each
 //!   submission through a one-shot reply slot, so callers can block ([`Gateway::check`]) or pipeline
-//!   ([`Gateway::submit`] → [`Ticket::wait`]). Under
-//!   [`OverloadPolicy::Block`] a `check` that finds its shard idle is
-//!   evaluated on the calling thread, with no hand-off at all, and so
-//!   is a `submit` when no other shard is idle either; a shard still
-//!   runs one evaluation at a time. Neither side issues
-//!   a wake-up unless the other is parked, and a panic while serving
-//!   one request fails that request's ticket only.
+//!   ([`Gateway::submit`] → [`Ticket::wait`]). A `check` that finds
+//!   its shard idle is evaluated on the calling thread, with no
+//!   hand-off at all, and so is a `submit` when no other shard is idle
+//!   either; a shard still runs one evaluation at a time. Neither side
+//!   issues a wake-up unless the other is parked, and a panic while
+//!   serving one request fails that request's ticket only.
 //! - [`OverloadPolicy`] — what happens when every queue is at its
-//!   bound: `Block` applies backpressure to the submitter, `Shed`
-//!   returns [`Verdict::Overloaded`](psigene_rulesets::Verdict)
-//!   immediately with a configurable fail-open / fail-closed
-//!   direction.
+//!   bound, and only that: `Block` applies backpressure to the
+//!   submitter, `Shed` returns
+//!   [`Verdict::Overloaded`](psigene_rulesets::Verdict) immediately
+//!   with a configurable fail-open / fail-closed direction. A `Shed`
+//!   submitter never waits for queue space or for another request's
+//!   evaluation; on an idle shard it evaluates its own.
 //! - [`SignatureStore`] — an atomic-swap holder for the live engine.
 //!   [`IncrementalTrainer`-style retraining](psigene::Psigene::retrain_with)
 //!   produces a new [`Psigene`](psigene::Psigene); swapping it in

@@ -109,9 +109,11 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve --test control_lo
 # not reach its unit tests. The 2-second smokes exit non-zero unless
 # every verdict of the direct, `submit` and `submit_batch` paths
 # matches the reference, nothing is shed and no ticket is lost:
-# `mixed_gateway` submits under `Block`, where an idle shard is served
-# by the submitting thread, and `mixed_gateway_open` under `Shed`, the
-# gateway path that always keeps the thread hand-off. The traced smokes are a free differential
+# `mixed_gateway` submits under `Block` and `mixed_gateway_open` on an
+# open schedule under `Shed`, where under either policy an idle shard is
+# served by the submitting thread, and `mixed_gateway_batch` through
+# `submit_batch`, the one gateway path that always crosses the queue to a
+# worker. The traced smokes are a free differential
 # test of the sparse verdict path: a traced pass checks every
 # `evaluate` verdict (monitors on and off) and the dense
 # `score_features` of the same request against one reference —
@@ -121,7 +123,7 @@ env -u RUST_TEST_THREADS cargo test --release -p psigene-serve --test control_lo
 # runs over about half the payload), `encoded_direct` where every
 # request takes the normalizer's multi-pass path the other two never
 # reach.
-echo "==> e2e benchmark: unit tests + mixed_gateway and mixed_gateway_open smokes + traced benign_direct, attack_direct and encoded_direct smokes"
+echo "==> e2e benchmark: unit tests + mixed_gateway, mixed_gateway_open and mixed_gateway_batch smokes + traced benign_direct, attack_direct and encoded_direct smokes"
 cargo test --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml -q
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
@@ -129,6 +131,9 @@ cargo run --release --offline --quiet \
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
     --workload mixed_gateway_open --seed 1 --seconds 2 --trace 0 >/dev/null
+cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
+    --workload mixed_gateway_batch --seed 1 --seconds 2 --trace 0 >/dev/null
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
     --workload benign_direct --seed 1 --seconds 2 --trace 1 >/dev/null
@@ -156,7 +161,7 @@ if git status --porcelain | grep '^??'; then
     exit 1
 fi
 
-# The size ROADMAP item 6 is judged on: tracked Rust lines outside the
+# The size ROADMAP item 9 is judged on: tracked Rust lines outside the
 # end-to-end benchmark's package.
 echo "==> tracked .rs lines outside crates/bench/src/bin/e2e: $(git ls-files -z '*.rs' \
     ':!:crates/bench/src/bin/e2e/**' | xargs -0 cat | wc -l)"

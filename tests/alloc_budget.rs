@@ -14,11 +14,16 @@
 //!
 //! The allocator keeps two counts. Tests whose whole measured window
 //! runs on the test's own thread read the *per-thread* count, which no
-//! other thread — the harness printing a sibling's result, a gateway
-//! worker winding down — can inflate. The gateway tests measure work
-//! done on a worker thread, so they read the process-wide count, and
-//! every test in this binary takes the internal lock so that no
-//! sibling allocates inside such a window.
+//! other thread can inflate. The gateway tests measure work done on a
+//! worker thread too, so they read the process-wide count, which only
+//! the threads of the test holding the internal lock add to: the test's
+//! own, and the workers of a gateway serving [`Served`], from their
+//! first [`DetectionEngine::prepare`] on. Every test in this binary
+//! takes that lock. The threads left out are the ones no lock can
+//! order: the harness spawning the next test, a finished test's thread
+//! winding down, and a worker's start-up inside the standard library,
+//! which lands inside a window whenever the worker is first scheduled
+//! late.
 
 mod common;
 
@@ -28,7 +33,7 @@ use psigene_corpus::sqlmap::{self, SqlmapConfig};
 use psigene_corpus::ObfuscationProfile;
 use psigene_features::{extract, FeatureSet};
 use psigene_http::HttpRequest;
-use psigene_rulesets::DetectionEngine;
+use psigene_rulesets::{Detection, DetectionEngine};
 use psigene_serve::{Gateway, GatewayConfig, OverloadPolicy, SignatureStore};
 use psigene_telemetry::insight::{DriftConfig, TraceConfig, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,10 +59,15 @@ thread_local! {
     /// Const-initialized and without a destructor, so the allocator
     /// can touch it at any point of a thread's life without allocating.
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread adds to [`ALLOCATIONS`] (see the module
+    /// docs); const-initialized for the same reason.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn count_one() {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
     let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
@@ -78,7 +88,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations by every thread of the process (the gateway tests).
+/// Allocations by the threads of the test holding the lock (the
+/// gateway tests).
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
@@ -91,12 +102,68 @@ fn thread_allocations() -> u64 {
 // ─── Shared fixtures ───
 
 /// Serializes every test of this binary, measuring or not (the
-/// gateway tests read the process-wide allocation count).
-fn lock() -> MutexGuard<'static, ()> {
+/// gateway tests read the process-wide allocation count), and counts
+/// the calling thread's allocations in it until the guard drops.
+fn lock() -> Serial {
     static LOCK: Mutex<()> = Mutex::new(());
     // A test that panicked holding the guard fails alone, not its
     // siblings too.
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    let guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    COUNTED.with(|counted| counted.set(true));
+    Serial { _guard: guard }
+}
+
+/// The test lock; the thread stops counting before it lets go.
+struct Serial {
+    _guard: MutexGuard<'static, ()>,
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        COUNTED.with(|counted| counted.set(false));
+    }
+}
+
+/// The shared system as the gateway tests serve it. Every worker runs
+/// [`DetectionEngine::prepare`] first thing, which makes its
+/// allocations count from there on; the engine also counts the
+/// evaluations that ran off the test's thread.
+struct Served {
+    system: Psigene,
+    client: std::thread::ThreadId,
+    on_workers: AtomicU64,
+}
+
+impl Served {
+    fn new() -> Arc<Served> {
+        Arc::new(Served {
+            system: system().clone(),
+            client: std::thread::current().id(),
+            on_workers: AtomicU64::new(0),
+        })
+    }
+}
+
+impl DetectionEngine for Served {
+    fn name(&self) -> &str {
+        self.system.name()
+    }
+    fn prepare(&self) {
+        COUNTED.with(|counted| counted.set(true));
+        self.system.prepare();
+    }
+    fn evaluate(&self, request: &HttpRequest) -> Detection {
+        if std::thread::current().id() != self.client {
+            self.on_workers.fetch_add(1, Ordering::Relaxed);
+        }
+        self.system.evaluate(request)
+    }
+    fn evaluate_batch(&self, requests: &[HttpRequest]) -> Vec<Detection> {
+        self.system.evaluate_batch(requests)
+    }
+    fn rule_count(&self) -> usize {
+        self.system.rule_count()
+    }
 }
 
 /// The full feature library, built once per test binary.
@@ -419,26 +486,40 @@ fn parse_allocates_exactly_one_buffer() {
     assert!(clean * 2 > wires.len(), "only {clean} unflagged requests");
 }
 
-#[test]
-fn gateway_batch_path_stays_within_the_alloc_budget() {
-    let _guard = lock();
-    let store = SignatureStore::new(Arc::new(system().clone()));
-    let gateway = Gateway::start(
-        store,
+/// A gateway serving [`Served`] under `policy`, without trace
+/// sampling (the unsampled trace path is proven allocation-free in
+/// tests/observability.rs; the budgets here measure pure serving).
+fn gateway(engine: &Arc<Served>, shards: usize, policy: OverloadPolicy) -> Gateway {
+    Gateway::start(
+        SignatureStore::new(Arc::clone(engine) as Arc<dyn DetectionEngine>),
         GatewayConfig {
-            shards: 1,
+            shards,
             queue_capacity: 16,
-            policy: OverloadPolicy::Block,
-            // The unsampled trace path is proven allocation-free in
-            // tests/observability.rs; keep sampling out of this
-            // budget so it measures pure serving.
+            policy,
             trace: TraceConfig {
                 sample_every: 0,
                 seed: 0,
             },
             tap: None,
         },
-    );
+    )
+}
+
+/// Hands every worker all of `requests`, twice, as one batch per
+/// shard (batches always queue, and one submitter's round-robin picks
+/// cover every shard): every worker has then started, counts its
+/// allocations, and has warmed its scratch on each request, whichever
+/// of them its shard's `submit`s will evaluate.
+fn warm_every_worker(gateway: &Gateway, shards: usize, requests: &[HttpRequest]) {
+    for _ in 0..2 * shards {
+        assert_eq!(gateway.check_batch(requests.to_vec()).len(), requests.len());
+    }
+}
+
+#[test]
+fn gateway_batch_path_stays_within_the_alloc_budget() {
+    let _guard = lock();
+    let gateway = gateway(&Served::new(), 1, OverloadPolicy::Block);
     // Every batch is built before the measured window: batch
     // construction is the *caller's* cost, the budget polices the
     // gateway (queueing, evaluation, verdict delivery).
@@ -462,43 +543,32 @@ fn gateway_batch_path_stays_within_the_alloc_budget() {
     drop(gateway);
 }
 
-/// The gateway's own cost on the `submit` path is the reply slot: one
-/// allocation per request on top of whatever the engine allocates for
-/// the same requests, exactly, once queue and scratch are warm.
-#[test]
-fn gateway_submit_path_allocates_exactly_the_reply_slot() {
-    let _guard = lock();
-    let engine = system();
-    let gateway = Gateway::start(
-        SignatureStore::new(Arc::new(engine.clone())),
-        GatewayConfig {
-            shards: 1,
-            queue_capacity: 16,
-            policy: OverloadPolicy::Block,
-            trace: TraceConfig {
-                sample_every: 0,
-                seed: 0,
-            },
-            tap: None,
-        },
-    );
-    let n = 64;
-    let requests = workload(n);
-    // Warm this thread's scratch and the worker's, and grow the
-    // shard's queue and run buffers, over the very same requests.
+/// What the gateway adds on the `submit` path, wherever the request is
+/// evaluated, over the engine alone on the same requests: the
+/// allocations in both windows, and the evaluations that ran on a
+/// worker during the gateway's.
+fn submit_path_allocations(
+    engine: &Served,
+    gateway: &Gateway,
+    requests: &[HttpRequest],
+) -> (u64, u64, u64) {
+    let system = &engine.system;
+    // Warm this thread's scratch and the workers', and grow the
+    // shards' queues and run buffers, over the very same requests.
     for _ in 0..2 {
-        for r in &requests {
-            std::hint::black_box(engine.evaluate(r).flagged);
+        for r in requests {
+            std::hint::black_box(system.evaluate(r).flagged);
             std::hint::black_box(gateway.submit(r.clone()).wait().flagged());
         }
     }
     let before = allocations();
     let direct_flagged = requests
         .iter()
-        .filter(|r| engine.evaluate(r).flagged)
+        .filter(|r| system.evaluate(r).flagged)
         .count();
     let engine_allocs = allocations() - before;
-    let owned = requests.clone();
+    let owned = requests.to_vec();
+    let on_workers = engine.on_workers.load(Ordering::Relaxed);
     let before = allocations();
     let mut flagged = 0usize;
     for r in owned {
@@ -507,8 +577,30 @@ fn gateway_submit_path_allocates_exactly_the_reply_slot() {
         }
     }
     let gateway_allocs = allocations() - before;
+    let on_workers = engine.on_workers.load(Ordering::Relaxed) - on_workers;
     assert!(flagged > 0, "workload produced no detections");
     assert_eq!(flagged, direct_flagged);
+    (gateway_allocs, engine_allocs, on_workers)
+}
+
+/// The gateway's own cost on the `submit` path is the reply slot: one
+/// allocation per request on top of whatever the engine allocates for
+/// the same requests, exactly, once queue and scratch are warm. With
+/// one shard every `submit` finds it idle and evaluates inline.
+#[test]
+fn gateway_submit_path_allocates_exactly_the_reply_slot() {
+    let _guard = lock();
+    let engine = Served::new();
+    let gateway = gateway(&engine, 1, OverloadPolicy::Block);
+    let n = 64;
+    let requests = workload(n);
+    warm_every_worker(&gateway, 1, &requests);
+    let (gateway_allocs, engine_allocs, on_workers) =
+        submit_path_allocations(&engine, &gateway, &requests);
+    assert_eq!(
+        on_workers, 0,
+        "a lone submitter on one shard evaluates inline"
+    );
     assert_eq!(
         gateway_allocs - engine_allocs,
         n as u64,
@@ -517,59 +609,34 @@ fn gateway_submit_path_allocates_exactly_the_reply_slot() {
     drop(gateway);
 }
 
-/// The queued sibling of the test above: under `Shed` a submission
-/// always goes through the shard's queue (push, the worker's `take`,
-/// the reply across threads), and that path, too, allocates nothing
-/// but the reply slot.
+/// The queued sibling of the test above: on two shards a lone `submit`
+/// meets the other shard idle and queues (push, the worker's `take`,
+/// the reply across threads), and that path, too, allocates nothing but
+/// the reply slot. `Shed` here, the policy the open-loop benchmark
+/// serves under; nothing reaches its bound.
 #[test]
 fn gateway_queue_path_allocates_exactly_the_reply_slot() {
     let _guard = lock();
-    let engine = system();
-    let gateway = Gateway::start(
-        SignatureStore::new(Arc::new(engine.clone())),
-        GatewayConfig {
-            shards: 1,
-            queue_capacity: 16,
-            policy: OverloadPolicy::Shed { fail_open: false },
-            trace: TraceConfig {
-                sample_every: 0,
-                seed: 0,
-            },
-            tap: None,
-        },
-    );
+    let engine = Served::new();
+    let gateway = gateway(&engine, 2, OverloadPolicy::Shed { fail_open: false });
     let n = 64;
     let requests = workload(n);
-    // Warm this thread's scratch and the worker's, and grow the
-    // shard's queue, over the very same requests.
-    for _ in 0..2 {
-        for r in &requests {
-            std::hint::black_box(engine.evaluate(r).flagged);
-            std::hint::black_box(gateway.submit(r.clone()).wait().flagged());
-        }
-    }
-    let before = allocations();
-    let direct_flagged = requests
-        .iter()
-        .filter(|r| engine.evaluate(r).flagged)
-        .count();
-    let engine_allocs = allocations() - before;
-    let owned = requests.clone();
-    let before = allocations();
-    let mut flagged = 0usize;
-    for r in owned {
-        if gateway.submit(r).wait().flagged() {
-            flagged += 1;
-        }
-    }
-    let gateway_allocs = allocations() - before;
+    warm_every_worker(&gateway, 2, &requests);
+    let (gateway_allocs, engine_allocs, on_workers) =
+        submit_path_allocations(&engine, &gateway, &requests);
     assert_eq!(gateway.stats().shed, 0, "one request at a time never sheds");
-    assert!(flagged > 0, "workload produced no detections");
-    assert_eq!(flagged, direct_flagged);
+    // A submit evaluates inline only when the worker that answered the
+    // previous one has not yet come back for work, and then releases
+    // its shard before the next round-robin pick lands on the other:
+    // no two in a row, so at least half were queued.
+    assert!(
+        on_workers >= n as u64 / 2,
+        "{on_workers} of {n} submits evaluated on a worker: the queue was bypassed"
+    );
     assert_eq!(
         gateway_allocs - engine_allocs,
         n as u64,
-        "queued submit path: {gateway_allocs} allocations for {n} requests, engine alone {engine_allocs}"
+        "queued submit path: {gateway_allocs} allocations for {n} requests ({on_workers} on workers), engine alone {engine_allocs}"
     );
     drop(gateway);
 }

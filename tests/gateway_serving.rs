@@ -412,7 +412,9 @@ fn fused_hot_reload_rebuilds_automaton_losslessly() {
 
 #[test]
 fn shed_policy_fires_at_the_configured_bound() {
-    // A gated engine pins the single worker so the queue fills
+    use std::sync::mpsc;
+    use std::time::Duration;
+    // A gated engine stalls whoever evaluates, so the shard fills
     // deterministically.
     struct Gated(Arc<AtomicBool>);
     impl DetectionEngine for Gated {
@@ -430,55 +432,81 @@ fn shed_policy_fires_at_the_configured_bound() {
         }
     }
 
-    let gate = Arc::new(AtomicBool::new(false));
     let capacity = 3usize;
-    let gateway = Gateway::start(
-        SignatureStore::new(Arc::new(Gated(Arc::clone(&gate)))),
-        GatewayConfig {
-            shards: 1,
-            queue_capacity: capacity,
-            policy: OverloadPolicy::Shed { fail_open: true },
-            ..GatewayConfig::default()
-        },
-    );
-
-    // With the worker gated, exactly `capacity` submissions are
-    // accepted (the bound counts the job in the worker's hands);
-    // everything past that must shed immediately. The assertions
-    // below keep the looser capacity+1 form they had when a taken job
-    // no longer counted.
     let total = capacity + 5;
-    let tickets: Vec<_> = (0..total)
-        .map(|i| gateway.submit(HttpRequest::get("h", "/x", &format!("i={i}"))))
-        .collect();
-    let stats = gateway.stats();
-    assert!(
-        stats.shed >= (total - capacity - 1) as u64,
-        "expected at least {} sheds, got {stats:?}",
-        total - capacity - 1
-    );
-    assert!(
-        stats.submitted <= (capacity + 1) as u64,
-        "accepted past the bound: {stats:?}"
-    );
-
-    gate.store(true, Ordering::Release);
-    let verdicts: Vec<Verdict> = tickets.into_iter().map(|t| t.wait()).collect();
-    let shed = verdicts.iter().filter(|v| v.is_shed()).count() as u64;
-    assert_eq!(shed, stats.shed, "shed counter disagrees with verdicts");
-    // fail_open: shed traffic passes unflagged.
-    assert!(verdicts
-        .iter()
-        .filter(|v| v.is_shed())
-        .all(|v| !v.flagged()));
-    let final_stats = gateway.shutdown();
-    assert_eq!(final_stats.served + final_stats.shed, total as u64);
+    for fail_open in [true, false] {
+        let (done, finished) = mpsc::channel();
+        // The scenario runs on its own thread, so that a leaked claim,
+        // or a submission that claims the stalled shard and spins on
+        // the gate, fails the test on the timeout below instead of
+        // hanging it.
+        std::thread::spawn(move || {
+            let gate = Arc::new(AtomicBool::new(false));
+            let gateway = Gateway::start(
+                SignatureStore::new(Arc::new(Gated(Arc::clone(&gate)))),
+                GatewayConfig {
+                    shards: 1,
+                    queue_capacity: capacity,
+                    policy: OverloadPolicy::Shed { fail_open },
+                    ..GatewayConfig::default()
+                },
+            );
+            let (first, verdicts, stats) = std::thread::scope(|s| {
+                // A helper finds the shard idle and evaluates its own
+                // request, stalled on the gate: it holds the claim.
+                let helper = s.spawn(|| gateway.submit(HttpRequest::get("h", "/x", "i=0")).wait());
+                while gateway.stats().submitted == 0 {
+                    std::thread::yield_now();
+                }
+                // The claim counts against the bound: this thread gets
+                // exactly `capacity - 1` accepted, and everything past
+                // that sheds at once instead of waiting.
+                let tickets: Vec<Ticket> = (1..total)
+                    .map(|i| gateway.submit(HttpRequest::get("h", "/x", &format!("i={i}"))))
+                    .collect();
+                let stats = gateway.stats();
+                gate.store(true, Ordering::Release);
+                let first = helper.join().expect("helper");
+                let verdicts: Vec<Verdict> = tickets.into_iter().map(Ticket::wait).collect();
+                (first, verdicts, stats)
+            });
+            let last = gateway.shutdown();
+            done.send((first, verdicts, stats, last))
+                .expect("test alive");
+        });
+        let (first, verdicts, stats, last) = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the scenario unwound or hung on the gate");
+        assert!(
+            first.detection().is_some(),
+            "the claimer evaluates: {first:?}"
+        );
+        assert_eq!(
+            (stats.submitted, stats.shed),
+            (capacity as u64, (total - capacity) as u64),
+            "fail_open {fail_open}: {stats:?}"
+        );
+        let shed: Vec<&Verdict> = verdicts.iter().filter(|v| v.is_shed()).collect();
+        assert_eq!(
+            shed.len() as u64,
+            stats.shed,
+            "shed counter disagrees with verdicts"
+        );
+        assert_eq!(verdicts.len() - shed.len(), capacity - 1);
+        // Shed traffic passes unflagged when failing open, is flagged
+        // when failing closed.
+        assert!(shed.iter().all(|v| v.flagged() != fail_open));
+        assert_eq!(
+            (last.served, last.shed),
+            (capacity as u64, (total - capacity) as u64)
+        );
+    }
 }
 
-/// Under `Block` a submitter on an idle shard evaluates on its own
-/// thread, and a worker evaluates what was queued: a shard must still
-/// run one evaluation at a time, and no request may be lost, doubled
-/// or evaluated twice by the two paths.
+/// A submitter on an idle shard evaluates on its own thread, under
+/// either overload policy, and a worker evaluates what was queued: a
+/// shard must still run one evaluation at a time, and no request may
+/// be lost, doubled or evaluated twice by the two paths.
 #[test]
 fn one_evaluation_per_shard_whoever_runs_it() {
     /// The trained system, counting how many evaluations run at once
@@ -521,7 +549,11 @@ fn one_evaluation_per_shard_whoever_runs_it() {
     let requests = stream(16, 48);
     let sequential: Vec<Detection> = requests.iter().map(|r| system().evaluate(r)).collect();
     let total = requests.len() * (1 + SUBMITTERS * ROUNDS);
-    for shards in [1, 2] {
+    let policies = [
+        OverloadPolicy::Block,
+        OverloadPolicy::Shed { fail_open: true },
+    ];
+    for (shards, policy) in [1, 2].into_iter().flat_map(|n| policies.map(|p| (n, p))) {
         let engine = Arc::new(Occupancy {
             inner: system().clone(),
             running: AtomicUsize::new(0),
@@ -533,8 +565,9 @@ fn one_evaluation_per_shard_whoever_runs_it() {
             SignatureStore::new(Arc::clone(&engine) as Arc<dyn DetectionEngine>),
             GatewayConfig {
                 shards,
+                // Above the 8 checks in flight: neither policy acts.
                 queue_capacity: 64,
-                policy: OverloadPolicy::Block,
+                policy,
                 tap: Some(Arc::clone(&tap) as Arc<dyn VerdictSink>),
                 ..GatewayConfig::default()
             },
@@ -553,7 +586,7 @@ fn one_evaluation_per_shard_whoever_runs_it() {
         assert_eq!(
             threads,
             HashSet::from([std::thread::current().id()]),
-            "{shards} shard(s): a sequential submitter's requests left its thread"
+            "{policy:?}, {shards} shard(s): a sequential submitter's requests left its thread"
         );
 
         std::thread::scope(|s| {
@@ -563,10 +596,10 @@ fn one_evaluation_per_shard_whoever_runs_it() {
                     for round in 0..ROUNDS {
                         for (i, r) in requests.iter().enumerate() {
                             let v = gateway.check(r.clone());
-                            let d = v.detection().expect("Block policy never sheds");
+                            let d = v.detection().expect("8 checks never reach the bound");
                             assert!(
                                 same_detection(d, &sequential[i]),
-                                "submitter {t}, round {round}, request {i}: {d:?}"
+                                "{policy:?}, submitter {t}, round {round}, request {i}: {d:?}"
                             );
                         }
                     }
@@ -576,7 +609,7 @@ fn one_evaluation_per_shard_whoever_runs_it() {
         let most = engine.most.load(Ordering::SeqCst);
         assert!(
             most <= shards,
-            "{most} evaluations at once on {shards} shard(s)"
+            "{policy:?}: {most} evaluations at once on {shards} shard(s)"
         );
         let stats = gateway.shutdown();
         assert_eq!(
@@ -587,7 +620,7 @@ fn one_evaluation_per_shard_whoever_runs_it() {
             assert_eq!(
                 seen.load(Ordering::Relaxed),
                 1,
-                "{shards} shard(s), id {id}"
+                "{policy:?}, {shards} shard(s), id {id}"
             );
         }
     }
