@@ -306,7 +306,6 @@ pub fn fig2(setup: &Setup, out_dir: &std::path::Path) -> std::io::Result<String>
     );
     let heatmap = psigene_cluster::heatmap::build(&mcap, &result);
     std::fs::create_dir_all(out_dir)?;
-    std::fs::write(out_dir.join("fig2_heatmap.csv"), heatmap.to_csv())?;
     std::fs::write(out_dir.join("fig2_heatmap.pgm"), heatmap.to_pgm())?;
     let cond = psigene_linalg::distance::pairwise_euclidean_sparse(&mcap, config.threads);
     let coph = psigene_cluster::cophenetic_correlation(&result.row_dendrogram, &cond);
@@ -333,7 +332,7 @@ pub fn fig2(setup: &Setup, out_dir: &std::path::Path) -> std::io::Result<String>
         out,
         "cophenetic correlation coefficient: {coph:.3} (paper: 0.92)"
     );
-    let _ = writeln!(out, "artifacts: fig2_heatmap.csv, fig2_heatmap.pgm");
+    let _ = writeln!(out, "artifact: fig2_heatmap.pgm");
     Ok(out)
 }
 

@@ -8,7 +8,8 @@
 //! Subcommands: `table1`..`table6`, `fig2`, `fig3`, `fig4`, `exp2`,
 //! `exp3`, `exp4`, `ablation`, `all`. Options: `--scale <f>` (corpus
 //! scale relative to the paper, default 0.1), `--seed <n>`,
-//! `--out <dir>` (artifact directory, default `results/`),
+//! `--out <dir>` (artifact directory, default `results/`; every
+//! subcommand but `exp4` writes `<dir>/<cmd>.txt`),
 //! `--telemetry <file>` (dump the global telemetry registry as JSON
 //! after all subcommands finish).
 
@@ -127,8 +128,13 @@ fn main() {
         };
         println!("{report}");
         println!("{}", "─".repeat(78));
-        let file = out_dir.join(format!("{cmd}.txt"));
-        std::fs::write(&file, &report).expect("write report file");
+        // exp4 reports wall-clock timings, which differ run to run; it
+        // stays on stdout so that every file written is a pure
+        // function of (scale, seed, code).
+        if cmd != "exp4" {
+            let file = out_dir.join(format!("{cmd}.txt"));
+            std::fs::write(&file, &report).expect("write report file");
+        }
     }
     eprintln!("reports written to {}", out_dir.display());
     if let Some(path) = telemetry_out {

@@ -4,8 +4,8 @@
 //! sample×feature matrix, reordered by the row and column
 //! dendrograms, with the selected biclusters drawn on top. This
 //! module produces the same artifact as data: a reordered
-//! standardized matrix with cluster annotations, exportable as CSV,
-//! as a PGM image, or as coarse ASCII art for terminals.
+//! standardized matrix with cluster annotations, exportable as a PGM
+//! image or as coarse ASCII art for terminals.
 
 use crate::bicluster::BiclusterResult;
 use crate::dendrogram::Dendrogram;
@@ -78,25 +78,6 @@ fn column_order(dense: &Matrix) -> Vec<usize> {
 }
 
 impl Heatmap {
-    /// CSV export: header row of original column ids, then one line
-    /// per display row: `bicluster_id,original_row,v1,v2,...`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("bicluster,row");
-        for c in &self.col_order {
-            out.push_str(&format!(",f{c}"));
-        }
-        out.push('\n');
-        for r in 0..self.values.rows() {
-            out.push_str(&format!("{},{}", self.row_cluster[r], self.row_order[r]));
-            for v in self.values.row(r) {
-                out.push_str(&format!(",{v:.4}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Binary PGM (P5) export; values clamped to ±2σ and mapped to
     /// 0..=255 (black = mean, as in the paper's black/red/green map
     /// collapsed to gray).
@@ -198,15 +179,6 @@ mod tests {
             changes <= 2,
             "row clusters not contiguous: {changes} changes"
         );
-    }
-
-    #[test]
-    fn csv_has_header_and_all_rows() {
-        let (m, r) = result();
-        let hm = build(&m, &r);
-        let csv = hm.to_csv();
-        assert_eq!(csv.lines().count(), 41);
-        assert!(csv.starts_with("bicluster,row,"));
     }
 
     #[test]

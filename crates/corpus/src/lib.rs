@@ -83,17 +83,15 @@ pub fn crawl_training_set(config: &CrawlCorpusConfig) -> Dataset {
         .iter()
         .map(|p| (p.payload.as_str(), p.family))
         .collect();
-    let result = crawler::crawl(
-        &corpus.web,
-        &corpus.seeds,
-        &crawler::CrawlerConfig::default(),
-    );
+    let result = crawler::crawl(&corpus.web, &corpus.seeds);
     let mut ds = Dataset::new();
     for s in &result.samples {
         let family = match truth.get(s.payload.as_str()) {
             Some(f) => *f,
-            // A payload that was mangled en route would be unlabeled;
-            // drop it rather than poison the training labels.
+            // Not taken: the crawl returns exactly the planted payloads
+            // (`crawler::tests::crawl_recovers_all_planted_samples`).
+            // A payload with no planted twin would have no family, so
+            // it is dropped rather than poison the training labels.
             None => continue,
         };
         ds.samples.push(Sample {

@@ -55,12 +55,6 @@ cargo run --release -p psigene-serve --example ids_gateway -- --quick >/dev/null
 echo "==> alloc-budget integration test (zero-alloc hot path)"
 cargo test --release -p psigene-serve --test alloc_budget -q
 
-# Fault-injection integration test: fixed-seed 20%-fault crawl must
-# recover ≥99% of the fault-free sample set, dead-letter a dead portal
-# without hanging, and checkpoint/resume must be exact.
-echo "==> crawl fault-tolerance integration test"
-cargo test --release -p psigene-corpus --test crawl_fault_tolerance -q
-
 # Parallel-training determinism: signatures must be bit-identical at
 # 1/2/4 threads, and the sparse Newton-CG fit must match the dense fit
 # bit-for-bit on the same design matrix.

@@ -3,7 +3,7 @@
 
 use psigene_corpus::{
     crawl_training_set,
-    crawler::{crawl, CrawlerConfig},
+    crawler::crawl,
     portal::{build_portals, PortalConfig},
     CrawlCorpusConfig,
 };
@@ -22,7 +22,7 @@ fn crawler_recovers_the_whole_corpus_across_portal_styles() {
         samples: 800,
         ..Default::default()
     });
-    let result = crawl(&corpus.web, &corpus.seeds, &CrawlerConfig::default());
+    let result = crawl(&corpus.web, &corpus.seeds);
     assert_eq!(
         result.samples.len(),
         corpus.planted.len(),
